@@ -1,8 +1,7 @@
 """Biorthogonal spectra, Z2 level indices, and exceptional-point searches for
 a transverse-field Ising chain with balanced staggered gain and loss."""
 
-from .numerics import (DEFAULT_TOL, DegenerateCluster, EigenSystem, NearDefective,
-                       biorthonormalize, eig_general, kron_chain)
+from .numerics import DEFAULT_TOL, EigenSystem, NearDefective, eig_general
 from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_parity,
                     gain_generator, psh_residual)
 from .biortho import (AtExceptionalPoint, BiorthoSpectrum, IndexIllDefined,
@@ -20,8 +19,7 @@ from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePa
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "DegenerateCluster", "EigenSystem", "NearDefective",
-    "biorthonormalize", "eig_general", "kron_chain",
+    "DEFAULT_TOL", "EigenSystem", "NearDefective", "eig_general",
     "ChainSpec", "NormalizedPoint", "build_hamiltonian", "build_parity",
     "gain_generator", "psh_residual",
     "AtExceptionalPoint", "BiorthoSpectrum", "IndexIllDefined", "LevelRecord",

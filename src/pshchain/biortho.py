@@ -59,10 +59,6 @@ class LevelRecord:
     right: np.ndarray
     left: np.ndarray
 
-    @property
-    def is_real(self) -> bool:
-        return self.conjugate_partner is None
-
 
 @dataclass(frozen=True)
 class BiorthoSpectrum:
@@ -79,12 +75,6 @@ class BiorthoSpectrum:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem.eigenvalues
-
-    def real_levels(self) -> list[LevelRecord]:
-        return [lv for lv in self.levels if abs(lv.eigenvalue.imag) <= self.reality_tol]
-
-    def complex_levels(self) -> list[LevelRecord]:
-        return [lv for lv in self.levels if abs(lv.eigenvalue.imag) > self.reality_tol]
 
 
 def ep_indicator(r, zeta) -> float:

@@ -28,20 +28,19 @@ from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, EPRecord
                      find_ep2, find_ep3, find_ep3_candidates, locate_ep2_records,
                      selection_rule_scan, sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, build_hamiltonian, build_parity
-from .numerics import DegenerateCluster, NearDefective
+from .numerics import NearDefective
 from .oracle import full_spectrum
 
 COMMANDS = ("spectrum", "oracle", "sweep", "find-ep", "verify", "crossings")
 TOLERANCE_NAMES = frozenset({
-    "eig_tol", "reality_tol", "indicator_floor", "bisect_tol", "ep3_gamma_tol",
-    "overlap_min", "element_floor", "ambiguous_gap", "defect_threshold",
+    "reality_tol", "indicator_floor", "bisect_tol", "ep3_gamma_tol", "overlap_min",
+    "ambiguous_gap",
 })
 #: Gain values of the default verification grid.
 DEFAULT_GAMMAS = (0.05, 0.21, 0.40125, 0.48375)
 
-_NUMERIC_ERRORS = (NearDefective, DegenerateCluster, AtExceptionalPoint,
-                   IndexIllDefined, NoEPInBracket, NoEP3InBox,
-                   AccidentallyZeroElement, ArithmeticError)
+_NUMERIC_ERRORS = (NearDefective, AtExceptionalPoint, IndexIllDefined, NoEPInBracket,
+                   NoEP3InBox, AccidentallyZeroElement, ArithmeticError)
 
 
 class UsageError(Exception):

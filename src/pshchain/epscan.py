@@ -57,21 +57,10 @@ class AccidentallyZeroElement(RuntimeError):
         )
 
 
-_parity_cache: dict[int, np.ndarray] = {}
-
-
-def _parity(n: int) -> np.ndarray:
-    p = _parity_cache.get(n)
-    if p is None:
-        p = build_parity(n)
-        _parity_cache[n] = p
-    return p
-
-
 def _solve_value(axis: str, fixed_value: float, n: int, value: float,
                  reality_tol, indicator_floor: float) -> BiorthoSpectrum:
     """Spectrum at one normalized point; nudges off exact exceptional points."""
-    zeta = _parity(n)
+    zeta = build_parity(n)
     last: Exception | None = None
     for dv in (0.0, 1e-11, -1e-11, 1e-10):
         v = value + dv
@@ -113,9 +102,6 @@ class SweepGrid:
         if self.axis == AXIS_COUPLING:
             return NormalizedPoint(value, self.fixed_value)
         return NormalizedPoint(self.fixed_value, value)
-
-    def chain_at(self, value: float) -> ChainSpec:
-        return self.point(value).chain(self.n)
 
     def solver(self, reality_tol=None, indicator_floor=INDICATOR_FLOOR):
         def solve(value: float) -> BiorthoSpectrum:
@@ -186,20 +172,31 @@ def _sweep_task(args) -> dict:
     return _compact(_solve_value(axis, fixed_value, n, value, reality_tol, indicator_floor))
 
 
-def _result_stream(grid: SweepGrid, workers: int, reality_tol, indicator_floor):
-    tasks = [(grid.axis, grid.fixed_value, grid.n, v, reality_tol, indicator_floor)
-             for v in grid.points]
+def _imap(fn, tasks: list, workers: int, chunksize: int):
+    """``fn(task)`` for every task, lazily and in task order.
+
+    Runs on a fork pool when ``workers > 1``; serially, one result is held at a time.
+    """
     if workers <= 1:
-        for t in tasks:
-            yield _sweep_task(t)
+        yield from map(fn, tasks)
         return
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context()
-    chunk = max(1, len(tasks) // (4 * workers))
     with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(_sweep_task, tasks, chunksize=chunk)
+        yield from pool.imap(fn, tasks, chunksize=chunksize)
+
+
+def _match(ref_left: np.ndarray, right: np.ndarray):
+    """Column of ``right`` matched to each reference left vector, and its overlap.
+
+    The one-to-one assignment maximizes the summed |<L_ref|R>|.
+    """
+    overlap = np.abs(ref_left.conj().T @ right)
+    rows, cols = linear_sum_assignment(-overlap)
+    cols = cols[np.argsort(rows)]
+    return cols, overlap[np.arange(ref_left.shape[1]), cols]
 
 
 def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
@@ -223,16 +220,16 @@ def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
     overlaps = np.ones((dim, npts))
     breaks: list[list[int]] = [[] for _ in range(dim)]
 
+    tasks = [(grid.axis, grid.fixed_value, grid.n, v, reality_tol, indicator_floor)
+             for v in grid.points]
+    results = _imap(_sweep_task, tasks, workers, max(1, npts // (4 * workers)))
     col_of_track = np.arange(dim)
     prev_left = None
-    for p, data in enumerate(_result_stream(grid, workers, reality_tol, indicator_floor)):
+    for p, data in enumerate(results):
         if data["dim"] != dim:
             raise ArithmeticError("grid point returned a spectrum of wrong dimension")
         if p > 0:
-            overlap = np.abs(prev_left.conj().T @ data["right"])
-            rows, cols = linear_sum_assignment(-overlap)
-            col_of_track = cols[np.argsort(rows)]
-            matched = overlap[np.arange(dim), col_of_track]
+            col_of_track, matched = _match(prev_left, data["right"])
             overlaps[:, p] = matched
             for t in np.flatnonzero(matched < overlap_min):
                 breaks[int(t)].append(p)
@@ -292,14 +289,6 @@ class EPRecord:
                    bracket_width=float(d["bracket_width"]))
 
 
-def _match_levels(ref_left: np.ndarray, sp: BiorthoSpectrum):
-    """Columns of ``sp`` matched to the reference left vectors, plus overlaps."""
-    overlap = np.abs(ref_left.conj().T @ sp.eigensystem.right)
-    rows, cols = linear_sum_assignment(-overlap)
-    cols = cols[np.argsort(rows)]
-    return cols, overlap[np.arange(ref_left.shape[1]), cols]
-
-
 def _pair_state(sp: BiorthoSpectrum, ca: int, cb: int) -> dict:
     la, lb = sp.levels[ca], sp.levels[cb]
     mutual = la.conjugate_partner == cb and lb.conjugate_partner == ca
@@ -333,7 +322,7 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
         raise NoEPInBracket("pair is already complex on the declared real side")
 
     sp_c = solve(p_complex)
-    cols_c, _ = _match_levels(state_r["left"], sp_c)
+    cols_c, _ = _match(state_r["left"], sp_c.eigensystem.right)
     if not _pair_state(sp_c, *cols_c)["mutual"]:
         raise NoEPInBracket("pair is not complex-conjugate on the complex side")
 
@@ -343,7 +332,7 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
         it += 1
         pm = 0.5 * (pr + pc)
         sp_m = solve(pm)
-        cols_m, _ = _match_levels(state_r["left"], sp_m)
+        cols_m, _ = _match(state_r["left"], sp_m.eigensystem.right)
         state_m = _pair_state(sp_m, *cols_m)
         if state_m["mutual"]:
             pc = pm
@@ -357,7 +346,7 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
 
     location = 0.5 * (pr + pc)
     sp_loc = solve(location)
-    cols_loc, _ = _match_levels(state_r["left"], sp_loc)
+    cols_loc, _ = _match(state_r["left"], sp_loc.eigensystem.right)
     residual = _pair_state(sp_loc, *cols_loc)["gap"]
     return {
         "location": location,
@@ -487,7 +476,7 @@ def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
     while hi - lo > tol:
         pm = 0.5 * (lo + hi)
         sp_m = solve(pm)
-        cols, _ = _match_levels(ref, sp_m)
+        cols, _ = _match(ref, sp_m.eigensystem.right)
         d = (sp_m.levels[cols[0]].eigenvalue - sp_m.levels[cols[1]].eigenvalue).real
         val = abs(d)
         if math.copysign(1.0, d) == sign_lo:
@@ -573,7 +562,7 @@ def predict_gamma_cr(spec: ChainSpec, pair, element_floor: float | None = None):
     if any(g != 0.0 for g in spec.gamma_profile):
         raise ValueError("prediction starts from the gain-free chain")
     h = build_hamiltonian(spec)
-    zeta = _parity(spec.n)
+    zeta = build_parity(spec.n)
     sp = spectrum_with_indices(h, zeta)
     a, b = (int(pair[0]), int(pair[1]))
     la, lb = sp.levels[a], sp.levels[b]
@@ -630,12 +619,6 @@ def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
                          spectator_z2=recs[spect].z2_index)
 
 
-def _match_all(ref_left: np.ndarray, col_of_track: np.ndarray, sp: BiorthoSpectrum):
-    overlap = np.abs(ref_left[:, col_of_track].conj().T @ sp.eigensystem.right)
-    rows, cols = linear_sum_assignment(-overlap)
-    return cols[np.argsort(rows)]
-
-
 def _march_state(n: int, j_value: float, gammas, reality_tol, indicator_floor):
     """Generator of (gamma, spectrum, col_of_track) along a gain ladder."""
     dim = 1 << n
@@ -645,7 +628,7 @@ def _march_state(n: int, j_value: float, gammas, reality_tol, indicator_floor):
     left = sp.eigensystem.left
     for g in gammas[1:]:
         sp = _solve_value(AXIS_GAIN, j_value, n, float(g), reality_tol, indicator_floor)
-        cols = _match_all(left, cols, sp)
+        cols, _ = _match(left[:, cols], sp.eigensystem.right)
         left = sp.eigensystem.left
         yield float(g), sp, cols
 
@@ -694,7 +677,7 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
         it += 1
         pm = 0.5 * (pr + pc)
         sp_m = solve(pm)
-        cols_m, _ = _match_levels(ref, sp_m)
+        cols_m, _ = _match(ref, sp_m.eigensystem.right)
         all_real, recs = _triple_state(sp_m, cols_m)
         if all_real:
             pr = pm
@@ -705,7 +688,7 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
             outside = _classify_triple(sp_m, cols_m)
     if outside is None:
         sp_c = solve(pc)
-        cols_c, _ = _match_levels(ref, sp_c)
+        cols_c, _ = _match(ref, sp_c.eigensystem.right)
         outside = _classify_triple(sp_c, cols_c)
     return 0.5 * (pr + pc), inside, outside
 
@@ -736,7 +719,7 @@ def _find_wedge(n: int, gamma: float, window, triple, samples: int,
         sp, cols = sp_a, cols_a
         for i in part:
             sp_new = solve(float(j_vals[i]))
-            cols = _match_all(sp.eigensystem.left, cols, sp_new)
+            cols, _ = _match(sp.eigensystem.left[:, cols], sp_new.eigensystem.right)
             sp = sp_new
             all_real, recs = _triple_state(sp, cols[tri])
             states[i] = (all_real, cols[tri].copy(), recs)
@@ -888,15 +871,7 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     g_floor = g_lo - (g_hi - g_lo)
     j_vals = np.linspace(float(j_window[0]), float(j_window[1]), probes)
     tasks = [(n, float(j), g_hi, g_steps, reality_tol, indicator_floor) for j in j_vals]
-    if workers <= 1:
-        results = [_candidate_probe(t) for t in tasks]
-    else:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover
-            ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=workers) as pool:
-            results = list(pool.map(_candidate_probe, tasks, chunksize=1))
+    results = list(_imap(_candidate_probe, tasks, workers, 1))
 
     candidates = []
     for i in range(probes - 1):

@@ -15,17 +15,14 @@ bit-reversal permutation of basis indices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import as_complex_matrix, kron_chain
-
-SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-ID2 = np.eye(2, dtype=np.complex128)
+from .numerics import as_complex_matrix
 
 _PROFILE_TOL = 1e-12
 
@@ -111,35 +108,48 @@ class NormalizedPoint:
         return ChainSpec.staggered(n, self.delta, self.j_tilde, self.gamma_tilde)
 
 
-def site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed a single-site operator at 1-based ``site`` in an n-site chain."""
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside 1..{n}")
-    factors = [ID2] * n
-    factors[site - 1] = op
-    return kron_chain(factors)
+class _Operators(NamedTuple):
+    """Basis-index tables of an n-site chain; arrays are read-only."""
+
+    flips: np.ndarray    # sum_n sx_n, real 2^n x 2^n
+    z: np.ndarray        # z[k, b] = eigenvalue (+-1.0) of sz on site k+1 in state b
+    reverse: np.ndarray  # bit-reversal permutation of basis indices
 
 
-def _two_site(op_a, site_a, op_b, site_b, n) -> np.ndarray:
-    factors = [ID2] * n
-    factors[site_a - 1] = op_a
-    factors[site_b - 1] = op_b
-    return kron_chain(factors)
+@functools.cache
+def _operators(n: int) -> _Operators:
+    basis = np.arange(1 << n)
+    shifts = np.arange(n - 1, -1, -1)[:, None]  # site 1 is the most significant bit
+    bits = (basis >> shifts) & 1
+    flips = np.zeros((basis.size, basis.size))
+    for mask in 1 << shifts[:, 0]:
+        flips[basis ^ mask, basis] = 1.0
+    z = 1.0 - 2.0 * bits
+    reverse = (bits << np.arange(n)[:, None]).sum(axis=0)
+    for a in (flips, z, reverse):
+        a.flags.writeable = False
+    return _Operators(flips, z, reverse)
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary)."""
-    n = spec.n
+    """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary).
+
+    The diagonal adds i g_n sz_n site by site, then -j sz_n sz_{n+1} bond by
+    bond: the order of a term-by-term sum of tensor products, which the
+    result therefore matches to the last bit.
+    """
+    ops = _operators(spec.n)
     h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    for site in range(1, n + 1):
-        if spec.delta != 0.0:
-            h += spec.delta * site_operator(SX, site, n)
-        g = spec.gamma_profile[site - 1]
+    if spec.delta != 0.0:
+        h += spec.delta * ops.flips
+    diag = np.zeros(spec.dim, dtype=np.complex128)
+    for g, z in zip(spec.gamma_profile, ops.z):
         if g != 0.0:
-            h += 1j * g * site_operator(SZ, site, n)
+            diag.imag += g * z
     if spec.j != 0.0:
-        for site in range(1, n):
-            h -= spec.j * _two_site(SZ, site, SZ, site + 1, n)
+        for za, zb in zip(ops.z, ops.z[1:]):
+            diag.real -= spec.j * (za * zb)
+    np.fill_diagonal(h, diag)
     return h
 
 
@@ -147,14 +157,19 @@ def build_parity(n: int) -> np.ndarray:
     """Permutation matrix of the chain mirror (site n <-> N+1-n).
 
     Self-inverse and Hermitian; serves as the pseudo-metric of the model.
+    The matrix is built once per chain length and returned read-only.
     """
     if not isinstance(n, int) or n <= 0 or n % 2:
         raise ValueError(f"chain length must be a positive even integer, got {n}")
-    dim = 1 << n
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    for b in range(dim):
-        r = int(f"{b:0{n}b}"[::-1], 2)
-        p[r, b] = 1.0
+    return _parity(n)
+
+
+@functools.cache
+def _parity(n: int) -> np.ndarray:
+    reverse = _operators(n).reverse
+    p = np.zeros((reverse.size, reverse.size), dtype=np.complex128)
+    p[reverse, np.arange(reverse.size)] = 1.0
+    p.flags.writeable = False
     return p
 
 
@@ -175,8 +190,6 @@ def gain_generator(spec: ChainSpec) -> np.ndarray:
     """
     if spec.staggered_gamma() is None:
         raise ValueError("gain generator is defined for staggered profiles only")
-    n = spec.n
     v = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    for site in range(1, n + 1):
-        v += 1j * (-1.0) ** (site - 1) * site_operator(SZ, site, n)
+    np.fill_diagonal(v.imag, (-1.0) ** np.arange(spec.n) @ _operators(spec.n).z)
     return v

@@ -1,15 +1,14 @@
 """Dense complex linear algebra for non-Hermitian eigenproblems.
 
-Operator tensor products, general eigendecomposition with left and right
-eigenvectors, and biorthonormalization of the resulting vector sets.
-Matrices are plain numpy complex128 arrays; the problem sizes we target
-(dim <= 4096) make dense solvers the robust choice over iterative ones.
+General eigendecomposition with left and right eigenvectors, and grouping of
+degenerate eigenvalue clusters. Matrices are plain numpy complex128 arrays;
+the problem sizes we target (dim <= 4096) make dense solvers the robust
+choice over iterative ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -39,14 +38,6 @@ class NearDefective(RuntimeError):
         )
 
 
-class DegenerateCluster(RuntimeError):
-    """Biorthonormalization refused an unresolved degenerate eigenvalue cluster."""
-
-    def __init__(self, clusters):
-        self.clusters = clusters
-        super().__init__(f"unresolved degenerate eigenvalue clusters: {clusters!r}")
-
-
 def as_complex_matrix(m) -> np.ndarray:
     """Validate and convert input to a finite square complex128 matrix."""
     a = np.asarray(m, dtype=np.complex128)
@@ -57,26 +48,15 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def kron_chain(factors) -> np.ndarray:
-    """Ordered tensor product of a list of square matrices.
-
-    The first factor is the most significant one: for a chain of two-level
-    systems, ``kron_chain([a, b])`` acts with ``a`` on the leftmost site.
-    """
-    mats = [as_complex_matrix(f) for f in factors]
-    if not mats:
-        raise ValueError("kron_chain requires at least one factor")
-    return reduce(np.kron, mats)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues plus matched left/right eigenvector sets.
 
     Column ``n`` of ``right`` is the right eigenvector |R_n>; column ``n`` of
     ``left`` is the ket |L_n>, i.e. the left eigenvector enters expressions
-    as ``left[:, n].conj().T``. After :func:`biorthonormalize` the sets obey
-    <L_n|R_m> = delta_nm within ``biortho_residual``.
+    as ``left[:, n].conj().T``. ``biortho_residual`` is max |<L_n|R_m> - delta_nm|:
+    about 1 for the raw vectors of :func:`eig_general`, small for the rescaled
+    sets of :func:`pshchain.biortho.spectrum_with_indices`.
     """
 
     eigenvalues: np.ndarray
@@ -90,14 +70,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    def overlap_matrix(self) -> np.ndarray:
-        """<L_n|R_m> for all n, m."""
-        return self.left.conj().T @ self.right
-
-    def reconstruct(self) -> np.ndarray:
-        """sum_n lambda_n |R_n><L_n| (equals the input for biorthonormal sets)."""
-        return (self.right * self.eigenvalues) @ self.left.conj().T
 
 
 def eig_general(m, tol: float = DEFAULT_TOL,
@@ -147,35 +119,3 @@ def cluster_groups(eigenvalues: np.ndarray, cluster_tol: float) -> list[list[int
         else:
             groups.append([i])
     return groups
-
-
-def biorthonormalize(sys: EigenSystem, tol: float | None = None) -> EigenSystem:
-    """Rescale left vectors so that <L_n|R_m> = delta_nm.
-
-    Requires pairwise separated eigenvalues; a degenerate cluster makes the
-    pairing of left and right vectors ambiguous and raises
-    :class:`DegenerateCluster`. The eigenvalue order is preserved.
-    """
-    if tol is None:
-        tol = sys.tol
-    ctol = CLUSTER_SCALE * sys.scale
-    groups = cluster_groups(sys.eigenvalues, ctol)
-    bad = [[(i, complex(sys.eigenvalues[i])) for i in g] for g in groups if len(g) > 1]
-    if bad:
-        raise DegenerateCluster(bad)
-
-    diag = np.einsum("ij,ij->j", sys.left.conj(), sys.right)
-    norms = np.linalg.norm(sys.left, axis=0) * np.linalg.norm(sys.right, axis=0)
-    if np.any(np.abs(diag) < 1e-12 * np.maximum(norms, 1e-300)):
-        worst = float(np.min(np.abs(diag) / np.maximum(norms, 1e-300)))
-        raise NearDefective(1.0 / max(worst, 1e-300),
-                            "left/right eigenvector pair nearly orthogonal")
-    left = sys.left / np.conj(diag)
-
-    overlap = left.conj().T @ sys.right
-    residual = float(np.max(np.abs(overlap - np.eye(sys.dim))))
-    if residual > tol:
-        raise ArithmeticError(
-            f"biorthonormalization residual {residual:.3e} exceeds tol {tol:.3e}"
-        )
-    return replace(sys, left=left, biortho_residual=residual)

@@ -1,8 +1,68 @@
 """Shared helpers for the test suite."""
 
+from functools import reduce
+
 import numpy as np
 
 from pshchain import build_hamiltonian, build_parity
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+ID2 = np.eye(2, dtype=np.complex128)
+
+
+def kron_chain(factors):
+    """Ordered tensor product; the first factor acts on site 1, the most significant."""
+    return reduce(np.kron, factors)
+
+
+def site_operator(op, site, n):
+    """Single-site operator ``op`` at 1-based ``site`` of an n-site chain."""
+    factors = [ID2] * n
+    factors[site - 1] = op
+    return kron_chain(factors)
+
+
+def reference_hamiltonian(spec):
+    """Chain Hamiltonian summed term by term from Kronecker products.
+
+    Terms are added in the order the package documents (transverse field and
+    gain per site, then the bonds), so the result must agree to the last bit.
+    """
+    n = spec.n
+    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    for site in range(1, n + 1):
+        if spec.delta != 0.0:
+            h += spec.delta * site_operator(PAULI_X, site, n)
+        g = spec.gamma_profile[site - 1]
+        if g != 0.0:
+            h += 1j * g * site_operator(PAULI_Z, site, n)
+    if spec.j != 0.0:
+        for site in range(1, n):
+            factors = [ID2] * n
+            factors[site - 1] = factors[site] = PAULI_Z
+            h -= spec.j * kron_chain(factors)
+    return h
+
+
+def reference_gain_generator(n):
+    """i * sum_n (-1)^(n-1) sz_n from Kronecker products."""
+    v = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for site in range(1, n + 1):
+        v += 1j * (-1.0) ** (site - 1) * site_operator(PAULI_Z, site, n)
+    return v
+
+
+def reference_mirror(n):
+    """Bit-reversal permutation of basis indices, read off the bit strings."""
+    return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in range(1 << n)])
+
+
+def reference_parity(n):
+    """Mirror-parity permutation matrix with P[mirror(b), b] = 1."""
+    p = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    p[reference_mirror(n), np.arange(1 << n)] = 1.0
+    return p
 
 
 def hermitian_reference_indices(spec):

@@ -195,6 +195,12 @@ class TestExitCodes:
     def test_unknown_tolerance_flag(self):
         assert main(["spectrum", "--n", "4", "--jt", "0.5", "--tol", "nope=1"]) == 1
 
+    @pytest.mark.parametrize("name", ["eig_tol", "element_floor", "defect_threshold"])
+    def test_unread_tolerance_names_rejected(self, name, capsys):
+        # no command reads these, so accepting them would silently ignore them
+        assert main(["spectrum", "--n", "4", "--jt", "0.5", "--tol", f"{name}=1e4"]) == 1
+        assert f"tolerances.{name}" in capsys.readouterr().err
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

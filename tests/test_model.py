@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import (ID2, PAULI_Z, kron_chain, reference_gain_generator,
+                      reference_hamiltonian, reference_mirror, reference_parity,
+                      site_operator)
 from pshchain import (ChainSpec, NormalizedPoint, build_hamiltonian, build_parity,
-                      eig_general, gain_generator, kron_chain, psh_residual)
-from pshchain.model import ID2, SZ, site_operator
+                      eig_general, gain_generator, psh_residual)
 
 RT5 = np.sqrt(5.0)
 
@@ -101,6 +105,17 @@ class TestBuildParity:
         with pytest.raises(ValueError):
             build_parity(3)
 
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(ValueError):
+            build_parity(4.0)
+
+    def test_cached_matrix_is_read_only(self):
+        p = build_parity(4)
+        assert build_parity(4) is p
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+
     def test_commutes_with_gain_free_hamiltonian(self):
         for n in (2, 4, 6):
             spec = ChainSpec.staggered(n, 0.8, -0.6, 0.0)
@@ -127,7 +142,7 @@ class TestPshResidual:
         n = 2
         h = build_hamiltonian(ChainSpec.staggered(n, 1.0, 1.0, 0.0))
         for site in (1, 2):
-            h = h + 0.4j * site_operator(SZ, site, n)
+            h = h + 0.4j * site_operator(PAULI_Z, site, n)
         assert psh_residual(h, build_parity(n)) > 0.1
 
     def test_hermitian_with_identity_metric(self):
@@ -147,7 +162,7 @@ class TestGainGenerator:
     def test_diagonal_staggered_magnetization(self):
         n = 2
         v = gain_generator(ChainSpec.staggered(n, 1.0, 1.0, 0.0))
-        expected = 1j * (kron_chain([SZ, ID2]) - kron_chain([ID2, SZ]))
+        expected = 1j * (kron_chain([PAULI_Z, ID2]) - kron_chain([ID2, PAULI_Z]))
         assert np.array_equal(v, expected)
         assert np.allclose(v, np.diag(np.diag(v)))
         assert np.max(np.abs(np.diag(v).real)) == 0.0
@@ -162,3 +177,45 @@ class TestGainGenerator:
         spec = ChainSpec(n=4, delta=1.0, j=0.5, gamma_profile=(0.3, -0.1, 0.1, -0.3))
         with pytest.raises(ValueError):
             gain_generator(spec)
+
+
+class TestExactReference:
+    """The bit-operation builders against term-by-term Kronecker products."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_hamiltonian_bit_identical(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            spec = random_valid_spec(rng, n)
+            for variant in (spec, replace(spec, delta=0.0), replace(spec, j=0.0),
+                            replace(spec, gamma_profile=(0.0,) * n)):
+                assert np.array_equal(build_hamiltonian(variant),
+                                      reference_hamiltonian(variant))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_gain_generator_and_parity_identical(self, n):
+        spec = ChainSpec.staggered(n, 0.7, -0.3, 0.2)
+        assert np.array_equal(gain_generator(spec), reference_gain_generator(n))
+        assert np.array_equal(build_parity(n), reference_parity(n))
+
+
+class TestSymmetryInvariants:
+    """H^T = H, and Q = P X (mirror times global spin flip) commutes with H, V and P."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_exact_symmetries(self, n):
+        dim = 1 << n
+        q = reference_mirror(n)[np.arange(dim) ^ (dim - 1)]
+        assert np.array_equal(q[q], np.arange(dim))  # Q^2 = I
+        p = build_parity(n)
+        assert np.array_equal(p[q][:, q], p)
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            spec = NormalizedPoint(float(rng.uniform(-1.0, 1.0)),
+                                   float(rng.uniform(0.0, 1.0))).chain(n)
+            h = build_hamiltonian(spec)
+            assert np.array_equal(h, h.T)
+            tol = 1e-14 * np.linalg.norm(h)
+            assert np.max(np.abs(h[q][:, q] - h)) <= tol
+            v = gain_generator(spec)
+            assert np.max(np.abs(v[q][:, q] - v)) <= 1e-14 * np.linalg.norm(v)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pshchain import (DegenerateCluster, NearDefective, biorthonormalize,
-                      eig_general, kron_chain)
-from pshchain.model import ID2, SX, SZ
+from conftest import ID2, PAULI_X, PAULI_Z, kron_chain
+from pshchain import (NearDefective, NormalizedPoint, build_hamiltonian, build_parity,
+                      eig_general, spectrum_with_indices)
 
 RT3 = np.sqrt(3.0)
+METRIC_2X2 = np.diag([1.0, -1.0])
 
 
 def psh_2x2(a=2.0, w=1.0):
@@ -13,36 +14,24 @@ def psh_2x2(a=2.0, w=1.0):
     return np.array([[a, w], [-np.conj(w), -a]], dtype=complex)
 
 
+def overlaps(es):
+    """<L_n|R_m> for all n, m."""
+    return es.left.conj().T @ es.right
+
+
 class TestKronChain:
+    """Basis convention of the test-side Kronecker reference."""
+
     def test_identity_factors(self):
         assert np.array_equal(kron_chain([ID2, ID2]), np.eye(4))
 
     def test_diagonal_pauli_product(self):
-        assert np.array_equal(kron_chain([SZ, SZ]), np.diag([1, -1, -1, 1.0]))
+        assert np.array_equal(kron_chain([PAULI_Z, PAULI_Z]), np.diag([1, -1, -1, 1.0]))
 
     def test_first_factor_is_most_significant(self):
         e0 = np.zeros(4)
         e0[0] = 1.0
-        assert np.allclose(kron_chain([SX, ID2]) @ e0, np.eye(4)[2])
-
-    def test_associativity_exact_on_pauli_strings(self):
-        left = kron_chain([kron_chain([SX, SZ]), ID2])
-        right = kron_chain([SX, kron_chain([SZ, ID2])])
-        assert np.array_equal(left, right)
-
-    def test_associativity_random(self):
-        rng = np.random.default_rng(7)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.allclose(kron_chain([kron_chain([a, b]), c]),
-                           kron_chain([a, kron_chain([b, c])]), atol=1e-15)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            kron_chain([])
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            kron_chain([np.ones((2, 3))])
+        assert np.allclose(kron_chain([PAULI_X, ID2]) @ e0, np.eye(4)[2])
 
 
 class TestEigGeneral:
@@ -86,53 +75,44 @@ class TestEigGeneral:
 
 
 class TestBiorthonormalize:
+    """Biorthonormal sets returned by ``spectrum_with_indices``."""
+
     def test_psh_2x2_cross_overlap(self):
-        sys = biorthonormalize(eig_general(psh_2x2()))
-        overlap = sys.overlap_matrix()
+        es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
+        overlap = overlaps(es)
         assert abs(overlap[0, 1]) < 1e-12
         assert abs(overlap[1, 0]) < 1e-12
         assert np.allclose(np.diag(overlap), 1.0, atol=1e-12)
         # analytic right eigenvector of +sqrt(3): (1, sqrt(3)-2)
         v = np.array([1.0, RT3 - 2.0])
-        col = sys.right[:, 1]
+        col = es.right[:, 1]
         assert np.allclose(col / col[0], v / v[0], atol=1e-12)
 
     def test_hermitian_left_equals_right(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = a + a.conj().T
-        sys = biorthonormalize(eig_general(h))
-        for n in range(6):
-            ln, rn = sys.left[:, n], sys.right[:, n]
-            phase = np.vdot(rn, ln) / np.vdot(rn, rn)
-            assert np.allclose(ln, phase * rn, atol=1e-10)
+        # gain-free chains are Hermitian and mirror-symmetric: every rescaled
+        # right vector is a parity eigenvector, so |L> = s P|R> = |R>
+        for n in (2, 4, 6):
+            h = build_hamiltonian(NormalizedPoint(0.37, 0.0).chain(n))
+            es = spectrum_with_indices(h, build_parity(n)).eigensystem
+            assert np.allclose(es.left, es.right, atol=1e-10)
 
     def test_gauge_rescaling_preserves_overlaps(self):
-        sys = biorthonormalize(eig_general(psh_2x2()))
+        es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
         w = 0.3 - 1.7j
-        rescaled = type(sys)(eigenvalues=sys.eigenvalues,
-                             right=sys.right * w,
-                             left=sys.left / np.conj(w),
-                             tol=sys.tol, scale=sys.scale,
-                             cond_right=sys.cond_right,
-                             biortho_residual=sys.biortho_residual)
-        assert np.allclose(rescaled.overlap_matrix(), sys.overlap_matrix(), atol=1e-13)
-
-    def test_degenerate_cluster_raises(self):
-        with pytest.raises(DegenerateCluster) as exc:
-            biorthonormalize(eig_general(np.diag([1.0, 1.0, 2.0])))
-        (cluster,) = exc.value.clusters
-        assert [i for i, _ in cluster] == [0, 1]
+        rescaled = (es.left / np.conj(w)).conj().T @ (es.right * w)
+        assert np.allclose(rescaled, overlaps(es), atol=1e-13)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(19)
-        for dim in (4, 9, 16):
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            sys = biorthonormalize(eig_general(m))
-            err = np.linalg.norm(m - sys.reconstruct())
-            assert err <= 10 * sys.tol * sys.scale
+        for n in (2, 4, 4, 6, 6):
+            point = NormalizedPoint(float(rng.uniform(-0.95, 0.95)),
+                                    float(rng.uniform(0.0, 0.6)))
+            h = build_hamiltonian(point.chain(n))
+            es = spectrum_with_indices(h, build_parity(n)).eigensystem
+            err = np.linalg.norm(h - (es.right * es.eigenvalues) @ es.left.conj().T)
+            assert err <= 10 * es.tol * es.scale
 
     def test_eigenvalue_order_preserved(self):
-        sys0 = eig_general(psh_2x2())
-        sys1 = biorthonormalize(sys0)
-        assert np.array_equal(sys0.eigenvalues, sys1.eigenvalues)
+        raw = eig_general(psh_2x2())
+        es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
+        assert np.array_equal(raw.eigenvalues, es.eigenvalues)
