@@ -10,18 +10,26 @@ conjugate pairs and carry no index.
 The normalized magnitude |<R|zeta|R>| / (||R|| ||zeta R||) serves as an
 exceptional-point proximity indicator: it is 1 for a Hermitian problem,
 drops toward 0 as two levels coalesce, and vanishes for conjugate pairs.
+
+Spectra are computed for a stack of Hamiltonians at once
+(:func:`spectra_with_indices`); the rescaling runs on all isolated levels of
+the stack together, and only degenerate clusters are handled one by one.
+A point's spectrum is the same, bit for bit, whichever stack it is part of.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.optimize import linear_sum_assignment
 
-from .numerics import (CLUSTER_SCALE, DEFAULT_TOL, DEFECT_THRESHOLD, EigenSystem,
-                       NearDefective, as_complex_matrix, cluster_groups, eig_general)
+from .numerics import (CLUSTER_SCALE, DEFAULT_TOL, DEFECT_THRESHOLD, EigenStack,
+                       EigenSystem, NearDefective, as_complex_matrix, as_complex_stack,
+                       eig_general, eig_stack)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -62,33 +70,65 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class BiorthoSpectrum:
-    """All levels of one Hamiltonian, sorted by (Re, Im) of the eigenvalue."""
+    """All levels of one Hamiltonian, sorted by (Re, Im) of the eigenvalue.
 
-    levels: list[LevelRecord]
+    Per-level data are arrays over the level's column in ``eigensystem``:
+    ``z2`` holds the index (-1/+1, 0 = undefined), ``indicator`` the EP
+    indicator and ``partner`` the column of the conjugate partner (-1 =
+    none). ``levels`` builds the same data as records on first use.
+    """
+
     eigensystem: EigenSystem
+    z2: np.ndarray
+    indicator: np.ndarray
+    partner: np.ndarray
     reality_tol: float
 
     @property
     def dim(self) -> int:
-        return len(self.levels)
+        return self.eigensystem.dim
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.eigensystem.eigenvalues
 
+    @functools.cached_property
+    def levels(self) -> list[LevelRecord]:
+        es = self.eigensystem
+        return [
+            LevelRecord(
+                label=i,
+                eigenvalue=complex(es.eigenvalues[i]),
+                z2_index=int(self.z2[i]) or None,
+                ep_indicator=float(self.indicator[i]),
+                conjugate_partner=int(self.partner[i]) if self.partner[i] >= 0 else None,
+                right=es.right[:, i].copy(),
+                left=es.left[:, i].copy(),
+            )
+            for i in range(self.dim)
+        ]
+
+
+def _metric(z: np.ndarray, r: np.ndarray):
+    """zeta|R>, <R|zeta|R> and the EP indicator of every column of ``r``.
+
+    ``r`` may be a stack of matrices; the last two axes are (component, level).
+    """
+    zr = z @ r
+    c = np.sum(r.conj() * zr, axis=-2)
+    return zr, c, np.abs(c) / (np.linalg.norm(r, axis=-2) * np.linalg.norm(zr, axis=-2))
+
 
 def ep_indicator(r, zeta) -> float:
     """Normalized |<R|zeta|R>|, in [0, 1]; tends to 0 on approach to an EP."""
     z = as_complex_matrix(zeta)
-    vec = np.asarray(r, dtype=np.complex128).reshape(-1)
-    nr = np.linalg.norm(vec)
-    if nr == 0.0:
+    vec = np.asarray(r, dtype=np.complex128).reshape(-1, 1)
+    if not np.any(vec):
         raise ValueError("zero vector has no indicator")
-    zr = z @ vec
-    nzr = np.linalg.norm(zr)
-    if nzr == 0.0:
+    zr, _, ind = _metric(z, vec)
+    if not np.any(zr):
         raise ValueError("zeta maps the vector to zero (zeta not invertible?)")
-    return float(abs(np.vdot(vec, zr)) / (nr * nzr))
+    return float(ind[0])
 
 
 def z2_index(r, zeta, floor: float = INDICATOR_FLOOR) -> int:
@@ -109,24 +149,188 @@ def z2_index(r, zeta, floor: float = INDICATOR_FLOOR) -> int:
     return 1 if val.real > 0 else -1
 
 
-def _pair_conjugates(values: np.ndarray, is_real: np.ndarray, pair_tol: float):
-    partner: list[int | None] = [None] * values.size
-    pool = [i for i in range(values.size) if not is_real[i]]
-    unused = set(pool)
-    for i in pool:
-        if i not in unused:
-            continue
-        unused.discard(i)
-        best, best_d = None, math.inf
-        for j in unused:
-            d = abs(values[i] - np.conj(values[j]))
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= pair_tol:
-            partner[i] = best
-            partner[best] = i
-            unused.discard(best)
+def _pair_conjugates(values: np.ndarray, is_real: np.ndarray, pair_tol: float) -> np.ndarray:
+    """Column of each level's conjugate partner, -1 for none.
+
+    One assignment between the complex levels of the upper and of the lower
+    half-plane on the distance |v_i - conj(v_j)|. Distances above
+    ``pair_tol`` cost more than any set of closer pairs, so the assignment
+    first makes as many pairs within ``pair_tol`` as it can, then the
+    closest ones; pairs farther apart stay unpaired.
+    """
+    partner = np.full(values.size, -1, dtype=np.int64)
+    upper = np.flatnonzero(~is_real & (values.imag > 0))
+    lower = np.flatnonzero(~is_real & (values.imag < 0))
+    if upper.size and lower.size:
+        dist = np.abs(values[upper][:, None] - values[lower].conj()[None, :])
+        far = dist > pair_tol
+        cost = np.where(far, (min(upper.size, lower.size) + 1) * pair_tol, dist)
+        rows, cols = linear_sum_assignment(cost)
+        keep = ~far[rows, cols]
+        partner[upper[rows[keep]]] = lower[cols[keep]]
+        partner[lower[cols[keep]]] = upper[rows[keep]]
     return partner
+
+
+def _clusters(link: np.ndarray) -> list[np.ndarray]:
+    """Runs of sorted levels chained by ``link`` (level i is close to level i+1)."""
+    groups: list[list[int]] = []
+    for i in np.flatnonzero(link).tolist():
+        if groups and groups[-1][-1] == i:
+            groups[-1].append(i + 1)
+        else:
+            groups.append([i, i + 1])
+    return [np.array(g) for g in groups]
+
+
+def _block_cluster(z: np.ndarray, rc: np.ndarray, lc: np.ndarray):
+    """Generic biorthonormalization of a degenerate cluster; no indices."""
+    rc = rc / np.linalg.norm(rc, axis=0)
+    try:
+        lc = lc @ np.linalg.inv(lc.conj().T @ rc).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise AtExceptionalPoint(math.inf, "defective degenerate cluster") from exc
+    return rc, lc, np.zeros(rc.shape[1], dtype=np.int8), _metric(z, rc)[2], None
+
+
+def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
+                  resolution: float):
+    """Index-rescaled basis of a cluster of real levels (a genuine crossing).
+
+    Diagonalizing zeta restricted to the cluster separates the index signs.
+    Within each same-sign subspace <R|zeta|R> = s is then fixed and any
+    unitary rotation keeps it so. The energies there are the eigenvalues of
+    the Hermitian form s <R|zeta H|R>; where they split by more than
+    ``resolution``, the subspace is rotated onto its eigenvectors (in
+    ascending energy), so that nearly degenerate levels of one index come
+    out separately rather than as a mixture. An exactly degenerate subspace
+    keeps its basis. Returns None when zeta is singular on the cluster.
+    """
+    gram = rc.conj().T @ rc
+    q = rc.conj().T @ (z @ rc)
+    qvals, y = sla.eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
+    if np.min(np.abs(qvals)) < floor:
+        return None
+    sign = np.where(qvals > 0, 1, -1)
+    rn = (rc @ y) / np.sqrt(np.abs(qvals))
+    for s in (-1, 1):
+        same = sign == s
+        if np.count_nonzero(same) > 1:
+            rs = rn[:, same]
+            m = s * (rs.conj().T @ (z @ (a @ rs)))
+            energies, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+            if energies[-1] - energies[0] > resolution:
+                rn[:, same] = rs @ v
+    zr, _, ind = _metric(z, rn)
+    ln = zr * sign
+    return rn, ln, sign.astype(np.int8), ind, np.sum(ln.conj() * (a @ rn), axis=0)
+
+
+def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
+                 indicator_floor: float) -> list:
+    """Rescaled spectra of the stack ``a`` from its raw eigendecompositions.
+
+    Entry ``b`` is the :class:`BiorthoSpectrum` of ``a[b]``, or the
+    exception that point raised (:class:`AtExceptionalPoint` or
+    ``ArithmeticError``).
+    """
+    out = [AtExceptionalPoint(exc.cond) if isinstance(exc, NearDefective) else exc
+           for exc in st.errors]
+    good = [b for b, exc in enumerate(st.errors) if exc is None]
+    if not good:
+        return out
+    # the failed points drop out of the vectorized rescaling
+    sub = (lambda x: x) if len(good) == len(out) else (lambda x: x[good])
+    a, raw_r, raw_l, scale = sub(a), sub(st.right), sub(st.left), sub(st.scale)
+    values, cond = sub(st.eigenvalues).copy(), sub(st.cond_right)
+
+    radius = np.max(np.abs(values), axis=1)
+    rtol = (REALITY_SCALE * radius if reality_tol is None
+            else np.full(radius.shape, float(reality_tol)))
+    pair_tol = np.maximum(1e-6 * np.maximum(radius, 1.0), 10.0 * rtol)
+    is_real = np.abs(values.imag) <= rtol[:, None]
+    link = np.abs(np.diff(values, axis=1)) <= (CLUSTER_SCALE * scale)[:, None]
+    clustered = np.zeros(values.shape, dtype=bool)
+    clustered[:, 1:] = link
+    clustered[:, :-1] |= link
+    # rounding level of the eigenvalues: d * eps * ||H||_F
+    resolution = values.shape[1] * np.finfo(float).eps * scale
+
+    # isolated levels, all points at once: real ones with a resolvable
+    # <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>, the others
+    # unit |R> and |L> scaled to <L|R> = 1
+    right = raw_r / np.linalg.norm(raw_r, axis=1)[:, None, :]
+    zr, c, indicator = _metric(z, right)
+    indexed = is_real & ~clustered & (indicator >= indicator_floor)
+    generic = ~clustered & ~indexed
+    s = np.sum(raw_l.conj() * right, axis=1)
+    flat = generic & (np.abs(s) < 1e-12 * np.linalg.norm(raw_l, axis=1))
+    sign = np.where(c.real > 0, 1, -1)
+    k = 1.0 / np.sqrt(np.where(indexed, np.abs(c.real), 1.0))
+    right *= k[:, None, :]
+    zr *= (sign * k)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = raw_l / np.conj(np.where(generic, s, 1.0))[:, None, :]
+    np.copyto(left, zr, where=indexed[:, None, :])
+    z2 = np.where(indexed, sign, 0).astype(np.int8)
+    partner = np.full(values.shape, -1, dtype=np.int64)
+
+    for i, b in enumerate(good):
+        if flat[i].any():
+            col = int(np.argmax(flat[i]))
+            out[b] = AtExceptionalPoint(1.0 / max(abs(s[i, col]), 1e-300),
+                                        "left/right pair nearly orthogonal")
+            continue
+        try:
+            for cols in _clusters(link[i]):
+                rc = raw_r[i][:, cols]
+                done = (_real_cluster(a[i], z, rc, indicator_floor, resolution[i])
+                        if is_real[i, cols].all() else None)
+                if done is None:
+                    done = _block_cluster(z, rc, raw_l[i][:, cols])
+                right[i][:, cols], left[i][:, cols], z2[i, cols], indicator[i, cols], vals = done
+                if vals is not None:
+                    values[i, cols] = vals
+        except AtExceptionalPoint as exc:
+            out[b] = exc
+            continue
+        partner[i] = _pair_conjugates(values[i], is_real[i], pair_tol[i])
+
+    overlap = left.conj().swapaxes(1, 2) @ right
+    overlap -= np.eye(values.shape[1])
+    residual = np.max(np.abs(overlap), axis=(1, 2))
+    for i, b in enumerate(good):
+        if out[b] is None:
+            es = EigenSystem(eigenvalues=values[i], right=right[i], left=left[i], tol=st.tol,
+                             scale=float(scale[i]), cond_right=float(cond[i]),
+                             biortho_residual=float(residual[i]))
+            out[b] = BiorthoSpectrum(eigensystem=es, z2=z2[i], indicator=indicator[i],
+                                     partner=partner[i], reality_tol=float(rtol[i]))
+    return out
+
+
+def _check_shapes(a: np.ndarray, z: np.ndarray) -> None:
+    if a.shape[-2:] != z.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[-2:]} vs {z.shape}")
+
+
+def spectra_with_indices(hs, zeta, reality_tol: float | None = None,
+                         indicator_floor: float = INDICATOR_FLOOR,
+                         tol: float = DEFAULT_TOL,
+                         defect_threshold: float = DEFECT_THRESHOLD) -> list:
+    """:func:`spectrum_with_indices` of every matrix in the stack ``hs``.
+
+    One eigensolve and one vectorized rescaling serve the whole stack. Entry
+    ``b`` is the spectrum of ``hs[b]``, bit for bit what
+    :func:`spectrum_with_indices` returns for it alone, or the exception it
+    would raise (:class:`AtExceptionalPoint`, ``ArithmeticError``): a point
+    that fails does not fail the stack.
+    """
+    a = as_complex_stack(hs)
+    z = as_complex_matrix(zeta)
+    _check_shapes(a, z)
+    st = eig_stack(a, tol=tol, defect_threshold=defect_threshold)
+    return _index_stack(a, z, st, reality_tol, indicator_floor)
 
 
 def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
@@ -135,126 +339,23 @@ def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
                           defect_threshold: float = DEFECT_THRESHOLD) -> BiorthoSpectrum:
     """Biorthogonal spectrum of ``h`` with per-level Z2 indices.
 
-    Real levels get the zeta-rescaled left vectors |L> = s * zeta |R| and the
+    Real levels get the zeta-rescaled left vectors |L> = s * zeta |R> and the
     index s; complex levels are biorthonormalized generically and linked to
     their conjugate partners. Degenerate clusters of real levels (genuine
     crossings) are resolved by diagonalizing zeta restricted to the cluster,
-    which keeps indices well defined through stable crossings. A defective
-    input raises :class:`AtExceptionalPoint`.
+    and then zeta H inside each same-index subspace, which keeps indices and
+    energies well defined through stable crossings. A defective input
+    raises :class:`AtExceptionalPoint`. This is :func:`spectra_with_indices`
+    on a stack of one.
     """
     a = as_complex_matrix(h)
     z = as_complex_matrix(zeta)
-    if a.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {z.shape}")
-
+    _check_shapes(a, z)
     try:
-        sys = eig_general(a, tol=tol, defect_threshold=defect_threshold)
+        es = eig_general(a, tol=tol, defect_threshold=defect_threshold)
     except NearDefective as exc:
         raise AtExceptionalPoint(exc.cond) from exc
-
-    values = sys.eigenvalues.copy()
-    dim = values.size
-    radius = float(np.max(np.abs(values)))
-    rtol = REALITY_SCALE * radius if reality_tol is None else float(reality_tol)
-    ctol = CLUSTER_SCALE * sys.scale
-    is_real = np.abs(values.imag) <= rtol
-
-    right = sys.right.copy()
-    left = sys.left.copy()
-    z2: list[int | None] = [None] * dim
-    indicator = np.zeros(dim)
-
-    def generic_single(idx: int):
-        u = right[:, idx] / np.linalg.norm(right[:, idx])
-        l = left[:, idx]
-        s = complex(np.vdot(l, u))
-        if abs(s) < 1e-12 * np.linalg.norm(l):
-            raise AtExceptionalPoint(1.0 / max(abs(s), 1e-300),
-                                     "left/right pair nearly orthogonal")
-        right[:, idx] = u
-        left[:, idx] = l / np.conj(s)
-        indicator[idx] = ep_indicator(u, z)
-
-    def block_cluster(group: list[int]):
-        cols = np.array(group)
-        rc = right[:, cols]
-        rc = rc / np.linalg.norm(rc, axis=0)
-        lc = left[:, cols]
-        s = lc.conj().T @ rc
-        try:
-            lnew = lc @ np.linalg.inv(s).conj().T
-        except np.linalg.LinAlgError as exc:
-            raise AtExceptionalPoint(math.inf, "defective degenerate cluster") from exc
-        right[:, cols] = rc
-        left[:, cols] = lnew
-        for idx in group:
-            indicator[idx] = ep_indicator(right[:, idx], z)
-
-    for group in cluster_groups(values, ctol):
-        if len(group) == 1:
-            idx = group[0]
-            if not is_real[idx]:
-                generic_single(idx)
-                continue
-            u = right[:, idx] / np.linalg.norm(right[:, idx])
-            zu = z @ u
-            c = complex(np.vdot(u, zu))
-            ind = float(abs(c) / np.linalg.norm(zu))
-            indicator[idx] = ind
-            if ind < indicator_floor:
-                generic_single(idx)
-                continue
-            sign = 1 if c.real > 0 else -1
-            rn = u / math.sqrt(abs(c.real))
-            right[:, idx] = rn
-            left[:, idx] = sign * (z @ rn)
-            z2[idx] = sign
-        elif np.all(is_real[np.array(group)]):
-            # genuine crossing: diagonalize zeta restricted to the cluster
-            cols = np.array(group)
-            rc = right[:, cols]
-            gram = rc.conj().T @ rc
-            q = rc.conj().T @ (z @ rc)
-            gram = 0.5 * (gram + gram.conj().T)
-            q = 0.5 * (q + q.conj().T)
-            qvals, y = sla.eigh(q, gram)
-            rrot = rc @ y
-            if np.min(np.abs(qvals)) < indicator_floor:
-                block_cluster(group)
-                continue
-            for pos, idx in enumerate(group):
-                qa = float(qvals[pos])
-                ra = rrot[:, pos]
-                ind = float(abs(qa) / np.linalg.norm(z @ ra))
-                indicator[idx] = ind
-                sign = 1 if qa > 0 else -1
-                rn = ra / math.sqrt(abs(qa))
-                ln = sign * (z @ rn)
-                right[:, idx] = rn
-                left[:, idx] = ln
-                z2[idx] = sign
-                values[idx] = complex(np.vdot(ln, a @ rn))
-        else:
-            block_cluster(group)
-
-    pair_tol = max(1e-6 * max(radius, 1.0), 10.0 * rtol)
-    partner = _pair_conjugates(values, is_real, pair_tol)
-
-    overlap = left.conj().T @ right
-    residual = float(np.max(np.abs(overlap - np.eye(dim))))
-    es = EigenSystem(eigenvalues=values, right=right, left=left, tol=tol,
-                     scale=sys.scale, cond_right=sys.cond_right,
-                     biortho_residual=residual)
-    records = [
-        LevelRecord(
-            label=i,
-            eigenvalue=complex(values[i]),
-            z2_index=z2[i],
-            ep_indicator=float(indicator[i]),
-            conjugate_partner=partner[i],
-            right=right[:, i].copy(),
-            left=left[:, i].copy(),
-        )
-        for i in range(dim)
-    ]
-    return BiorthoSpectrum(levels=records, eigensystem=es, reality_tol=rtol)
+    sp = _index_stack(a[None], z, EigenStack.of(es), reality_tol, indicator_floor)[0]
+    if isinstance(sp, Exception):
+        raise sp
+    return sp

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
-                      IndexIllDefined, LevelRecord, spectrum_with_indices)
+                      IndexIllDefined, LevelRecord, spectra_with_indices,
+                      spectrum_with_indices)
 from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_parity,
                     gain_generator)
 
@@ -36,6 +37,9 @@ _AXES = (AXIS_COUPLING, AXIS_GAIN)
 BISECT_TOL = 1e-8
 #: Matched overlap below which a track break is recorded.
 OVERLAP_MIN = 0.5
+#: Matrix elements per stacked solve (64 points at N=4, 4 at N=6, 1 from N=7):
+#: keeps memory flat while small matrices share one eigensolve call.
+_STACK_ELEMENTS = 1 << 14
 
 
 class NoEPInBracket(RuntimeError):
@@ -57,25 +61,50 @@ class AccidentallyZeroElement(RuntimeError):
         )
 
 
+def _chain(axis: str, fixed_value: float, n: int, value: float) -> ChainSpec:
+    if axis == AXIS_COUPLING:
+        return NormalizedPoint(min(1.0, max(-1.0, value)), fixed_value).chain(n)
+    return NormalizedPoint(fixed_value, max(0.0, value)).chain(n)
+
+
+def _stack_size(n: int) -> int:
+    """Points per stacked solve: at most ``_STACK_ELEMENTS`` matrix elements."""
+    return max(1, _STACK_ELEMENTS >> (2 * n))
+
+
 def _solve_value(axis: str, fixed_value: float, n: int, value: float,
                  reality_tol, indicator_floor: float) -> BiorthoSpectrum:
     """Spectrum at one normalized point; nudges off exact exceptional points."""
     zeta = build_parity(n)
     last: Exception | None = None
     for dv in (0.0, 1e-11, -1e-11, 1e-10):
-        v = value + dv
-        if axis == AXIS_COUPLING:
-            v = min(1.0, max(-1.0, v))
-            point = NormalizedPoint(v, fixed_value)
-        else:
-            point = NormalizedPoint(fixed_value, max(0.0, v))
         try:
-            h = build_hamiltonian(point.chain(n))
+            h = build_hamiltonian(_chain(axis, fixed_value, n, value + dv))
             return spectrum_with_indices(h, zeta, reality_tol=reality_tol,
                                          indicator_floor=indicator_floor)
         except AtExceptionalPoint as exc:
             last = exc
     raise last  # pragma: no cover - needs an exact EP hit on the grid
+
+
+def _solve_values(axis: str, fixed_value: float, n: int, values,
+                  reality_tol, indicator_floor: float):
+    """Spectra at ``values`` in order, lazily, solved in stacks of ``_stack_size(n)``.
+
+    Each spectrum is the one :func:`_solve_value` gives for its point: a
+    point whose stacked solve fails is solved again alone, with the nudges.
+    """
+    zeta = build_parity(n)
+    size = _stack_size(n)
+    for start in range(0, len(values), size):
+        chunk = [float(v) for v in values[start:start + size]]
+        hs = np.stack([build_hamiltonian(_chain(axis, fixed_value, n, v)) for v in chunk])
+        spectra = spectra_with_indices(hs, zeta, reality_tol=reality_tol,
+                                       indicator_floor=indicator_floor)
+        for v, sp in zip(chunk, spectra):
+            if not isinstance(sp, BiorthoSpectrum):
+                sp = _solve_value(axis, fixed_value, n, v, reality_tol, indicator_floor)
+            yield sp
 
 
 @dataclass(frozen=True)
@@ -147,29 +176,9 @@ class LevelTrack:
                 and other.partner[point_index] == self.level_id)
 
 
-def _compact(sp: BiorthoSpectrum) -> dict:
-    dim = sp.dim
-    values = np.array([lv.eigenvalue for lv in sp.levels], dtype=np.complex128)
-    z2 = np.array([lv.z2_index or 0 for lv in sp.levels], dtype=np.int8)
-    ind = np.array([lv.ep_indicator for lv in sp.levels])
-    partner = np.array(
-        [-1 if lv.conjugate_partner is None else lv.conjugate_partner for lv in sp.levels],
-        dtype=np.int64,
-    )
-    return {
-        "values": values,
-        "z2": z2,
-        "indicator": ind,
-        "partner_col": partner,
-        "right": sp.eigensystem.right,
-        "left": sp.eigensystem.left,
-        "dim": dim,
-    }
-
-
-def _sweep_task(args) -> dict:
-    axis, fixed_value, n, value, reality_tol, indicator_floor = args
-    return _compact(_solve_value(axis, fixed_value, n, value, reality_tol, indicator_floor))
+def _sweep_task(args) -> list[BiorthoSpectrum]:
+    axis, fixed_value, n, values, reality_tol, indicator_floor = args
+    return list(_solve_values(axis, fixed_value, n, values, reality_tol, indicator_floor))
 
 
 def _imap(fn, tasks: list, workers: int, chunksize: int):
@@ -204,11 +213,11 @@ def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
           overlap_min: float = OVERLAP_MIN) -> list[LevelTrack]:
     """Track all 2^N levels across the grid.
 
-    Grid-point eigensolves are independent (and may run in ``workers``
-    processes); the overlap matching is a sequential reduction in grid
-    order, so results are identical for any worker count. Matched overlaps
-    below ``overlap_min`` are recorded as track breaks and the sweep
-    continues with the assignment it found.
+    Grid points are solved in fixed stacks, which are independent (and may
+    run in ``workers`` processes); the overlap matching is a sequential
+    reduction in grid order, so results are identical for any worker
+    count. Matched overlaps below ``overlap_min`` are recorded as track
+    breaks and the sweep continues with the assignment it found.
     """
     npts = len(grid.points)
     dim = 1 << grid.n
@@ -220,30 +229,31 @@ def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
     overlaps = np.ones((dim, npts))
     breaks: list[list[int]] = [[] for _ in range(dim)]
 
-    tasks = [(grid.axis, grid.fixed_value, grid.n, v, reality_tol, indicator_floor)
-             for v in grid.points]
-    results = _imap(_sweep_task, tasks, workers, max(1, npts // (4 * workers)))
+    # one task per stack, so the stacks do not depend on the worker count
+    size = _stack_size(grid.n)
+    tasks = [(grid.axis, grid.fixed_value, grid.n, grid.points[i:i + size], reality_tol,
+              indicator_floor) for i in range(0, npts, size)]
+    chunks = _imap(_sweep_task, tasks, workers, max(1, len(tasks) // (4 * workers)))
+    spectra = (sp for chunk in chunks for sp in chunk)
     col_of_track = np.arange(dim)
     prev_left = None
-    for p, data in enumerate(results):
-        if data["dim"] != dim:
+    for p, sp in enumerate(spectra):
+        if sp.dim != dim:
             raise ArithmeticError("grid point returned a spectrum of wrong dimension")
         if p > 0:
-            col_of_track, matched = _match(prev_left, data["right"])
+            col_of_track, matched = _match(prev_left, sp.eigensystem.right)
             overlaps[:, p] = matched
             for t in np.flatnonzero(matched < overlap_min):
                 breaks[int(t)].append(p)
         col_to_track = np.empty(dim, dtype=np.int64)
         col_to_track[col_of_track] = np.arange(dim)
-        for t in range(dim):
-            c = col_of_track[t]
-            evals[t, p] = data["values"][c]
-            z2[t, p] = data["z2"][c]
-            ind[t, p] = data["indicator"][c]
-            columns[t, p] = c
-            pc = data["partner_col"][c]
-            partner[t, p] = col_to_track[pc] if pc >= 0 else -1
-        prev_left = data["left"][:, col_of_track]
+        evals[:, p] = sp.eigenvalues[col_of_track]
+        z2[:, p] = sp.z2[col_of_track]
+        ind[:, p] = sp.indicator[col_of_track]
+        columns[:, p] = col_of_track
+        pc = sp.partner[col_of_track]
+        partner[:, p] = np.where(pc >= 0, col_to_track[pc], -1)
+        prev_left = sp.eigensystem.left[:, col_of_track]
     return [
         LevelTrack(level_id=t, grid=grid, eigenvalues=evals[t], z2=z2[t],
                    indicator=ind[t], partner=partner[t], columns=columns[t],
@@ -290,18 +300,16 @@ class EPRecord:
 
 
 def _pair_state(sp: BiorthoSpectrum, ca: int, cb: int) -> dict:
-    la, lb = sp.levels[ca], sp.levels[cb]
-    mutual = la.conjugate_partner == cb and lb.conjugate_partner == ca
-    both_real = (abs(la.eigenvalue.imag) <= sp.reality_tol
-                 and abs(lb.eigenvalue.imag) <= sp.reality_tol)
+    cols = [ca, cb]
+    values = sp.eigenvalues[cols]
     return {
         "cols": (ca, cb),
-        "mutual": mutual,
-        "both_real": both_real,
-        "gap": abs(la.eigenvalue - lb.eigenvalue),
-        "z2": (la.z2_index, lb.z2_index),
-        "indicator": (la.ep_indicator, lb.ep_indicator),
-        "left": np.column_stack([la.left, lb.left]),
+        "mutual": bool(sp.partner[ca] == cb and sp.partner[cb] == ca),
+        "both_real": bool(np.all(np.abs(values.imag) <= sp.reality_tol)),
+        "gap": float(abs(values[0] - values[1])),
+        "z2": tuple(int(i) or None for i in sp.z2[cols]),
+        "indicator": tuple(float(i) for i in sp.indicator[cols]),
+        "left": sp.eigensystem.left[:, cols],
     }
 
 
@@ -477,7 +485,7 @@ def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
         pm = 0.5 * (lo + hi)
         sp_m = solve(pm)
         cols, _ = _match(ref, sp_m.eigensystem.right)
-        d = (sp_m.levels[cols[0]].eigenvalue - sp_m.levels[cols[1]].eigenvalue).real
+        d = float((sp_m.eigenvalues[cols[0]] - sp_m.eigenvalues[cols[1]]).real)
         val = abs(d)
         if math.copysign(1.0, d) == sign_lo:
             lo = pm
@@ -598,37 +606,33 @@ class TriplePairing:
 
 def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
     cols = [int(c) for c in tri_cols]
-    recs = [sp.levels[c] for c in cols]
-    colset = set(cols)
     mutual = None
     for i in range(3):
-        q = recs[i].conjugate_partner
-        if q is None:
+        q = int(sp.partner[cols[i]])
+        if q < 0:
             continue
-        if q not in colset:
+        if q not in cols:
             return TriplePairing("external")
         if mutual is None:
             mutual = (i, cols.index(q))
     if mutual is None:
         return TriplePairing("none")
-    spect = ({0, 1, 2} - set(mutual)).pop()
-    pair_real = recs[mutual[0]].eigenvalue.real
-    spect_real = recs[spect].eigenvalue.real
+    spect = cols[({0, 1, 2} - set(mutual)).pop()]
+    pair_real = float(sp.eigenvalues[cols[mutual[0]]].real)
+    spect_real = float(sp.eigenvalues[spect].real)
     kind = "low-mid" if spect_real > pair_real else "mid-up"
     return TriplePairing(kind, pair_real=pair_real, spectator_real=spect_real,
-                         spectator_z2=recs[spect].z2_index)
+                         spectator_z2=int(sp.z2[spect]) or None)
 
 
 def _march_state(n: int, j_value: float, gammas, reality_tol, indicator_floor):
     """Generator of (gamma, spectrum, col_of_track) along a gain ladder."""
-    dim = 1 << n
-    cols = np.arange(dim)
-    sp = _solve_value(AXIS_GAIN, j_value, n, float(gammas[0]), reality_tol, indicator_floor)
-    yield float(gammas[0]), sp, cols
-    left = sp.eigensystem.left
-    for g in gammas[1:]:
-        sp = _solve_value(AXIS_GAIN, j_value, n, float(g), reality_tol, indicator_floor)
-        cols, _ = _match(left[:, cols], sp.eigensystem.right)
+    cols = np.arange(1 << n)
+    left = None
+    for g, sp in zip(gammas, _solve_values(AXIS_GAIN, j_value, n, gammas, reality_tol,
+                                           indicator_floor)):
+        if left is not None:
+            cols, _ = _match(left[:, cols], sp.eigensystem.right)
         left = sp.eigensystem.left
         yield float(g), sp, cols
 
@@ -653,23 +657,20 @@ def triple_pairing(n: int, j_value: float, gamma: float, triple,
     return _classify_triple(sp, cols[list(triple)])
 
 
-def _triple_state(sp: BiorthoSpectrum, tri_cols):
-    recs = [sp.levels[int(c)] for c in tri_cols]
-    all_real = all(r.conjugate_partner is None
-                   and abs(r.eigenvalue.imag) <= sp.reality_tol for r in recs)
-    return all_real, recs
+def _all_real(sp: BiorthoSpectrum, cols) -> bool:
+    """True when the levels in ``cols`` are real and unpaired."""
+    return bool(np.all(sp.partner[cols] < 0)
+                and np.all(np.abs(sp.eigenvalues[cols].imag) <= sp.reality_tol))
 
 
 def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
                              tol: float, max_iter: int = 200):
     """Bisect the parameter where a tracked triple stops being all-real.
 
-    Returns (boundary, inside_state, outside_pairing); matching follows the
-    real side so label bookkeeping survives the approach to the boundary.
+    Returns (boundary, outside_pairing); matching follows the real side so
+    label bookkeeping survives the approach to the boundary.
     """
-    sp_r = solve(p_real)
-    ref = np.column_stack([sp_r.levels[int(c)].left for c in tri_cols_real])
-    inside = [sp_r.levels[int(c)] for c in tri_cols_real]
+    ref = solve(p_real).eigensystem.left[:, tri_cols_real]
     pr, pc = float(p_real), float(p_cplx)
     outside = None
     it = 0
@@ -678,11 +679,9 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
         pm = 0.5 * (pr + pc)
         sp_m = solve(pm)
         cols_m, _ = _match(ref, sp_m.eigensystem.right)
-        all_real, recs = _triple_state(sp_m, cols_m)
-        if all_real:
+        if _all_real(sp_m, cols_m):
             pr = pm
-            ref = np.column_stack([r.left for r in recs])
-            inside = recs
+            ref = sp_m.eigensystem.left[:, cols_m]
         else:
             pc = pm
             outside = _classify_triple(sp_m, cols_m)
@@ -690,7 +689,7 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
         sp_c = solve(pc)
         cols_c, _ = _match(ref, sp_c.eigensystem.right)
         outside = _classify_triple(sp_c, cols_c)
-    return 0.5 * (pr + pc), inside, outside
+    return 0.5 * (pr + pc), outside
 
 
 @dataclass(frozen=True)
@@ -717,12 +716,13 @@ def _find_wedge(n: int, gamma: float, window, triple, samples: int,
     left_part = sorted((i for i in range(samples) if j_vals[i] < anchor), reverse=True)
     for part in (right_part, left_part):
         sp, cols = sp_a, cols_a
-        for i in part:
-            sp_new = solve(float(j_vals[i]))
+        for i, sp_new in zip(part, _solve_values(AXIS_COUPLING, gamma, n, j_vals[part],
+                                                 reality_tol, indicator_floor)):
             cols, _ = _match(sp.eigensystem.left[:, cols], sp_new.eigensystem.right)
             sp = sp_new
-            all_real, recs = _triple_state(sp, cols[tri])
-            states[i] = (all_real, cols[tri].copy(), recs)
+            tri_cols = cols[tri]
+            states[i] = (_all_real(sp, tri_cols), tri_cols,
+                         sp.eigenvalues[tri_cols].real, sp.z2[tri_cols])
 
     real_mask = np.array([states[i][0] for i in range(samples)])
     if not np.any(real_mask):
@@ -744,17 +744,17 @@ def _find_wedge(n: int, gamma: float, window, triple, samples: int,
     anchor_idx = (lo + hi) // 2
     # march labels can swap inside complex bubbles; the physical roles
     # (lower, middle, upper) are the energy order inside the interval
-    recs_sorted = sorted(states[anchor_idx][2], key=lambda r: r.eigenvalue.real)
-    indices = tuple(r.z2_index or 0 for r in recs_sorted)
+    _, _, energies, z2 = states[anchor_idx]
+    indices = tuple(int(i) for i in z2[np.argsort(energies, kind="stable")])
 
     if lo > 0:
-        j_left, _, out_left = _triple_reality_boundary(
+        j_left, out_left = _triple_reality_boundary(
             solve, float(j_vals[lo]), float(j_vals[lo - 1]), states[lo][1], j_tol)
         kind_left = out_left.kind
     else:
         j_left, kind_left = float(j_vals[lo]), "edge"
     if hi < samples - 1:
-        j_right, _, out_right = _triple_reality_boundary(
+        j_right, out_right = _triple_reality_boundary(
             solve, float(j_vals[hi]), float(j_vals[hi + 1]), states[hi][1], j_tol)
         kind_right = out_right.kind
     else:
@@ -839,11 +839,8 @@ def _candidate_probe(args) -> dict:
     for g, sp, cols in _march_state(n, j_value, ladder, reality_tol, indicator_floor):
         ct = np.empty(dim, dtype=np.int64)
         ct[cols] = np.arange(dim)
-        pairs = set()
-        for c, lv in enumerate(sp.levels):
-            q = lv.conjugate_partner
-            if q is not None and q > c:
-                pairs.add(tuple(sorted((int(ct[c]), int(ct[q])))))
+        lower = np.flatnonzero(sp.partner > np.arange(dim))
+        pairs = {tuple(sorted((int(ct[c]), int(ct[sp.partner[c]])))) for c in lower}
         for a, b in pairs - prev_pairs:
             gmid = 0.5 * (prev_g + g)
             first.setdefault(a, (gmid, b))

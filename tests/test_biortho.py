@@ -4,13 +4,20 @@ import pytest
 from conftest import hermitian_reference_indices, match_level_sets
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
-                      ep_indicator, spectrum_with_indices, z2_index)
+                      ep_indicator, full_spectrum, spectra_with_indices,
+                      spectrum_with_indices, z2_index)
+from pshchain import numerics
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
 
 
 def psh_2x2(a, w):
     return np.array([[a, w], [-np.conj(w), -a]], dtype=complex)
+
+
+def psym_2x2(a, w, c=0.0):
+    """Complex-symmetric pseudo-Hermitian block for diag(1, -1): c +- sqrt(a^2 - w^2)."""
+    return np.array([[c + a, 1j * w], [1j * w, c - a]], dtype=complex)
 
 
 def chain_spectrum(n, j_tilde, gamma_tilde, **kw):
@@ -110,6 +117,36 @@ class TestSpectrumWithIndices:
                 assert lv.z2_index is None
                 assert lv.ep_indicator < 1e-6
 
+    def test_conjugate_pairing_of_clustered_pairs(self):
+        # three conjugate pairs c_k +- i y_k; every member lies within pair_tol
+        # (1e-6 of the spectral radius) of the conjugate of every other pair
+        pairs = [(1.0, 0.5), (1.0 + 2e-7, 0.5 + 3e-7), (1.0 + 4e-7, 0.5 + 6e-7)]
+        blocks = [psym_2x2(0.2, np.hypot(0.2, y), c) for c, y in pairs]
+        h = np.zeros((6, 6), dtype=complex)
+        zeta = np.zeros((6, 6), dtype=complex)
+        for k, blk in enumerate(blocks):
+            h[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk
+            zeta[2 * k:2 * k + 2, 2 * k:2 * k + 2] = ZETA2
+        sp = spectrum_with_indices(h, zeta)
+        values = sp.eigenvalues
+        upper, lower = values[values.imag > 0], values[values.imag < 0]
+        assert np.all(np.abs(upper[:, None] - lower.conj()[None, :]) < 1e-6)
+        for i, lv in enumerate(sp.levels):
+            partner = lv.conjugate_partner
+            assert partner is not None and sp.levels[partner].conjugate_partner == i
+            assert abs(lv.eigenvalue - np.conj(sp.eigenvalues[partner])) < 1e-12
+
+    def test_nearly_degenerate_same_index_levels_resolved(self):
+        # at N=8, |jt| = 0.99 the almost-zero-mode splitting (3.3e-7) lies
+        # below the cluster tolerance; clustered levels of one index must
+        # still come out with their own energies
+        for jt in (-0.99, 0.99):
+            sp = chain_spectrum(8, jt, 0.0)
+            ref = sorted(s.energy for s in full_spectrum(8, jt, np.sqrt(1 - jt * jt)))
+            got = np.sort(sp.eigenvalues.real)
+            assert np.max(np.abs(got - ref)) <= 1e-9
+            assert np.max(np.abs(sp.eigenvalues.imag)) <= 1e-9
+
     def test_at_exceptional_point_raises(self):
         with pytest.raises(AtExceptionalPoint):
             spectrum_with_indices(psh_2x2(1.0, 1.0), ZETA2)
@@ -151,3 +188,73 @@ class TestSpectrumWithIndices:
                 reference = signs
             assert signs == reference
         assert reference is not None
+
+
+def assert_same_spectrum(x, y):
+    assert np.array_equal(x.eigenvalues, y.eigenvalues)
+    assert np.array_equal(x.eigensystem.right, y.eigensystem.right)
+    assert np.array_equal(x.eigensystem.left, y.eigensystem.left)
+    assert np.array_equal(x.z2, y.z2)
+    assert np.array_equal(x.indicator, y.indicator)
+    assert np.array_equal(x.partner, y.partner)
+
+
+class TestStackedSpectra:
+    """A point's spectrum does not depend on the stack it is solved in."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_stack_matches_single_solves(self, n):
+        rng = np.random.default_rng(40 + n)
+        points = [NormalizedPoint(float(rng.uniform(-1, 1)), float(rng.uniform(0, 0.6)))
+                  for _ in range(6)]
+        # degenerate clusters: the Ising endpoint with gain, and decoupled spins
+        points += [NormalizedPoint(1.0, 0.3), NormalizedPoint(0.0, 0.0)]
+        hs = np.stack([build_hamiltonian(p.chain(n)) for p in points])
+        zeta = build_parity(n)
+        singles = [spectrum_with_indices(h, zeta) for h in hs]
+        for b, sp in enumerate(spectra_with_indices(hs, zeta)):
+            assert_same_spectrum(sp, singles[b])
+        # another stack size and order
+        sub = [5, 0, 7, 2]
+        for b, sp in zip(sub, spectra_with_indices(hs[sub], zeta)):
+            assert_same_spectrum(sp, singles[b])
+
+    def test_failed_point_does_not_fail_its_stack(self):
+        hs = np.stack([psym_2x2(2.0, 1.0), psym_2x2(1.0, 1.0), psym_2x2(0.5, 1.5, c=0.3)])
+        stacked = spectra_with_indices(hs, ZETA2)
+        assert isinstance(stacked[1], AtExceptionalPoint)
+        with pytest.raises(AtExceptionalPoint):
+            spectrum_with_indices(hs[1], ZETA2)
+        for b in (0, 2):
+            assert_same_spectrum(stacked[b], spectrum_with_indices(hs[b], ZETA2))
+
+    def test_levels_agree_with_arrays(self):
+        sp = chain_spectrum(4, -0.9, 0.3)
+        es = sp.eigensystem
+        assert any(lv.conjugate_partner is not None for lv in sp.levels)
+        for i, lv in enumerate(sp.levels):
+            assert lv.label == i
+            assert lv.eigenvalue == es.eigenvalues[i]
+            assert lv.z2_index == (int(sp.z2[i]) or None)
+            assert lv.ep_indicator == sp.indicator[i]
+            assert lv.conjugate_partner == (int(sp.partner[i]) if sp.partner[i] >= 0 else None)
+            assert np.array_equal(lv.right, es.right[:, i])
+            assert np.array_equal(lv.left, es.left[:, i])
+
+    def test_symmetric_input_skips_the_left_solve(self, monkeypatch):
+        calls = []
+        original = numerics.sla.eig
+        monkeypatch.setattr(numerics.sla, "eig",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2)
+        chain_spectrum(4, 0.3, 0.2)
+        assert calls == []
+        # psh_2x2 is not symmetric: LAPACK left+right route, left vectors of M
+        m = psh_2x2(2.0, 1.0 + 0.5j)
+        es = numerics.eig_general(m)
+        assert calls == [1]
+        assert np.allclose(es.left.conj().T @ m, es.eigenvalues[:, None] * es.left.conj().T)
+        assert not np.allclose(es.left, es.right.conj())
+        mixed = spectra_with_indices(np.stack([m, psym_2x2(2.0, 1.0)]), ZETA2)
+        assert_same_spectrum(mixed[0], spectrum_with_indices(m, ZETA2))
+        assert_same_spectrum(mixed[1], spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, ChainSpec,
+from pshchain import epscan
+from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
+                      ChainSpec,
                       EPRecord, NoEP3InBox, NoEPInBracket, NormalizedPoint,
                       SweepGrid, build_hamiltonian, build_parity, classify_crossings,
                       find_ep2, find_ep3, find_ep3_candidates, gain_generator,
@@ -108,6 +110,39 @@ class TestSweep:
             assert np.array_equal(a.eigenvalues, b.eigenvalues)
             assert np.array_equal(a.z2, b.z2)
             assert np.array_equal(a.indicator, b.indicator)
+            assert np.array_equal(a.partner, b.partner)
+
+    def test_grid_points_resolve_identically_alone(self):
+        # refinement re-solves grid points one at a time and reads them at
+        # the columns the stacked sweep recorded
+        grid = coupling_grid(4, 0.40125, points=150)
+        tracks = sweep(grid)
+        solve = grid.solver()
+        for p in (0, 1, 63, 64, 100, 149):
+            sp = solve(grid.points[p])
+            for tr in tracks:
+                c = tr.columns[p]
+                assert sp.eigenvalues[c] == tr.eigenvalues[p]
+                assert sp.z2[c] == tr.z2[p] and sp.indicator[c] == tr.indicator[p]
+
+    def test_failed_stack_point_is_solved_alone(self, monkeypatch):
+        grid = coupling_grid(4, 0.21, points=70, start=-0.9, stop=0.9)
+        reference = sweep(grid)
+        original = epscan.spectra_with_indices
+        stacks = []
+
+        def fail_third(hs, zeta, **kw):
+            out = original(hs, zeta, **kw)
+            out[2] = AtExceptionalPoint(np.inf)
+            stacks.append(len(out))
+            return out
+
+        monkeypatch.setattr(epscan, "spectra_with_indices", fail_third)
+        patched = sweep(grid)
+        assert stacks == [64, 6]
+        for a, b in zip(reference, patched):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.columns, b.columns)
             assert np.array_equal(a.partner, b.partner)
 
 
