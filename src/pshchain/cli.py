@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,6 @@ from .model import ChainSpec, NormalizedPoint, build_hamiltonian, build_parity
 from .numerics import NearDefective
 from .oracle import full_spectrum
 
-COMMANDS = ("spectrum", "oracle", "sweep", "find-ep", "verify", "crossings")
 TOLERANCE_NAMES = frozenset({
     "reality_tol", "indicator_floor", "bisect_tol", "ep3_gamma_tol", "overlap_min",
     "ambiguous_gap",
@@ -42,131 +43,114 @@ DEFAULT_GAMMAS = (0.05, 0.21, 0.40125, 0.48375)
 _NUMERIC_ERRORS = (NearDefective, AtExceptionalPoint, IndexIllDefined, NoEPInBracket,
                    NoEP3InBox, AccidentallyZeroElement, ArithmeticError)
 
+# Commands that offer a group of flags.
+_SPAN = ("sweep", "find-ep", "verify", "crossings")
+_LINE = ("sweep", "find-ep")
+_EP = ("find-ep",)
+
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 1."""
 
 
+def _entry(path: str, flag: str | None = None, on: tuple[str, ...] | None = None,
+           default=None, **argparse_kw):
+    """Declare a config field: its JSON ``path`` ("section.key" or "key"), the
+    ``flag`` that overrides it on the commands ``on`` (None: all) and the flag's
+    other ``add_argument`` keywords. The annotation is the value type: a tuple
+    takes a JSON list and, as a flag, that many values, or one comma-separated
+    list for ``tuple[float, ...]``."""
+    return field(default=default,
+                 metadata={"path": path, "flag": flag, "on": on, "kw": argparse_kw})
+
+
 @dataclass
 class RunConfig:
-    """Flattened run configuration; mirrors the nested JSON config schema."""
+    """Flattened run configuration; each field declares its JSON path and flag."""
 
-    command: str = ""
-    n: int = 4
-    j_tilde: float | None = None
-    gamma_tilde: float | None = None
-    j: float | None = None
-    delta: float | None = None
-    profile: tuple[float, ...] | None = None
-    axis: str | None = None
-    fixed_value: float | None = None
-    start: float | None = None
-    stop: float | None = None
-    points: int | None = None
-    gamma_values: tuple[float, ...] | None = None
-    j_start: float | None = None
-    j_stop: float | None = None
-    g_start: float | None = None
-    g_stop: float | None = None
-    order: int | None = None
-    pair: tuple[int, int] | None = None
-    triple: tuple[int, int, int] | None = None
-    tolerances: dict = field(default_factory=dict)
-    output_path: str | None = None
-    output_format: str = "csv"
-    workers: int = 1
+    command: str = _entry("command", default="")
+    n: int = _entry("chain.n", "--n", default=4, help="number of spins (even)")
+    j_tilde: float | None = _entry("chain.j_tilde", "--jt", ("spectrum",),
+                                   help="normalized coupling j_tilde")
+    gamma_tilde: float | None = _entry("chain.gamma_tilde", "--gt", ("spectrum",),
+                                       help="normalized gain gamma_tilde")
+    j: float | None = _entry("chain.j", "--j", ("oracle",), help="coupling (raw units)")
+    delta: float | None = _entry("chain.delta", "--delta", ("oracle",),
+                                 help="transverse field (raw units)")
+    profile: tuple[float, ...] | None = _entry(
+        "chain.profile", "--profile", ("spectrum",),
+        help="comma-separated per-site gains (overrides --gt)")
+    axis: str | None = _entry("grid.axis", "--axis", _LINE, choices=("jt", "gt"),
+                              help="swept coordinate")
+    fixed_value: float | None = _entry("grid.fixed_value", "--fixed", _LINE,
+                                       help="value of the other coordinate")
+    start: float | None = _entry("grid.start", "--start", _SPAN)
+    stop: float | None = _entry("grid.stop", "--stop", _SPAN)
+    points: int | None = _entry("grid.points", "--points", _SPAN)
+    gamma_values: tuple[float, ...] | None = _entry(
+        "grid.gamma_values", "--gammas", ("verify",), help="comma-separated gain values")
+    j_start: float | None = _entry("grid.j_start", "--j-start", _EP)
+    j_stop: float | None = _entry("grid.j_stop", "--j-stop", _EP)
+    g_start: float | None = _entry("grid.g_start", "--g-start", _EP)
+    g_stop: float | None = _entry("grid.g_stop", "--g-stop", _EP)
+    order: int | None = _entry("order", "--order", _EP, choices=(2, 3))
+    pair: tuple[int, int] | None = _entry("pair", "--pair", _EP, metavar=("A", "B"))
+    triple: tuple[int, int, int] | None = _entry("triple", "--triple", _EP,
+                                                 metavar=("A", "B", "C"))
+    #: Set by ``--tol NAME=VALUE``; names and values are checked below.
+    tolerances: dict = field(default_factory=dict, metadata={"path": "tolerances"})
+    output_path: str | None = _entry("output.path", "--output",
+                                     help="output file path (default: stdout where allowed)")
+    output_format: str = _entry("output.format", "--format",
+                                ("spectrum", "oracle", "crossings"), default="csv",
+                                choices=("csv", "json"), help="output format")
+    workers: int = _entry("workers", "--workers", default=1, help="parallel grid workers")
 
     def __post_init__(self):
         if self.command and self.command not in COMMANDS:
             raise UsageError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        unknown = set(self.tolerances) - TOLERANCE_NAMES
-        if unknown:
-            raise UsageError(
-                f"tolerances.{sorted(unknown)[0]}: unknown name "
-                f"(documented: {sorted(TOLERANCE_NAMES)})"
-            )
         for name, value in self.tolerances.items():
-            if not isinstance(value, (int, float)) or value < 0:
-                raise UsageError(f"tolerances.{name} must be a non-negative number")
+            if name not in TOLERANCE_NAMES:
+                raise UsageError(f"tolerances.{name}: unknown name "
+                                 f"(documented: {sorted(TOLERANCE_NAMES)})")
+            if not (_is(value, float) and math.isfinite(value) and value >= 0):
+                raise UsageError(f"tolerances.{name} must be a finite non-negative "
+                                 f"number, got {value!r}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output.format must be 'csv' or 'json', got {self.output_format!r}")
-        if not isinstance(self.n, int) or self.n <= 0 or self.n % 2:
+        if not _is(self.n, int) or self.n <= 0 or self.n % 2:
             raise UsageError(f"chain.n must be a positive even integer, got {self.n}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is(self.workers, int) or self.workers < 1:
             raise UsageError(f"workers must be a positive integer, got {self.workers}")
 
     def to_dict(self) -> dict:
-        chain = {"n": self.n}
-        for k in ("j_tilde", "gamma_tilde", "j", "delta"):
-            v = getattr(self, k)
-            if v is not None:
-                chain[k] = v
-        if self.profile is not None:
-            chain["profile"] = list(self.profile)
-        grid = {}
-        for k in ("axis", "fixed_value", "start", "stop", "points", "j_start",
-                  "j_stop", "g_start", "g_stop"):
-            v = getattr(self, k)
-            if v is not None:
-                grid[k] = v
-        if self.gamma_values is not None:
-            grid["gamma_values"] = list(self.gamma_values)
-        out: dict = {"command": self.command, "chain": chain, "grid": grid,
-                     "tolerances": dict(self.tolerances),
-                     "output": {"format": self.output_format}, "workers": self.workers}
-        if self.output_path is not None:
-            out["output"]["path"] = self.output_path
-        for k in ("order",):
-            if getattr(self, k) is not None:
-                out[k] = getattr(self, k)
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
-        if self.triple is not None:
-            out["triple"] = list(self.triple)
+        out: dict = {section: {} for section in _SECTIONS}
+        for key in _SCHEMA:
+            value = getattr(self, key.name)
+            if value is not None:
+                section, _, name = key.path.rpartition(".")
+                (out[section] if section else out)[name] = (
+                    list(value) if isinstance(value, tuple)
+                    else dict(value) if isinstance(value, dict) else value)
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known_sections = {"command", "chain", "grid", "tolerances", "output",
-                          "workers", "order", "pair", "triple"}
-        unknown = set(d) - known_sections
+        if not isinstance(d, dict):
+            raise UsageError(f"config must be a JSON object, got {d!r}")
+        flat = {}
+        for name, value in d.items():
+            if name not in _SECTIONS:
+                flat[name] = value
+            elif isinstance(value, dict):
+                flat.update((f"{name}.{k}", v) for k, v in value.items())
+            else:
+                raise UsageError(f"{name} must be an object, got {value!r}")
+        unknown = sorted(flat.keys() - _BY_PATH.keys())
         if unknown:
-            raise UsageError(f"{sorted(unknown)[0]}: unknown config field")
-        kw: dict = {}
-        kw["command"] = d.get("command", "")
-        chain = d.get("chain", {})
-        grid = d.get("grid", {})
-        for src, names in ((chain, ("n", "j_tilde", "gamma_tilde", "j", "delta", "profile")),
-                           (grid, ("axis", "fixed_value", "start", "stop", "points",
-                                   "gamma_values", "j_start", "j_stop", "g_start", "g_stop"))):
-            section = "chain" if src is chain else "grid"
-            for k in src:
-                if k not in names:
-                    raise UsageError(f"{section}.{k}: unknown config field")
-            for k in names:
-                if k in src and src[k] is not None:
-                    kw[k] = src[k]
-        if "profile" in kw:
-            kw["profile"] = tuple(float(x) for x in kw["profile"])
-        if "gamma_values" in kw:
-            kw["gamma_values"] = tuple(float(x) for x in kw["gamma_values"])
-        kw["tolerances"] = dict(d.get("tolerances", {}))
-        output = d.get("output", {})
-        for k in output:
-            if k not in ("path", "format"):
-                raise UsageError(f"output.{k}: unknown config field")
-        if "path" in output:
-            kw["output_path"] = output["path"]
-        if "format" in output:
-            kw["output_format"] = output["format"]
-        kw["workers"] = d.get("workers", 1)
-        if "order" in d:
-            kw["order"] = int(d["order"])
-        if "pair" in d:
-            kw["pair"] = tuple(int(x) for x in d["pair"])
-        if "triple" in d:
-            kw["triple"] = tuple(int(x) for x in d["triple"])
-        return cls(**kw)
+            raise UsageError(f"{unknown[0]}: unknown config field")
+        return cls(**{_BY_PATH[path].name: _checked(_BY_PATH[path], value)
+                      for path, value in flat.items()})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -179,8 +163,57 @@ class RunConfig:
         return self.tolerances.get(name, default)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+class _Key(typing.NamedTuple):
+    """A config field's schema entry, read from its declaration."""
+
+    name: str
+    path: str
+    kind: type      # the value type, or the element type of a tuple
+    count: object   # None for a scalar, the tuple length, or ... for any length
+    optional: bool
+    flag: str | None
+    on: tuple[str, ...] | None
+    argparse_kw: dict
+
+
+def _key(f, hint) -> _Key:
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = (a for a in args if a is not type(None))
+    kind, count = hint, None
+    if typing.get_origin(hint) is tuple:
+        elems = typing.get_args(hint)
+        kind, count = elems[0], (... if elems[-1] is ... else len(elems))
+    m = f.metadata
+    return _Key(f.name, m["path"], kind, count, optional, m.get("flag"), m.get("on"),
+                m.get("kw", {}))
+
+
+_HINTS = typing.get_type_hints(RunConfig)
+_SCHEMA = tuple(_key(f, _HINTS[f.name]) for f in fields(RunConfig))
+_BY_PATH = {key.path: key for key in _SCHEMA}
+_SECTIONS = {key.path.split(".")[0] for key in _SCHEMA if "." in key.path}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value has a field's type; ints count as floats, bools as neither."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
+def _checked(key: _Key, value):
+    """A config value checked against its field's type, a JSON list as a tuple."""
+    if value is None and key.optional:
+        return None
+    if key.count is None and _is(value, key.kind):
+        return dict(value) if key.kind is dict else value
+    if (key.count is not None and isinstance(value, (list, tuple))
+            and key.count in (..., len(value)) and all(_is(x, key.kind) for x in value)):
+        return tuple(key.kind(x) for x in value)
+    expected = key.kind.__name__ if key.count is None else (
+        f"a list of {'' if key.count is ... else f'{key.count} '}{key.kind.__name__}")
+    raise UsageError(f"{key.path} must be {expected}, got {value!r}")
 
 
 def _write_text(path: str | None, text: str):
@@ -191,9 +224,10 @@ def _write_text(path: str | None, text: str):
 
 
 def _csv_text(header, rows) -> str:
+    """CSV of typed cells: floats at 17 significant digits, other values as str."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(row))
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -201,11 +235,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _rows_to_output(cfg: RunConfig, header, rows, json_obj):
-    if cfg.output_format == "csv":
-        _write_text(cfg.output_path, _csv_text(header, rows))
-    else:
-        _write_text(cfg.output_path, _json_text(json_obj))
+def _table_output(cfg: RunConfig, key: str, header, rows):
+    """Write rows as CSV, or as a JSON list of header-keyed objects under ``key``."""
+    _write_text(cfg.output_path, _csv_text(header, rows) if cfg.output_format == "csv"
+                else _json_text({key: [dict(zip(header, row)) for row in rows]}))
 
 
 def _records_json(records, skipped) -> dict:
@@ -229,10 +262,8 @@ def emit_figure_data(tracks, records, path, skipped=()) -> None:
     rows = []
     for p, value in enumerate(grid.points):
         for tr in tracks:
-            rows.append((
-                _fmt(value), str(tr.level_id), _fmt(tr.eigenvalues[p].real),
-                _fmt(tr.eigenvalues[p].imag), str(int(tr.z2[p])), _fmt(tr.indicator[p]),
-            ))
+            rows.append((value, tr.level_id, tr.eigenvalues[p].real,
+                         tr.eigenvalues[p].imag, tr.z2[p], tr.indicator[p]))
     header = ("grid_value", "level_id", "re_eps", "im_eps", "z2_index", "ep_indicator")
     _write_text(str(path), _csv_text(header, rows))
     sibling = Path(path).with_suffix(".json")
@@ -280,14 +311,9 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     sp = spectrum_with_indices(build_hamiltonian(spec), build_parity(cfg.n),
                                reality_tol=cfg.tol("reality_tol", None),
                                indicator_floor=cfg.tol("indicator_floor", 1e-6))
-    rows = [(str(lv.label), _fmt(lv.eigenvalue.real), _fmt(lv.eigenvalue.imag),
-             str(lv.z2_index or 0), _fmt(lv.ep_indicator)) for lv in sp.levels]
-    obj = {"levels": [
-        {"level_id": lv.label, "re_eps": lv.eigenvalue.real, "im_eps": lv.eigenvalue.imag,
-         "z2_index": lv.z2_index or 0, "ep_indicator": lv.ep_indicator}
-        for lv in sp.levels]}
-    _rows_to_output(cfg, ("level_id", "re_eps", "im_eps", "z2_index", "ep_indicator"),
-                    rows, obj)
+    _table_output(cfg, "levels", ("level_id", "re_eps", "im_eps", "z2_index", "ep_indicator"),
+                  [(lv.label, lv.eigenvalue.real, lv.eigenvalue.imag, lv.z2_index or 0,
+                    lv.ep_indicator) for lv in sp.levels])
     return 0
 
 
@@ -295,14 +321,8 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     if cfg.j is None or cfg.delta is None:
         raise UsageError("chain.j and chain.delta are required for the oracle command")
     states = full_spectrum(cfg.n, cfg.j, cfg.delta)
-    rows = [(str(i), _fmt(s.energy), str(s.parity), str(s.r), str(s.occupation))
-            for i, s in enumerate(states)]
-    obj = {"states": [
-        {"level_id": i, "energy": s.energy, "parity": s.parity,
-         "excitations": s.r, "occupation": s.occupation}
-        for i, s in enumerate(states)]}
-    _rows_to_output(cfg, ("level_id", "energy", "parity", "excitations", "occupation"),
-                    rows, obj)
+    _table_output(cfg, "states", ("level_id", "energy", "parity", "excitations", "occupation"),
+                  [(i, s.energy, s.parity, s.r, s.occupation) for i, s in enumerate(states)])
     return 0
 
 
@@ -331,14 +351,9 @@ def _cmd_crossings(cfg: RunConfig) -> int:
         raise UsageError("crossings runs on the gain-free coupling axis only")
     tracks = sweep(grid, workers=cfg.workers)
     recs = classify_crossings(tracks, ambiguous_gap=cfg.tol("ambiguous_gap", 1e-6))
-    rows = [(_fmt(c.location), str(c.levels[0]), str(c.levels[1]), str(c.indices[0]),
-             str(c.indices[1]), c.kind, _fmt(c.gap)) for c in recs]
-    obj = {"crossings": [
-        {"location": c.location, "level_a": c.levels[0], "level_b": c.levels[1],
-         "index_a": c.indices[0], "index_b": c.indices[1], "kind": c.kind, "gap": c.gap}
-        for c in recs]}
-    _rows_to_output(cfg, ("location", "level_a", "level_b", "index_a", "index_b",
-                          "kind", "gap"), rows, obj)
+    _table_output(cfg, "crossings", ("location", "level_a", "level_b", "index_a", "index_b",
+                                     "kind", "gap"),
+                  [(c.location, *c.levels, *c.indices, c.kind, c.gap) for c in recs])
     return 0
 
 
@@ -415,22 +430,23 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 3 if n_vio else 0
 
 
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "oracle": _cmd_oracle,
-    "sweep": _cmd_sweep,
-    "find-ep": _cmd_find_ep,
-    "verify": _cmd_verify,
-    "crossings": _cmd_crossings,
+#: Each command's handler and one-line help.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "biorthogonal spectrum with indices at one point"),
+    "oracle": (_cmd_oracle, "closed-form gain-free spectrum and parities"),
+    "sweep": (_cmd_sweep, "track levels along one normalized coordinate"),
+    "find-ep": (_cmd_find_ep, "localize exceptional points"),
+    "verify": (_cmd_verify, "exhaustive selection-rule check over a grid"),
+    "crossings": (_cmd_crossings, "classify gain-free level crossings"),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
+    if config.command not in _COMMANDS:
         raise UsageError(f"unknown command {config.command!r}")
-    return handler(config)
+    return _COMMANDS[config.command][0](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -438,14 +454,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--n", type=int, help="number of spins (even)")
-    p.add_argument("--output", help="output file path (default: stdout where allowed)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--workers", type=int, help="parallel grid workers")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                   help=f"named tolerance override; names: {sorted(TOLERANCE_NAMES)}")
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,112 +463,43 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Spectra, Z2 indices, and exceptional points of a "
                                  "pseudo-Hermitian Ising chain")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("spectrum", help="biorthogonal spectrum with indices at one point")
-    _add_common(p)
-    p.add_argument("--jt", type=float, help="normalized coupling j_tilde")
-    p.add_argument("--gt", type=float, help="normalized gain gamma_tilde")
-    p.add_argument("--profile", help="comma-separated per-site gains (overrides --gt)")
-
-    p = sub.add_parser("oracle", help="closed-form gain-free spectrum and parities")
-    _add_common(p)
-    p.add_argument("--j", type=float, help="coupling (raw units)")
-    p.add_argument("--delta", type=float, help="transverse field (raw units)")
-
-    p = sub.add_parser("sweep", help="track levels along one normalized coordinate")
-    _add_common(p)
-    p.add_argument("--axis", choices=("jt", "gt"), help="swept coordinate")
-    p.add_argument("--fixed", type=float, dest="fixed", help="value of the other coordinate")
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int)
-
-    p = sub.add_parser("find-ep", help="localize exceptional points")
-    _add_common(p)
-    p.add_argument("--order", type=int, choices=(2, 3))
-    p.add_argument("--axis", choices=("jt", "gt"))
-    p.add_argument("--fixed", type=float, dest="fixed")
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--pair", type=int, nargs=2, metavar=("A", "B"))
-    p.add_argument("--j-start", type=float, dest="j_start")
-    p.add_argument("--j-stop", type=float, dest="j_stop")
-    p.add_argument("--g-start", type=float, dest="g_start")
-    p.add_argument("--g-stop", type=float, dest="g_stop")
-    p.add_argument("--triple", type=int, nargs=3, metavar=("A", "B", "C"))
-
-    p = sub.add_parser("verify", help="exhaustive selection-rule check over a grid")
-    _add_common(p)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--gammas", help="comma-separated gain values")
-
-    p = sub.add_parser("crossings", help="classify gain-free level crossings")
-    _add_common(p)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
+                       help=f"named tolerance override; names: {sorted(TOLERANCE_NAMES)}")
+        for key in _SCHEMA:
+            if key.flag is None or (key.on is not None and command not in key.on):
+                continue
+            typed = ({"type": _parse_floats} if key.count is ...
+                     else {"type": None if key.kind is str else key.kind, "nargs": key.count})
+            p.add_argument(key.flag, **typed, **key.argparse_kw)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    base: dict = {}
+    cfg = RunConfig()
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        base = json.loads(path.read_text())
-    cfg = RunConfig.from_dict(base) if base else RunConfig(command=args.command or "")
-    if args.command:
-        cfg.command = args.command
-
-    def take(attr, value):
-        if value is not None:
-            setattr(cfg, attr, value)
-
-    take("n", getattr(args, "n", None))
-    take("output_path", getattr(args, "output", None))
-    take("output_format", getattr(args, "format", None))
-    take("workers", getattr(args, "workers", None))
-    take("j_tilde", getattr(args, "jt", None))
-    take("gamma_tilde", getattr(args, "gt", None))
-    take("j", getattr(args, "j", None))
-    take("delta", getattr(args, "delta", None))
-    take("axis", getattr(args, "axis", None))
-    take("fixed_value", getattr(args, "fixed", None))
-    take("start", getattr(args, "start", None))
-    take("stop", getattr(args, "stop", None))
-    take("points", getattr(args, "points", None))
-    take("order", getattr(args, "order", None))
-    take("j_start", getattr(args, "j_start", None))
-    take("j_stop", getattr(args, "j_stop", None))
-    take("g_start", getattr(args, "g_start", None))
-    take("g_stop", getattr(args, "g_stop", None))
-    if getattr(args, "pair", None) is not None:
-        cfg.pair = tuple(args.pair)
-    if getattr(args, "triple", None) is not None:
-        cfg.triple = tuple(args.triple)
-    profile = getattr(args, "profile", None)
-    if profile is not None:
-        cfg.profile = tuple(float(x) for x in profile.split(","))
-    gammas = getattr(args, "gammas", None)
-    if gammas is not None:
-        cfg.gamma_values = tuple(float(x) for x in gammas.split(","))
-    for item in getattr(args, "tol", []):
-        if "=" not in item:
+        cfg = RunConfig.from_json(path.read_text())
+    # a flag's value sits under argparse's default dest: "--j-start" -> "j_start"
+    given = {key.name: getattr(args, key.flag[2:].replace("-", "_"), None)
+             for key in _SCHEMA if key.flag is not None}
+    tolerances = dict(cfg.tolerances)
+    for item in args.tol:
+        name, eq, value = item.partition("=")
+        if not eq:
             raise UsageError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        if name not in TOLERANCE_NAMES:
-            raise UsageError(f"tolerances.{name}: unknown name")
         try:
-            cfg.tolerances[name] = float(value)
+            tolerances[name] = float(value)
         except ValueError as exc:
             raise UsageError(f"tolerances.{name}: {value!r} is not a number") from exc
-    # re-validate after overrides
-    return RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
+    # replace() validates the config again, with the flags applied
+    return replace(cfg, command=args.command, tolerances=tolerances,
+                   **{name: tuple(v) if isinstance(v, list) else v
+                      for name, v in given.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -569,10 +510,7 @@ def main(argv=None) -> int:
             raise UsageError("a command is required (see --help)")
         cfg = _config_from_args(args)
         return run(cfg)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except _NUMERIC_ERRORS as exc:

@@ -1,17 +1,60 @@
 import csv
 import json
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pshchain import build_hamiltonian, build_parity, full_spectrum, spectrum_with_indices
-from pshchain.cli import RunConfig, UsageError, load_ep_records, main
+from pshchain.cli import (RunConfig, UsageError, _config_from_args, build_parser,
+                          load_ep_records, main)
 from pshchain.model import NormalizedPoint
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every config field: (argv that sets it by flag, the value it sets, another
+# valid value). A field missing here fails the schema tests below.
+FLAG_CASES = {
+    "command": (["oracle"], "oracle", "spectrum"),
+    "n": (["spectrum", "--n", "6"], 6, 2),
+    "j_tilde": (["spectrum", "--jt", "0.25"], 0.25, -0.5),
+    "gamma_tilde": (["spectrum", "--gt", "0.21"], 0.21, 0.4),
+    "j": (["oracle", "--j", "0.6"], 0.6, 1),
+    "delta": (["oracle", "--delta", "0.8"], 0.8, 1.5),
+    "profile": (["spectrum", "--profile", "0.3,-0.1,0.1,-0.3"], (0.3, -0.1, 0.1, -0.3),
+                (0.2, -0.2)),
+    "axis": (["sweep", "--axis", "gt"], "gt", "j_tilde"),
+    "fixed_value": (["find-ep", "--fixed", "-0.84184"], -0.84184, 0.0),
+    "start": (["crossings", "--start", "-0.5"], -0.5, -1),
+    "stop": (["verify", "--stop", "0.5"], 0.5, 1.0),
+    "points": (["sweep", "--points", "41"], 41, 801),
+    "gamma_values": (["verify", "--gammas", "0.05,0.21"], (0.05, 0.21), (0.4,)),
+    "j_start": (["find-ep", "--j-start", "-0.99"], -0.99, 0.1),
+    "j_stop": (["find-ep", "--j-stop", "0.99"], 0.99, 0.2),
+    "g_start": (["find-ep", "--g-start", "0.35"], 0.35, 0),
+    "g_stop": (["find-ep", "--g-stop", "0.45"], 0.45, 0.5),
+    "order": (["find-ep", "--order", "3"], 3, 2),
+    "pair": (["find-ep", "--pair", "2", "3"], (2, 3), (0, 1)),
+    "triple": (["find-ep", "--triple", "3", "4", "7"], (3, 4, 7), (0, 1, 2)),
+    "tolerances": (["sweep", "--tol", "bisect_tol=1e-9"], {"bisect_tol": 1e-9},
+                   {"bisect_tol": 1e-7}),
+    "output_path": (["verify", "--output", "v.json"], "v.json", "other.json"),
+    "output_format": (["oracle", "--format", "json"], "json", "csv"),
+    "workers": (["crossings", "--workers", "2"], 2, 3),
+}
+FIELD_NAMES = [f.name for f in fields(RunConfig)]
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def parse(argv):
+    return _config_from_args(build_parser().parse_args(argv))
 
 
 class TestRunConfig:
@@ -37,6 +80,27 @@ class TestRunConfig:
     def test_odd_chain_rejected(self):
         with pytest.raises(UsageError):
             RunConfig(command="spectrum", n=3)
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_every_field_round_trips_from_its_flag(self, name):
+        argv, value, _ = FLAG_CASES[name]
+        cfg = parse(argv)
+        assert cfg == replace(RunConfig(command=argv[0]), **{name: value})
+        assert RunConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    def test_flag_overrides_config_file(self, name, tmp_path):
+        argv, value, other = FLAG_CASES[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(replace(RunConfig(command=argv[0]), **{name: other}).to_json())
+        if name != "command":  # the subcommand always names the command
+            assert getattr(parse([argv[0], "--config", str(path)]), name) == other
+        assert getattr(parse([argv[0], "--config", str(path), *argv[1:]]), name) == value
+
+    def test_int_kept_for_float_field(self):
+        cfg = RunConfig.from_dict({"grid": {"start": -1}})
+        assert type(cfg.start) is int
+        assert type(json.loads(cfg.to_json())["grid"]["start"]) is int
 
 
 class TestSpectrumCommand:
@@ -216,6 +280,47 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["spectrum", "--config", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"grid": {"points": 5.5}}, "grid.points"),
+        ({"grid": {"points": "5"}}, "grid.points"),
+        ({"chain": {"j_tilde": "0.5"}}, "chain.j_tilde"),
+        ({"chain": {"n": None}}, "chain.n"),
+        ({"chain": {"profile": [0.1, "x"]}}, "chain.profile"),
+        ({"workers": True}, "workers"),
+        ({"pair": [1]}, "pair"),
+        ({"tolerances": [1e-8]}, "tolerances"),
+        ({"output": "o.csv"}, "output"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, doc, path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg), "--n", "2", "--axis", "gt",
+                     "--fixed", "0.5", "--output", str(tmp_path / "o.csv")]) == 1
+        assert f"usage error: {path} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_flag_rejected(self, value, tmp_path, capsys):
+        # a nan bisect_tol skipped the bisection and emitted a grid-wide bracket
+        code = main(["find-ep", "--order", "2", "--n", "2", "--axis", "gt",
+                     "--fixed", "0.707106781", "--start", "0", "--stop", "0.4",
+                     "--points", "41", "--tol", f"bisect_tol={value}",
+                     "--output", str(tmp_path / "ep2.json")])
+        assert code == 1
+        assert "tolerances.bisect_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "true", "-1e-8"])
+    def test_bad_tolerance_in_config_rejected(self, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tolerances": {"bisect_tol": %s}}' % value)
+        assert main(["spectrum", "--config", str(cfg), "--jt", "0.5"]) == 1
+        assert "tolerances.bisect_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "find-ep"])
+    def test_format_only_on_commands_that_read_it(self, command, capsys):
+        # these commands write fixed formats, so --format would be ignored
+        assert main([command, "--n", "2", "--format", "csv"]) == 1
+        assert "--format" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_workers_do_not_change_bytes(self, tmp_path):
@@ -227,3 +332,15 @@ class TestDeterminism:
                          "--workers", workers, "--output", str(out)]) == 0
             outs.append((out.read_bytes(), (tmp_path / f"det{k}.json").read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestTracerContract:
+    def test_traced_names_are_module_globals(self):
+        # perfbench/spans.py replaces these names in each module; it runs in a
+        # child process so its patches cannot leak into other tests
+        code = ("import sys; sys.path[:0] = sys.argv[1:]; import spans; "
+                "spans.install(spans.Recorder())")
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"),
+                               str(ROOT / "perfbench")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
