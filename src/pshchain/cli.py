@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .biortho import AtExceptionalPoint, IndexIllDefined, spectrum_with_indices
+from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined,
+                      spectrum_with_indices)
 from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, EPRecord,
                      NoEP3InBox, NoEPInBracket, SweepGrid, classify_crossings,
                      find_ep2, find_ep3, find_ep3_candidates, locate_ep2_records,
@@ -34,8 +35,7 @@ from .numerics import NearDefective
 from .oracle import full_spectrum
 
 TOLERANCE_NAMES = frozenset({
-    "reality_tol", "indicator_floor", "bisect_tol", "ep3_gamma_tol", "overlap_min",
-    "ambiguous_gap",
+    "reality_tol", "indicator_floor", "bisect_tol", "ep3_gamma_tol", "ambiguous_gap",
 })
 #: Gain values of the default verification grid.
 DEFAULT_GAMMAS = (0.05, 0.21, 0.40125, 0.48375)
@@ -122,6 +122,12 @@ class RunConfig:
             raise UsageError(f"chain.n must be a positive even integer, got {self.n}")
         if not _is(self.workers, int) or self.workers < 1:
             raise UsageError(f"workers must be a positive integer, got {self.workers}")
+        for name in ("pair", "triple"):
+            levels = getattr(self, name)
+            if levels is not None and (len(set(levels)) < len(levels)
+                                       or not all(0 <= i < 1 << self.n for i in levels)):
+                raise UsageError(f"{name} must be distinct level indices in "
+                                 f"0..{(1 << self.n) - 1}, got {list(levels)}")
 
     def to_dict(self) -> dict:
         out: dict = {section: {} for section in _SECTIONS}
@@ -161,6 +167,11 @@ class RunConfig:
 
     def tol(self, name: str, default):
         return self.tolerances.get(name, default)
+
+    def solve_tols(self) -> dict:
+        """The solve tolerances, for every library call that takes them."""
+        return {"reality_tol": self.tol("reality_tol", None),
+                "indicator_floor": self.tol("indicator_floor", INDICATOR_FLOOR)}
 
 
 class _Key(typing.NamedTuple):
@@ -309,8 +320,7 @@ def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
 def _cmd_spectrum(cfg: RunConfig) -> int:
     spec = _chain_from_config(cfg)
     sp = spectrum_with_indices(build_hamiltonian(spec), build_parity(cfg.n),
-                               reality_tol=cfg.tol("reality_tol", None),
-                               indicator_floor=cfg.tol("indicator_floor", 1e-6))
+                               **cfg.solve_tols())
     _table_output(cfg, "levels", ("level_id", "re_eps", "im_eps", "z2_index", "ep_indicator"),
                   [(lv.label, lv.eigenvalue.real, lv.eigenvalue.imag, lv.z2_index or 0,
                     lv.ep_indicator) for lv in sp.levels])
@@ -330,13 +340,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for sweep")
     grid = _grid_from_config(cfg)
-    tracks = sweep(grid, workers=cfg.workers,
-                   reality_tol=cfg.tol("reality_tol", None),
-                   indicator_floor=cfg.tol("indicator_floor", 1e-6),
-                   overlap_min=cfg.tol("overlap_min", 0.5))
-    records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8),
-                                          reality_tol=cfg.tol("reality_tol", None),
-                                          indicator_floor=cfg.tol("indicator_floor", 1e-6))
+    kw = cfg.solve_tols()
+    tracks = sweep(grid, workers=cfg.workers, **kw)
+    records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8), **kw)
     emit_figure_data(tracks, records, cfg.output_path, skipped=skipped)
     violations = verify_selection_rule(records)
     if violations:
@@ -349,8 +355,11 @@ def _cmd_crossings(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, default_axis=AXIS_COUPLING, default_fixed=0.0)
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
         raise UsageError("crossings runs on the gain-free coupling axis only")
-    tracks = sweep(grid, workers=cfg.workers)
-    recs = classify_crossings(tracks, ambiguous_gap=cfg.tol("ambiguous_gap", 1e-6))
+    kw = cfg.solve_tols()
+    tracks = sweep(grid, workers=cfg.workers, **kw)
+    # the crossing refinement takes no indicator floor
+    recs = classify_crossings(tracks, ambiguous_gap=cfg.tol("ambiguous_gap", 1e-6),
+                              reality_tol=kw["reality_tol"])
     _table_output(cfg, "crossings", ("location", "level_a", "level_b", "index_a", "index_b",
                                      "kind", "gap"),
                   [(c.location, *c.levels, *c.indices, c.kind, c.gap) for c in recs])
@@ -361,29 +370,32 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for find-ep")
     order = cfg.order or 2
+    kw = cfg.solve_tols()
     if order == 2:
         grid = _grid_from_config(cfg, default_points=401)
-        tracks = sweep(grid, workers=cfg.workers,
-                       reality_tol=cfg.tol("reality_tol", None))
+        tracks = sweep(grid, workers=cfg.workers, **kw)
         if cfg.pair is not None:
             a, b = cfg.pair
             rec = find_ep2(tracks[a], tracks[b],
                            (grid.points[0], grid.points[-1]),
-                           tol=cfg.tol("bisect_tol", 1e-8))
+                           tol=cfg.tol("bisect_tol", 1e-8), **kw)
             records, skipped = [rec], []
         else:
-            records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8))
+            records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8),
+                                                  **kw)
     elif order == 3:
         j_box = (cfg.j_start, cfg.j_stop)
         g_box = (cfg.g_start, cfg.g_stop)
         if any(v is None for v in j_box + g_box):
             raise UsageError("grid.j_start/j_stop/g_start/g_stop are required for order 3")
+        if not 0.0 <= g_box[0] < g_box[1]:
+            raise UsageError("grid.g_start/g_stop must satisfy 0 <= g_start < g_stop")
         if cfg.triple is not None:
             candidates = [{"triple": cfg.triple, "j_bracket": j_box}]
         else:
             candidates = find_ep3_candidates(cfg.n, j_box, g_box,
                                              probes=cfg.points or 33,
-                                             workers=cfg.workers)
+                                             workers=cfg.workers, **kw)
             if not candidates:
                 raise NoEP3InBox(f"no candidates in {j_box} x {g_box}")
         records, skipped = [], []
@@ -391,7 +403,7 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
             try:
                 records.append(find_ep3(cfg.n, cand["j_bracket"], g_box, cand["triple"],
                                         j_tol=cfg.tol("bisect_tol", 1e-10),
-                                        g_tol=cfg.tol("ep3_gamma_tol", 1e-6)))
+                                        g_tol=cfg.tol("ep3_gamma_tol", 1e-6), **kw))
             except NoEP3InBox as exc:
                 skipped.append({"triple": list(cand["triple"]),
                                 "j_bracket": list(cand["j_bracket"]),
@@ -417,8 +429,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         j_start=cfg.start if cfg.start is not None else -1.0,
         j_stop=cfg.stop if cfg.stop is not None else 1.0,
         points=cfg.points if cfg.points is not None else 801,
-        workers=cfg.workers, tol=cfg.tol("bisect_tol", 1e-8),
-        reality_tol=cfg.tol("reality_tol", None))
+        workers=cfg.workers, tol=cfg.tol("bisect_tol", 1e-8), **cfg.solve_tols())
     obj = _records_json(result["records"], result["skipped"])
     obj["violations"] = result["violations"]
     obj["gamma_values"] = [float(g) for g in gammas]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -133,11 +134,9 @@ class SweepGrid:
         return NormalizedPoint(self.fixed_value, value)
 
     def solver(self, reality_tol=None, indicator_floor=INDICATOR_FLOOR):
-        def solve(value: float) -> BiorthoSpectrum:
-            return _solve_value(self.axis, self.fixed_value, self.n, value,
-                                reality_tol, indicator_floor)
-
-        return solve
+        """``value -> spectrum`` along this grid's axis (see :func:`_solve_value`)."""
+        return partial(_solve_value, self.axis, self.fixed_value, self.n,
+                       reality_tol=reality_tol, indicator_floor=indicator_floor)
 
     def index_of(self, value: float) -> int:
         pts = np.asarray(self.points)
@@ -208,15 +207,48 @@ def _match(ref_left: np.ndarray, right: np.ndarray):
     return cols, overlap[np.arange(ref_left.shape[1]), cols]
 
 
+def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
+    """Follow tracks through ``spectra``: yields (spectrum, track columns, overlaps).
+
+    Each point's tracks are matched against the left vectors of the previous
+    point, starting from spectrum ``sp`` with track columns ``cols``; without
+    ``sp`` the first point's columns are the tracks (overlaps 1).
+    """
+    for new in spectra:
+        if sp is None:
+            cols, overlaps = np.arange(new.dim), np.ones(new.dim)
+        else:
+            cols, overlaps = _match(sp.eigensystem.left[:, cols], new.eigensystem.right)
+        sp = new
+        yield new, cols, overlaps
+
+
+def _bisect(inside, p_in: float, p_out: float, tol: float, max_iter: int = 200):
+    """Shrink the bracket (p_in, p_out) onto the point where ``inside`` flips.
+
+    ``inside(p)`` probes a midpoint and says whether it lies on ``p_in``'s
+    side. Stops once the bracket is no wider than ``tol``, after ``max_iter``
+    probes, or when the midpoint rounds onto an end. Returns the final ends.
+    """
+    for _ in range(max_iter):
+        pm = 0.5 * (p_in + p_out)
+        if not abs(p_out - p_in) > tol or pm in (p_in, p_out):
+            break
+        if inside(pm):
+            p_in = pm
+        else:
+            p_out = pm
+    return p_in, p_out
+
+
 def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
-          indicator_floor: float = INDICATOR_FLOOR,
-          overlap_min: float = OVERLAP_MIN) -> list[LevelTrack]:
+          indicator_floor: float = INDICATOR_FLOOR) -> list[LevelTrack]:
     """Track all 2^N levels across the grid.
 
     Grid points are solved in fixed stacks, which are independent (and may
     run in ``workers`` processes); the overlap matching is a sequential
     reduction in grid order, so results are identical for any worker
-    count. Matched overlaps below ``overlap_min`` are recorded as track
+    count. Matched overlaps below ``OVERLAP_MIN`` are recorded as track
     breaks and the sweep continues with the assignment it found.
     """
     npts = len(grid.points)
@@ -227,7 +259,6 @@ def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
     partner = np.full((dim, npts), -1, dtype=np.int64)
     columns = np.zeros((dim, npts), dtype=np.int64)
     overlaps = np.ones((dim, npts))
-    breaks: list[list[int]] = [[] for _ in range(dim)]
 
     # one task per stack, so the stacks do not depend on the worker count
     size = _stack_size(grid.n)
@@ -235,29 +266,21 @@ def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
               indicator_floor) for i in range(0, npts, size)]
     chunks = _imap(_sweep_task, tasks, workers, max(1, len(tasks) // (4 * workers)))
     spectra = (sp for chunk in chunks for sp in chunk)
-    col_of_track = np.arange(dim)
-    prev_left = None
-    for p, sp in enumerate(spectra):
-        if sp.dim != dim:
-            raise ArithmeticError("grid point returned a spectrum of wrong dimension")
-        if p > 0:
-            col_of_track, matched = _match(prev_left, sp.eigensystem.right)
-            overlaps[:, p] = matched
-            for t in np.flatnonzero(matched < overlap_min):
-                breaks[int(t)].append(p)
+    for p, (sp, cols, matched) in enumerate(_follow(spectra)):
+        overlaps[:, p] = matched
         col_to_track = np.empty(dim, dtype=np.int64)
-        col_to_track[col_of_track] = np.arange(dim)
-        evals[:, p] = sp.eigenvalues[col_of_track]
-        z2[:, p] = sp.z2[col_of_track]
-        ind[:, p] = sp.indicator[col_of_track]
-        columns[:, p] = col_of_track
-        pc = sp.partner[col_of_track]
+        col_to_track[cols] = np.arange(dim)
+        evals[:, p] = sp.eigenvalues[cols]
+        z2[:, p] = sp.z2[cols]
+        ind[:, p] = sp.indicator[cols]
+        columns[:, p] = cols
+        pc = sp.partner[cols]
         partner[:, p] = np.where(pc >= 0, col_to_track[pc], -1)
-        prev_left = sp.eigensystem.left[:, col_of_track]
     return [
         LevelTrack(level_id=t, grid=grid, eigenvalues=evals[t], z2=z2[t],
                    indicator=ind[t], partner=partner[t], columns=columns[t],
-                   overlaps=overlaps[t], breaks=breaks[t])
+                   overlaps=overlaps[t],
+                   breaks=np.flatnonzero(overlaps[t] < OVERLAP_MIN).tolist())
         for t in range(dim)
     ]
 
@@ -324,29 +347,22 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
     :class:`NoEPInBracket` when the bracket shows no transition or the
     converged boundary is not a real-to-complex one.
     """
-    sp_r = solve(p_real)
-    state_r = _pair_state(sp_r, *pair)
+    state_r = _pair_state(solve(p_real), *pair)
     if state_r["mutual"]:
         raise NoEPInBracket("pair is already complex on the declared real side")
 
-    sp_c = solve(p_complex)
-    cols_c, _ = _match(state_r["left"], sp_c.eigensystem.right)
-    if not _pair_state(sp_c, *cols_c)["mutual"]:
-        raise NoEPInBracket("pair is not complex-conjugate on the complex side")
+    def real_side(p):
+        nonlocal state_r
+        sp = solve(p)
+        state = _pair_state(sp, *_match(state_r["left"], sp.eigensystem.right)[0])
+        if state["mutual"]:
+            return False
+        state_r = state
+        return True
 
-    pr, pc = float(p_real), float(p_complex)
-    it = 0
-    while abs(pc - pr) > tol and it < max_iter:
-        it += 1
-        pm = 0.5 * (pr + pc)
-        sp_m = solve(pm)
-        cols_m, _ = _match(state_r["left"], sp_m.eigensystem.right)
-        state_m = _pair_state(sp_m, *cols_m)
-        if state_m["mutual"]:
-            pc = pm
-        else:
-            pr = pm
-            state_r = state_m
+    if real_side(p_complex):
+        raise NoEPInBracket("pair is not complex-conjugate on the complex side")
+    pr, pc = _bisect(real_side, float(p_real), float(p_complex), tol, max_iter)
     if not state_r["both_real"]:
         raise NoEPInBracket(
             "pairing changes without a reality boundary (partner exchange)"
@@ -418,15 +434,10 @@ def reality_transitions(tracks: list[LevelTrack]):
     ``complex_side`` in {"lo", "hi"}.
     """
     npts = len(tracks[0].grid.points)
-    pairs_at = []
-    for p in range(npts):
-        pairs = set()
-        for tr in tracks:
-            q = tr.partner[p]
-            if q >= 0 and q > tr.level_id:
-                if tracks[q].partner[p] == tr.level_id:
-                    pairs.add((tr.level_id, int(q)))
-        pairs_at.append(pairs)
+    partner = [tr.partner.tolist() for tr in tracks]
+    pairs_at = [{(tr.level_id, q[p]) for tr, q in zip(tracks, partner)
+                 if q[p] > tr.level_id and partner[q[p]][p] == tr.level_id}
+                for p in range(npts)]
     events = []
     for p in range(npts - 1):
         for a, b in sorted(pairs_at[p] - pairs_at[p + 1]):
@@ -475,24 +486,24 @@ class CrossingRecord:
 
 def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
                      tol: float) -> tuple[float, float]:
-    sp = solve(p_lo)
-    state = _pair_state(sp, *pair)
-    ref = state["left"]
-    lo, hi = p_lo, p_hi
+    """Bisect the sign change of the tracked gap d; returns (location, |d| at the last probe)."""
+    ref = solve(p_lo).eigensystem.left[:, list(pair)]
     sign_lo = math.copysign(1.0, d_lo)
-    val = None
-    while hi - lo > tol:
-        pm = 0.5 * (lo + hi)
-        sp_m = solve(pm)
-        cols, _ = _match(ref, sp_m.eigensystem.right)
-        d = float((sp_m.eigenvalues[cols[0]] - sp_m.eigenvalues[cols[1]]).real)
-        val = abs(d)
-        if math.copysign(1.0, d) == sign_lo:
-            lo = pm
-            ref = _pair_state(sp_m, *cols)["left"]
-        else:
-            hi = pm
-    return 0.5 * (lo + hi), (val if val is not None else abs(d_lo))
+    gap = abs(d_lo)
+
+    def low_side(p):
+        nonlocal ref, gap
+        sp = solve(p)
+        cols, _ = _match(ref, sp.eigensystem.right)
+        d = float((sp.eigenvalues[cols[0]] - sp.eigenvalues[cols[1]]).real)
+        gap = abs(d)
+        if math.copysign(1.0, d) != sign_lo:
+            return False
+        ref = sp.eigensystem.left[:, cols]
+        return True
+
+    lo, hi = _bisect(low_side, p_lo, p_hi, tol)
+    return 0.5 * (lo + hi), gap
 
 
 def classify_crossings(tracks: list[LevelTrack], ambiguous_gap: float = 1e-6,
@@ -599,9 +610,6 @@ class TriplePairing:
     """
 
     kind: str
-    pair_real: float | None = None
-    spectator_real: float | None = None
-    spectator_z2: int | None = None
 
 
 def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
@@ -618,23 +626,8 @@ def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
     if mutual is None:
         return TriplePairing("none")
     spect = cols[({0, 1, 2} - set(mutual)).pop()]
-    pair_real = float(sp.eigenvalues[cols[mutual[0]]].real)
-    spect_real = float(sp.eigenvalues[spect].real)
-    kind = "low-mid" if spect_real > pair_real else "mid-up"
-    return TriplePairing(kind, pair_real=pair_real, spectator_real=spect_real,
-                         spectator_z2=int(sp.z2[spect]) or None)
-
-
-def _march_state(n: int, j_value: float, gammas, reality_tol, indicator_floor):
-    """Generator of (gamma, spectrum, col_of_track) along a gain ladder."""
-    cols = np.arange(1 << n)
-    left = None
-    for g, sp in zip(gammas, _solve_values(AXIS_GAIN, j_value, n, gammas, reality_tol,
-                                           indicator_floor)):
-        if left is not None:
-            cols, _ = _match(left[:, cols], sp.eigensystem.right)
-        left = sp.eigensystem.left
-        yield float(g), sp, cols
+    pair_below = sp.eigenvalues[cols[mutual[0]]].real < sp.eigenvalues[spect].real
+    return TriplePairing("low-mid" if pair_below else "mid-up")
 
 
 def _march_probe(n: int, j_value: float, gamma: float, reality_tol, indicator_floor,
@@ -642,8 +635,8 @@ def _march_probe(n: int, j_value: float, gamma: float, reality_tol, indicator_fl
     """Spectrum and track columns at (j, gamma), identified by a gain march."""
     steps = max(4, int(math.ceil(gamma / rung)))
     ladder = np.linspace(0.0, gamma, steps + 1)
-    sp = cols = None
-    for _, sp, cols in _march_state(n, j_value, ladder, reality_tol, indicator_floor):
+    for sp, cols, _ in _follow(_solve_values(AXIS_GAIN, j_value, n, ladder, reality_tol,
+                                             indicator_floor)):
         pass
     return sp, cols
 
@@ -667,29 +660,28 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
                              tol: float, max_iter: int = 200):
     """Bisect the parameter where a tracked triple stops being all-real.
 
-    Returns (boundary, outside_pairing); matching follows the real side so
-    label bookkeeping survives the approach to the boundary.
+    Returns the boundary and the :class:`TriplePairing` kind just outside it;
+    matching follows the real side so label bookkeeping survives the approach
+    to the boundary.
     """
     ref = solve(p_real).eigensystem.left[:, tri_cols_real]
-    pr, pc = float(p_real), float(p_cplx)
     outside = None
-    it = 0
-    while abs(pc - pr) > tol and it < max_iter:
-        it += 1
-        pm = 0.5 * (pr + pc)
-        sp_m = solve(pm)
-        cols_m, _ = _match(ref, sp_m.eigensystem.right)
-        if _all_real(sp_m, cols_m):
-            pr = pm
-            ref = sp_m.eigensystem.left[:, cols_m]
-        else:
-            pc = pm
-            outside = _classify_triple(sp_m, cols_m)
+
+    def real_side(p):
+        nonlocal ref, outside
+        sp = solve(p)
+        cols, _ = _match(ref, sp.eigensystem.right)
+        if _all_real(sp, cols):
+            ref = sp.eigensystem.left[:, cols]
+            return True
+        outside = _classify_triple(sp, cols)
+        return False
+
+    pr, pc = _bisect(real_side, float(p_real), float(p_cplx), tol, max_iter)
     if outside is None:
         sp_c = solve(pc)
-        cols_c, _ = _match(ref, sp_c.eigensystem.right)
-        outside = _classify_triple(sp_c, cols_c)
-    return 0.5 * (pr + pc), outside
+        outside = _classify_triple(sp_c, _match(ref, sp_c.eigensystem.right)[0])
+    return 0.5 * (pr + pc), outside.kind
 
 
 @dataclass(frozen=True)
@@ -707,19 +699,17 @@ def _find_wedge(n: int, gamma: float, window, triple, samples: int,
     j_vals = np.linspace(window[0], window[1], samples)
     anchor = 0.5 * (window[0] + window[1])
     sp_a, cols_a = _march_probe(n, anchor, gamma, reality_tol, indicator_floor)
-    solve = lambda j: _solve_value(AXIS_COUPLING, gamma, n, j, reality_tol,
-                                   indicator_floor)
+    solve = partial(_solve_value, AXIS_COUPLING, gamma, n,
+                    reality_tol=reality_tol, indicator_floor=indicator_floor)
 
     tri = list(triple)
     states: dict[int, tuple] = {}
     right_part = sorted(i for i in range(samples) if j_vals[i] >= anchor)
     left_part = sorted((i for i in range(samples) if j_vals[i] < anchor), reverse=True)
     for part in (right_part, left_part):
-        sp, cols = sp_a, cols_a
-        for i, sp_new in zip(part, _solve_values(AXIS_COUPLING, gamma, n, j_vals[part],
-                                                 reality_tol, indicator_floor)):
-            cols, _ = _match(sp.eigensystem.left[:, cols], sp_new.eigensystem.right)
-            sp = sp_new
+        spectra = _solve_values(AXIS_COUPLING, gamma, n, j_vals[part], reality_tol,
+                                indicator_floor)
+        for i, (sp, cols, _) in zip(part, _follow(spectra, sp_a, cols_a)):
             tri_cols = cols[tri]
             states[i] = (_all_real(sp, tri_cols), tri_cols,
                          sp.eigenvalues[tri_cols].real, sp.z2[tri_cols])
@@ -738,8 +728,7 @@ def _find_wedge(n: int, gamma: float, window, triple, samples: int,
             start = None
     if start is not None:
         runs.append((start, samples - 1))
-    run = max(runs, key=lambda r: r[1] - r[0])
-    lo, hi = run
+    lo, hi = max(runs, key=lambda r: r[1] - r[0])
 
     anchor_idx = (lo + hi) // 2
     # march labels can swap inside complex bubbles; the physical roles
@@ -748,15 +737,13 @@ def _find_wedge(n: int, gamma: float, window, triple, samples: int,
     indices = tuple(int(i) for i in z2[np.argsort(energies, kind="stable")])
 
     if lo > 0:
-        j_left, out_left = _triple_reality_boundary(
+        j_left, kind_left = _triple_reality_boundary(
             solve, float(j_vals[lo]), float(j_vals[lo - 1]), states[lo][1], j_tol)
-        kind_left = out_left.kind
     else:
         j_left, kind_left = float(j_vals[lo]), "edge"
     if hi < samples - 1:
-        j_right, out_right = _triple_reality_boundary(
+        j_right, kind_right = _triple_reality_boundary(
             solve, float(j_vals[hi]), float(j_vals[hi + 1]), states[hi][1], j_tol)
-        kind_right = out_right.kind
     else:
         j_right, kind_right = float(j_vals[hi]), "edge"
     return _Wedge(gamma=gamma, j_lo=j_left, j_hi=j_right, indices=indices,
@@ -789,27 +776,26 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
         raise NoEP3InBox(
             f"triple {triple} has no all-real interval at gamma={g_lo:.6g} in {window}")
 
-    def next_window(w: _Wedge, dgamma: float):
-        width = max(w.j_hi - w.j_lo, 10 * j_tol)
-        margin = max(2.0 * width, 2.0 * dgamma, 1e-4)
-        return (max(-1.0, w.j_lo - margin), min(1.0, w.j_hi + margin))
+    def probe(g: float) -> _Wedge | None:
+        # the window re-centers on the last seen interval, widened by the gain step
+        width = max(wedge.j_hi - wedge.j_lo, 10 * j_tol)
+        margin = max(2.0 * width, 2.0 * (g - wedge.gamma), 1e-4)
+        window = (max(-1.0, wedge.j_lo - margin), min(1.0, wedge.j_hi + margin))
+        return _find_wedge(n, g, window, triple, samples, j_tol, reality_tol,
+                           indicator_floor)
 
-    top = _find_wedge(n, g_hi, next_window(wedge, g_hi - g_lo), triple, samples,
-                      j_tol, reality_tol, indicator_floor)
-    if top is not None:
+    if probe(g_hi) is not None:
         raise NoEP3InBox(
             f"the all-real interval persists at gamma={g_hi:.6g}; "
             "the boundaries collide above the box")
 
-    g_exist, g_gone = g_lo, g_hi
-    while g_gone - g_exist > g_tol:
-        gm = 0.5 * (g_exist + g_gone)
-        probe = _find_wedge(n, gm, next_window(wedge, gm - g_exist), triple,
-                            samples, j_tol, reality_tol, indicator_floor)
-        if probe is None:
-            g_gone = gm
-        else:
-            g_exist, wedge = gm, probe
+    def exists(g: float) -> bool:
+        nonlocal wedge
+        found = probe(g)
+        wedge = found or wedge
+        return found is not None
+
+    g_exist, g_gone = _bisect(exists, g_lo, g_hi, g_tol)
 
     kinds = set(wedge.edge_kinds)
     if kinds != {"low-mid", "mid-up"}:
@@ -831,21 +817,14 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
 def _candidate_probe(args) -> dict:
     """First merge partner and gain for every level at one coupling value."""
     n, j_value, g_hi, g_steps, reality_tol, indicator_floor = args
-    dim = 1 << n
-    ladder = np.linspace(0.0, g_hi, g_steps + 1)
+    grid = SweepGrid(AXIS_GAIN, j_value, tuple(np.linspace(0.0, g_hi, g_steps + 1)), n)
+    tracks = sweep(grid, reality_tol=reality_tol, indicator_floor=indicator_floor)
     first: dict[int, tuple[float, int]] = {}
-    prev_pairs: set[tuple] = set()
-    prev_g = 0.0
-    for g, sp, cols in _march_state(n, j_value, ladder, reality_tol, indicator_floor):
-        ct = np.empty(dim, dtype=np.int64)
-        ct[cols] = np.arange(dim)
-        lower = np.flatnonzero(sp.partner > np.arange(dim))
-        pairs = {tuple(sorted((int(ct[c]), int(ct[sp.partner[c]])))) for c in lower}
-        for a, b in pairs - prev_pairs:
-            gmid = 0.5 * (prev_g + g)
+    for a, b, p, side in reality_transitions(tracks):
+        if side == "hi":
+            gmid = 0.5 * (grid.points[p] + grid.points[p + 1])
             first.setdefault(a, (gmid, b))
             first.setdefault(b, (gmid, a))
-        prev_pairs, prev_g = pairs, g
     return first
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pshchain import build_hamiltonian, build_parity, full_spectrum, spectrum_with_indices
+from pshchain import (build_hamiltonian, build_parity, cli, epscan, full_spectrum,
+                      spectrum_with_indices)
+from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import (RunConfig, UsageError, _config_from_args, build_parser,
                           load_ep_records, main)
 from pshchain.model import NormalizedPoint
@@ -259,7 +261,8 @@ class TestExitCodes:
     def test_unknown_tolerance_flag(self):
         assert main(["spectrum", "--n", "4", "--jt", "0.5", "--tol", "nope=1"]) == 1
 
-    @pytest.mark.parametrize("name", ["eig_tol", "element_floor", "defect_threshold"])
+    @pytest.mark.parametrize("name", ["eig_tol", "element_floor", "defect_threshold",
+                                      "overlap_min"])
     def test_unread_tolerance_names_rejected(self, name, capsys):
         # no command reads these, so accepting them would silently ignore them
         assert main(["spectrum", "--n", "4", "--jt", "0.5", "--tol", f"{name}=1e4"]) == 1
@@ -298,6 +301,34 @@ class TestExitCodes:
                      "--fixed", "0.5", "--output", str(tmp_path / "o.csv")]) == 1
         assert f"usage error: {path} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, path", [
+        (["--n", "2", "--pair", "2", "9"], "pair"),
+        (["--n", "2", "--pair", "-1", "2"], "pair"),
+        (["--n", "2", "--pair", "3", "3"], "pair"),
+        (["--n", "4", "--triple", "3", "4", "99"], "triple"),
+        (["--n", "4", "--triple", "3", "4", "-2"], "triple"),
+        (["--n", "4", "--triple", "3", "7", "3"], "triple"),
+    ])
+    def test_level_indices_out_of_range_rejected(self, argv, path, tmp_path, capsys):
+        # indices run 0..2^N-1; negative ones used to wrap to the top levels
+        assert main(["find-ep", *argv, "--output", str(tmp_path / "ep.json")]) == 1
+        assert f"usage error: {path} must be distinct level indices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g_box", [("0.45", "0.35"), ("0", "0"), ("-0.1", "0.45")])
+    def test_order_three_gain_box_checked(self, g_box, tmp_path, capsys):
+        # the candidate scan marches the gain from 0 up to g_stop
+        assert main(["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.78",
+                     "--j-stop", "-0.75", "--g-start", g_box[0], "--g-stop", g_box[1],
+                     "--output", str(tmp_path / "ep3.json")]) == 1
+        assert "usage error: grid.g_start/g_stop must satisfy" in capsys.readouterr().err
+
+    def test_level_indices_checked_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chain": {"n": 2}, "pair": [0, 4]}))
+        assert main(["find-ep", "--config", str(cfg), "--output", str(tmp_path / "e.json")]) == 1
+        assert "usage error: pair must be distinct level indices in 0..3" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_flag_rejected(self, value, tmp_path, capsys):
         # a nan bisect_tol skipped the bisection and emitted a grid-wide bracket
@@ -320,6 +351,48 @@ class TestExitCodes:
         # these commands write fixed formats, so --format would be ignored
         assert main([command, "--n", "2", "--format", "csv"]) == 1
         assert "--format" in capsys.readouterr().err
+
+
+N2_GAIN_LINE = ["--n", "2", "--axis", "gt", "--fixed", "0.707106781", "--start", "0",
+                "--stop", "0.4", "--points", "41"]
+
+
+class TestSolveTolerances:
+    # (argv, whether every solve also takes the indicator floor: the crossing
+    # refinement of classify_crossings takes none)
+    @pytest.mark.parametrize("argv, floor", [
+        (["spectrum", "--n", "4", "--jt", "0.5", "--gt", "0.21"], True),
+        (["sweep", *N2_GAIN_LINE], True),
+        (["verify", "--n", "4", "--points", "41", "--gammas", "0.21"], True),
+        (["crossings", "--n", "4", "--points", "101"], False),
+        (["find-ep", "--order", "2", *N2_GAIN_LINE], True),
+        (["find-ep", "--order", "2", *N2_GAIN_LINE, "--pair", "2", "3"], True),
+        (["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.9", "--j-stop", "-0.6",
+          "--g-start", "0.35", "--g-stop", "0.45", "--points", "5",
+          "--tol", "ep3_gamma_tol=1e-3"], True),
+    ])
+    def test_every_solve_gets_the_command_tolerances(self, argv, floor, tmp_path,
+                                                     monkeypatch):
+        seen = []
+
+        def recording(original):
+            def solve(h, zeta, **kw):
+                seen.append((kw.get("reality_tol"), kw.get("indicator_floor")))
+                return original(h, zeta, **kw)
+            return solve
+
+        for module, name in ((epscan, "spectra_with_indices"),
+                             (epscan, "spectrum_with_indices"),
+                             (cli, "spectrum_with_indices")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        out = tmp_path / ("out.csv" if argv[0] in ("sweep", "spectrum", "crossings")
+                          else "out.json")
+        code = main([*argv, "--tol", "reality_tol=2e-8", "--tol", "indicator_floor=2e-6",
+                     "--output", str(out)])
+        assert code == 0
+        assert seen and {r for r, _ in seen} == {2e-8}
+        floors = {f for _, f in seen}
+        assert floors == ({2e-6} if floor else {2e-6, INDICATOR_FLOOR})
 
 
 class TestDeterminism:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pshchain import epscan
 from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
@@ -10,6 +17,10 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       locate_ep2_records, locate_reality_boundary, predict_gamma_cr,
                       project_two_level, solve_modes, spectrum_with_indices, sweep,
                       triple_pairing, verify_selection_rule)
+from pshchain.cli import load_ep_records
+from pshchain.epscan import _bisect
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -34,6 +45,35 @@ def coupling_grid(n, gamma_tilde, points=401, start=-1.0, stop=1.0):
                      points=tuple(np.linspace(start, stop, points)), n=n)
 
 
+class TestBisect:
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3), hi=st.floats(-1e3, 1e3), frac=st.floats(0.0, 1.0),
+           tol=st.sampled_from([0.0, 1e-12, 1e-3]), max_iter=st.integers(1, 200),
+           upper_inside=st.booleans())
+    def test_brackets_the_switch(self, lo, hi, frac, tol, max_iter, upper_inside):
+        t = lo + frac * (hi - lo)
+        assume(lo < t <= hi)
+        probes = []
+
+        def inside(p):
+            probes.append(p)
+            return p >= t if upper_inside else p < t
+
+        p_in, p_out = (hi, lo) if upper_inside else (lo, hi)
+        p_in, p_out = _bisect(inside, p_in, p_out, tol, max_iter)
+        a, b = sorted((p_in, p_out))
+        assert a < t <= b
+        assert len(probes) <= max_iter
+        # every probe is a new point strictly inside the bracket
+        assert all(lo < p < hi for p in probes) and len(set(probes)) == len(probes)
+        if len(probes) < max_iter:
+            assert b - a <= tol or np.nextafter(a, b) == b
+
+    def test_zero_tolerance_ends_at_adjacent_floats(self):
+        lo, hi = _bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0)
+        assert lo < 0.3 <= hi and np.nextafter(lo, hi) == hi
+
+
 class TestRealityBoundary:
     def test_two_level_critical_gain(self):
         res = locate_reality_boundary(toy_solver(0.2, 1.0), 0.05, 0.2, (0, 1),
@@ -51,6 +91,21 @@ class TestRealityBoundary:
 
         with pytest.raises(NoEPInBracket):
             locate_reality_boundary(solve, 0.05, 0.4, (0, 1), tol=1e-10)
+
+    def test_zero_tolerance_ends(self):
+        # with tol=0 the probes close in on the exceptional point itself; the
+        # last one lands on it (p = 0.1), where the eigenbasis is defective
+        probes = []
+        solve = toy_solver(0.2, 1.0)
+
+        def counted(p):
+            probes.append(p)
+            return solve(p)
+
+        with pytest.raises(AtExceptionalPoint):
+            locate_reality_boundary(counted, 0.05, 0.2, (0, 1), tol=0)
+        assert probes[-1] == 0.1
+        assert len(probes) < 200
 
     def test_wrong_orientation_detected(self):
         with pytest.raises(NoEPInBracket):
@@ -371,6 +426,20 @@ class TestFindEp3:
     def test_empty_box_raises(self):
         with pytest.raises(NoEP3InBox):
             find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7), samples=31)
+
+    def test_zero_gain_tolerance_ends(self, tmp_path):
+        # the gain bisection stops once its midpoint rounds onto an end
+        out = tmp_path / "ep3.json"
+        argv = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.78",
+                "--j-stop", "-0.75", "--g-start", "0.35", "--g-stop", "0.45",
+                "--triple", "3", "4", "7", "--tol", "ep3_gamma_tol=0", "--output", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "pshchain.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = load_ep_records(out)
+        g = rec.location[AXIS_GAIN]
+        assert 0 < rec.bracket_width <= 2 * np.spacing(g)
 
     def test_candidates_scan_finds_the_triple(self):
         cands = find_ep3_candidates(4, (-0.9, -0.6), (0.35, 0.45), probes=11,
