@@ -27,9 +27,8 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from .numerics import (CLUSTER_SCALE, DEFAULT_TOL, DEFECT_THRESHOLD, EigenStack,
-                       EigenSystem, NearDefective, as_complex_matrix, as_complex_stack,
-                       eig_general, eig_stack)
+from .numerics import (CLUSTER_SCALE, EigenStack, EigenSystem, NearDefective,
+                       as_complex_matrix, as_complex_stack, eig_general, eig_stack)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -301,7 +300,7 @@ def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
     residual = np.max(np.abs(overlap), axis=(1, 2))
     for i, b in enumerate(good):
         if out[b] is None:
-            es = EigenSystem(eigenvalues=values[i], right=right[i], left=left[i], tol=st.tol,
+            es = EigenSystem(eigenvalues=values[i], right=right[i], left=left[i],
                              scale=float(scale[i]), cond_right=float(cond[i]),
                              biortho_residual=float(residual[i]))
             out[b] = BiorthoSpectrum(eigensystem=es, z2=z2[i], indicator=indicator[i],
@@ -315,9 +314,7 @@ def _check_shapes(a: np.ndarray, z: np.ndarray) -> None:
 
 
 def spectra_with_indices(hs, zeta, reality_tol: float | None = None,
-                         indicator_floor: float = INDICATOR_FLOOR,
-                         tol: float = DEFAULT_TOL,
-                         defect_threshold: float = DEFECT_THRESHOLD) -> list:
+                         indicator_floor: float = INDICATOR_FLOOR) -> list:
     """:func:`spectrum_with_indices` of every matrix in the stack ``hs``.
 
     One eigensolve and one vectorized rescaling serve the whole stack. Entry
@@ -329,14 +326,11 @@ def spectra_with_indices(hs, zeta, reality_tol: float | None = None,
     a = as_complex_stack(hs)
     z = as_complex_matrix(zeta)
     _check_shapes(a, z)
-    st = eig_stack(a, tol=tol, defect_threshold=defect_threshold)
-    return _index_stack(a, z, st, reality_tol, indicator_floor)
+    return _index_stack(a, z, eig_stack(a), reality_tol, indicator_floor)
 
 
 def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
-                          indicator_floor: float = INDICATOR_FLOOR,
-                          tol: float = DEFAULT_TOL,
-                          defect_threshold: float = DEFECT_THRESHOLD) -> BiorthoSpectrum:
+                          indicator_floor: float = INDICATOR_FLOOR) -> BiorthoSpectrum:
     """Biorthogonal spectrum of ``h`` with per-level Z2 indices.
 
     Real levels get the zeta-rescaled left vectors |L> = s * zeta |R> and the
@@ -352,7 +346,7 @@ def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
     z = as_complex_matrix(zeta)
     _check_shapes(a, z)
     try:
-        es = eig_general(a, tol=tol, defect_threshold=defect_threshold)
+        es = eig_general(a)
     except NearDefective as exc:
         raise AtExceptionalPoint(exc.cond) from exc
     sp = _index_stack(a[None], z, EigenStack.of(es), reality_tol, indicator_floor)[0]

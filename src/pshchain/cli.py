@@ -291,8 +291,25 @@ def _chain_from_config(cfg: RunConfig) -> ChainSpec:
     return NormalizedPoint(cfg.j_tilde, gt).chain(cfg.n)
 
 
+def _points(cfg: RunConfig, default: int) -> int:
+    points = cfg.points if cfg.points is not None else default
+    if points < 2:
+        raise UsageError("grid.points must be at least 2")
+    return points
+
+
+def _span(cfg: RunConfig, default_points: int = 801):
+    """The swept span's start, stop and point count, by default -1..1."""
+    start = cfg.start if cfg.start is not None else -1.0
+    stop = cfg.stop if cfg.stop is not None else 1.0
+    points = _points(cfg, default_points)
+    if not stop > start:
+        raise UsageError("grid.stop must exceed grid.start")
+    return start, stop, points
+
+
 def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
-                      default_span=(-1.0, 1.0), default_points=801) -> SweepGrid:
+                      default_points=801) -> SweepGrid:
     axis = cfg.axis or default_axis
     if axis in ("jt", "j"):
         axis = AXIS_COUPLING
@@ -303,16 +320,11 @@ def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
     fixed = cfg.fixed_value if cfg.fixed_value is not None else default_fixed
     if fixed is None:
         raise UsageError("grid.fixed_value is required for this command")
-    start = cfg.start if cfg.start is not None else default_span[0]
-    stop = cfg.stop if cfg.stop is not None else default_span[1]
-    points = cfg.points if cfg.points is not None else default_points
-    if points < 2:
-        raise UsageError("grid.points must be at least 2")
-    if not stop > start:
-        raise UsageError("grid.stop must exceed grid.start")
+    start, stop, points = _span(cfg, default_points)
     try:
         return SweepGrid(axis=axis, fixed_value=float(fixed),
-                         points=tuple(np.linspace(start, stop, points)), n=cfg.n)
+                         points=tuple(np.linspace(start, stop, points)), n=cfg.n,
+                         **cfg.solve_tols())
     except ValueError as exc:
         raise UsageError(f"grid: {exc}") from exc
 
@@ -339,10 +351,8 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for sweep")
-    grid = _grid_from_config(cfg)
-    kw = cfg.solve_tols()
-    tracks = sweep(grid, workers=cfg.workers, **kw)
-    records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8), **kw)
+    tracks = sweep(_grid_from_config(cfg), workers=cfg.workers)
+    records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8))
     emit_figure_data(tracks, records, cfg.output_path, skipped=skipped)
     violations = verify_selection_rule(records)
     if violations:
@@ -355,11 +365,8 @@ def _cmd_crossings(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, default_axis=AXIS_COUPLING, default_fixed=0.0)
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
         raise UsageError("crossings runs on the gain-free coupling axis only")
-    kw = cfg.solve_tols()
-    tracks = sweep(grid, workers=cfg.workers, **kw)
-    # the crossing refinement takes no indicator floor
-    recs = classify_crossings(tracks, ambiguous_gap=cfg.tol("ambiguous_gap", 1e-6),
-                              reality_tol=kw["reality_tol"])
+    recs = classify_crossings(sweep(grid, workers=cfg.workers),
+                              ambiguous_gap=cfg.tol("ambiguous_gap", 1e-6))
     _table_output(cfg, "crossings", ("location", "level_a", "level_b", "index_a", "index_b",
                                      "kind", "gap"),
                   [(c.location, *c.levels, *c.indices, c.kind, c.gap) for c in recs])
@@ -370,31 +377,31 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for find-ep")
     order = cfg.order or 2
-    kw = cfg.solve_tols()
     if order == 2:
         grid = _grid_from_config(cfg, default_points=401)
-        tracks = sweep(grid, workers=cfg.workers, **kw)
+        tracks = sweep(grid, workers=cfg.workers)
         if cfg.pair is not None:
             a, b = cfg.pair
-            rec = find_ep2(tracks[a], tracks[b],
-                           (grid.points[0], grid.points[-1]),
-                           tol=cfg.tol("bisect_tol", 1e-8), **kw)
+            rec = find_ep2(tracks[a], tracks[b], (grid.points[0], grid.points[-1]),
+                           tol=cfg.tol("bisect_tol", 1e-8))
             records, skipped = [rec], []
         else:
-            records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8),
-                                                  **kw)
+            records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8))
     elif order == 3:
         j_box = (cfg.j_start, cfg.j_stop)
         g_box = (cfg.g_start, cfg.g_stop)
         if any(v is None for v in j_box + g_box):
             raise UsageError("grid.j_start/j_stop/g_start/g_stop are required for order 3")
+        if not -1.0 <= j_box[0] < j_box[1] <= 1.0:
+            raise UsageError("grid.j_start/j_stop must satisfy -1 <= j_start < j_stop <= 1")
         if not 0.0 <= g_box[0] < g_box[1]:
             raise UsageError("grid.g_start/g_stop must satisfy 0 <= g_start < g_stop")
+        probes = _points(cfg, 33)
+        kw = cfg.solve_tols()
         if cfg.triple is not None:
             candidates = [{"triple": cfg.triple, "j_bracket": j_box}]
         else:
-            candidates = find_ep3_candidates(cfg.n, j_box, g_box,
-                                             probes=cfg.points or 33,
+            candidates = find_ep3_candidates(cfg.n, j_box, g_box, probes=probes,
                                              workers=cfg.workers, **kw)
             if not candidates:
                 raise NoEP3InBox(f"no candidates in {j_box} x {g_box}")
@@ -424,12 +431,10 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     gammas = cfg.gamma_values if cfg.gamma_values is not None else DEFAULT_GAMMAS
-    result = selection_rule_scan(
-        cfg.n, gammas,
-        j_start=cfg.start if cfg.start is not None else -1.0,
-        j_stop=cfg.stop if cfg.stop is not None else 1.0,
-        points=cfg.points if cfg.points is not None else 801,
-        workers=cfg.workers, tol=cfg.tol("bisect_tol", 1e-8), **cfg.solve_tols())
+    j_start, j_stop, points = _span(cfg)
+    result = selection_rule_scan(cfg.n, gammas, j_start=j_start, j_stop=j_stop, points=points,
+                                 workers=cfg.workers, tol=cfg.tol("bisect_tol", 1e-8),
+                                 **cfg.solve_tols())
     obj = _records_json(result["records"], result["skipped"])
     obj["violations"] = result["violations"]
     obj["gamma_values"] = [float(g) for g in gammas]

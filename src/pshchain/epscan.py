@@ -20,6 +20,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -38,6 +39,10 @@ _AXES = (AXIS_COUPLING, AXIS_GAIN)
 BISECT_TOL = 1e-8
 #: Matched overlap below which a track break is recorded.
 OVERLAP_MIN = 0.5
+#: Bisection tolerance of the crossing refinement in ``classify_crossings``.
+CROSSING_TOL = 1e-12
+#: Gain step of the ladder that identifies levels at a point of an EP3 search.
+GAIN_RUNG = 0.005
 #: Matrix elements per stacked solve (64 points at N=4, 4 at N=6, 1 from N=7):
 #: keeps memory flat while small matrices share one eigensolve call.
 _STACK_ELEMENTS = 1 << 14
@@ -62,10 +67,20 @@ class AccidentallyZeroElement(RuntimeError):
         )
 
 
-def _chain(axis: str, fixed_value: float, n: int, value: float) -> ChainSpec:
-    if axis == AXIS_COUPLING:
-        return NormalizedPoint(min(1.0, max(-1.0, value)), fixed_value).chain(n)
-    return NormalizedPoint(fixed_value, max(0.0, value)).chain(n)
+class _Line(NamedTuple):
+    """A line to solve on, with its tolerances: a :class:`SweepGrid` without points."""
+
+    axis: str
+    fixed_value: float
+    n: int
+    reality_tol: float | None
+    indicator_floor: float
+
+
+def _chain(line, value: float) -> ChainSpec:
+    if line.axis == AXIS_COUPLING:
+        return NormalizedPoint(min(1.0, max(-1.0, value)), line.fixed_value).chain(line.n)
+    return NormalizedPoint(line.fixed_value, max(0.0, value)).chain(line.n)
 
 
 def _stack_size(n: int) -> int:
@@ -73,53 +88,65 @@ def _stack_size(n: int) -> int:
     return max(1, _STACK_ELEMENTS >> (2 * n))
 
 
-def _solve_value(axis: str, fixed_value: float, n: int, value: float,
-                 reality_tol, indicator_floor: float) -> BiorthoSpectrum:
-    """Spectrum at one normalized point; nudges off exact exceptional points."""
-    zeta = build_parity(n)
+def _solve_value(line, value: float) -> BiorthoSpectrum:
+    """Spectrum at ``value`` on ``line`` (a :class:`SweepGrid` or :class:`_Line`),
+    with the line's tolerances; nudges off exact exceptional points."""
+    zeta = build_parity(line.n)
     last: Exception | None = None
     for dv in (0.0, 1e-11, -1e-11, 1e-10):
         try:
-            h = build_hamiltonian(_chain(axis, fixed_value, n, value + dv))
-            return spectrum_with_indices(h, zeta, reality_tol=reality_tol,
-                                         indicator_floor=indicator_floor)
+            h = build_hamiltonian(_chain(line, value + dv))
+            return spectrum_with_indices(h, zeta, reality_tol=line.reality_tol,
+                                         indicator_floor=line.indicator_floor)
         except AtExceptionalPoint as exc:
             last = exc
     raise last  # pragma: no cover - needs an exact EP hit on the grid
 
 
-def _solve_values(axis: str, fixed_value: float, n: int, values,
-                  reality_tol, indicator_floor: float):
-    """Spectra at ``values`` in order, lazily, solved in stacks of ``_stack_size(n)``.
+def _solve_values(line, values):
+    """Spectra at ``values`` on ``line`` in order, lazily, in stacks of ``_stack_size``.
 
     Each spectrum is the one :func:`_solve_value` gives for its point: a
     point whose stacked solve fails is solved again alone, with the nudges.
     """
-    zeta = build_parity(n)
-    size = _stack_size(n)
+    zeta = build_parity(line.n)
+    size = _stack_size(line.n)
     for start in range(0, len(values), size):
         chunk = [float(v) for v in values[start:start + size]]
-        hs = np.stack([build_hamiltonian(_chain(axis, fixed_value, n, v)) for v in chunk])
-        spectra = spectra_with_indices(hs, zeta, reality_tol=reality_tol,
-                                       indicator_floor=indicator_floor)
+        hs = np.stack([build_hamiltonian(_chain(line, v)) for v in chunk])
+        spectra = spectra_with_indices(hs, zeta, reality_tol=line.reality_tol,
+                                       indicator_floor=line.indicator_floor)
         for v, sp in zip(chunk, spectra):
             if not isinstance(sp, BiorthoSpectrum):
-                sp = _solve_value(axis, fixed_value, n, v, reality_tol, indicator_floor)
+                sp = _solve_value(line, v)
             yield sp
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Sampling of one normalized coordinate at a fixed value of the other."""
+    """Sampling of one normalized coordinate at a fixed value of the other.
+
+    ``reality_tol`` and ``indicator_floor`` go to every solve on the grid,
+    the sweep's and those of the refinements of its tracks alike.
+    """
 
     axis: str
     fixed_value: float
     points: tuple[float, ...]
     n: int
+    reality_tol: float | None = None
+    indicator_floor: float = INDICATOR_FLOOR
 
     def __post_init__(self):
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        if not isinstance(self.n, int) or self.n <= 0 or self.n % 2:
+            raise ValueError(f"n must be a positive even integer, got {self.n!r}")
+        for name in ("reality_tol", "indicator_floor"):
+            value = getattr(self, name)
+            if not (value is None and name == "reality_tol"
+                    or isinstance(value, (int, float)) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing (>= 2 points)")
@@ -133,10 +160,9 @@ class SweepGrid:
             return NormalizedPoint(value, self.fixed_value)
         return NormalizedPoint(self.fixed_value, value)
 
-    def solver(self, reality_tol=None, indicator_floor=INDICATOR_FLOOR):
+    def solver(self):
         """``value -> spectrum`` along this grid's axis (see :func:`_solve_value`)."""
-        return partial(_solve_value, self.axis, self.fixed_value, self.n,
-                       reality_tol=reality_tol, indicator_floor=indicator_floor)
+        return partial(_solve_value, self)
 
     def index_of(self, value: float) -> int:
         pts = np.asarray(self.points)
@@ -176,8 +202,7 @@ class LevelTrack:
 
 
 def _sweep_task(args) -> list[BiorthoSpectrum]:
-    axis, fixed_value, n, values, reality_tol, indicator_floor = args
-    return list(_solve_values(axis, fixed_value, n, values, reality_tol, indicator_floor))
+    return list(_solve_values(*args))
 
 
 def _imap(fn, tasks: list, workers: int, chunksize: int):
@@ -241,8 +266,7 @@ def _bisect(inside, p_in: float, p_out: float, tol: float, max_iter: int = 200):
     return p_in, p_out
 
 
-def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
-          indicator_floor: float = INDICATOR_FLOOR) -> list[LevelTrack]:
+def sweep(grid: SweepGrid, workers: int = 1) -> list[LevelTrack]:
     """Track all 2^N levels across the grid.
 
     Grid points are solved in fixed stacks, which are independent (and may
@@ -262,8 +286,7 @@ def sweep(grid: SweepGrid, workers: int = 1, reality_tol=None,
 
     # one task per stack, so the stacks do not depend on the worker count
     size = _stack_size(grid.n)
-    tasks = [(grid.axis, grid.fixed_value, grid.n, grid.points[i:i + size], reality_tol,
-              indicator_floor) for i in range(0, npts, size)]
+    tasks = [(grid, grid.points[i:i + size]) for i in range(0, npts, size)]
     chunks = _imap(_sweep_task, tasks, workers, max(1, len(tasks) // (4 * workers)))
     spectra = (sp for chunk in chunks for sp in chunk)
     for p, (sp, cols, matched) in enumerate(_follow(spectra)):
@@ -337,8 +360,7 @@ def _pair_state(sp: BiorthoSpectrum, ca: int, cb: int) -> dict:
 
 
 def locate_reality_boundary(solve, p_real: float, p_complex: float,
-                            pair, tol: float = BISECT_TOL,
-                            max_iter: int = 200) -> dict:
+                            pair, tol: float = BISECT_TOL) -> dict:
     """Bisect the parameter where a tracked pair switches real <-> complex.
 
     ``solve`` maps a parameter value to a :class:`BiorthoSpectrum`; ``pair``
@@ -362,7 +384,7 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
 
     if real_side(p_complex):
         raise NoEPInBracket("pair is not complex-conjugate on the complex side")
-    pr, pc = _bisect(real_side, float(p_real), float(p_complex), tol, max_iter)
+    pr, pc = _bisect(real_side, float(p_real), float(p_complex), tol)
     if not state_r["both_real"]:
         raise NoEPInBracket(
             "pairing changes without a reality boundary (partner exchange)"
@@ -390,8 +412,7 @@ def _location_dict(grid: SweepGrid, value: float) -> dict[str, float]:
 
 
 def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
-             tol: float = BISECT_TOL, reality_tol=None,
-             indicator_floor: float = INDICATOR_FLOOR) -> EPRecord:
+             tol: float = BISECT_TOL) -> EPRecord:
     """Localize a second-order exceptional point of two tracked levels.
 
     ``bracket`` is a pair of grid-point parameter values with the levels real
@@ -409,9 +430,8 @@ def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
         raise NoEPInBracket("no real/complex transition between the bracket ends")
     i_real, i_cplx = (i_lo, i_hi) if paired_hi else (i_hi, i_lo)
 
-    solve = grid.solver(reality_tol=reality_tol, indicator_floor=indicator_floor)
     res = locate_reality_boundary(
-        solve, grid.points[i_real], grid.points[i_cplx],
+        grid.solver(), grid.points[i_real], grid.points[i_cplx],
         (int(track_a.columns[i_real]), int(track_b.columns[i_real])), tol=tol)
 
     ia, ib = int(track_a.z2[i_real]), int(track_b.z2[i_real])
@@ -448,9 +468,7 @@ def reality_transitions(tracks: list[LevelTrack]):
     return events
 
 
-def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL,
-                       reality_tol=None,
-                       indicator_floor: float = INDICATOR_FLOOR):
+def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL):
     """Refine every reality transition of a sweep into an EP record.
 
     Partner exchanges that bisect to no reality boundary (they occur when a
@@ -463,9 +481,7 @@ def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL,
     for a, b, p, side in reality_transitions(tracks):
         bracket = (grid.points[p], grid.points[p + 1])
         try:
-            records.append(find_ep2(tracks[a], tracks[b], bracket, tol=tol,
-                                    reality_tol=reality_tol,
-                                    indicator_floor=indicator_floor))
+            records.append(find_ep2(tracks[a], tracks[b], bracket, tol=tol))
         except NoEPInBracket as exc:
             skipped.append({"levels": [a, b], "bracket": [bracket[0], bracket[1]],
                             "complex_side": side, "reason": str(exc)})
@@ -506,8 +522,8 @@ def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
     return 0.5 * (lo + hi), gap
 
 
-def classify_crossings(tracks: list[LevelTrack], ambiguous_gap: float = 1e-6,
-                       refine_tol: float = 1e-12, reality_tol=None) -> list[CrossingRecord]:
+def classify_crossings(tracks: list[LevelTrack],
+                       ambiguous_gap: float = 1e-6) -> list[CrossingRecord]:
     """Locate and label all level crossings of a gain-free coupling sweep.
 
     Opposite-index crossings are the ones that split into pairs of
@@ -519,7 +535,7 @@ def classify_crossings(tracks: list[LevelTrack], ambiguous_gap: float = 1e-6,
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
         raise ValueError("crossing classification runs on a gain-free coupling sweep")
     pts = np.asarray(grid.points)
-    solve = grid.solver(reality_tol=reality_tol)
+    solve = grid.solver()
     out: list[CrossingRecord] = []
     dim = len(tracks)
     for a in range(dim):
@@ -536,7 +552,7 @@ def classify_crossings(tracks: list[LevelTrack], ambiguous_gap: float = 1e-6,
                 loc, gap = _refine_crossing(
                     solve, pts[p], pts[p + 1],
                     (int(tracks[a].columns[p]), int(tracks[b].columns[p])),
-                    d[p], refine_tol)
+                    d[p], CROSSING_TOL)
                 ia, ib = int(tracks[a].z2[p]), int(tracks[b].z2[p])
                 kind = "same" if ia * ib > 0 else "opposite"
                 out.append(CrossingRecord(float(loc), (a, b), (ia, ib), kind, float(gap)))
@@ -571,12 +587,12 @@ def project_two_level(h, level_a: LevelRecord, level_b: LevelRecord) -> np.ndarr
     return m
 
 
-def predict_gamma_cr(spec: ChainSpec, pair, element_floor: float | None = None):
+def predict_gamma_cr(spec: ChainSpec, pair):
     """Critical gain of an opposite-index pair from its gain-free data.
 
     gamma_cr = gap / (2 |w|) with w = <L_b|V|R_a> the gain-generator matrix
     element of the pair. Same-index pairs have w = 0 by symmetry and raise
-    :class:`AccidentallyZeroElement`.
+    :class:`AccidentallyZeroElement` (|w| below ``1e-8 * N``).
     """
     if any(g != 0.0 for g in spec.gamma_profile):
         raise ValueError("prediction starts from the gain-free chain")
@@ -589,7 +605,7 @@ def predict_gamma_cr(spec: ChainSpec, pair, element_floor: float | None = None):
         raise IndexIllDefined("pair indices undefined at the gain-free point")
     v = gain_generator(spec)
     w = complex(np.vdot(lb.left, v @ la.right))
-    floor = element_floor if element_floor is not None else 1e-8 * spec.n
+    floor = 1e-8 * spec.n
     if abs(w) < floor:
         raise AccidentallyZeroElement(abs(w), floor)
     gap = abs((lb.eigenvalue - la.eigenvalue).real)
@@ -630,13 +646,10 @@ def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
     return TriplePairing("low-mid" if pair_below else "mid-up")
 
 
-def _march_probe(n: int, j_value: float, gamma: float, reality_tol, indicator_floor,
-                 rung: float = 0.005):
-    """Spectrum and track columns at (j, gamma), identified by a gain march."""
-    steps = max(4, int(math.ceil(gamma / rung)))
-    ladder = np.linspace(0.0, gamma, steps + 1)
-    for sp, cols, _ in _follow(_solve_values(AXIS_GAIN, j_value, n, ladder, reality_tol,
-                                             indicator_floor)):
+def _march_probe(line: _Line, gamma: float):
+    """Spectrum and track columns at ``gamma`` on the gain ``line``, by a gain march."""
+    steps = max(4, int(math.ceil(gamma / GAIN_RUNG)))
+    for sp, cols, _ in _follow(_solve_values(line, np.linspace(0.0, gamma, steps + 1))):
         pass
     return sp, cols
 
@@ -646,7 +659,7 @@ def triple_pairing(n: int, j_value: float, gamma: float, triple,
                    indicator_floor: float = INDICATOR_FLOOR) -> TriplePairing:
     """Pairing state of three levels (zero-gain energy ranks) at one point."""
     triple = tuple(int(t) for t in triple)
-    sp, cols = _march_probe(n, j_value, gamma, reality_tol, indicator_floor)
+    sp, cols = _march_probe(_Line(AXIS_GAIN, j_value, n, reality_tol, indicator_floor), gamma)
     return _classify_triple(sp, cols[list(triple)])
 
 
@@ -657,7 +670,7 @@ def _all_real(sp: BiorthoSpectrum, cols) -> bool:
 
 
 def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
-                             tol: float, max_iter: int = 200):
+                             tol: float):
     """Bisect the parameter where a tracked triple stops being all-real.
 
     Returns the boundary and the :class:`TriplePairing` kind just outside it;
@@ -677,7 +690,7 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
         outside = _classify_triple(sp, cols)
         return False
 
-    pr, pc = _bisect(real_side, float(p_real), float(p_cplx), tol, max_iter)
+    pr, pc = _bisect(real_side, float(p_real), float(p_cplx), tol)
     if outside is None:
         sp_c = solve(pc)
         outside = _classify_triple(sp_c, _match(ref, sp_c.eigensystem.right)[0])
@@ -693,42 +706,32 @@ class _Wedge:
     edge_kinds: tuple
 
 
-def _find_wedge(n: int, gamma: float, window, triple, samples: int,
-                j_tol: float, reality_tol, indicator_floor) -> _Wedge | None:
-    """Locate the all-real interval of the triple on a fixed-gain line."""
+def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wedge | None:
+    """Locate the all-real interval of the triple on the fixed-gain ``line``."""
+    gamma = line.fixed_value
     j_vals = np.linspace(window[0], window[1], samples)
     anchor = 0.5 * (window[0] + window[1])
-    sp_a, cols_a = _march_probe(n, anchor, gamma, reality_tol, indicator_floor)
-    solve = partial(_solve_value, AXIS_COUPLING, gamma, n,
-                    reality_tol=reality_tol, indicator_floor=indicator_floor)
+    sp_a, cols_a = _march_probe(line._replace(axis=AXIS_GAIN, fixed_value=anchor), gamma)
+    solve = partial(_solve_value, line)
 
     tri = list(triple)
     states: dict[int, tuple] = {}
     right_part = sorted(i for i in range(samples) if j_vals[i] >= anchor)
     left_part = sorted((i for i in range(samples) if j_vals[i] < anchor), reverse=True)
     for part in (right_part, left_part):
-        spectra = _solve_values(AXIS_COUPLING, gamma, n, j_vals[part], reality_tol,
-                                indicator_floor)
+        spectra = _solve_values(line, j_vals[part])
         for i, (sp, cols, _) in zip(part, _follow(spectra, sp_a, cols_a)):
             tri_cols = cols[tri]
             states[i] = (_all_real(sp, tri_cols), tri_cols,
                          sp.eigenvalues[tri_cols].real, sp.z2[tri_cols])
 
-    real_mask = np.array([states[i][0] for i in range(samples)])
-    if not np.any(real_mask):
+    real_mask = [int(states[i][0]) for i in range(samples)]
+    if not any(real_mask):
         return None
-    # widest run of all-real samples
-    runs = []
-    start = None
-    for i in range(samples):
-        if real_mask[i] and start is None:
-            start = i
-        elif not real_mask[i] and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, samples - 1))
-    lo, hi = max(runs, key=lambda r: r[1] - r[0])
+    # widest run of all-real samples, the first of equal ones
+    edges = np.flatnonzero(np.diff([0, *real_mask, 0])).tolist()
+    lo, hi = max(zip(edges[::2], edges[1::2]), key=lambda r: r[1] - r[0])
+    hi -= 1
 
     anchor_idx = (lo + hi) // 2
     # march labels can swap inside complex bubbles; the physical roles
@@ -770,8 +773,8 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
     pad = 0.5 * (j_hi - j_lo)
     window = (max(-1.0, j_lo - pad), min(1.0, j_hi + pad))
 
-    wedge = _find_wedge(n, g_lo, window, triple, samples, j_tol,
-                        reality_tol, indicator_floor)
+    line = _Line(AXIS_COUPLING, g_lo, n, reality_tol, indicator_floor)
+    wedge = _find_wedge(line, window, triple, samples, j_tol)
     if wedge is None:
         raise NoEP3InBox(
             f"triple {triple} has no all-real interval at gamma={g_lo:.6g} in {window}")
@@ -781,8 +784,7 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
         width = max(wedge.j_hi - wedge.j_lo, 10 * j_tol)
         margin = max(2.0 * width, 2.0 * (g - wedge.gamma), 1e-4)
         window = (max(-1.0, wedge.j_lo - margin), min(1.0, wedge.j_hi + margin))
-        return _find_wedge(n, g, window, triple, samples, j_tol, reality_tol,
-                           indicator_floor)
+        return _find_wedge(line._replace(fixed_value=g), window, triple, samples, j_tol)
 
     if probe(g_hi) is not None:
         raise NoEP3InBox(
@@ -817,8 +819,9 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
 def _candidate_probe(args) -> dict:
     """First merge partner and gain for every level at one coupling value."""
     n, j_value, g_hi, g_steps, reality_tol, indicator_floor = args
-    grid = SweepGrid(AXIS_GAIN, j_value, tuple(np.linspace(0.0, g_hi, g_steps + 1)), n)
-    tracks = sweep(grid, reality_tol=reality_tol, indicator_floor=indicator_floor)
+    grid = SweepGrid(AXIS_GAIN, j_value, tuple(np.linspace(0.0, g_hi, g_steps + 1)), n,
+                     reality_tol, indicator_floor)
+    tracks = sweep(grid)
     first: dict[int, tuple[float, int]] = {}
     for a, b, p, side in reality_transitions(tracks):
         if side == "hi":
@@ -909,11 +912,9 @@ def selection_rule_scan(n: int, gamma_values, j_start: float = -1.0,
     all_skipped: list[dict] = []
     for g in gamma_values:
         grid = SweepGrid(axis=AXIS_COUPLING, fixed_value=float(g),
-                         points=tuple(np.linspace(j_start, j_stop, points)), n=n)
-        tracks = sweep(grid, workers=workers, reality_tol=reality_tol,
-                       indicator_floor=indicator_floor)
-        records, skipped = locate_ep2_records(tracks, tol=tol, reality_tol=reality_tol,
-                                              indicator_floor=indicator_floor)
+                         points=tuple(np.linspace(j_start, j_stop, points)), n=n,
+                         reality_tol=reality_tol, indicator_floor=indicator_floor)
+        records, skipped = locate_ep2_records(sweep(grid, workers=workers), tol=tol)
         all_records.extend(records)
         all_skipped.extend(skipped)
     return {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-#: Default relative tolerance for eigendecomposition contracts.
+#: Relative residual tolerance of every eigendecomposition.
 DEFAULT_TOL = 1e-10
 #: Condition number of the right-eigenvector matrix above which the
 #: decomposition is treated as (near-)defective.
@@ -77,7 +77,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    tol: float
     scale: float
     cond_right: float
     biortho_residual: float
@@ -105,13 +104,12 @@ class EigenStack:
     scale: np.ndarray
     cond_right: np.ndarray
     errors: list
-    tol: float
 
     @classmethod
     def of(cls, es: EigenSystem) -> "EigenStack":
         """Stack of one holding ``es``."""
         return cls(es.eigenvalues[None], es.right[None], es.left[None],
-                   np.array([es.scale]), np.array([es.cond_right]), [None], es.tol)
+                   np.array([es.scale]), np.array([es.cond_right]), [None])
 
 
 def _sorted(w: np.ndarray, *vectors: np.ndarray):
@@ -145,13 +143,12 @@ def _eig_vectors(a: np.ndarray):
     return w, vr, vl
 
 
-def eig_stack(mats, tol: float = DEFAULT_TOL,
-              defect_threshold: float = DEFECT_THRESHOLD) -> EigenStack:
+def eig_stack(mats) -> EigenStack:
     """Eigendecompositions of a stack of general complex matrices.
 
-    Applies the contract of :func:`eig_general` to every matrix; a matrix
-    that breaks it records its exception in ``errors`` instead of failing
-    the stack.
+    Applies the contract of :func:`eig_general`, with the constants
+    ``DEFAULT_TOL`` and ``DEFECT_THRESHOLD``, to every matrix; a matrix that
+    breaks it records its exception in ``errors`` instead of failing the stack.
     """
     a = as_complex_stack(mats)
     scale = np.linalg.norm(a, axis=(1, 2))
@@ -160,7 +157,7 @@ def eig_stack(mats, tol: float = DEFAULT_TOL,
     with np.errstate(divide="ignore", invalid="ignore"):
         sv = np.linalg.svd(vr, compute_uv=False)
         cond = sv[:, 0] / sv[:, -1]
-    bound = tol * np.maximum(scale, 1e-300)
+    bound = DEFAULT_TOL * np.maximum(scale, 1e-300)
     res = a @ vr
     res -= vr * w[:, None, :]
     res_right = np.max(np.linalg.norm(res, axis=1), axis=1)
@@ -170,7 +167,7 @@ def eig_stack(mats, tol: float = DEFAULT_TOL,
 
     errors: list = []
     for b in range(a.shape[0]):
-        if not np.isfinite(cond[b]) or cond[b] > defect_threshold:
+        if not np.isfinite(cond[b]) or cond[b] > DEFECT_THRESHOLD:
             errors.append(NearDefective(cond[b]))
         elif res_right[b] > bound[b] or res_left[b] > bound[b]:
             errors.append(ArithmeticError(
@@ -178,26 +175,26 @@ def eig_stack(mats, tol: float = DEFAULT_TOL,
                 f"exceed {bound[b]:.3e}"))
         else:
             errors.append(None)
-    return EigenStack(w, vr, vl, scale, cond, errors, tol)
+    return EigenStack(w, vr, vl, scale, cond, errors)
 
 
-def eig_general(m, tol: float = DEFAULT_TOL,
-                defect_threshold: float = DEFECT_THRESHOLD) -> EigenSystem:
+def eig_general(m) -> EigenSystem:
     """Full eigendecomposition of a general complex matrix.
 
     Eigenvalues are sorted by (Re, Im) so repeated runs produce identical
     orderings. Residuals ||M R_n - lambda_n R_n|| and ||L_n^+ M - lambda_n L_n^+||
-    are verified against ``tol * ||M||_F``. A near-defective input (condition
-    number of the right-eigenvector matrix above ``defect_threshold``) raises
-    :class:`NearDefective` instead of returning garbage vectors. This is
-    :func:`eig_stack` on a stack of one.
+    are verified against the constant ``DEFAULT_TOL * ||M||_F``. A
+    near-defective input (condition number of the right-eigenvector matrix
+    above the constant ``DEFECT_THRESHOLD``) raises :class:`NearDefective`
+    instead of returning garbage vectors. This is :func:`eig_stack` on a
+    stack of one.
     """
-    st = eig_stack(as_complex_matrix(m)[None], tol=tol, defect_threshold=defect_threshold)
+    st = eig_stack(as_complex_matrix(m)[None])
     if st.errors[0] is not None:
         raise st.errors[0]
     right, left = st.right[0], st.left[0]
     overlap = left.conj().T @ right
     residual = float(np.max(np.abs(overlap - np.eye(right.shape[0]))))
-    return EigenSystem(eigenvalues=st.eigenvalues[0], right=right, left=left, tol=tol,
+    return EigenSystem(eigenvalues=st.eigenvalues[0], right=right, left=left,
                        scale=float(st.scale[0]), cond_right=float(st.cond_right[0]),
                        biortho_residual=residual)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -10,7 +11,6 @@ import pytest
 
 from pshchain import (build_hamiltonian, build_parity, cli, epscan, full_spectrum,
                       spectrum_with_indices)
-from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import (RunConfig, UsageError, _config_from_args, build_parser,
                           load_ep_records, main)
 from pshchain.model import NormalizedPoint
@@ -322,6 +322,36 @@ class TestExitCodes:
                      "--output", str(tmp_path / "ep3.json")]) == 1
         assert "usage error: grid.g_start/g_stop must satisfy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--j-start", "0.5", "--j-stop", "-0.5"], "grid.j_start/j_stop must satisfy"),
+        (["--j-start", "-0.6", "--j-stop", "-0.6"], "grid.j_start/j_stop must satisfy"),
+        (["--j-start", "-1.5", "--j-stop", "-0.6"], "grid.j_start/j_stop must satisfy"),
+        (["--j-start", "0.5", "--j-stop", "1.01"], "grid.j_start/j_stop must satisfy"),
+        (["--j-start", "-0.9", "--j-stop", "-0.6", "--points", "1"], "grid.points must be"),
+        (["--j-start", "-0.9", "--j-stop", "-0.6", "--points", "0"], "grid.points must be"),
+        (["--j-start", "-0.9", "--j-stop", "-0.6", "--points", "-3"], "grid.points must be"),
+    ])
+    def test_order_three_coupling_box_and_probes_checked(self, argv, message, tmp_path,
+                                                        capsys):
+        # these exited 2 with "no candidates", or 1 with numpy's linspace error
+        assert main(["find-ep", "--order", "3", "--n", "4", *argv, "--g-start", "0.35",
+                     "--g-stop", "0.45", "--output", str(tmp_path / "ep3.json")]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "crossings", "find-ep"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--points", "1"], "grid.points must be at least 2"),
+        (["--start", "1", "--stop", "-1"], "grid.stop must exceed grid.start"),
+        (["--start", "0.5", "--stop", "0.5"], "grid.stop must exceed grid.start"),
+    ])
+    def test_span_checked_alike_by_every_command(self, command, argv, message, tmp_path,
+                                                 capsys):
+        # verify checked its span apart from the others and reported no field path
+        line = ["--axis", "jt", "--fixed", "0.21"] if command in ("sweep", "find-ep") else []
+        assert main([command, "--n", "2", *line, *argv,
+                     "--output", str(tmp_path / "out")]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+
     def test_level_indices_checked_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"chain": {"n": 2}, "pair": [0, 4]}))
@@ -358,9 +388,8 @@ N2_GAIN_LINE = ["--n", "2", "--axis", "gt", "--fixed", "0.707106781", "--start",
 
 
 class TestSolveTolerances:
-    # (argv, whether every solve also takes the indicator floor: the crossing
-    # refinement of classify_crossings takes none)
-    @pytest.mark.parametrize("argv, floor", [
+    # (argv, whether the tolerances come by --tol flags or from a --config file)
+    @pytest.mark.parametrize("argv, by_flag", [
         (["spectrum", "--n", "4", "--jt", "0.5", "--gt", "0.21"], True),
         (["sweep", *N2_GAIN_LINE], True),
         (["verify", "--n", "4", "--points", "41", "--gammas", "0.21"], True),
@@ -371,7 +400,7 @@ class TestSolveTolerances:
           "--g-start", "0.35", "--g-stop", "0.45", "--points", "5",
           "--tol", "ep3_gamma_tol=1e-3"], True),
     ])
-    def test_every_solve_gets_the_command_tolerances(self, argv, floor, tmp_path,
+    def test_every_solve_gets_the_command_tolerances(self, argv, by_flag, tmp_path,
                                                      monkeypatch):
         seen = []
 
@@ -387,12 +416,13 @@ class TestSolveTolerances:
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         out = tmp_path / ("out.csv" if argv[0] in ("sweep", "spectrum", "crossings")
                           else "out.json")
-        code = main([*argv, "--tol", "reality_tol=2e-8", "--tol", "indicator_floor=2e-6",
-                     "--output", str(out)])
-        assert code == 0
-        assert seen and {r for r, _ in seen} == {2e-8}
-        floors = {f for _, f in seen}
-        assert floors == ({2e-6} if floor else {2e-6, INDICATOR_FLOOR})
+        tols = ["--tol", "reality_tol=2e-8", "--tol", "indicator_floor=2e-6"]
+        if not by_flag:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"tolerances": {"reality_tol": 2e-8, "indicator_floor": 2e-6}}')
+            tols = ["--config", str(cfg)]
+        assert main([*argv, *tols, "--output", str(out)]) == 0
+        assert seen and set(seen) == {(2e-8, 2e-6)}
 
 
 class TestDeterminism:
@@ -408,6 +438,19 @@ class TestDeterminism:
 
 
 class TestTracerContract:
+    @pytest.mark.parametrize("n, warm", [(4, [0.05, 0.5]), (8, [0.0, 0.5])])
+    def test_benchmark_setup_solve_runs(self, n, warm, tmp_path):
+        # perfbench/child.py builds a SweepGrid and solves one point before
+        # timing the CLI call; with no argv it stops after that set-up
+        result = tmp_path / "child.json"
+        spec = {"result": str(result), "n": n, "warm": warm, "argv": None, "trace": False}
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                               json.dumps(spec)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "ready" in json.loads(result.read_text())
+
     def test_traced_names_are_module_globals(self):
         # perfbench/spans.py replaces these names in each module; it runs in a
         # child process so its patches cannot leak into other tests

@@ -201,6 +201,80 @@ class TestSweep:
             assert np.array_equal(a.partner, b.partner)
 
 
+class TestSweepGrid:
+    @pytest.mark.parametrize("kw", [
+        {"n": 3}, {"n": 0}, {"n": -2}, {"n": 4.0}, {"n": True},
+        {"reality_tol": -1e-8}, {"reality_tol": float("nan")}, {"reality_tol": float("inf")},
+        {"indicator_floor": None}, {"indicator_floor": -1e-6},
+        {"indicator_floor": float("nan")}, {"indicator_floor": float("inf")},
+    ])
+    def test_bad_fields_rejected_at_construction(self, kw):
+        # an odd n used to construct and fail only at the first solve
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            SweepGrid(**{"axis": AXIS_GAIN, "fixed_value": 0.5, "points": (0.0, 0.1),
+                         "n": 4, **kw})
+
+    def test_zero_tolerances_accepted(self):
+        grid = SweepGrid(AXIS_GAIN, 0.5, (0.0, 0.1), 2, reality_tol=0.0, indicator_floor=0)
+        assert (grid.reality_tol, grid.indicator_floor) == (0.0, 0)
+
+
+# the N=2 gain line of the CLI tests: one EP2 between levels 2 and 3
+TOLS = {"reality_tol": 2e-8, "indicator_floor": 2e-6}
+
+
+def tolerance_grid(**tols):
+    return SweepGrid(axis=AXIS_GAIN, fixed_value=0.707106781,
+                     points=tuple(np.linspace(0.0, 0.4, 41)), n=2, **tols)
+
+
+class TestGridTolerances:
+    """Every solve of a sweep and of its refinements takes the grid's tolerances."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        calls = []
+
+        def recording(original):
+            def solve(h, zeta, **kw):
+                calls.append((kw.get("reality_tol"), kw.get("indicator_floor")))
+                return original(h, zeta, **kw)
+            return solve
+
+        for name in ("spectra_with_indices", "spectrum_with_indices"):
+            monkeypatch.setattr(epscan, name, recording(getattr(epscan, name)))
+        return calls
+
+    @pytest.mark.parametrize("refine", [
+        lambda tracks: find_ep2(tracks[2], tracks[3], (0.0, 0.4), tol=1e-10),
+        lambda tracks: locate_ep2_records(tracks, tol=1e-10),
+    ], ids=["find_ep2", "locate_ep2_records"])
+    def test_ep2_refinement(self, refine, seen):
+        tracks = sweep(tolerance_grid(**TOLS))
+        del seen[:]
+        refine(tracks)
+        assert seen and set(seen) == {tuple(TOLS.values())}
+
+    def test_crossing_refinement(self, seen):
+        grid = coupling_grid(4, 0.0, points=101)
+        tracks = sweep(SweepGrid(grid.axis, grid.fixed_value, grid.points, grid.n, **TOLS))
+        del seen[:]
+        assert classify_crossings(tracks)
+        assert seen and set(seen) == {tuple(TOLS.values())}
+
+    def test_tolerances_survive_the_worker_pool(self):
+        # four stacks on two workers; these tolerances change the indices
+        tols = {"reality_tol": 1e-3, "indicator_floor": 0.3}
+        grid = SweepGrid(axis=AXIS_GAIN, fixed_value=-0.84184,
+                         points=tuple(np.linspace(0.0, 0.5, 201)), n=4, **tols)
+        t1, t2 = sweep(grid, workers=1), sweep(grid, workers=2)
+        default = sweep(SweepGrid(grid.axis, grid.fixed_value, grid.points, grid.n))
+        assert any(not np.array_equal(a.z2, d.z2) for a, d in zip(t1, default))
+        for a, b in zip(t1, t2):
+            for name in ("eigenvalues", "z2", "indicator", "partner", "columns", "overlaps"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestFindEp2:
     def test_matches_prediction_on_small_chain(self):
         n, jt = 2, 1 / np.sqrt(2)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import ID2, PAULI_X, PAULI_Z, kron_chain
-from pshchain import (NearDefective, NormalizedPoint, build_hamiltonian, build_parity,
-                      eig_general, spectrum_with_indices)
+from pshchain import (DEFAULT_TOL, NearDefective, NormalizedPoint, build_hamiltonian,
+                      build_parity, eig_general, spectrum_with_indices)
+from pshchain.numerics import DEFECT_THRESHOLD
 
 RT3 = np.sqrt(3.0)
 METRIC_2X2 = np.diag([1.0, -1.0])
@@ -45,12 +46,12 @@ class TestEigGeneral:
             eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_near_defective_carries_condition(self):
-        # close to (but not at) the defective point: raises once the
-        # configurable threshold is brought below the condition estimate
+        # the refusal reports a condition estimate above the fixed threshold;
+        # close to (but not at) the defective point the solve still succeeds
         with pytest.raises(NearDefective) as exc:
-            eig_general(psh_2x2(a=1.0 + 1e-12, w=1.0), defect_threshold=1e4)
-        assert exc.value.cond > 1e4
-        eig_general(psh_2x2(a=1.0 + 1e-12, w=1.0))  # fine at the default
+            eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert exc.value.cond > DEFECT_THRESHOLD
+        eig_general(psh_2x2(a=1.0 + 1e-12, w=1.0))
 
     def test_psh_2x2_eigenvalues(self):
         sys = eig_general(psh_2x2())
@@ -67,7 +68,7 @@ class TestEigGeneral:
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = a + a.conj().T
         sys = eig_general(h)
-        assert np.max(np.abs(sys.eigenvalues.imag)) <= sys.tol * sys.scale
+        assert np.max(np.abs(sys.eigenvalues.imag)) <= DEFAULT_TOL * sys.scale
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -110,7 +111,7 @@ class TestBiorthonormalize:
             h = build_hamiltonian(point.chain(n))
             es = spectrum_with_indices(h, build_parity(n)).eigensystem
             err = np.linalg.norm(h - (es.right * es.eigenvalues) @ es.left.conj().T)
-            assert err <= 10 * es.tol * es.scale
+            assert err <= 10 * DEFAULT_TOL * es.scale
 
     def test_eigenvalue_order_preserved(self):
         raw = eig_general(psh_2x2())
