@@ -26,10 +26,11 @@ import numpy as np
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined,
                       spectrum_with_indices)
-from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, EPRecord,
-                     NoEP3InBox, NoEPInBracket, SweepGrid, classify_crossings,
-                     find_ep2, find_ep3, find_ep3_candidates, locate_ep2_records,
-                     selection_rule_scan, sweep, verify_selection_rule)
+from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, BISECT_TOL, EP3_GAMMA_TOL,
+                     EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
+                     NoEPInBracket, SweepGrid, classify_crossings, find_ep2, find_ep3,
+                     find_ep3_candidates, locate_ep2_records, sweep,
+                     verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, build_hamiltonian, build_parity
 from .numerics import NearDefective
 from .oracle import full_spectrum
@@ -39,6 +40,9 @@ TOLERANCE_NAMES = frozenset({
 })
 #: Gain values of the default verification grid.
 DEFAULT_GAMMAS = (0.05, 0.21, 0.40125, 0.48375)
+#: Each axis's range of values, and its span where no start or stop is given.
+_AXIS_RANGE = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, math.inf)}
+_DEFAULT_SPAN = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, 1.0)}
 
 _NUMERIC_ERRORS = (NearDefective, AtExceptionalPoint, IndexIllDefined, NoEPInBracket,
                    NoEP3InBox, AccidentallyZeroElement, ArithmeticError)
@@ -298,14 +302,34 @@ def _points(cfg: RunConfig, default: int) -> int:
     return points
 
 
-def _span(cfg: RunConfig, default_points: int = 801):
-    """The swept span's start, stop and point count, by default -1..1."""
-    start = cfg.start if cfg.start is not None else -1.0
-    stop = cfg.stop if cfg.stop is not None else 1.0
+def _check_on_axis(axis: str, names: tuple[str, ...], values) -> None:
+    """Reject values of the config fields ``grid.<names>`` off ``axis``'s range:
+    [-1, 1] for the coupling, finite and >= 0 for the gain. Two names, a start
+    and a stop, must also rise. The message names the fields and the condition."""
+    lo, hi = _AXIS_RANGE[axis]
+    if not (all(math.isfinite(v) and lo <= v <= hi for v in values)
+            and (len(names) == 1 or values[0] < values[1])):
+        chain = f"{lo:g} <= {' < '.join(names)}" + (f" <= {hi:g}" if hi < math.inf else "")
+        raise UsageError(f"grid.{'/'.join(names)} must satisfy {chain}")
+
+
+def _span_grid(cfg: RunConfig, axis: str, fixed: float, fixed_name: str,
+               default_points: int = 801) -> SweepGrid:
+    """The config's span along ``axis`` at the value ``fixed`` of the other
+    axis (config field ``grid.<fixed_name>``), checked, with the command's
+    solve tolerances. An unset start or stop takes the axis's default span:
+    -1..1 for the coupling, 0..1 for the gain."""
+    start = cfg.start if cfg.start is not None else _DEFAULT_SPAN[axis][0]
+    stop = cfg.stop if cfg.stop is not None else _DEFAULT_SPAN[axis][1]
     points = _points(cfg, default_points)
     if not stop > start:
         raise UsageError("grid.stop must exceed grid.start")
-    return start, stop, points
+    _check_on_axis(axis, ("start", "stop"), (start, stop))
+    _check_on_axis(AXIS_GAIN if axis == AXIS_COUPLING else AXIS_COUPLING, (fixed_name,),
+                   (fixed,))
+    return SweepGrid(axis=axis, fixed_value=float(fixed),
+                     points=tuple(np.linspace(start, stop, points)), n=cfg.n,
+                     **cfg.solve_tols())
 
 
 def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
@@ -315,18 +339,21 @@ def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
         axis = AXIS_COUPLING
     if axis in ("gt", "g"):
         axis = AXIS_GAIN
-    if axis not in (AXIS_COUPLING, AXIS_GAIN):
+    if axis not in _AXIS_RANGE:
         raise UsageError(f"grid.axis must be '{AXIS_COUPLING}' or '{AXIS_GAIN}'")
     fixed = cfg.fixed_value if cfg.fixed_value is not None else default_fixed
     if fixed is None:
         raise UsageError("grid.fixed_value is required for this command")
-    start, stop, points = _span(cfg, default_points)
-    try:
-        return SweepGrid(axis=axis, fixed_value=float(fixed),
-                         points=tuple(np.linspace(start, stop, points)), n=cfg.n,
-                         **cfg.solve_tols())
-    except ValueError as exc:
-        raise UsageError(f"grid: {exc}") from exc
+    return _span_grid(cfg, axis, fixed, "fixed_value", default_points)
+
+
+def _rule_exit(records) -> int:
+    """Exit code for emitted ``records``: 3, reported on stderr, on a selection-rule breach."""
+    violations = verify_selection_rule(records)
+    if violations:
+        sys.stderr.write(f"selection-rule violations: {len(violations)}\n")
+        return 3
+    return 0
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
@@ -352,13 +379,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for sweep")
     tracks = sweep(_grid_from_config(cfg), workers=cfg.workers)
-    records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8))
+    records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", BISECT_TOL))
     emit_figure_data(tracks, records, cfg.output_path, skipped=skipped)
-    violations = verify_selection_rule(records)
-    if violations:
-        sys.stderr.write(f"selection-rule violations: {len(violations)}\n")
-        return 3
-    return 0
+    return _rule_exit(records)
 
 
 def _cmd_crossings(cfg: RunConfig) -> int:
@@ -366,7 +389,7 @@ def _cmd_crossings(cfg: RunConfig) -> int:
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
         raise UsageError("crossings runs on the gain-free coupling axis only")
     recs = classify_crossings(sweep(grid, workers=cfg.workers),
-                              ambiguous_gap=cfg.tol("ambiguous_gap", 1e-6))
+                              ambiguous_gap=cfg.tol("ambiguous_gap", AMBIGUOUS_GAP))
     _table_output(cfg, "crossings", ("location", "level_a", "level_b", "index_a", "index_b",
                                      "kind", "gap"),
                   [(c.location, *c.levels, *c.indices, c.kind, c.gap) for c in recs])
@@ -380,22 +403,20 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
     if order == 2:
         grid = _grid_from_config(cfg, default_points=401)
         tracks = sweep(grid, workers=cfg.workers)
+        tol = cfg.tol("bisect_tol", BISECT_TOL)
         if cfg.pair is not None:
             a, b = cfg.pair
-            rec = find_ep2(tracks[a], tracks[b], (grid.points[0], grid.points[-1]),
-                           tol=cfg.tol("bisect_tol", 1e-8))
+            rec = find_ep2(tracks[a], tracks[b], (grid.points[0], grid.points[-1]), tol=tol)
             records, skipped = [rec], []
         else:
-            records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", 1e-8))
+            records, skipped = locate_ep2_records(tracks, tol=tol)
     elif order == 3:
         j_box = (cfg.j_start, cfg.j_stop)
         g_box = (cfg.g_start, cfg.g_stop)
         if any(v is None for v in j_box + g_box):
             raise UsageError("grid.j_start/j_stop/g_start/g_stop are required for order 3")
-        if not -1.0 <= j_box[0] < j_box[1] <= 1.0:
-            raise UsageError("grid.j_start/j_stop must satisfy -1 <= j_start < j_stop <= 1")
-        if not 0.0 <= g_box[0] < g_box[1]:
-            raise UsageError("grid.g_start/g_stop must satisfy 0 <= g_start < g_stop")
+        _check_on_axis(AXIS_COUPLING, ("j_start", "j_stop"), j_box)
+        _check_on_axis(AXIS_GAIN, ("g_start", "g_stop"), g_box)
         probes = _points(cfg, 33)
         kw = cfg.solve_tols()
         if cfg.triple is not None:
@@ -409,8 +430,9 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
         for cand in candidates:
             try:
                 records.append(find_ep3(cfg.n, cand["j_bracket"], g_box, cand["triple"],
-                                        j_tol=cfg.tol("bisect_tol", 1e-10),
-                                        g_tol=cfg.tol("ep3_gamma_tol", 1e-6), **kw))
+                                        j_tol=cfg.tol("bisect_tol", EP3_J_TOL),
+                                        g_tol=cfg.tol("ep3_gamma_tol", EP3_GAMMA_TOL),
+                                        **kw))
             except NoEP3InBox as exc:
                 skipped.append({"triple": list(cand["triple"]),
                                 "j_bracket": list(cand["j_bracket"]),
@@ -422,26 +444,26 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
     else:
         raise UsageError(f"order must be 2 or 3, got {order}")
     _write_text(cfg.output_path, _json_text(_records_json(records, skipped)))
-    violations = verify_selection_rule(records)
-    if violations:
-        sys.stderr.write(f"selection-rule violations: {len(violations)}\n")
-        return 3
-    return 0
+    return _rule_exit(records)
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     gammas = cfg.gamma_values if cfg.gamma_values is not None else DEFAULT_GAMMAS
-    j_start, j_stop, points = _span(cfg)
-    result = selection_rule_scan(cfg.n, gammas, j_start=j_start, j_stop=j_stop, points=points,
-                                 workers=cfg.workers, tol=cfg.tol("bisect_tol", 1e-8),
-                                 **cfg.solve_tols())
-    obj = _records_json(result["records"], result["skipped"])
-    obj["violations"] = result["violations"]
+    grids = [_span_grid(cfg, AXIS_COUPLING, g, "gamma_values") for g in gammas]
+    records, skipped = [], []
+    for grid in grids:
+        line_records, line_skipped = locate_ep2_records(
+            sweep(grid, workers=cfg.workers), tol=cfg.tol("bisect_tol", BISECT_TOL))
+        records += line_records
+        skipped += line_skipped
+    violations = verify_selection_rule(records)
+    obj = _records_json(records, skipped)
+    obj["violations"] = violations
     obj["gamma_values"] = [float(g) for g in gammas]
     obj["n"] = cfg.n
     if cfg.output_path is not None:
         _write_text(cfg.output_path, _json_text(obj))
-    n_rec, n_vio = len(result["records"]), len(result["violations"])
+    n_rec, n_vio = len(records), len(violations)
     sys.stdout.write(f"ep2 records: {n_rec}, selection-rule violations: {n_vio}\n")
     return 3 if n_vio else 0
 

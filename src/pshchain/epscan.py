@@ -37,6 +37,11 @@ _AXES = (AXIS_COUPLING, AXIS_GAIN)
 
 #: Default bisection tolerance in the swept parameter.
 BISECT_TOL = 1e-8
+#: Default tolerances of ``find_ep3``: its coupling and its gain bisections.
+EP3_J_TOL = 1e-10
+EP3_GAMMA_TOL = 1e-6
+#: Default gap below which ``classify_crossings`` flags a near-degeneracy.
+AMBIGUOUS_GAP = 1e-6
 #: Matched overlap below which a track break is recorded.
 OVERLAP_MIN = 0.5
 #: Bisection tolerance of the crossing refinement in ``classify_crossings``.
@@ -349,7 +354,6 @@ def _pair_state(sp: BiorthoSpectrum, ca: int, cb: int) -> dict:
     cols = [ca, cb]
     values = sp.eigenvalues[cols]
     return {
-        "cols": (ca, cb),
         "mutual": bool(sp.partner[ca] == cb and sp.partner[cb] == ca),
         "both_real": bool(np.all(np.abs(values.imag) <= sp.reality_tol)),
         "gap": float(abs(values[0] - values[1])),
@@ -365,7 +369,10 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
 
     ``solve`` maps a parameter value to a :class:`BiorthoSpectrum`; ``pair``
     gives the two level labels at ``p_real``. The pair is re-identified at
-    every probe by overlap against the current real-side vectors. Raises
+    every probe by overlap against the current real-side vectors. Returns
+    the boundary ``location``, the final bracket ``width``, the pair's gap
+    there (``residual``), and the pair's Z2 indices and indicators at the
+    last real-side probe (``real_side_z2``, ``real_side_indicator``). Raises
     :class:`NoEPInBracket` when the bracket shows no transition or the
     converged boundary is not a real-to-complex one.
     """
@@ -396,12 +403,10 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
     residual = _pair_state(sp_loc, *cols_loc)["gap"]
     return {
         "location": location,
-        "bracket": (min(pr, pc), max(pr, pc)),
         "width": abs(pc - pr),
         "residual": float(residual),
         "real_side_z2": state_r["z2"],
         "real_side_indicator": state_r["indicator"],
-        "real_side_parameter": pr,
     }
 
 
@@ -523,7 +528,7 @@ def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
 
 
 def classify_crossings(tracks: list[LevelTrack],
-                       ambiguous_gap: float = 1e-6) -> list[CrossingRecord]:
+                       ambiguous_gap: float = AMBIGUOUS_GAP) -> list[CrossingRecord]:
     """Locate and label all level crossings of a gain-free coupling sweep.
 
     Opposite-index crossings are the ones that split into pairs of
@@ -654,12 +659,11 @@ def _march_probe(line: _Line, gamma: float):
     return sp, cols
 
 
-def triple_pairing(n: int, j_value: float, gamma: float, triple,
-                   reality_tol=None,
-                   indicator_floor: float = INDICATOR_FLOOR) -> TriplePairing:
-    """Pairing state of three levels (zero-gain energy ranks) at one point."""
+def triple_pairing(n: int, j_value: float, gamma: float, triple) -> TriplePairing:
+    """Pairing state of three levels (zero-gain energy ranks) at one point,
+    classified at the library's default tolerances."""
     triple = tuple(int(t) for t in triple)
-    sp, cols = _march_probe(_Line(AXIS_GAIN, j_value, n, reality_tol, indicator_floor), gamma)
+    sp, cols = _march_probe(_Line(AXIS_GAIN, j_value, n, None, INDICATOR_FLOOR), gamma)
     return _classify_triple(sp, cols[list(triple)])
 
 
@@ -753,8 +757,8 @@ def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wed
                   edge_kinds=(kind_left, kind_right))
 
 
-def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
-             g_tol: float = 1e-6, samples: int = 61, reality_tol=None,
+def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
+             g_tol: float = EP3_GAMMA_TOL, samples: int = 61, reality_tol=None,
              indicator_floor: float = INDICATOR_FLOOR) -> EPRecord:
     """Localize a third-order point as the collision of two tracked boundaries.
 
@@ -816,11 +820,8 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = 1e-10,
                     bracket_width=float(g_gone - g_exist))
 
 
-def _candidate_probe(args) -> dict:
-    """First merge partner and gain for every level at one coupling value."""
-    n, j_value, g_hi, g_steps, reality_tol, indicator_floor = args
-    grid = SweepGrid(AXIS_GAIN, j_value, tuple(np.linspace(0.0, g_hi, g_steps + 1)), n,
-                     reality_tol, indicator_floor)
+def _candidate_probe(grid: SweepGrid) -> dict:
+    """First merge partner and gain for every level along one gain ``grid``."""
     tracks = sweep(grid)
     first: dict[int, tuple[float, int]] = {}
     for a, b, p, side in reality_transitions(tracks):
@@ -849,8 +850,10 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     g_lo, g_hi = float(gamma_window[0]), float(gamma_window[1])
     g_floor = g_lo - (g_hi - g_lo)
     j_vals = np.linspace(float(j_window[0]), float(j_window[1]), probes)
-    tasks = [(n, float(j), g_hi, g_steps, reality_tol, indicator_floor) for j in j_vals]
-    results = list(_imap(_candidate_probe, tasks, workers, 1))
+    ladder = tuple(np.linspace(0.0, g_hi, g_steps + 1))
+    grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
+             for j in j_vals]
+    results = list(_imap(_candidate_probe, grids, workers, 1))
 
     candidates = []
     for i in range(probes - 1):
@@ -863,12 +866,8 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
             if not (g_floor <= g_a <= g_hi and g_floor <= g_b <= g_hi):
                 continue
             lo_part, up_part = sorted((part_a, part_b))
-            candidates.append({
-                "triple": (lo_part, mid, up_part),
-                "j_bracket": (float(j_vals[i]), float(j_vals[i + 1])),
-                "gammas": (float(g_a), float(g_b)),
-                "partners": (part_a, part_b),
-            })
+            candidates.append({"triple": (lo_part, mid, up_part),
+                               "j_bracket": (float(j_vals[i]), float(j_vals[i + 1]))})
     candidates.sort(key=lambda c: (c["triple"], c["j_bracket"]))
     return candidates
 
@@ -897,28 +896,3 @@ def verify_selection_rule(records) -> list[dict]:
             violations.append({"record": rec.to_dict(),
                                "reason": f"unsupported order {rec.order}"})
     return violations
-
-
-def selection_rule_scan(n: int, gamma_values, j_start: float = -1.0,
-                        j_stop: float = 1.0, points: int = 801, workers: int = 1,
-                        tol: float = BISECT_TOL, reality_tol=None,
-                        indicator_floor: float = INDICATOR_FLOOR) -> dict:
-    """Sweep the coupling at each gain value, refine all EP2s, check the rule.
-
-    Returns a dict with the refined ``records``, the ``skipped`` partner
-    exchanges, and the selection-rule ``violations`` (expected empty).
-    """
-    all_records: list[EPRecord] = []
-    all_skipped: list[dict] = []
-    for g in gamma_values:
-        grid = SweepGrid(axis=AXIS_COUPLING, fixed_value=float(g),
-                         points=tuple(np.linspace(j_start, j_stop, points)), n=n,
-                         reality_tol=reality_tol, indicator_floor=indicator_floor)
-        records, skipped = locate_ep2_records(sweep(grid, workers=workers), tol=tol)
-        all_records.extend(records)
-        all_skipped.extend(skipped)
-    return {
-        "records": all_records,
-        "skipped": all_skipped,
-        "violations": verify_selection_rule(all_records),
-    }

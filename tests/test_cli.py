@@ -183,6 +183,14 @@ class TestSweepCommand:
         assert main(["sweep", "--n", "2", "--axis", "gt", "--fixed", "0.5",
                      "--start", "0", "--stop", "0.4", "--points", "5"]) == 1
 
+    def test_gain_axis_default_span(self, tmp_path):
+        # the default span was -1..1 on both axes, so a gain sweep needed --start
+        out = tmp_path / "gain.csv"
+        assert main(["sweep", "--n", "2", "--axis", "gt", "--fixed", "0.5",
+                     "--points", "5", "--output", str(out)]) == 0
+        values = sorted({float(r["grid_value"]) for r in read_csv(out)})
+        assert values == [0.0, 0.25, 0.5, 0.75, 1.0]
+
 
 class TestCrossingsCommand:
     def test_rows(self, tmp_path):
@@ -249,6 +257,24 @@ class TestVerifyCommand:
         assert data["violations"] == []
         assert len(data["records"]) >= 4
         assert "selection-rule violations: 0" in capsys.readouterr().out
+
+    def test_each_gain_swept_like_find_ep(self, tmp_path):
+        # verify's lines are the coupling lines find-ep --order 2 sweeps at each gain
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--n", "4", "--points", "101", "--gammas", "0.21,0.40125",
+                     "--output", str(out)]) == 0
+        records, skipped = [], []
+        for k, gamma in enumerate(("0.21", "0.40125")):
+            line = tmp_path / f"line{k}.json"
+            assert main(["find-ep", "--order", "2", "--n", "4", "--axis", "jt",
+                         "--fixed", gamma, "--start", "-1", "--stop", "1",
+                         "--points", "101", "--output", str(line)]) == 0
+            data = json.loads(line.read_text())
+            records += data["records"]
+            skipped += data["skipped"]
+        data = json.loads(out.read_text())
+        assert records and data["records"] == records
+        assert data["skipped"] == skipped
 
 
 class TestExitCodes:
@@ -343,6 +369,7 @@ class TestExitCodes:
         (["--points", "1"], "grid.points must be at least 2"),
         (["--start", "1", "--stop", "-1"], "grid.stop must exceed grid.start"),
         (["--start", "0.5", "--stop", "0.5"], "grid.stop must exceed grid.start"),
+        (["--start", "-2"], "grid.start/stop must satisfy -1 <= start < stop <= 1"),
     ])
     def test_span_checked_alike_by_every_command(self, command, argv, message, tmp_path,
                                                  capsys):
@@ -351,6 +378,26 @@ class TestExitCodes:
         assert main([command, "--n", "2", *line, *argv,
                      "--output", str(tmp_path / "out")]) == 1
         assert f"usage error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "find-ep"])
+    def test_gain_span_checked(self, command, tmp_path, capsys):
+        assert main([command, "--n", "2", "--axis", "gt", "--fixed", "0.5", "--start", "-0.1",
+                     "--output", str(tmp_path / "out")]) == 1
+        assert "usage error: grid.start/stop must satisfy 0 <= start < stop" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, path", [
+        (["verify", "--gammas", "0.21,-0.1"], "grid.gamma_values"),
+        (["verify", "--gammas", "0.21,inf"], "grid.gamma_values"),
+        (["sweep", "--axis", "jt", "--fixed", "-0.5"], "grid.fixed_value"),
+        (["sweep", "--axis", "gt", "--fixed", "1.5"], "grid.fixed_value"),
+        (["find-ep", "--axis", "gt", "--fixed", "-1.01"], "grid.fixed_value"),
+    ])
+    def test_fixed_value_checked_on_its_axis(self, argv, path, tmp_path, capsys):
+        # these reached SweepGrid and were reported without a field path
+        assert main([*argv, "--n", "2", "--points", "5",
+                     "--output", str(tmp_path / "out")]) == 1
+        assert f"usage error: {path} must satisfy" in capsys.readouterr().err
 
     def test_level_indices_checked_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -450,6 +497,20 @@ class TestTracerContract:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "ready" in json.loads(result.read_text())
+
+    def test_traced_verify_reports_its_layers(self, tmp_path):
+        # verify's sweeps and refinements run in cli; the tracer must still see them
+        result = tmp_path / "child.json"
+        spec = {"result": str(result), "n": 2, "warm": [0.3, 0.5], "trace": True,
+                "argv": ["verify", "--n", "2", "--points", "41", "--gammas", "0.3,0.6"]}
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                               json.dumps(spec)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        layers = json.loads(result.read_text())["layers"]
+        assert layers["epscan.ep2.records"] > 0
+        assert layers["epscan.sweep.self_s"] > 0
 
     def test_traced_names_are_module_globals(self):
         # perfbench/spans.py replaces these names in each module; it runs in a
