@@ -439,8 +439,7 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
                                 "reason": str(exc)})
         if not records:
             raise NoEP3InBox(f"no collision refined inside {j_box} x {g_box}")
-        records.sort(key=lambda r: (r.location[AXIS_GAIN], r.location[AXIS_COUPLING],
-                                    r.levels))
+        records.sort(key=EPRecord.sort_key)
     else:
         raise UsageError(f"order must be 2 or 3, got {order}")
     _write_text(cfg.output_path, _json_text(_records_json(records, skipped)))
@@ -456,6 +455,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             sweep(grid, workers=cfg.workers), tol=cfg.tol("bisect_tol", BISECT_TOL))
         records += line_records
         skipped += line_skipped
+    records.sort(key=EPRecord.sort_key)
     violations = verify_selection_rule(records)
     obj = _records_json(records, skipped)
     obj["violations"] = violations

@@ -28,8 +28,8 @@ from scipy.optimize import linear_sum_assignment
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
                       IndexIllDefined, LevelRecord, spectra_with_indices,
                       spectrum_with_indices)
-from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_parity,
-                    gain_generator)
+from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_hamiltonians,
+                    build_parity, gain_generator)
 
 AXIS_COUPLING = "j_tilde"
 AXIS_GAIN = "gamma_tilde"
@@ -82,10 +82,10 @@ class _Line(NamedTuple):
     indicator_floor: float
 
 
-def _chain(line, value: float) -> ChainSpec:
+def _point(line, value: float) -> NormalizedPoint:
     if line.axis == AXIS_COUPLING:
-        return NormalizedPoint(min(1.0, max(-1.0, value)), line.fixed_value).chain(line.n)
-    return NormalizedPoint(line.fixed_value, max(0.0, value)).chain(line.n)
+        return NormalizedPoint(min(1.0, max(-1.0, value)), line.fixed_value)
+    return NormalizedPoint(line.fixed_value, max(0.0, value))
 
 
 def _stack_size(n: int) -> int:
@@ -100,7 +100,7 @@ def _solve_value(line, value: float) -> BiorthoSpectrum:
     last: Exception | None = None
     for dv in (0.0, 1e-11, -1e-11, 1e-10):
         try:
-            h = build_hamiltonian(_chain(line, value + dv))
+            h = build_hamiltonian(_point(line, value + dv).chain(line.n))
             return spectrum_with_indices(h, zeta, reality_tol=line.reality_tol,
                                          indicator_floor=line.indicator_floor)
         except AtExceptionalPoint as exc:
@@ -118,7 +118,7 @@ def _solve_values(line, values):
     size = _stack_size(line.n)
     for start in range(0, len(values), size):
         chunk = [float(v) for v in values[start:start + size]]
-        hs = np.stack([build_hamiltonian(_chain(line, v)) for v in chunk])
+        hs = build_hamiltonians([_point(line, v) for v in chunk], line.n)
         spectra = spectra_with_indices(hs, zeta, reality_tol=line.reality_tol,
                                        indicator_floor=line.indicator_floor)
         for v, sp in zip(chunk, spectra):
@@ -256,19 +256,51 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
 def _bisect(inside, p_in: float, p_out: float, tol: float, max_iter: int = 200):
     """Shrink the bracket (p_in, p_out) onto the point where ``inside`` flips.
 
-    ``inside(p)`` probes a midpoint and says whether it lies on ``p_in``'s
-    side. Stops once the bracket is no wider than ``tol``, after ``max_iter``
-    probes, or when the midpoint rounds onto an end. Returns the final ends.
+    A refinement: yields each midpoint and, given its spectrum ``sp``, asks
+    ``inside(sp)`` whether it lies on ``p_in``'s side. Stops once the bracket
+    is no wider than ``tol``, after ``max_iter`` probes, or when the midpoint
+    rounds onto an end. Returns the final ends.
     """
     for _ in range(max_iter):
         pm = 0.5 * (p_in + p_out)
         if not abs(p_out - p_in) > tol or pm in (p_in, p_out):
             break
-        if inside(pm):
+        if inside((yield pm)):
             p_in = pm
         else:
             p_out = pm
     return p_in, p_out
+
+
+def _run(refinement, solve):
+    """Result of one refinement generator, each probe ``p`` answered with ``solve(p)``."""
+    try:
+        p = next(refinement)
+        while True:
+            p = refinement.send(solve(p))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(line, refinements) -> list:
+    """Run refinement generators together, each round's probes solved in stacks.
+
+    Returns each one's result, or the :class:`NoEPInBracket` it raised without
+    its traceback, whose frames would keep a round's stacks alive in a cycle.
+    """
+    results = [None] * len(refinements)
+    answers = dict.fromkeys(range(len(refinements)))
+    while answers:
+        probes = {}
+        for k, sp in answers.items():
+            try:
+                probes[k] = refinements[k].send(sp)
+            except StopIteration as stop:
+                results[k] = stop.value
+            except NoEPInBracket as exc:
+                results[k] = exc.with_traceback(None)
+        answers = dict(zip(probes, _solve_values(line, list(probes.values()))))
+    return results
 
 
 def sweep(grid: SweepGrid, workers: int = 1) -> list[LevelTrack]:
@@ -330,6 +362,10 @@ class EPRecord:
     residual: float
     bracket_width: float
 
+    def sort_key(self) -> tuple:
+        """Order of record lists: by gain, then coupling, then levels."""
+        return (self.location[AXIS_GAIN], self.location[AXIS_COUPLING], self.levels)
+
     def to_dict(self) -> dict:
         return {
             "order": self.order,
@@ -376,29 +412,33 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
     :class:`NoEPInBracket` when the bracket shows no transition or the
     converged boundary is not a real-to-complex one.
     """
-    state_r = _pair_state(solve(p_real), *pair)
+    return _run(_reality_boundary(p_real, p_complex, pair, tol), solve)
+
+
+def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
+    """:func:`locate_reality_boundary` as a refinement (see :func:`_bisect`)."""
+    state_r = _pair_state((yield p_real), *pair)
     if state_r["mutual"]:
         raise NoEPInBracket("pair is already complex on the declared real side")
 
-    def real_side(p):
+    def real_side(sp):
         nonlocal state_r
-        sp = solve(p)
         state = _pair_state(sp, *_match(state_r["left"], sp.eigensystem.right)[0])
         if state["mutual"]:
             return False
         state_r = state
         return True
 
-    if real_side(p_complex):
+    if real_side((yield p_complex)):
         raise NoEPInBracket("pair is not complex-conjugate on the complex side")
-    pr, pc = _bisect(real_side, float(p_real), float(p_complex), tol)
+    pr, pc = yield from _bisect(real_side, float(p_real), float(p_complex), tol)
     if not state_r["both_real"]:
         raise NoEPInBracket(
             "pairing changes without a reality boundary (partner exchange)"
         )
 
     location = 0.5 * (pr + pc)
-    sp_loc = solve(location)
+    sp_loc = yield location
     cols_loc, _ = _match(state_r["left"], sp_loc.eigensystem.right)
     residual = _pair_state(sp_loc, *cols_loc)["gap"]
     return {
@@ -424,6 +464,11 @@ def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
     and separated on one side and complex-conjugate on the other. The record
     carries both Z2 indices from the real side.
     """
+    return _run(_ep2(track_a, track_b, bracket, tol), track_a.grid.solver())
+
+
+def _ep2(track_a: LevelTrack, track_b: LevelTrack, bracket, tol: float):
+    """:func:`find_ep2` as a refinement (see :func:`_bisect`)."""
     grid = track_a.grid
     if grid != track_b.grid:
         raise ValueError("tracks come from different sweeps")
@@ -435,9 +480,9 @@ def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
         raise NoEPInBracket("no real/complex transition between the bracket ends")
     i_real, i_cplx = (i_lo, i_hi) if paired_hi else (i_hi, i_lo)
 
-    res = locate_reality_boundary(
-        grid.solver(), grid.points[i_real], grid.points[i_cplx],
-        (int(track_a.columns[i_real]), int(track_b.columns[i_real])), tol=tol)
+    res = yield from _reality_boundary(
+        grid.points[i_real], grid.points[i_cplx],
+        (int(track_a.columns[i_real]), int(track_b.columns[i_real])), tol)
 
     ia, ib = int(track_a.z2[i_real]), int(track_b.z2[i_real])
     if ia == 0 or ib == 0:
@@ -478,20 +523,19 @@ def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL):
 
     Partner exchanges that bisect to no reality boundary (they occur when a
     complex pair trades one member for another level) are collected in the
-    second return value instead of producing records.
+    second return value instead of producing records. All transitions are
+    refined together, their probes solved in shared stacks.
     """
     grid = tracks[0].grid
-    records: list[EPRecord] = []
-    skipped: list[dict] = []
-    for a, b, p, side in reality_transitions(tracks):
-        bracket = (grid.points[p], grid.points[p + 1])
-        try:
-            records.append(find_ep2(tracks[a], tracks[b], bracket, tol=tol))
-        except NoEPInBracket as exc:
-            skipped.append({"levels": [a, b], "bracket": [bracket[0], bracket[1]],
-                            "complex_side": side, "reason": str(exc)})
-    records.sort(key=lambda r: (r.location[AXIS_GAIN], r.location[AXIS_COUPLING], r.levels))
-    return records, skipped
+    events = reality_transitions(tracks)
+    brackets = [[grid.points[p], grid.points[p + 1]] for _, _, p, _ in events]
+    results = _lockstep(grid, [_ep2(tracks[a], tracks[b], bracket, tol)
+                               for (a, b, _, _), bracket in zip(events, brackets)])
+    skipped = [{"levels": [a, b], "bracket": bracket, "complex_side": side, "reason": str(res)}
+               for (a, b, _, side), bracket, res in zip(events, brackets, results)
+               if isinstance(res, NoEPInBracket)]
+    records = [res for res in results if isinstance(res, EPRecord)]
+    return sorted(records, key=EPRecord.sort_key), skipped
 
 
 @dataclass(frozen=True)
@@ -508,13 +552,17 @@ class CrossingRecord:
 def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
                      tol: float) -> tuple[float, float]:
     """Bisect the sign change of the tracked gap d; returns (location, |d| at the last probe)."""
-    ref = solve(p_lo).eigensystem.left[:, list(pair)]
+    return _run(_crossing(p_lo, p_hi, pair, d_lo, tol), solve)
+
+
+def _crossing(p_lo: float, p_hi: float, pair, d_lo: float, tol: float):
+    """:func:`_refine_crossing` as a refinement (see :func:`_bisect`)."""
+    ref = (yield p_lo).eigensystem.left[:, list(pair)]
     sign_lo = math.copysign(1.0, d_lo)
     gap = abs(d_lo)
 
-    def low_side(p):
+    def low_side(sp):
         nonlocal ref, gap
-        sp = solve(p)
         cols, _ = _match(ref, sp.eigensystem.right)
         d = float((sp.eigenvalues[cols[0]] - sp.eigenvalues[cols[1]]).real)
         gap = abs(d)
@@ -523,7 +571,7 @@ def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
         ref = sp.eigensystem.left[:, cols]
         return True
 
-    lo, hi = _bisect(low_side, p_lo, p_hi, tol)
+    lo, hi = yield from _bisect(low_side, p_lo, p_hi, tol)
     return 0.5 * (lo + hi), gap
 
 
@@ -534,33 +582,33 @@ def classify_crossings(tracks: list[LevelTrack],
     Opposite-index crossings are the ones that split into pairs of
     second-order exceptional points once the gain is turned on; same-index
     crossings are stable. Near-degeneracies without a sign change of the
-    tracked gap are flagged ``ambiguous``.
+    tracked gap are flagged ``ambiguous``. All sign changes are refined
+    together, their probes solved in shared stacks.
     """
     grid = tracks[0].grid
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
         raise ValueError("crossing classification runs on a gain-free coupling sweep")
     pts = np.asarray(grid.points)
-    solve = grid.solver()
     out: list[CrossingRecord] = []
+    labels, refinements = [], []
+
+    def label(a, b, p):
+        ia, ib = int(tracks[a].z2[p]), int(tracks[b].z2[p])
+        return (a, b), (ia, ib), "same" if ia * ib > 0 else "opposite"
+
     dim = len(tracks)
     for a in range(dim):
         for b in range(a + 1, dim):
             d = (tracks[a].eigenvalues - tracks[b].eigenvalues).real
             prod = d[:-1] * d[1:]
-            hits = set(np.flatnonzero(prod < 0.0).tolist())
-            exact = np.flatnonzero(d == 0.0)
-            for p in exact:
-                ia, ib = int(tracks[a].z2[p]), int(tracks[b].z2[p])
-                kind = "same" if ia * ib > 0 else "opposite"
-                out.append(CrossingRecord(float(pts[p]), (a, b), (ia, ib), kind, 0.0))
-            for p in sorted(hits):
-                loc, gap = _refine_crossing(
-                    solve, pts[p], pts[p + 1],
+            for p in np.flatnonzero(d == 0.0):
+                out.append(CrossingRecord(float(pts[p]), *label(a, b, p), 0.0))
+            for p in np.flatnonzero(prod < 0.0):
+                labels.append(label(a, b, p))
+                refinements.append(_crossing(
+                    pts[p], pts[p + 1],
                     (int(tracks[a].columns[p]), int(tracks[b].columns[p])),
-                    d[p], CROSSING_TOL)
-                ia, ib = int(tracks[a].z2[p]), int(tracks[b].z2[p])
-                kind = "same" if ia * ib > 0 else "opposite"
-                out.append(CrossingRecord(float(loc), (a, b), (ia, ib), kind, float(gap)))
+                    d[p], CROSSING_TOL))
             absd = np.abs(d)
             for p in range(1, len(pts) - 1):
                 if (absd[p] < ambiguous_gap and absd[p] <= absd[p - 1]
@@ -569,6 +617,8 @@ def classify_crossings(tracks: list[LevelTrack],
                     ia, ib = int(tracks[a].z2[p]), int(tracks[b].z2[p])
                     out.append(CrossingRecord(float(pts[p]), (a, b), (ia, ib),
                                               "ambiguous", float(absd[p])))
+    for (levels, indices, kind), (loc, gap) in zip(labels, _lockstep(grid, refinements)):
+        out.append(CrossingRecord(float(loc), levels, indices, kind, float(gap)))
     out.sort(key=lambda c: (c.location, c.levels))
     return out
 
@@ -673,20 +723,18 @@ def _all_real(sp: BiorthoSpectrum, cols) -> bool:
                 and np.all(np.abs(sp.eigenvalues[cols].imag) <= sp.reality_tol))
 
 
-def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
-                             tol: float):
+def _triple_reality_boundary(p_real: float, p_cplx: float, tri_cols_real, tol: float):
     """Bisect the parameter where a tracked triple stops being all-real.
 
-    Returns the boundary and the :class:`TriplePairing` kind just outside it;
-    matching follows the real side so label bookkeeping survives the approach
-    to the boundary.
+    A refinement (see :func:`_bisect`). Returns the boundary and the
+    :class:`TriplePairing` kind just outside it; matching follows the real
+    side so label bookkeeping survives the approach to the boundary.
     """
-    ref = solve(p_real).eigensystem.left[:, tri_cols_real]
+    ref = (yield p_real).eigensystem.left[:, tri_cols_real]
     outside = None
 
-    def real_side(p):
+    def real_side(sp):
         nonlocal ref, outside
-        sp = solve(p)
         cols, _ = _match(ref, sp.eigensystem.right)
         if _all_real(sp, cols):
             ref = sp.eigensystem.left[:, cols]
@@ -694,9 +742,9 @@ def _triple_reality_boundary(solve, p_real: float, p_cplx: float, tri_cols_real,
         outside = _classify_triple(sp, cols)
         return False
 
-    pr, pc = _bisect(real_side, float(p_real), float(p_cplx), tol)
+    pr, pc = yield from _bisect(real_side, float(p_real), float(p_cplx), tol)
     if outside is None:
-        sp_c = solve(pc)
+        sp_c = yield pc
         outside = _classify_triple(sp_c, _match(ref, sp_c.eigensystem.right)[0])
     return 0.5 * (pr + pc), outside.kind
 
@@ -716,7 +764,6 @@ def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wed
     j_vals = np.linspace(window[0], window[1], samples)
     anchor = 0.5 * (window[0] + window[1])
     sp_a, cols_a = _march_probe(line._replace(axis=AXIS_GAIN, fixed_value=anchor), gamma)
-    solve = partial(_solve_value, line)
 
     tri = list(triple)
     states: dict[int, tuple] = {}
@@ -743,16 +790,13 @@ def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wed
     _, _, energies, z2 = states[anchor_idx]
     indices = tuple(int(i) for i in z2[np.argsort(energies, kind="stable")])
 
-    if lo > 0:
-        j_left, kind_left = _triple_reality_boundary(
-            solve, float(j_vals[lo]), float(j_vals[lo - 1]), states[lo][1], j_tol)
-    else:
-        j_left, kind_left = float(j_vals[lo]), "edge"
-    if hi < samples - 1:
-        j_right, kind_right = _triple_reality_boundary(
-            solve, float(j_vals[hi]), float(j_vals[hi + 1]), states[hi][1], j_tol)
-    else:
-        j_right, kind_right = float(j_vals[hi]), "edge"
+    # both edges are refined together; an edge at the window's end stays there
+    ends = [(lo, lo - 1), (hi, hi + 1)]
+    inner = [(i, o) for i, o in ends if 0 <= o < samples]
+    refined = dict(zip(inner, _lockstep(line, [_triple_reality_boundary(
+        float(j_vals[i]), float(j_vals[o]), states[i][1], j_tol) for i, o in inner])))
+    (j_left, kind_left), (j_right, kind_right) = [
+        refined.get(end, (float(j_vals[end[0]]), "edge")) for end in ends]
     return _Wedge(gamma=gamma, j_lo=j_left, j_hi=j_right, indices=indices,
                   edge_kinds=(kind_left, kind_right))
 
@@ -795,13 +839,12 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
             f"the all-real interval persists at gamma={g_hi:.6g}; "
             "the boundaries collide above the box")
 
-    def exists(g: float) -> bool:
+    def exists(found: _Wedge | None) -> bool:
         nonlocal wedge
-        found = probe(g)
         wedge = found or wedge
         return found is not None
 
-    g_exist, g_gone = _bisect(exists, g_lo, g_hi, g_tol)
+    g_exist, g_gone = _run(_bisect(exists, g_lo, g_hi, g_tol), probe)
 
     kinds = set(wedge.edge_kinds)
     if kinds != {"low-mid", "mid-up"}:

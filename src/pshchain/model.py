@@ -132,24 +132,33 @@ def _operators(n: int) -> _Operators:
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary).
+    """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary)."""
+    return _hamiltonians(spec.n, [spec.delta], [spec.j], [spec.gamma_profile])[0]
+
+
+def build_hamiltonians(points, n: int) -> np.ndarray:
+    """Stack of :func:`build_hamiltonian` of ``p.chain(n)`` for each :class:`NormalizedPoint`."""
+    j, gamma, delta = np.array([(p.j_tilde, p.gamma_tilde, p.delta) for p in points]).T
+    return _hamiltonians(n, delta, j, gamma[:, None] * (-1.0) ** np.arange(n))
+
+
+def _hamiltonians(n: int, delta, j, gains) -> np.ndarray:
+    """Hamiltonians for per-matrix ``delta``, ``j`` and site ``gains``, in one broadcast.
 
     The diagonal adds i g_n sz_n site by site, then -j sz_n sz_{n+1} bond by
     bond: the order of a term-by-term sum of tensor products, which the
     result therefore matches to the last bit.
     """
-    ops = _operators(spec.n)
-    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    if spec.delta != 0.0:
-        h += spec.delta * ops.flips
-    diag = np.zeros(spec.dim, dtype=np.complex128)
-    for g, z in zip(spec.gamma_profile, ops.z):
-        if g != 0.0:
-            diag.imag += g * z
-    if spec.j != 0.0:
-        for za, zb in zip(ops.z, ops.z[1:]):
-            diag.real -= spec.j * (za * zb)
-    np.fill_diagonal(h, diag)
+    ops = _operators(n)
+    h = np.zeros((len(delta), 1 << n, 1 << n), dtype=np.complex128)
+    np.multiply(np.asarray(delta)[:, None, None], ops.flips, out=h.real)
+    diag = h.reshape(len(h), -1)[:, ::(1 << n) + 1]  # a view of each diagonal
+    gain, bond = np.zeros(diag.shape), np.zeros(diag.shape)
+    for g, z in zip(np.asarray(gains).T, ops.z):
+        gain += g[:, None] * z
+    for za, zb in zip(ops.z, ops.z[1:]):
+        bond -= np.asarray(j)[:, None] * (za * zb)
+    diag.real, diag.imag = bond, gain
     return h
 
 

@@ -276,6 +276,18 @@ class TestVerifyCommand:
         assert records and data["records"] == records
         assert data["skipped"] == skipped
 
+    def test_records_in_gain_order(self, tmp_path):
+        # the gains are given out of order; the records come out sorted
+        outs = []
+        for k, gammas in enumerate(("0.6,0.3", "0.3,0.6")):
+            out = tmp_path / f"verify{k}.json"
+            assert main(["verify", "--n", "2", "--points", "41", "--gammas", gammas,
+                         "--output", str(out)]) == 0
+            outs.append(json.loads(out.read_text())["records"])
+        gains = [r["location"]["gamma_tilde"] for r in outs[0]]
+        assert len(set(gains)) == 2 and gains == sorted(gains)
+        assert outs[0] == outs[1]
+
 
 class TestExitCodes:
     def test_no_command(self):

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -15,10 +16,12 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       SweepGrid, build_hamiltonian, build_parity, classify_crossings,
                       find_ep2, find_ep3, find_ep3_candidates, gain_generator,
                       locate_ep2_records, locate_reality_boundary, predict_gamma_cr,
-                      project_two_level, solve_modes, spectrum_with_indices, sweep,
-                      triple_pairing, verify_selection_rule)
+                      project_two_level, reality_transitions, solve_modes,
+                      spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
+from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import load_ep_records
-from pshchain.epscan import _bisect
+from pshchain.epscan import CROSSING_TOL, _bisect, _Line, _point, _refine_crossing, _run
+from pshchain.model import build_hamiltonians
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,7 +63,8 @@ class TestBisect:
             return p >= t if upper_inside else p < t
 
         p_in, p_out = (hi, lo) if upper_inside else (lo, hi)
-        p_in, p_out = _bisect(inside, p_in, p_out, tol, max_iter)
+        # each probe is answered with itself, so ``inside`` sees the midpoint
+        p_in, p_out = _run(_bisect(inside, p_in, p_out, tol, max_iter), lambda p: p)
         a, b = sorted((p_in, p_out))
         assert a < t <= b
         assert len(probes) <= max_iter
@@ -70,7 +74,7 @@ class TestBisect:
             assert b - a <= tol or np.nextafter(a, b) == b
 
     def test_zero_tolerance_ends_at_adjacent_floats(self):
-        lo, hi = _bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0)
+        lo, hi = _run(_bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0), lambda p: p)
         assert lo < 0.3 <= hi and np.nextafter(lo, hi) == hi
 
 
@@ -323,9 +327,13 @@ class TestFindEp2:
 
 
 @pytest.fixture(scope="module")
-def crossings():
-    tracks = sweep(coupling_grid(4, 0.0, points=801))
-    return classify_crossings(tracks)
+def gain_free_tracks():
+    return sweep(coupling_grid(4, 0.0, points=801))
+
+
+@pytest.fixture(scope="module")
+def crossings(gain_free_tracks):
+    return classify_crossings(gain_free_tracks)
 
 
 class TestClassifyCrossings:
@@ -357,6 +365,106 @@ class TestClassifyCrossings:
         tracks = sweep(gain_grid(2, 0.5, 0.2, 11))
         with pytest.raises(ValueError):
             classify_crossings(tracks)
+
+    def test_matches_one_refinement_at_a_time(self, gain_free_tracks, crossings):
+        # the sign changes are refined together; each must end where its own
+        # refinement, solved one probe at a time, ends
+        tracks = gain_free_tracks
+        grid = tracks[0].grid
+        pts = np.asarray(grid.points)
+        expected, exact = [], set()
+        for a in range(len(tracks)):
+            for b in range(a + 1, len(tracks)):
+                d = (tracks[a].eigenvalues - tracks[b].eigenvalues).real
+                exact.update((float(pts[p]), (a, b)) for p in np.flatnonzero(d == 0.0))
+                for p in np.flatnonzero(d[:-1] * d[1:] < 0.0):
+                    loc, gap = _refine_crossing(
+                        grid.solver(), pts[p], pts[p + 1],
+                        (int(tracks[a].columns[p]), int(tracks[b].columns[p])),
+                        d[p], CROSSING_TOL)
+                    expected.append((float(loc), (a, b), float(gap)))
+        refined = [(c.location, c.levels, c.gap) for c in crossings
+                   if c.kind != "ambiguous" and (c.location, c.levels) not in exact]
+        assert len(expected) >= 6
+        assert refined == sorted(expected)
+
+
+@pytest.fixture(scope="module")
+def high_gain_tracks():
+    return sweep(coupling_grid(4, 0.48375, points=201))
+
+
+class TestLockstep:
+    """Refinements run together, sharing stacked solves, and end as they would alone."""
+
+    def test_records_match_one_transition_at_a_time(self, high_gain_tracks):
+        tracks = high_gain_tracks
+        grid = tracks[0].grid
+        records, skipped = [], []
+        for a, b, p, side in reality_transitions(tracks):
+            bracket = (grid.points[p], grid.points[p + 1])
+            try:
+                records.append(find_ep2(tracks[a], tracks[b], bracket))
+            except NoEPInBracket as exc:
+                skipped.append({"levels": [a, b], "bracket": list(bracket),
+                                "complex_side": side, "reason": str(exc)})
+        records.sort(key=EPRecord.sort_key)
+        assert records and skipped
+        assert locate_ep2_records(tracks) == (records, skipped)
+
+    def test_leaves_no_reference_cycles(self, high_gain_tracks):
+        # a cycle would keep the refinements' spectra, and the stacks they
+        # are views of, alive until the garbage collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            _, skipped = locate_ep2_records(high_gain_tracks)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert skipped
+        assert garbage == 0
+
+    def test_one_stack_per_round(self, monkeypatch):
+        tracks = sweep(coupling_grid(4, 0.40125, points=801))
+        stacks, failed, singles = [], [], []
+        stacked, single = epscan.spectra_with_indices, epscan.spectrum_with_indices
+
+        def count_stack(hs, zeta, **kw):
+            out = stacked(hs, zeta, **kw)
+            stacks.append(len(out))
+            failed.extend(sp for sp in out if isinstance(sp, Exception))
+            return out
+
+        def count_single(h, zeta, **kw):
+            singles.append(1)
+            return single(h, zeta, **kw)
+
+        monkeypatch.setattr(epscan, "spectra_with_indices", count_stack)
+        monkeypatch.setattr(epscan, "spectrum_with_indices", count_single)
+        records, skipped = locate_ep2_records(tracks)
+        assert len(records) + len(skipped) >= 20
+        assert len(stacks) <= 25
+        # single solves are only the nudged re-solves of failed stack points
+        assert len(failed) <= len(singles) <= 4 * len(failed)
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_single_builds(self, n):
+        # the lines' clamps included: couplings past +-1 and negative gains
+        rng = np.random.default_rng(n)
+        lines = {AXIS_COUPLING: ([0.0, 0.3, float(rng.uniform(0, 1))],
+                                 [*rng.uniform(-1, 1, 6), -1.0 - 1e-11, -1.0, -0.0,
+                                  0.0, 1e-11, 1.0, 1.0 + 1e-11]),
+                 AXIS_GAIN: ([-1.0, 0.0, 1.0, float(rng.uniform(-1, 1))],
+                             [*rng.uniform(0, 1, 6), -1e-11, -0.0, 0.0, 1e-11, 1.0])}
+        for axis, (fixed_values, values) in lines.items():
+            for fixed in fixed_values:
+                line = _Line(axis, fixed, n, None, INDICATOR_FLOOR)
+                points = [_point(line, v) for v in values]
+                for p, h in zip(points, build_hamiltonians(points, n)):
+                    assert np.array_equal(h, build_hamiltonian(p.chain(n)))
 
 
 class TestProjectTwoLevel:
