@@ -40,6 +40,10 @@ BISECT_TOL = 1e-8
 #: Default tolerances of ``find_ep3``: its coupling and its gain bisections.
 EP3_J_TOL = 1e-10
 EP3_GAMMA_TOL = 1e-6
+#: Coupling samples per interval search of ``find_ep3``, gain steps per probe line
+#: of ``find_ep3_candidates``.
+EP3_SAMPLES = 61
+EP3_CANDIDATE_STEPS = 128
 #: Default gap below which ``classify_crossings`` flags a near-degeneracy.
 AMBIGUOUS_GAP = 1e-6
 #: Matched overlap below which a track break is recorded.
@@ -51,6 +55,8 @@ GAIN_RUNG = 0.005
 #: Matrix elements per stacked solve (64 points at N=4, 4 at N=6, 1 from N=7):
 #: keeps memory flat while small matrices share one eigensolve call.
 _STACK_ELEMENTS = 1 << 14
+#: Offsets tried in turn at a point whose solve hits an exact exceptional point.
+_NUDGES = (0.0, 1e-11, -1e-11, 1e-10)
 
 
 class NoEPInBracket(RuntimeError):
@@ -93,38 +99,30 @@ def _stack_size(n: int) -> int:
     return max(1, _STACK_ELEMENTS >> (2 * n))
 
 
-def _solve_value(line, value: float) -> BiorthoSpectrum:
-    """Spectrum at ``value`` on ``line`` (a :class:`SweepGrid` or :class:`_Line`),
-    with the line's tolerances; nudges off exact exceptional points."""
-    zeta = build_parity(line.n)
-    last: Exception | None = None
-    for dv in (0.0, 1e-11, -1e-11, 1e-10):
-        try:
-            h = build_hamiltonian(_point(line, value + dv).chain(line.n))
-            return spectrum_with_indices(h, zeta, reality_tol=line.reality_tol,
-                                         indicator_floor=line.indicator_floor)
-        except AtExceptionalPoint as exc:
-            last = exc
-    raise last  # pragma: no cover - needs an exact EP hit on the grid
+def _solve_values(line, values, nudges=_NUDGES):
+    """Spectra at ``values + nudges[0]`` on ``line`` (a :class:`SweepGrid` or
+    :class:`_Line`) with its tolerances, in order, lazily, in stacks of ``_stack_size``.
 
-
-def _solve_values(line, values):
-    """Spectra at ``values`` on ``line`` in order, lazily, in stacks of ``_stack_size``.
-
-    Each spectrum is the one :func:`_solve_value` gives for its point: a
-    point whose stacked solve fails is solved again alone, with the nudges.
+    A point at an exact exceptional point is solved again through this routine
+    at the remaining offsets; the failure at the last is raised, other errors at once.
     """
     zeta = build_parity(line.n)
     size = _stack_size(line.n)
     for start in range(0, len(values), size):
         chunk = [float(v) for v in values[start:start + size]]
-        hs = build_hamiltonians([_point(line, v) for v in chunk], line.n)
+        hs = build_hamiltonians([_point(line, v + nudges[0]) for v in chunk], line.n)
         spectra = spectra_with_indices(hs, zeta, reality_tol=line.reality_tol,
                                        indicator_floor=line.indicator_floor)
         for v, sp in zip(chunk, spectra):
-            if not isinstance(sp, BiorthoSpectrum):
-                sp = _solve_value(line, v)
+            if isinstance(sp, AtExceptionalPoint) and len(nudges) > 1:
+                sp = next(_solve_values(line, [v], nudges[1:]))
+            elif isinstance(sp, Exception):
+                raise sp
             yield sp
+
+
+def _solve_value(line, value: float) -> BiorthoSpectrum:
+    return next(_solve_values(line, [value]))
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,8 @@ class SweepGrid:
         for name in ("reality_tol", "indicator_floor"):
             value = getattr(self, name)
             if not (value is None and name == "reality_tol"
-                    or isinstance(value, (int, float)) and 0 <= value < math.inf):
+                    or isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
@@ -166,7 +165,7 @@ class SweepGrid:
         return NormalizedPoint(self.fixed_value, value)
 
     def solver(self):
-        """``value -> spectrum`` along this grid's axis (see :func:`_solve_value`)."""
+        """``value -> spectrum`` along this grid's axis (see :func:`_solve_values`)."""
         return partial(_solve_value, self)
 
     def index_of(self, value: float) -> int:
@@ -758,17 +757,17 @@ class _Wedge:
     edge_kinds: tuple
 
 
-def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wedge | None:
+def _find_wedge(line: _Line, window, triple, j_tol: float) -> _Wedge | None:
     """Locate the all-real interval of the triple on the fixed-gain ``line``."""
     gamma = line.fixed_value
-    j_vals = np.linspace(window[0], window[1], samples)
+    j_vals = np.linspace(window[0], window[1], EP3_SAMPLES)
     anchor = 0.5 * (window[0] + window[1])
     sp_a, cols_a = _march_probe(line._replace(axis=AXIS_GAIN, fixed_value=anchor), gamma)
 
     tri = list(triple)
     states: dict[int, tuple] = {}
-    right_part = sorted(i for i in range(samples) if j_vals[i] >= anchor)
-    left_part = sorted((i for i in range(samples) if j_vals[i] < anchor), reverse=True)
+    right_part = sorted(i for i in range(EP3_SAMPLES) if j_vals[i] >= anchor)
+    left_part = sorted((i for i in range(EP3_SAMPLES) if j_vals[i] < anchor), reverse=True)
     for part in (right_part, left_part):
         spectra = _solve_values(line, j_vals[part])
         for i, (sp, cols, _) in zip(part, _follow(spectra, sp_a, cols_a)):
@@ -776,7 +775,7 @@ def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wed
             states[i] = (_all_real(sp, tri_cols), tri_cols,
                          sp.eigenvalues[tri_cols].real, sp.z2[tri_cols])
 
-    real_mask = [int(states[i][0]) for i in range(samples)]
+    real_mask = [int(states[i][0]) for i in range(EP3_SAMPLES)]
     if not any(real_mask):
         return None
     # widest run of all-real samples, the first of equal ones
@@ -792,7 +791,7 @@ def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wed
 
     # both edges are refined together; an edge at the window's end stays there
     ends = [(lo, lo - 1), (hi, hi + 1)]
-    inner = [(i, o) for i, o in ends if 0 <= o < samples]
+    inner = [(i, o) for i, o in ends if 0 <= o < EP3_SAMPLES]
     refined = dict(zip(inner, _lockstep(line, [_triple_reality_boundary(
         float(j_vals[i]), float(j_vals[o]), states[i][1], j_tol) for i, o in inner])))
     (j_left, kind_left), (j_right, kind_right) = [
@@ -802,7 +801,7 @@ def _find_wedge(line: _Line, window, triple, samples: int, j_tol: float) -> _Wed
 
 
 def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
-             g_tol: float = EP3_GAMMA_TOL, samples: int = 61, reality_tol=None,
+             g_tol: float = EP3_GAMMA_TOL, reality_tol=None,
              indicator_floor: float = INDICATOR_FLOOR) -> EPRecord:
     """Localize a third-order point as the collision of two tracked boundaries.
 
@@ -822,7 +821,7 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     window = (max(-1.0, j_lo - pad), min(1.0, j_hi + pad))
 
     line = _Line(AXIS_COUPLING, g_lo, n, reality_tol, indicator_floor)
-    wedge = _find_wedge(line, window, triple, samples, j_tol)
+    wedge = _find_wedge(line, window, triple, j_tol)
     if wedge is None:
         raise NoEP3InBox(
             f"triple {triple} has no all-real interval at gamma={g_lo:.6g} in {window}")
@@ -832,7 +831,7 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
         width = max(wedge.j_hi - wedge.j_lo, 10 * j_tol)
         margin = max(2.0 * width, 2.0 * (g - wedge.gamma), 1e-4)
         window = (max(-1.0, wedge.j_lo - margin), min(1.0, wedge.j_hi + margin))
-        return _find_wedge(line._replace(fixed_value=g), window, triple, samples, j_tol)
+        return _find_wedge(line._replace(fixed_value=g), window, triple, j_tol)
 
     if probe(g_hi) is not None:
         raise NoEP3InBox(
@@ -876,7 +875,7 @@ def _candidate_probe(grid: SweepGrid) -> dict:
 
 
 def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
-                        g_steps: int = 128, workers: int = 1, reality_tol=None,
+                        workers: int = 1, reality_tol=None,
                         indicator_floor: float = INDICATOR_FLOOR) -> list[dict]:
     """Coarse scan for levels that switch first-merge partners with the coupling.
 
@@ -893,7 +892,7 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     g_lo, g_hi = float(gamma_window[0]), float(gamma_window[1])
     g_floor = g_lo - (g_hi - g_lo)
     j_vals = np.linspace(float(j_window[0]), float(j_window[1]), probes)
-    ladder = tuple(np.linspace(0.0, g_hi, g_steps + 1))
+    ladder = tuple(np.linspace(0.0, g_hi, EP3_CANDIDATE_STEPS + 1))
     grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
              for j in j_vals]
     results = list(_imap(_candidate_probe, grids, workers, 1))

@@ -117,3 +117,13 @@ def match_level_sets(reference, computed, energy_tol=1e-8):
             mismatches += 1
         i = k + 1
     return mismatches
+
+
+def assert_same_spectrum(x, y):
+    """Two biorthogonal spectra agree bit for bit."""
+    assert np.array_equal(x.eigenvalues, y.eigenvalues)
+    assert np.array_equal(x.eigensystem.right, y.eigensystem.right)
+    assert np.array_equal(x.eigensystem.left, y.eigensystem.left)
+    assert np.array_equal(x.z2, y.z2)
+    assert np.array_equal(x.indicator, y.indicator)
+    assert np.array_equal(x.partner, y.partner)

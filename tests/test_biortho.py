@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import hermitian_reference_indices, match_level_sets
+from conftest import assert_same_spectrum, hermitian_reference_indices, match_level_sets
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
                       ep_indicator, full_spectrum, spectra_with_indices,
@@ -188,15 +188,6 @@ class TestSpectrumWithIndices:
                 reference = signs
             assert signs == reference
         assert reference is not None
-
-
-def assert_same_spectrum(x, y):
-    assert np.array_equal(x.eigenvalues, y.eigenvalues)
-    assert np.array_equal(x.eigensystem.right, y.eigensystem.right)
-    assert np.array_equal(x.eigensystem.left, y.eigensystem.left)
-    assert np.array_equal(x.z2, y.z2)
-    assert np.array_equal(x.indicator, y.indicator)
-    assert np.array_equal(x.partner, y.partner)
 
 
 class TestStackedSpectra:

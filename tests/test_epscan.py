@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_spectrum
 from pshchain import epscan
 from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
                       ChainSpec,
@@ -20,7 +21,8 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import load_ep_records
-from pshchain.epscan import CROSSING_TOL, _bisect, _Line, _point, _refine_crossing, _run
+from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _Line, _point, _refine_crossing,
+                             _run, _solve_values)
 from pshchain.model import build_hamiltonians
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,6 +118,31 @@ class TestRealityBoundary:
             locate_reality_boundary(toy_solver(0.2, 1.0), 0.2, 0.3, (0, 1))
 
 
+NUDGE_GRID = coupling_grid(4, 0.21, points=70, start=-0.9, stop=0.9)
+
+
+def nudge_hamiltonian(value):
+    return build_hamiltonian(_point(NUDGE_GRID, value).chain(NUDGE_GRID.n))
+
+
+def fake_stacks(monkeypatch, error, matrices):
+    """Let ``error`` stand for the stacked solve of each of ``matrices``; record the stacks."""
+    original = epscan.spectra_with_indices
+    stacks = []
+
+    def fake(hs, zeta, **kw):
+        stacks.append(hs.copy())
+        return [error if any(np.array_equal(h, m) for m in matrices) else sp
+                for h, sp in zip(hs, original(hs, zeta, **kw))]
+
+    def single(*args, **kw):
+        raise AssertionError("a matrix was solved outside the stacked routine")
+
+    monkeypatch.setattr(epscan, "spectra_with_indices", fake)
+    monkeypatch.setattr(epscan, "spectrum_with_indices", single)
+    return stacks
+
+
 class TestSweep:
     def test_gain_free_line_is_real(self):
         tracks = sweep(coupling_grid(4, 0.0, points=81))
@@ -184,25 +211,74 @@ class TestSweep:
                 assert sp.eigenvalues[c] == tr.eigenvalues[p]
                 assert sp.z2[c] == tr.z2[p] and sp.indicator[c] == tr.indicator[p]
 
+    # a point at an exact EP is solved again through the same stacked routine,
+    # at the next offset of _NUDGES
+
     def test_failed_stack_point_is_solved_alone(self, monkeypatch):
-        grid = coupling_grid(4, 0.21, points=70, start=-0.9, stop=0.9)
-        reference = sweep(grid)
-        original = epscan.spectra_with_indices
-        stacks = []
+        pts = NUDGE_GRID.points
+        reference = list(_solve_values(NUDGE_GRID, pts))
+        nudged = spectrum_with_indices(nudge_hamiltonian(pts[2] + 1e-11), build_parity(4))
+        stacks = fake_stacks(monkeypatch, AtExceptionalPoint(np.inf),
+                             [nudge_hamiltonian(pts[2])])
+        patched = list(_solve_values(NUDGE_GRID, pts))
+        assert [len(hs) for hs in stacks] == [64, 1, 6]
+        assert np.array_equal(stacks[1][0], nudge_hamiltonian(pts[2] + 1e-11))
+        for p, (a, b) in enumerate(zip(reference, patched)):
+            assert_same_spectrum(b, nudged if p == 2 else a)
 
-        def fail_third(hs, zeta, **kw):
-            out = original(hs, zeta, **kw)
-            out[2] = AtExceptionalPoint(np.inf)
-            stacks.append(len(out))
-            return out
+    def test_failure_at_every_offset_raises_after_three_retries(self, monkeypatch):
+        v = NUDGE_GRID.points[5]
+        stacks = fake_stacks(monkeypatch, AtExceptionalPoint(np.inf),
+                             [nudge_hamiltonian(v + dv) for dv in _NUDGES])
+        spectra = _solve_values(NUDGE_GRID, NUDGE_GRID.points)
+        for _ in range(5):
+            next(spectra)
+        with pytest.raises(AtExceptionalPoint):
+            next(spectra)
+        assert [len(hs) for hs in stacks] == [64, 1, 1, 1]
+        for hs, dv in zip(stacks[1:], _NUDGES[1:]):
+            assert np.array_equal(hs[0], nudge_hamiltonian(v + dv))
 
-        monkeypatch.setattr(epscan, "spectra_with_indices", fail_third)
-        patched = sweep(grid)
-        assert stacks == [64, 6]
-        for a, b in zip(reference, patched):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.columns, b.columns)
-            assert np.array_equal(a.partner, b.partner)
+    def test_other_errors_raise_without_retry(self, monkeypatch):
+        stacks = fake_stacks(monkeypatch, ArithmeticError("residuals"),
+                             [nudge_hamiltonian(NUDGE_GRID.points[5])])
+        with pytest.raises(ArithmeticError, match="residuals"):
+            sweep(NUDGE_GRID)
+        assert [len(hs) for hs in stacks] == [64]
+
+
+class TestSolveValues:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.sampled_from([2, 4]), axis=st.sampled_from([AXIS_COUPLING, AXIS_GAIN]),
+           fixed=st.floats(-1.0, 1.0),
+           values=st.lists(st.one_of(
+               st.floats(-1.0, 1.0),
+               st.sampled_from([-1.0, 1.0, -1.0 - 1e-11, -1.0 + 1e-11, 1.0 - 1e-11,
+                                1.0 + 1e-11, 0.0, -1e-11])), min_size=1, max_size=4))
+    def test_matches_single_solves_at_every_offset(self, n, axis, fixed, values):
+        # the reference is the single-matrix path: each offset solved alone in turn
+        line = _Line(axis, abs(fixed) if axis == AXIS_COUPLING else fixed, n, None,
+                     INDICATOR_FLOOR)
+
+        def solve_alone(v, nudges):
+            for dv in nudges:
+                try:
+                    return spectrum_with_indices(
+                        build_hamiltonian(_point(line, v + dv).chain(n)), build_parity(n))
+                except AtExceptionalPoint as exc:
+                    last = exc
+            raise last
+
+        for k in range(len(_NUDGES)):
+            spectra = _solve_values(line, values, _NUDGES[k:])
+            for v in values:
+                try:
+                    want = solve_alone(v, _NUDGES[k:])
+                except AtExceptionalPoint:
+                    with pytest.raises(AtExceptionalPoint):
+                        next(spectra)
+                    break
+                assert_same_spectrum(next(spectra), want)
 
 
 class TestSweepGrid:
@@ -211,6 +287,7 @@ class TestSweepGrid:
         {"reality_tol": -1e-8}, {"reality_tol": float("nan")}, {"reality_tol": float("inf")},
         {"indicator_floor": None}, {"indicator_floor": -1e-6},
         {"indicator_floor": float("nan")}, {"indicator_floor": float("inf")},
+        {"reality_tol": True}, {"indicator_floor": False},
     ])
     def test_bad_fields_rejected_at_construction(self, kw):
         # an odd n used to construct and fail only at the first solve
@@ -427,8 +504,9 @@ class TestLockstep:
 
     def test_one_stack_per_round(self, monkeypatch):
         tracks = sweep(coupling_grid(4, 0.40125, points=801))
-        stacks, failed, singles = [], [], []
+        stacks, failed, singles, retries = [], [], [], []
         stacked, single = epscan.spectra_with_indices, epscan.spectrum_with_indices
+        solve_values = epscan._solve_values
 
         def count_stack(hs, zeta, **kw):
             out = stacked(hs, zeta, **kw)
@@ -440,13 +518,20 @@ class TestLockstep:
             singles.append(1)
             return single(h, zeta, **kw)
 
+        def count_retry(line, values, nudges=_NUDGES):
+            if nudges != _NUDGES:
+                retries.append(values)
+            return solve_values(line, values, nudges)
+
         monkeypatch.setattr(epscan, "spectra_with_indices", count_stack)
         monkeypatch.setattr(epscan, "spectrum_with_indices", count_single)
+        monkeypatch.setattr(epscan, "_solve_values", count_retry)
         records, skipped = locate_ep2_records(tracks)
         assert len(records) + len(skipped) >= 20
         assert len(stacks) <= 25
-        # single solves are only the nudged re-solves of failed stack points
-        assert len(failed) <= len(singles) <= 4 * len(failed)
+        # every solve is stacked; a failed point is retried at the next offset
+        assert singles == []
+        assert len(retries) == len(failed)
 
 
 class TestStackedBuild:
@@ -607,7 +692,7 @@ class TestFindEp3:
 
     def test_empty_box_raises(self):
         with pytest.raises(NoEP3InBox):
-            find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7), samples=31)
+            find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7))
 
     def test_zero_gain_tolerance_ends(self, tmp_path):
         # the gain bisection stops once its midpoint rounds onto an end
@@ -624,8 +709,7 @@ class TestFindEp3:
         assert 0 < rec.bracket_width <= 2 * np.spacing(g)
 
     def test_candidates_scan_finds_the_triple(self):
-        cands = find_ep3_candidates(4, (-0.9, -0.6), (0.35, 0.45), probes=11,
-                                    g_steps=96)
+        cands = find_ep3_candidates(4, (-0.9, -0.6), (0.35, 0.45), probes=11)
         assert any(c["triple"] == (3, 4, 7) for c in cands)
 
 
