@@ -26,8 +26,8 @@ import numpy as np
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined,
                       spectrum_with_indices)
-from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, BISECT_TOL, EP3_GAMMA_TOL,
-                     EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
+from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
+                     EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
                      NoEPInBracket, SweepGrid, classify_crossings, find_ep2, find_ep3,
                      find_ep3_candidates, locate_ep2_records, sweep,
                      verify_selection_rule)
@@ -40,8 +40,7 @@ TOLERANCE_NAMES = frozenset({
 })
 #: Gain values of the default verification grid.
 DEFAULT_GAMMAS = (0.05, 0.21, 0.40125, 0.48375)
-#: Each axis's range of values, and its span where no start or stop is given.
-_AXIS_RANGE = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, math.inf)}
+#: Each axis's span where no start or stop is given.
 _DEFAULT_SPAN = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, 1.0)}
 
 _NUMERIC_ERRORS = (NearDefective, AtExceptionalPoint, IndexIllDefined, NoEPInBracket,
@@ -306,7 +305,7 @@ def _check_on_axis(axis: str, names: tuple[str, ...], values) -> None:
     """Reject values of the config fields ``grid.<names>`` off ``axis``'s range:
     [-1, 1] for the coupling, finite and >= 0 for the gain. Two names, a start
     and a stop, must also rise. The message names the fields and the condition."""
-    lo, hi = _AXIS_RANGE[axis]
+    lo, hi = AXIS_RANGE[axis]
     if not (all(math.isfinite(v) and lo <= v <= hi for v in values)
             and (len(names) == 1 or values[0] < values[1])):
         chain = f"{lo:g} <= {' < '.join(names)}" + (f" <= {hi:g}" if hi < math.inf else "")
@@ -339,7 +338,7 @@ def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
         axis = AXIS_COUPLING
     if axis in ("gt", "g"):
         axis = AXIS_GAIN
-    if axis not in _AXIS_RANGE:
+    if axis not in AXIS_RANGE:
         raise UsageError(f"grid.axis must be '{AXIS_COUPLING}' or '{AXIS_GAIN}'")
     fixed = cfg.fixed_value if cfg.fixed_value is not None else default_fixed
     if fixed is None:

@@ -33,7 +33,8 @@ from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_hamilto
 
 AXIS_COUPLING = "j_tilde"
 AXIS_GAIN = "gamma_tilde"
-_AXES = (AXIS_COUPLING, AXIS_GAIN)
+#: Each axis's range of values; the axis names are ``NormalizedPoint``'s fields.
+AXIS_RANGE = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, math.inf)}
 
 #: Default bisection tolerance in the swept parameter.
 BISECT_TOL = 1e-8
@@ -88,10 +89,14 @@ class _Line(NamedTuple):
     indicator_floor: float
 
 
+def _location(line, value) -> dict:
+    """Both coordinates of ``value`` on ``line``: the other axis at its fixed value."""
+    return dict.fromkeys(AXIS_RANGE, line.fixed_value) | {line.axis: value}
+
+
 def _point(line, value: float) -> NormalizedPoint:
-    if line.axis == AXIS_COUPLING:
-        return NormalizedPoint(min(1.0, max(-1.0, value)), line.fixed_value)
-    return NormalizedPoint(line.fixed_value, max(0.0, value))
+    lo, hi = AXIS_RANGE[line.axis]
+    return NormalizedPoint(**_location(line, min(hi, max(lo, value))))
 
 
 def _stack_size(n: int) -> int:
@@ -141,8 +146,8 @@ class SweepGrid:
     indicator_floor: float = INDICATOR_FLOOR
 
     def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        if self.axis not in AXIS_RANGE:
+            raise ValueError(f"axis must be one of {tuple(AXIS_RANGE)}, got {self.axis!r}")
         if not isinstance(self.n, int) or self.n <= 0 or self.n % 2:
             raise ValueError(f"n must be a positive even integer, got {self.n!r}")
         for name in ("reality_tol", "indicator_floor"):
@@ -154,15 +159,11 @@ class SweepGrid:
         pts = tuple(float(p) for p in self.points)
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing (>= 2 points)")
-        object.__setattr__(self, "points", pts)
         # every point must map onto the unit normalization circle
         for p in pts:
-            self.point(p)
-
-    def point(self, value: float) -> NormalizedPoint:
-        if self.axis == AXIS_COUPLING:
-            return NormalizedPoint(value, self.fixed_value)
-        return NormalizedPoint(self.fixed_value, value)
+            NormalizedPoint(**_location(self, p))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "fixed_value", float(self.fixed_value))
 
     def solver(self):
         """``value -> spectrum`` along this grid's axis (see :func:`_solve_values`)."""
@@ -449,12 +450,6 @@ def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
     }
 
 
-def _location_dict(grid: SweepGrid, value: float) -> dict[str, float]:
-    if grid.axis == AXIS_COUPLING:
-        return {AXIS_COUPLING: float(value), AXIS_GAIN: float(grid.fixed_value)}
-    return {AXIS_COUPLING: float(grid.fixed_value), AXIS_GAIN: float(value)}
-
-
 def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
              tol: float = BISECT_TOL) -> EPRecord:
     """Localize a second-order exceptional point of two tracked levels.
@@ -489,7 +484,7 @@ def _ep2(track_a: LevelTrack, track_b: LevelTrack, bracket, tol: float):
     if ia == 0 or ib == 0:
         raise IndexIllDefined("no well-defined index on the real side of the bracket")
     return EPRecord(order=2,
-                    location=_location_dict(grid, res["location"]),
+                    location=_location(grid, res["location"]),
                     levels=(track_a.level_id, track_b.level_id),
                     indices=(ia, ib),
                     residual=res["residual"],
