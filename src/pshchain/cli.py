@@ -28,8 +28,8 @@ from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined,
                       spectrum_with_indices)
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
-                     NoEPInBracket, SweepGrid, classify_crossings, find_ep2, find_ep3,
-                     find_ep3_candidates, locate_ep2_records, sweep,
+                     NoEPInBracket, SweepGrid, check_levels, classify_crossings, find_ep2,
+                     find_ep3, find_ep3_candidates, locate_ep2_records, sweep,
                      verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, build_hamiltonian, build_parity
 from .numerics import NearDefective
@@ -126,11 +126,11 @@ class RunConfig:
         if not _is(self.workers, int) or self.workers < 1:
             raise UsageError(f"workers must be a positive integer, got {self.workers}")
         for name in ("pair", "triple"):
-            levels = getattr(self, name)
-            if levels is not None and (len(set(levels)) < len(levels)
-                                       or not all(0 <= i < 1 << self.n for i in levels)):
-                raise UsageError(f"{name} must be distinct level indices in "
-                                 f"0..{(1 << self.n) - 1}, got {list(levels)}")
+            if getattr(self, name) is not None:
+                try:
+                    check_levels(getattr(self, name), self.n, name)
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from None
 
     def to_dict(self) -> dict:
         out: dict = {section: {} for section in _SECTIONS}

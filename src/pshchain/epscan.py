@@ -99,6 +99,15 @@ def _point(line, value: float) -> NormalizedPoint:
     return NormalizedPoint(**_location(line, min(hi, max(lo, value))))
 
 
+def check_levels(levels, n: int, name: str = "levels") -> tuple[int, ...]:
+    """``levels`` as ints, when they are distinct level indices of an ``n``-site chain."""
+    levels = tuple(int(i) for i in levels)
+    if len(set(levels)) < len(levels) or not all(0 <= i < 1 << n for i in levels):
+        raise ValueError(f"{name} must be distinct level indices in "
+                         f"0..{(1 << n) - 1}, got {list(levels)}")
+    return levels
+
+
 def _stack_size(n: int) -> int:
     """Points per stacked solve: at most ``_STACK_ELEMENTS`` matrix elements."""
     return max(1, _STACK_ELEMENTS >> (2 * n))
@@ -156,7 +165,12 @@ class SweepGrid:
                     or isinstance(value, (int, float)) and not isinstance(value, bool)
                     and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        pts = tuple(float(p) for p in self.points)
+        if isinstance(self.fixed_value, bool):
+            raise ValueError(f"fixed_value must be a number, got {self.fixed_value!r}")
+        pts = tuple(self.points)
+        if any(isinstance(p, bool) for p in pts):
+            raise ValueError(f"points must be numbers, got {pts!r}")
+        pts = tuple(float(p) for p in pts)
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing (>= 2 points)")
         # every point must map onto the unit normalization circle
@@ -643,12 +657,12 @@ def predict_gamma_cr(spec: ChainSpec, pair):
     element of the pair. Same-index pairs have w = 0 by symmetry and raise
     :class:`AccidentallyZeroElement` (|w| below ``1e-8 * N``).
     """
+    a, b = check_levels(pair, spec.n, "pair")
     if any(g != 0.0 for g in spec.gamma_profile):
         raise ValueError("prediction starts from the gain-free chain")
     h = build_hamiltonian(spec)
     zeta = build_parity(spec.n)
     sp = spectrum_with_indices(h, zeta)
-    a, b = (int(pair[0]), int(pair[1]))
     la, lb = sp.levels[a], sp.levels[b]
     if la.z2_index is None or lb.z2_index is None:
         raise IndexIllDefined("pair indices undefined at the gain-free point")
@@ -706,7 +720,7 @@ def _march_probe(line: _Line, gamma: float):
 def triple_pairing(n: int, j_value: float, gamma: float, triple) -> TriplePairing:
     """Pairing state of three levels (zero-gain energy ranks) at one point,
     classified at the library's default tolerances."""
-    triple = tuple(int(t) for t in triple)
+    triple = check_levels(triple, n, "triple")
     sp, cols = _march_probe(_Line(AXIS_GAIN, j_value, n, None, INDICATOR_FLOOR), gamma)
     return _classify_triple(sp, cols[list(triple)])
 
@@ -809,7 +823,7 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     interval, its residual is that interval's width, and the bracket width
     is the final gain bracket.
     """
-    triple = tuple(int(t) for t in triple)
+    triple = check_levels(triple, n, "triple")
     g_lo, g_hi = float(gamma_bracket[0]), float(gamma_bracket[1])
     j_lo, j_hi = float(j_bracket[0]), float(j_bracket[1])
     pad = 0.5 * (j_hi - j_lo)

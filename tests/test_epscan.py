@@ -288,12 +288,19 @@ class TestSweepGrid:
         {"indicator_floor": None}, {"indicator_floor": -1e-6},
         {"indicator_floor": float("nan")}, {"indicator_floor": float("inf")},
         {"reality_tol": True}, {"indicator_floor": False},
+        {"fixed_value": True}, {"points": (False, 0.1)},
     ])
     def test_bad_fields_rejected_at_construction(self, kw):
         # an odd n used to construct and fail only at the first solve
         with pytest.raises(ValueError, match=next(iter(kw))):
             SweepGrid(**{"axis": AXIS_GAIN, "fixed_value": 0.5, "points": (0.0, 0.1),
                          "n": 4, **kw})
+
+    def test_fixed_value_checked_before_it_is_stored_as_float(self):
+        with pytest.raises(TypeError):
+            SweepGrid(AXIS_GAIN, "0.5", (0.0, 0.1), 2)
+        grid = SweepGrid(AXIS_GAIN, np.float64(0.5), (0, 0.1), 2)
+        assert type(grid.fixed_value) is float and type(grid.points[0]) is float
 
     def test_zero_tolerances_accepted(self):
         grid = SweepGrid(AXIS_GAIN, 0.5, (0.0, 0.1), 2, reality_tol=0.0, indicator_floor=0)
@@ -642,6 +649,24 @@ class TestPredictGammaCr:
         assert len(mine) == 1
         det = mine[0].location[AXIS_GAIN]
         assert abs(det - pred) / det < 0.05
+
+
+class TestLevelIndices:
+    """Level indices are distinct and in 0..2^N-1 wherever the library takes them."""
+
+    @pytest.mark.parametrize("call", [
+        lambda levels: find_ep3(4, (-0.78, -0.75), (0.35, 0.45), levels),
+        lambda levels: triple_pairing(4, -0.7, 0.3, levels),
+    ], ids=["find_ep3", "triple_pairing"])
+    @pytest.mark.parametrize("triple", [(3, 4, -9), (3, 3, 7), (3, 4, 16)])
+    def test_bad_triple_rejected(self, call, triple):
+        with pytest.raises(ValueError, match=r"triple must be distinct level indices in 0\.\.15"):
+            call(triple)
+
+    @pytest.mark.parametrize("pair", [(-16, 1), (1, 1), (0, 16)])
+    def test_bad_pair_rejected(self, pair):
+        with pytest.raises(ValueError, match=r"pair must be distinct level indices in 0\.\.15"):
+            predict_gamma_cr(NormalizedPoint(-0.95, 0.0).chain(4), pair)
 
 
 class TestVerifySelectionRule:
