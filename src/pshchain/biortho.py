@@ -34,6 +34,9 @@ from .numerics import (CLUSTER_SCALE, EigenStack, EigenSystem, NearDefective,
 INDICATOR_FLOOR = 1e-6
 #: Default reality tolerance as a fraction of the spectral radius.
 REALITY_SCALE = 1e-8
+#: Condition number of a real cluster's Gram matrix above which its raw
+#: eigenvectors, nearly parallel, no longer pin down the cluster's eigenspace.
+GRAM_COND_MAX = 1e10
 
 
 class AtExceptionalPoint(RuntimeError):
@@ -203,9 +206,17 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
     ``resolution``, the subspace is rotated onto its eigenvectors (in
     ascending energy), so that nearly degenerate levels of one index come
     out separately rather than as a mixture. An exactly degenerate subspace
-    keeps its basis. Returns None when zeta is singular on the cluster.
+    keeps its basis. Raw vectors too close to parallel (Gram condition above
+    ``GRAM_COND_MAX``) are replaced by an orthonormal basis of the
+    eigenspace: the right singular vectors of H - lambda with the smallest
+    singular values. Returns None when zeta is singular on the cluster.
     """
     gram = rc.conj().T @ rc
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] * GRAM_COND_MAX < sv[0]:
+        lam = np.vdot(rc[:, 0], a @ rc[:, 0])
+        rc = np.linalg.svd(a - lam * np.eye(a.shape[0]))[2][-rc.shape[1]:].conj().T
+        gram = np.eye(rc.shape[1])
     q = rc.conj().T @ (z @ rc)
     qvals, y = sla.eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
     if np.min(np.abs(qvals)) < floor:

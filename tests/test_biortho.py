@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_same_spectrum, hermitian_reference_indices, match_level_sets
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
@@ -147,6 +149,21 @@ class TestSpectrumWithIndices:
             assert np.max(np.abs(got - ref)) <= 1e-9
             assert np.max(np.abs(sp.eigenvalues.imag)) <= 1e-9
 
+    @pytest.mark.parametrize("delta, j", [(0.2890625, 0.0), (0.920735393360631, -1e-97)])
+    def test_nearly_parallel_cluster_vectors(self, delta, j):
+        # decoupled spins: the doubly degenerate level at 0 can come out of the
+        # eigensolver as two nearly parallel vectors; the cluster's eigenspace
+        # is then found again, so the rescaling neither fails nor flips signs
+        h = build_hamiltonian(ChainSpec(n=2, delta=delta, j=j, gamma_profile=(0.0, 0.0)))
+        zeta = build_parity(2)
+        sp = spectrum_with_indices(h, zeta)
+        es = sp.eigensystem
+        assert sorted(sp.z2.tolist()) == [-1, 1, 1, 1]
+        assert es.biortho_residual < 1e-12
+        assert np.allclose(h @ es.right, es.right * es.eigenvalues, atol=1e-12)
+        q = np.sum(es.right.conj() * (zeta @ es.right), axis=0)
+        assert np.allclose(q, sp.z2, atol=1e-12)
+
     def test_at_exceptional_point_raises(self):
         with pytest.raises(AtExceptionalPoint):
             spectrum_with_indices(psh_2x2(1.0, 1.0), ZETA2)
@@ -188,6 +205,42 @@ class TestSpectrumWithIndices:
                 reference = signs
             assert signs == reference
         assert reference is not None
+
+
+@st.composite
+def mirror_chains(draw):
+    """Chains of N in {2, 4, 6} with a random mirror-antisymmetric gain profile."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=n // 2, max_size=n // 2))
+    return ChainSpec(n=n, delta=draw(st.floats(0.0, 1.5)), j=draw(st.floats(-1.5, 1.5)),
+                     gamma_profile=(*half, *(-g for g in reversed(half))))
+
+
+class TestSpectrumInvariants:
+    """Partner links and index rescaling on random mirror-antisymmetric chains."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=mirror_chains())
+    def test_partners_and_indexed_levels(self, spec):
+        zeta = build_parity(spec.n)
+        try:
+            sp = spectrum_with_indices(build_hamiltonian(spec), zeta)
+        except AtExceptionalPoint:
+            assume(False)
+        values = sp.eigenvalues
+        radius = np.max(np.abs(values))
+        pair_tol = max(1e-6 * max(radius, 1.0), 10 * sp.reality_tol)
+        # every partner link is mutual and joins a level to its conjugate
+        for i, q in enumerate(sp.partner):
+            if q >= 0:
+                assert sp.partner[q] == i
+                assert abs(values[q] - np.conj(values[i])) <= pair_tol
+        # every indexed level has z2 = sign Re<R|P|R> and |L> = z2 P|R>
+        for i in np.flatnonzero(sp.z2):
+            right, left = sp.eigensystem.right[:, i], sp.eigensystem.left[:, i]
+            pr = zeta @ right
+            assert sp.z2[i] == np.sign(np.vdot(right, pr).real)
+            assert np.linalg.norm(left - sp.z2[i] * pr) <= 1e-12 * np.linalg.norm(left)
 
 
 class TestStackedSpectra:
