@@ -99,8 +99,9 @@ def _point(line, value: float) -> NormalizedPoint:
     return NormalizedPoint(**_location(line, min(hi, max(lo, value))))
 
 
-def check_levels(levels, n: int, name: str = "levels") -> tuple[int, ...]:
-    """``levels`` as ints, when they are distinct level indices of an ``n``-site chain."""
+def check_levels(levels, n: int, name: str) -> tuple[int, ...]:
+    """``levels`` as ints; a ValueError naming ``name`` unless they are distinct
+    level indices of an ``n``-site chain, in 0..2^n-1."""
     levels = tuple(int(i) for i in levels)
     if len(set(levels)) < len(levels) or not all(0 <= i < 1 << n for i in levels):
         raise ValueError(f"{name} must be distinct level indices in "
