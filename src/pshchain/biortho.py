@@ -11,10 +11,21 @@ The normalized magnitude |<R|zeta|R>| / (||R|| ||zeta R||) serves as an
 exceptional-point proximity indicator: it is 1 for a Hermitian problem,
 drops toward 0 as two levels coalesce, and vanishes for conjugate pairs.
 
-Spectra are computed for a stack of Hamiltonians at once
-(:func:`spectra_with_indices`); the rescaling runs on all isolated levels of
-the stack together, and only degenerate clusters are handled one by one.
-A point's spectrum is the same, bit for bit, whichever stack it is part of.
+The solve engine, :func:`sector_spectra`, takes a chain Hamiltonian as its
+two real Q blocks (:mod:`pshchain.model`). There zeta = P is a diagonal
+signature eta, so a real level's index is its Krein signature sign(x^T eta
+x) and its left vector s eta x; any simple level's left vector is eta
+conj(x) / conj(x^T eta x), with no P product and no left eigensolve.
+Conjugate partners are LAPACK's exact pairs, and the paper's selection rule
+is the Krein-collision rule: only levels of opposite signature in one block
+can meet in an EP2. :func:`spectrum_with_indices` and
+:func:`spectra_with_indices` serve a general matrix and zeta, and are the
+tests' reference for the engine.
+
+Both rescale all isolated levels of a stack together; levels closer than
+``CLUSTER_SCALE * ||H||_F`` form a degenerate cluster, which is resolved
+one point at a time. A point's spectrum is the same, bit for bit, whichever
+stack it is part of.
 """
 
 from __future__ import annotations
@@ -22,13 +33,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.optimize import linear_sum_assignment
 
+from .model import sector_bases
 from .numerics import (CLUSTER_SCALE, EigenStack, EigenSystem, NearDefective,
-                       as_complex_matrix, as_complex_stack, eig_general, eig_stack)
+                       as_complex_matrix, as_complex_stack, eig_blocks, eig_general,
+                       eig_stack)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -58,7 +72,8 @@ class LevelRecord:
     ``z2_index`` is +-1 for real levels away from exceptional points, None
     for complex levels and for real levels whose indicator fell below the
     floor. ``conjugate_partner`` links the two members of a complex pair.
-    The stored ``right``/``left`` vectors are the rescaled ones.
+    The stored ``right``/``left`` vectors are the rescaled ones. ``sector``
+    is the Q = +-1 block the level came from, None for a general matrix.
     """
 
     label: int
@@ -68,6 +83,7 @@ class LevelRecord:
     conjugate_partner: int | None
     right: np.ndarray
     left: np.ndarray
+    sector: int | None
 
 
 @dataclass(frozen=True)
@@ -76,8 +92,9 @@ class BiorthoSpectrum:
 
     Per-level data are arrays over the level's column in ``eigensystem``:
     ``z2`` holds the index (-1/+1, 0 = undefined), ``indicator`` the EP
-    indicator and ``partner`` the column of the conjugate partner (-1 =
-    none). ``levels`` builds the same data as records on first use.
+    indicator, ``partner`` the column of the conjugate partner (-1 = none)
+    and ``sector`` the Q = +-1 block of the level (0 for a general matrix).
+    ``levels`` builds the same data as records on first use.
     """
 
     eigensystem: EigenSystem
@@ -85,6 +102,7 @@ class BiorthoSpectrum:
     indicator: np.ndarray
     partner: np.ndarray
     reality_tol: float
+    sector: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -106,17 +124,24 @@ class BiorthoSpectrum:
                 conjugate_partner=int(self.partner[i]) if self.partner[i] >= 0 else None,
                 right=es.right[:, i].copy(),
                 left=es.left[:, i].copy(),
+                sector=int(self.sector[i]) or None,
             )
             for i in range(self.dim)
         ]
+
+
+def _apply(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """zeta @ r, for zeta a matrix or the diagonal of one."""
+    return z[:, None] * r if z.ndim == 1 else z @ r
 
 
 def _metric(z: np.ndarray, r: np.ndarray):
     """zeta|R>, <R|zeta|R> and the EP indicator of every column of ``r``.
 
     ``r`` may be a stack of matrices; the last two axes are (component, level).
+    ``z`` is zeta or, for a diagonal zeta, its diagonal.
     """
-    zr = z @ r
+    zr = _apply(z, r)
     c = np.sum(r.conj() * zr, axis=-2)
     return zr, c, np.abs(c) / (np.linalg.norm(r, axis=-2) * np.linalg.norm(zr, axis=-2))
 
@@ -174,15 +199,16 @@ def _pair_conjugates(values: np.ndarray, is_real: np.ndarray, pair_tol: float) -
     return partner
 
 
-def _clusters(link: np.ndarray) -> list[np.ndarray]:
-    """Runs of sorted levels chained by ``link`` (level i is close to level i+1)."""
-    groups: list[list[int]] = []
-    for i in np.flatnonzero(link).tolist():
-        if groups and groups[-1][-1] == i:
-            groups[-1].append(i + 1)
-        else:
-            groups.append([i, i + 1])
-    return [np.array(g) for g in groups]
+def _clusters(close: np.ndarray) -> list[np.ndarray]:
+    """Groups of two or more levels chained by ``close``, a symmetric boolean
+    matrix with a true diagonal; each group in ascending order."""
+    label = np.arange(close.shape[0])
+    while True:  # every level takes the smallest label among its neighbours
+        new = np.min(np.where(close, label, close.shape[0]), axis=1)
+        if np.array_equal(new, label):
+            break
+        label = new
+    return [g for g in (np.flatnonzero(label == k) for k in np.unique(label)) if g.size > 1]
 
 
 def _block_cluster(z: np.ndarray, rc: np.ndarray, lc: np.ndarray):
@@ -217,7 +243,7 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
         lam = np.vdot(rc[:, 0], a @ rc[:, 0])
         rc = np.linalg.svd(a - lam * np.eye(a.shape[0]))[2][-rc.shape[1]:].conj().T
         gram = np.eye(rc.shape[1])
-    q = rc.conj().T @ (z @ rc)
+    q = rc.conj().T @ _apply(z, rc)
     qvals, y = sla.eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
     if np.min(np.abs(qvals)) < floor:
         return None
@@ -227,7 +253,7 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
         same = sign == s
         if np.count_nonzero(same) > 1:
             rs = rn[:, same]
-            m = s * (rs.conj().T @ (z @ (a @ rs)))
+            m = s * (rs.conj().T @ _apply(z, a @ rs))
             energies, v = np.linalg.eigh(0.5 * (m + m.conj().T))
             if energies[-1] - energies[0] > resolution:
                 rn[:, same] = rs @ v
@@ -236,42 +262,60 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
     return rn, ln, sign.astype(np.int8), ind, np.sum(ln.conj() * (a @ rn), axis=0)
 
 
-def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
-                 indicator_floor: float) -> list:
-    """Rescaled spectra of the stack ``a`` from its raw eigendecompositions.
+class _Levels(NamedTuple):
+    """Rescaled levels of a stack of points: arrays over (point, level), and
+    over (point, component, level) for the vectors."""
 
-    Entry ``b`` is the :class:`BiorthoSpectrum` of ``a[b]``, or the
-    exception that point raised (:class:`AtExceptionalPoint` or
-    ``ArithmeticError``).
-    """
+    values: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    z2: np.ndarray
+    indicator: np.ndarray
+    partner: np.ndarray
+    residual: np.ndarray  # biorthogonality residual per point
+    sector: np.ndarray | None = None
+
+
+def _good_points(st):
+    """The exceptions of the failed points of a raw stack ``st``, the indices of
+    the others, and the map that selects the others from an array over the stack."""
     out = [AtExceptionalPoint(exc.cond) if isinstance(exc, NearDefective) else exc
            for exc in st.errors]
     good = [b for b, exc in enumerate(st.errors) if exc is None]
-    if not good:
-        return out
     # the failed points drop out of the vectorized rescaling
-    sub = (lambda x: x) if len(good) == len(out) else (lambda x: x[good])
-    a, raw_r, raw_l, scale = sub(a), sub(st.right), sub(st.left), sub(st.scale)
-    values, cond = sub(st.eigenvalues).copy(), sub(st.cond_right)
+    return out, good, (lambda x: x) if len(good) == len(out) else (lambda x: x[good])
 
+
+def _reality_tol(values, reality_tol) -> np.ndarray:
+    """Per point: ``reality_tol``, or ``REALITY_SCALE`` times the spectral radius."""
     radius = np.max(np.abs(values), axis=1)
-    rtol = (REALITY_SCALE * radius if reality_tol is None
+    return (REALITY_SCALE * radius if reality_tol is None
             else np.full(radius.shape, float(reality_tol)))
-    pair_tol = np.maximum(1e-6 * np.maximum(radius, 1.0), 10.0 * rtol)
+
+
+def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
+    """Index-rescaled levels of a stack of points from their raw eigenvectors.
+
+    ``z`` is zeta, or its diagonal. ``partner`` holds each level's conjugate
+    partner column; without it the partners are assigned by distance
+    (:func:`_pair_conjugates`). Real levels with a resolvable <R|zeta|R> get
+    |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit |R> and |L>
+    scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
+    resolved together, one point at a time. Returns the values, right and
+    left vectors, indices, indicators, partners and biorthogonality residual
+    of every point, and the exceptions of the points that failed, by position.
+    """
+    values = values.copy()
     is_real = np.abs(values.imag) <= rtol[:, None]
-    link = np.abs(np.diff(values, axis=1)) <= (CLUSTER_SCALE * scale)[:, None]
-    clustered = np.zeros(values.shape, dtype=bool)
-    clustered[:, 1:] = link
-    clustered[:, :-1] |= link
+    close = (np.abs(values[:, :, None] - values[:, None, :])
+             <= (CLUSTER_SCALE * scale)[:, None, None])
+    clustered = np.count_nonzero(close, axis=2) > 1
     # rounding level of the eigenvalues: d * eps * ||H||_F
     resolution = values.shape[1] * np.finfo(float).eps * scale
 
-    # isolated levels, all points at once: real ones with a resolvable
-    # <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>, the others
-    # unit |R> and |L> scaled to <L|R> = 1
     right = raw_r / np.linalg.norm(raw_r, axis=1)[:, None, :]
     zr, c, indicator = _metric(z, right)
-    indexed = is_real & ~clustered & (indicator >= indicator_floor)
+    indexed = is_real & ~clustered & (indicator >= floor)
     generic = ~clustered & ~indexed
     s = np.sum(raw_l.conj() * right, axis=1)
     flat = generic & (np.abs(s) < 1e-12 * np.linalg.norm(raw_l, axis=1))
@@ -283,18 +327,25 @@ def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
         left = raw_l / np.conj(np.where(generic, s, 1.0))[:, None, :]
     np.copyto(left, zr, where=indexed[:, None, :])
     z2 = np.where(indexed, sign, 0).astype(np.int8)
-    partner = np.full(values.shape, -1, dtype=np.int64)
+    if partner is None:
+        radius = np.max(np.abs(values), axis=1)
+        pair_tol = np.maximum(1e-6 * np.maximum(radius, 1.0), 10.0 * rtol)
+        partner = np.full(values.shape, -1, dtype=np.int64)
+    else:
+        pair_tol, partner = None, np.where(is_real, -1, partner)
 
-    for i, b in enumerate(good):
+    failed = {}
+    pending = flat.any(axis=1) | clustered.any(axis=1) | (pair_tol is not None)
+    for i in np.flatnonzero(pending):
         if flat[i].any():
             col = int(np.argmax(flat[i]))
-            out[b] = AtExceptionalPoint(1.0 / max(abs(s[i, col]), 1e-300),
-                                        "left/right pair nearly orthogonal")
+            failed[i] = AtExceptionalPoint(1.0 / max(abs(s[i, col]), 1e-300),
+                                           "left/right pair nearly orthogonal")
             continue
         try:
-            for cols in _clusters(link[i]):
+            for cols in _clusters(close[i]) if clustered[i].any() else ():
                 rc = raw_r[i][:, cols]
-                done = (_real_cluster(a[i], z, rc, indicator_floor, resolution[i])
+                done = (_real_cluster(a[i], z, rc, floor, resolution[i])
                         if is_real[i, cols].all() else None)
                 if done is None:
                     done = _block_cluster(z, rc, raw_l[i][:, cols])
@@ -302,21 +353,112 @@ def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
                 if vals is not None:
                     values[i, cols] = vals
         except AtExceptionalPoint as exc:
-            out[b] = exc
+            failed[i] = exc
             continue
-        partner[i] = _pair_conjugates(values[i], is_real[i], pair_tol[i])
+        if pair_tol is not None:
+            partner[i] = _pair_conjugates(values[i], is_real[i], pair_tol[i])
 
     overlap = left.conj().swapaxes(1, 2) @ right
     overlap -= np.eye(values.shape[1])
     residual = np.max(np.abs(overlap), axis=(1, 2))
+    return _Levels(values, right, left, z2, indicator, partner, residual), failed
+
+
+def _spectra(out, good, failed, levels: _Levels, scale, cond, rtol) -> list:
+    """``out`` with each good point that did not fail replaced by its spectrum."""
     for i, b in enumerate(good):
-        if out[b] is None:
-            es = EigenSystem(eigenvalues=values[i], right=right[i], left=left[i],
-                             scale=float(scale[i]), cond_right=float(cond[i]),
-                             biortho_residual=float(residual[i]))
-            out[b] = BiorthoSpectrum(eigensystem=es, z2=z2[i], indicator=indicator[i],
-                                     partner=partner[i], reality_tol=float(rtol[i]))
+        if i in failed:
+            out[b] = failed[i]
+            continue
+        es = EigenSystem(eigenvalues=levels.values[i], right=levels.right[i],
+                         left=levels.left[i], scale=float(scale[i]),
+                         cond_right=float(cond[i]), biortho_residual=float(levels.residual[i]))
+        out[b] = BiorthoSpectrum(eigensystem=es, z2=levels.z2[i], indicator=levels.indicator[i],
+                                 partner=levels.partner[i], reality_tol=float(rtol[i]),
+                                 sector=levels.sector[i])
     return out
+
+
+def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
+                 indicator_floor: float) -> list:
+    """Rescaled spectra of the stack ``a`` from its raw eigendecompositions.
+
+    Entry ``b`` is the :class:`BiorthoSpectrum` of ``a[b]``, or the
+    exception that point raised (:class:`AtExceptionalPoint` or
+    ``ArithmeticError``).
+    """
+    out, good, sub = _good_points(st)
+    if not good:
+        return out
+    values, scale = sub(st.eigenvalues), sub(st.scale)
+    rtol = _reality_tol(values, reality_tol)
+    levels, failed = _rescale(sub(a), z, values, sub(st.right), sub(st.left), scale, rtol,
+                              indicator_floor)
+    levels = levels._replace(sector=np.zeros(values.shape, dtype=np.int8))
+    return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
+
+
+def sector_spectra(blocks, n: int, reality_tol: float | None = None,
+                   indicator_floor: float = INDICATOR_FLOOR) -> list:
+    """Biorthogonal spectra of n-site chain Hamiltonians given by their two real Q blocks.
+
+    ``blocks`` are the Q = +1 and Q = -1 stacks of
+    :func:`pshchain.model.build_sector_blocks`. Each block is solved and
+    rescaled on its own, with the checks and results of
+    :func:`spectra_with_indices`, but in real arithmetic: P is the diagonal
+    signature eta of the block, a real level's index is its Krein signature
+    sign(x^T eta x), and the left vector of a level is eta conj(x) (s eta x
+    for an indexed level), so no P product and no left eigensolve is needed.
+    Conjugate partners are LAPACK's exact pairs, and degenerate clusters are
+    resolved inside a block. The vectors then go back to the basis states, and
+    both blocks' levels merge in (Re, Im) order. Entry ``b`` is the spectrum of
+    matrix ``b`` or the exception it raised. A point's spectrum is the same,
+    bit for bit, whichever stack it is part of.
+    """
+    bases = sector_bases(n)
+    if [np.shape(a)[-1] for a in blocks] != [basis.eta.size for basis in bases]:
+        raise ValueError(f"blocks of sizes {[np.shape(a) for a in blocks]} are not the "
+                         f"Q blocks of a {n}-site chain")
+    st = eig_blocks(blocks)
+    out, good, sub = _good_points(st)
+    if not good:
+        return out
+    scale = sub(st.scale)
+    values = [sub(w) for w in st.eigenvalues]
+    rtol = _reality_tol(np.concatenate(values, axis=1), reality_tol)
+    parts, failed = [], {}
+    for basis, a, w, x, partner in zip(bases, blocks, values, st.right, st.partner):
+        x = sub(x)
+        ex = basis.eta[:, None] * x
+        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, x, ex.conj(),
+                             scale, rtol, indicator_floor, sub(partner))
+        parts.append(part)
+        failed = bad | failed
+
+    # both blocks' levels in (Re, Im) order, partners following their levels
+    plus, minus = parts
+    d = plus.values.shape[1]
+    values = np.concatenate([plus.values, minus.values], axis=1)
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    rank = np.argsort(order, axis=-1)
+
+    def merged(a, b):
+        return np.take_along_axis(np.concatenate([a, b], axis=1), order, -1)
+
+    partner = merged(plus.partner, np.where(minus.partner >= 0, minus.partner + d, -1))
+    partner = np.where(partner >= 0, np.take_along_axis(rank, np.maximum(partner, 0), -1), -1)
+    # each block's vectors go straight to their columns in the basis states
+    right, left = (np.empty(values.shape + values.shape[-1:], dtype=np.complex128)
+                   for _ in range(2))
+    for basis, part, cols in zip(bases, parts, (rank[:, :d], rank[:, d:])):
+        np.put_along_axis(right, cols[:, None, :], basis.to_states(part.right), axis=2)
+        np.put_along_axis(left, cols[:, None, :], basis.to_states(part.left), axis=2)
+    sector = merged(*(np.full(part.values.shape, basis.q, dtype=np.int8)
+                      for basis, part in zip(bases, parts)))
+    levels = _Levels(np.take_along_axis(values, order, -1), right, left,
+                     merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
+                     partner, np.maximum(plus.residual, minus.residual), sector)
+    return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
 
 
 def _check_shapes(a: np.ndarray, z: np.ndarray) -> None:

@@ -26,10 +26,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
-                      IndexIllDefined, LevelRecord, spectra_with_indices,
-                      spectrum_with_indices)
-from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_hamiltonians,
-                    build_parity, gain_generator)
+                      IndexIllDefined, LevelRecord, sector_spectra)
+from .model import (ChainSpec, NormalizedPoint, build_sector_blocks, gain_generator,
+                    sector_blocks)
+
+# Not called here: the benchmark's span tracer (perfbench/spans.py) patches
+# these full-matrix entries under the names this module shares with cli.
+from .biortho import spectrum_with_indices  # noqa: F401
+from .model import build_hamiltonian, build_parity  # noqa: F401
 
 AXIS_COUPLING = "j_tilde"
 AXIS_GAIN = "gamma_tilde"
@@ -53,8 +57,9 @@ OVERLAP_MIN = 0.5
 CROSSING_TOL = 1e-12
 #: Gain step of the ladder that identifies levels at a point of an EP3 search.
 GAIN_RUNG = 0.005
-#: Matrix elements per stacked solve (64 points at N=4, 4 at N=6, 1 from N=7):
-#: keeps memory flat while small matrices share one eigensolve call.
+#: Full-matrix elements per stack of points (64 points at N=4, 4 at N=6, 1 from
+#: N=7; the two sector blocks hold about half of them): keeps memory flat
+#: while small matrices share one eigensolve call.
 _STACK_ELEMENTS = 1 << 14
 #: Offsets tried in turn at a point whose solve hits an exact exceptional point.
 _NUDGES = (0.0, 1e-11, -1e-11, 1e-10)
@@ -118,16 +123,17 @@ def _solve_values(line, values, nudges=_NUDGES):
     """Spectra at ``values + nudges[0]`` on ``line`` (a :class:`SweepGrid` or
     :class:`_Line`) with its tolerances, in order, lazily, in stacks of ``_stack_size``.
 
-    A point at an exact exceptional point is solved again through this routine
-    at the remaining offsets; the failure at the last is raised, other errors at once.
+    Each stack is solved as its points' two real sector blocks
+    (:func:`pshchain.biortho.sector_spectra`). A point at an exact exceptional
+    point is solved again through this routine at the remaining offsets; the
+    failure at the last is raised, other errors at once.
     """
-    zeta = build_parity(line.n)
     size = _stack_size(line.n)
     for start in range(0, len(values), size):
         chunk = [float(v) for v in values[start:start + size]]
-        hs = build_hamiltonians([_point(line, v + nudges[0]) for v in chunk], line.n)
-        spectra = spectra_with_indices(hs, zeta, reality_tol=line.reality_tol,
-                                       indicator_floor=line.indicator_floor)
+        blocks = build_sector_blocks([_point(line, v + nudges[0]) for v in chunk], line.n)
+        spectra = sector_spectra(blocks, line.n, reality_tol=line.reality_tol,
+                                 indicator_floor=line.indicator_floor)
         for v, sp in zip(chunk, spectra):
             if isinstance(sp, AtExceptionalPoint) and len(nudges) > 1:
                 sp = next(_solve_values(line, [v], nudges[1:]))
@@ -661,9 +667,9 @@ def predict_gamma_cr(spec: ChainSpec, pair):
     a, b = check_levels(pair, spec.n, "pair")
     if any(g != 0.0 for g in spec.gamma_profile):
         raise ValueError("prediction starts from the gain-free chain")
-    h = build_hamiltonian(spec)
-    zeta = build_parity(spec.n)
-    sp = spectrum_with_indices(h, zeta)
+    sp = sector_spectra(sector_blocks(spec), spec.n)[0]
+    if isinstance(sp, Exception):
+        raise sp
     la, lb = sp.levels[a], sp.levels[b]
     if la.z2_index is None or lb.z2_index is None:
         raise IndexIllDefined("pair indices undefined at the gain-free point")
@@ -921,7 +927,13 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
             candidates.append({"triple": (lo_part, mid, up_part),
                                "j_bracket": (float(j_vals[i]), float(j_vals[i + 1]))})
     candidates.sort(key=lambda c: (c["triple"], c["j_bracket"]))
-    return candidates
+    # near a collision the tracks of all three levels can switch partners
+    # within one rung; two middles of one level set in one bracket name one
+    # collision, so the first in order stands for both
+    merged: dict = {}
+    for c in candidates:
+        merged.setdefault((frozenset(c["triple"]), c["j_bracket"]), c)
+    return list(merged.values())
 
 
 def verify_selection_rule(records) -> list[dict]:

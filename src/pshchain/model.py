@@ -11,6 +11,16 @@ P H = H^+ P. The staggered profile g_n = (-1)^(n-1) * g is the default choice.
 Basis conventions: site 1 maps to the most significant factor of the 2^N
 product basis and |0> is the +1 eigenstate of sz. Mirror parity is then the
 bit-reversal permutation of basis indices.
+
+The solve engine never forms the dense 2^N matrix. Q = P X (mirror times
+global spin flip) commutes with H, and PT = P K (K: complex conjugation)
+is antiunitary and commutes with H and Q. In P's eigenbasis of a Q sector,
+with the P = -1 vectors multiplied by i, H is a real matrix A and P is a
+diagonal signature eta with eta A symmetric (:class:`SectorBasis`). The two
+blocks, Q = +1 and Q = -1, are built in real arithmetic from orbit tables
+cached per N (:func:`sector_bases`, :func:`build_sector_blocks`).
+:func:`build_hamiltonian` and :func:`build_parity` give the dense matrices
+for general-purpose use and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -108,38 +118,39 @@ class NormalizedPoint:
         return ChainSpec.staggered(n, self.delta, self.j_tilde, self.gamma_tilde)
 
 
-class _Operators(NamedTuple):
+class _Sites(NamedTuple):
     """Basis-index tables of an n-site chain; arrays are read-only."""
 
-    flips: np.ndarray    # sum_n sx_n, real 2^n x 2^n
     z: np.ndarray        # z[k, b] = eigenvalue (+-1.0) of sz on site k+1 in state b
     reverse: np.ndarray  # bit-reversal permutation of basis indices
 
 
 @functools.cache
-def _operators(n: int) -> _Operators:
+def _sites(n: int) -> _Sites:
     basis = np.arange(1 << n)
     shifts = np.arange(n - 1, -1, -1)[:, None]  # site 1 is the most significant bit
     bits = (basis >> shifts) & 1
-    flips = np.zeros((basis.size, basis.size))
-    for mask in 1 << shifts[:, 0]:
-        flips[basis ^ mask, basis] = 1.0
     z = 1.0 - 2.0 * bits
     reverse = (bits << np.arange(n)[:, None]).sum(axis=0)
-    for a in (flips, z, reverse):
+    for a in (z, reverse):
         a.flags.writeable = False
-    return _Operators(flips, z, reverse)
+    return _Sites(z, reverse)
+
+
+@functools.cache
+def _flips(n: int) -> np.ndarray:
+    """sum_n sx_n, a read-only real 2^n x 2^n matrix."""
+    basis = np.arange(1 << n)
+    flips = np.zeros((basis.size, basis.size))
+    for mask in 1 << np.arange(n):
+        flips[basis ^ mask, basis] = 1.0
+    flips.flags.writeable = False
+    return flips
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary)."""
     return _hamiltonians(spec.n, [spec.delta], [spec.j], [spec.gamma_profile])[0]
-
-
-def build_hamiltonians(points, n: int) -> np.ndarray:
-    """Stack of :func:`build_hamiltonian` of ``p.chain(n)`` for each :class:`NormalizedPoint`."""
-    j, gamma, delta = np.array([(p.j_tilde, p.gamma_tilde, p.delta) for p in points]).T
-    return _hamiltonians(n, delta, j, gamma[:, None] * (-1.0) ** np.arange(n))
 
 
 def _hamiltonians(n: int, delta, j, gains) -> np.ndarray:
@@ -149,17 +160,133 @@ def _hamiltonians(n: int, delta, j, gains) -> np.ndarray:
     bond: the order of a term-by-term sum of tensor products, which the
     result therefore matches to the last bit.
     """
-    ops = _operators(n)
+    sites = _sites(n)
     h = np.zeros((len(delta), 1 << n, 1 << n), dtype=np.complex128)
-    np.multiply(np.asarray(delta)[:, None, None], ops.flips, out=h.real)
+    np.multiply(np.asarray(delta)[:, None, None], _flips(n), out=h.real)
     diag = h.reshape(len(h), -1)[:, ::(1 << n) + 1]  # a view of each diagonal
     gain, bond = np.zeros(diag.shape), np.zeros(diag.shape)
-    for g, z in zip(np.asarray(gains).T, ops.z):
+    for g, z in zip(np.asarray(gains).T, sites.z):
         gain += g[:, None] * z
-    for za, zb in zip(ops.z, ops.z[1:]):
+    for za, zb in zip(sites.z, sites.z[1:]):
         bond -= np.asarray(j)[:, None] * (za * zb)
     diag.real, diag.imag = bond, gain
     return h
+
+
+class SectorBasis(NamedTuple):
+    """One Q block of an n-site chain in its real basis; arrays are read-only.
+
+    Q = P X (mirror times global spin flip) commutes with H, and the block
+    holds its eigenvalue ``q``. Each column is one orbit of basis states under
+    {1, P, X, Q}, projected onto a character (p, x) with p x = q: the state
+    g(r) of the orbit of r enters with chi(g) / sqrt(orbit length). The
+    p = -1 columns carry a factor i and come after the p = +1 columns. In
+    this basis H is a real matrix A, P is the diagonal ``eta``, and eta A is
+    symmetric.
+    """
+
+    q: int
+    eta: np.ndarray         # P on the block: the mirror parity (+-1.0) of each column
+    flips: np.ndarray       # sum_n sx_n on the block, real symmetric (d, d)
+    bonds: np.ndarray       # sum_n sz_n sz_{n+1} of each column's orbit
+    gain_pairs: np.ndarray  # (2, m): the p = +1 and p = -1 column of one orbit
+    z: np.ndarray           # (n, m): sz of each site in the representative of pair m
+    cols: np.ndarray        # (2, 2^n): each basis state's p = +1 and p = -1 column
+    weights: np.ndarray     # (2, 2^n): its coefficient there, 0.0 where it has none
+
+    def to_states(self, r: np.ndarray) -> np.ndarray:
+        """Block vectors, the columns of each (d, k) matrix of ``r``, in the 2^n basis states."""
+        out = np.multiply(r[..., self.cols[0], :], self.weights[0][:, None],
+                          dtype=np.complex128)
+        out += r[..., self.cols[1], :] * (1j * self.weights[1])[:, None]
+        return out
+
+
+@functools.cache
+def sector_bases(n: int) -> tuple[SectorBasis, SectorBasis]:
+    """The Q = +1 and Q = -1 blocks of an n-site chain, built once per length.
+
+    The transverse field couples orbits by single flips, so ``flips`` is a
+    scatter over (state, site) pairs, made exactly symmetric. The -j sz sz
+    term is constant on an orbit. The gain i sum_n g_n sz_n is odd under P
+    and under X, so it couples only the p = +1 and p = -1 columns of one
+    orbit, by -G and +G with G = sum_n g_n sz_n of the representative.
+    """
+    sites = _sites(n)
+    states = np.arange(1 << n)
+    full = (1 << n) - 1
+    images = np.stack([states, sites.reverse, states ^ full, sites.reverse ^ full])  # 1, P, X, Q
+    rep = images.min(axis=0)  # the smallest state of each orbit represents it
+    element = np.argmax(images[:, rep] == states, axis=0)  # g with g(rep) = state
+    fixed = images == states  # the stabilizer of each state
+    length = 4 // fixed.sum(axis=0)
+    reps = np.unique(rep)
+    bonds = np.sum(sites.z[:-1] * sites.z[1:], axis=0)
+    bases = []
+    for q in (1, -1):
+        cols = np.zeros((2, states.size), dtype=np.int64)
+        weights = np.zeros((2, states.size))
+        orbit_cols = []
+        start = 0
+        for side, p in enumerate((1, -1)):
+            chi = np.array([1.0, p, p * q, q])  # at 1, P, X, Q
+            # a character lives on an orbit when it is trivial on its stabilizer
+            alive = np.all(np.where(fixed[:, reps], chi[:, None], 1.0) == 1.0, axis=0)
+            col = np.full(states.size, -1)
+            col[reps[alive]] = start + np.arange(np.count_nonzero(alive))
+            start += np.count_nonzero(alive)
+            has = col[rep] >= 0
+            cols[side, has] = col[rep[has]]
+            weights[side, has] = chi[element[has]] / np.sqrt(length[has])
+            orbit_cols.append(col[reps])
+        eta = np.where(np.arange(start) < np.count_nonzero(orbit_cols[0] >= 0), 1.0, -1.0)
+        flips = np.zeros((start, start))
+        for mask in 1 << np.arange(n):
+            for side in (0, 1):
+                c = states[(weights[side] != 0.0) & (weights[side][states ^ mask] != 0.0)]
+                np.add.at(flips, (cols[side, c], cols[side, c ^ mask]),
+                          weights[side, c] * weights[side, c ^ mask])
+        flips = 0.5 * (flips + flips.T)
+        col_bonds = np.zeros(start)
+        for col in orbit_cols:
+            col_bonds[col[col >= 0]] = bonds[reps[col >= 0]]
+        both = (orbit_cols[0] >= 0) & (orbit_cols[1] >= 0)
+        basis = SectorBasis(q, eta, flips, col_bonds,
+                            np.stack([orbit_cols[0][both], orbit_cols[1][both]]),
+                            sites.z[:, reps[both]], cols, weights)
+        for a in basis[1:]:
+            a.flags.writeable = False
+        bases.append(basis)
+    return tuple(bases)
+
+
+def build_sector_blocks(points, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Q = +1 and Q = -1 blocks of ``p.chain(n)`` for each :class:`NormalizedPoint`,
+    as two real stacks (see :class:`SectorBasis`)."""
+    j, gamma, delta = np.array([(p.j_tilde, p.gamma_tilde, p.delta) for p in points]).T
+    return _sector_blocks(n, delta, j, gamma[:, None] * (-1.0) ** np.arange(n))
+
+
+def sector_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The Q = +1 and Q = -1 blocks of ``spec``, each a stack of one real matrix."""
+    return _sector_blocks(spec.n, [spec.delta], [spec.j], [spec.gamma_profile])
+
+
+def _sector_blocks(n: int, delta, j, gains) -> tuple[np.ndarray, np.ndarray]:
+    """Both real blocks for per-matrix ``delta``, ``j`` and site ``gains``, in real arithmetic."""
+    blocks = []
+    for basis in sector_bases(n):
+        d = basis.eta.size
+        a = np.multiply(np.asarray(delta)[:, None, None], basis.flips)
+        a.reshape(len(a), -1)[:, ::d + 1] -= np.asarray(j)[:, None] * basis.bonds
+        g = np.zeros((len(a), basis.z.shape[1]))
+        for g_site, z in zip(np.asarray(gains).T, basis.z):
+            g += g_site[:, None] * z
+        plus, minus = basis.gain_pairs
+        a[:, plus, minus] = -g
+        a[:, minus, plus] = g
+        blocks.append(a)
+    return tuple(blocks)
 
 
 def build_parity(n: int) -> np.ndarray:
@@ -175,7 +302,7 @@ def build_parity(n: int) -> np.ndarray:
 
 @functools.cache
 def _parity(n: int) -> np.ndarray:
-    reverse = _operators(n).reverse
+    reverse = _sites(n).reverse
     p = np.zeros((reverse.size, reverse.size), dtype=np.complex128)
     p[reverse, np.arange(reverse.size)] = 1.0
     p.flags.writeable = False
@@ -200,5 +327,5 @@ def gain_generator(spec: ChainSpec) -> np.ndarray:
     if spec.staggered_gamma() is None:
         raise ValueError("gain generator is defined for staggered profiles only")
     v = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    np.fill_diagonal(v.imag, (-1.0) ** np.arange(spec.n) @ _operators(spec.n).z)
+    np.fill_diagonal(v.imag, (-1.0) ** np.arange(spec.n) @ _sites(spec.n).z)
     return v

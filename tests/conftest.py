@@ -3,8 +3,11 @@
 from functools import reduce
 
 import numpy as np
+from hypothesis import strategies as st
 
-from pshchain import build_hamiltonian, build_parity
+from pshchain import ChainSpec, build_hamiltonian, build_parity
+from pshchain.biortho import sector_spectra
+from pshchain.model import sector_blocks
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -127,3 +130,26 @@ def assert_same_spectrum(x, y):
     assert np.array_equal(x.z2, y.z2)
     assert np.array_equal(x.indicator, y.indicator)
     assert np.array_equal(x.partner, y.partner)
+    assert np.array_equal(x.sector, y.sector)
+
+
+def solve_chain(spec, **kw):
+    """Sector-engine spectrum of one chain, solved alone; raises what the solve returns."""
+    sp = sector_spectra(sector_blocks(spec), spec.n, **kw)[0]
+    if isinstance(sp, Exception):
+        raise sp
+    return sp
+
+
+def same_blocks(x, y) -> bool:
+    """Two single-point sector stacks (one matrix per Q block) agree bit for bit."""
+    return all(np.array_equal(a, b) for a, b in zip(x, y))
+
+
+@st.composite
+def mirror_chains(draw):
+    """Chains of N in {2, 4, 6} with a random mirror-antisymmetric gain profile."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=n // 2, max_size=n // 2))
+    return ChainSpec(n=n, delta=draw(st.floats(0.0, 1.5)), j=draw(st.floats(-1.5, 1.5)),
+                     gamma_profile=(*half, *(-g for g in reversed(half))))

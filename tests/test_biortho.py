@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_spectrum, hermitian_reference_indices, match_level_sets
+from conftest import (assert_same_spectrum, hermitian_reference_indices, match_level_sets,
+                      mirror_chains)
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
                       ep_indicator, full_spectrum, spectra_with_indices,
@@ -205,15 +206,6 @@ class TestSpectrumWithIndices:
                 reference = signs
             assert signs == reference
         assert reference is not None
-
-
-@st.composite
-def mirror_chains(draw):
-    """Chains of N in {2, 4, 6} with a random mirror-antisymmetric gain profile."""
-    n = draw(st.sampled_from([2, 4, 6]))
-    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=n // 2, max_size=n // 2))
-    return ChainSpec(n=n, delta=draw(st.floats(0.0, 1.5)), j=draw(st.floats(-1.5, 1.5)),
-                     gamma_profile=(*half, *(-g for g in reversed(half))))
 
 
 class TestSpectrumInvariants:

@@ -469,9 +469,7 @@ class TestSolveTolerances:
                 return original(h, zeta, **kw)
             return solve
 
-        for module, name in ((epscan, "spectra_with_indices"),
-                             (epscan, "spectrum_with_indices"),
-                             (cli, "spectrum_with_indices")):
+        for module, name in ((epscan, "sector_spectra"), (cli, "spectrum_with_indices")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         out = tmp_path / ("out.csv" if argv[0] in ("sweep", "spectrum", "crossings")
                           else "out.json")
@@ -523,13 +521,3 @@ class TestTracerContract:
         layers = json.loads(result.read_text())["layers"]
         assert layers["epscan.ep2.records"] > 0
         assert layers["epscan.sweep.self_s"] > 0
-
-    def test_traced_names_are_module_globals(self):
-        # perfbench/spans.py replaces these names in each module; it runs in a
-        # child process so its patches cannot leak into other tests
-        code = ("import sys; sys.path[:0] = sys.argv[1:]; import spans; "
-                "spans.install(spans.Recorder())")
-        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"),
-                               str(ROOT / "perfbench")],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr

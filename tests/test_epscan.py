@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_spectrum
+from conftest import assert_same_spectrum, same_blocks, solve_chain
 from pshchain import epscan
 from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
                       ChainSpec,
@@ -23,7 +23,7 @@ from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import load_ep_records
 from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _Line, _point, _refine_crossing,
                              _run, _solve_values)
-from pshchain.model import build_hamiltonians
+from pshchain.model import build_sector_blocks, sector_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,24 +121,26 @@ class TestRealityBoundary:
 NUDGE_GRID = coupling_grid(4, 0.21, points=70, start=-0.9, stop=0.9)
 
 
-def nudge_hamiltonian(value):
-    return build_hamiltonian(_point(NUDGE_GRID, value).chain(NUDGE_GRID.n))
+def nudge_blocks(value):
+    return sector_blocks(_point(NUDGE_GRID, value).chain(NUDGE_GRID.n))
 
 
 def fake_stacks(monkeypatch, error, matrices):
-    """Let ``error`` stand for the stacked solve of each of ``matrices``; record the stacks."""
-    original = epscan.spectra_with_indices
+    """Let ``error`` stand for the stacked solve of each of ``matrices`` (sector
+    blocks of one point); record the stacks, as one tuple of blocks per point."""
+    original = epscan.sector_spectra
     stacks = []
 
-    def fake(hs, zeta, **kw):
-        stacks.append(hs.copy())
-        return [error if any(np.array_equal(h, m) for m in matrices) else sp
-                for h, sp in zip(hs, original(hs, zeta, **kw))]
+    def fake(blocks, n, **kw):
+        points = [tuple(b[k:k + 1] for b in blocks) for k in range(len(blocks[0]))]
+        stacks.append(points)
+        return [error if any(same_blocks(p, m) for m in matrices) else sp
+                for p, sp in zip(points, original(blocks, n, **kw))]
 
     def single(*args, **kw):
         raise AssertionError("a matrix was solved outside the stacked routine")
 
-    monkeypatch.setattr(epscan, "spectra_with_indices", fake)
+    monkeypatch.setattr(epscan, "sector_spectra", fake)
     monkeypatch.setattr(epscan, "spectrum_with_indices", single)
     return stacks
 
@@ -217,19 +219,19 @@ class TestSweep:
     def test_failed_stack_point_is_solved_alone(self, monkeypatch):
         pts = NUDGE_GRID.points
         reference = list(_solve_values(NUDGE_GRID, pts))
-        nudged = spectrum_with_indices(nudge_hamiltonian(pts[2] + 1e-11), build_parity(4))
+        nudged = solve_chain(_point(NUDGE_GRID, pts[2] + 1e-11).chain(4))
         stacks = fake_stacks(monkeypatch, AtExceptionalPoint(np.inf),
-                             [nudge_hamiltonian(pts[2])])
+                             [nudge_blocks(pts[2])])
         patched = list(_solve_values(NUDGE_GRID, pts))
         assert [len(hs) for hs in stacks] == [64, 1, 6]
-        assert np.array_equal(stacks[1][0], nudge_hamiltonian(pts[2] + 1e-11))
+        assert same_blocks(stacks[1][0], nudge_blocks(pts[2] + 1e-11))
         for p, (a, b) in enumerate(zip(reference, patched)):
             assert_same_spectrum(b, nudged if p == 2 else a)
 
     def test_failure_at_every_offset_raises_after_three_retries(self, monkeypatch):
         v = NUDGE_GRID.points[5]
         stacks = fake_stacks(monkeypatch, AtExceptionalPoint(np.inf),
-                             [nudge_hamiltonian(v + dv) for dv in _NUDGES])
+                             [nudge_blocks(v + dv) for dv in _NUDGES])
         spectra = _solve_values(NUDGE_GRID, NUDGE_GRID.points)
         for _ in range(5):
             next(spectra)
@@ -237,11 +239,11 @@ class TestSweep:
             next(spectra)
         assert [len(hs) for hs in stacks] == [64, 1, 1, 1]
         for hs, dv in zip(stacks[1:], _NUDGES[1:]):
-            assert np.array_equal(hs[0], nudge_hamiltonian(v + dv))
+            assert same_blocks(hs[0], nudge_blocks(v + dv))
 
     def test_other_errors_raise_without_retry(self, monkeypatch):
         stacks = fake_stacks(monkeypatch, ArithmeticError("residuals"),
-                             [nudge_hamiltonian(NUDGE_GRID.points[5])])
+                             [nudge_blocks(NUDGE_GRID.points[5])])
         with pytest.raises(ArithmeticError, match="residuals"):
             sweep(NUDGE_GRID)
         assert [len(hs) for hs in stacks] == [64]
@@ -256,15 +258,14 @@ class TestSolveValues:
                st.sampled_from([-1.0, 1.0, -1.0 - 1e-11, -1.0 + 1e-11, 1.0 - 1e-11,
                                 1.0 + 1e-11, 0.0, -1e-11])), min_size=1, max_size=4))
     def test_matches_single_solves_at_every_offset(self, n, axis, fixed, values):
-        # the reference is the single-matrix path: each offset solved alone in turn
+        # the reference is each offset solved alone in turn
         line = _Line(axis, abs(fixed) if axis == AXIS_COUPLING else fixed, n, None,
                      INDICATOR_FLOOR)
 
         def solve_alone(v, nudges):
             for dv in nudges:
                 try:
-                    return spectrum_with_indices(
-                        build_hamiltonian(_point(line, v + dv).chain(n)), build_parity(n))
+                    return solve_chain(_point(line, v + dv).chain(n))
                 except AtExceptionalPoint as exc:
                     last = exc
             raise last
@@ -329,8 +330,7 @@ class TestGridTolerances:
                 return original(h, zeta, **kw)
             return solve
 
-        for name in ("spectra_with_indices", "spectrum_with_indices"):
-            monkeypatch.setattr(epscan, name, recording(getattr(epscan, name)))
+        monkeypatch.setattr(epscan, "sector_spectra", recording(epscan.sector_spectra))
         return calls
 
     @pytest.mark.parametrize("refine", [
@@ -475,7 +475,8 @@ class TestClassifyCrossings:
 
 @pytest.fixture(scope="module")
 def high_gain_tracks():
-    return sweep(coupling_grid(4, 0.48375, points=201))
+    # a line with both records and skipped transitions (partner exchanges)
+    return sweep(coupling_grid(4, 0.40125, points=201))
 
 
 class TestLockstep:
@@ -512,11 +513,11 @@ class TestLockstep:
     def test_one_stack_per_round(self, monkeypatch):
         tracks = sweep(coupling_grid(4, 0.40125, points=801))
         stacks, failed, singles, retries = [], [], [], []
-        stacked, single = epscan.spectra_with_indices, epscan.spectrum_with_indices
+        stacked, single = epscan.sector_spectra, epscan.spectrum_with_indices
         solve_values = epscan._solve_values
 
-        def count_stack(hs, zeta, **kw):
-            out = stacked(hs, zeta, **kw)
+        def count_stack(blocks, n, **kw):
+            out = stacked(blocks, n, **kw)
             stacks.append(len(out))
             failed.extend(sp for sp in out if isinstance(sp, Exception))
             return out
@@ -530,7 +531,7 @@ class TestLockstep:
                 retries.append(values)
             return solve_values(line, values, nudges)
 
-        monkeypatch.setattr(epscan, "spectra_with_indices", count_stack)
+        monkeypatch.setattr(epscan, "sector_spectra", count_stack)
         monkeypatch.setattr(epscan, "spectrum_with_indices", count_single)
         monkeypatch.setattr(epscan, "_solve_values", count_retry)
         records, skipped = locate_ep2_records(tracks)
@@ -555,8 +556,9 @@ class TestStackedBuild:
             for fixed in fixed_values:
                 line = _Line(axis, fixed, n, None, INDICATOR_FLOOR)
                 points = [_point(line, v) for v in values]
-                for p, h in zip(points, build_hamiltonians(points, n)):
-                    assert np.array_equal(h, build_hamiltonian(p.chain(n)))
+                stacked = build_sector_blocks(points, n)
+                for k, p in enumerate(points):
+                    assert same_blocks([b[k:k + 1] for b in stacked], sector_blocks(p.chain(n)))
 
 
 class TestProjectTwoLevel:

@@ -74,6 +74,12 @@ class TestEigGeneral:
         with pytest.raises(ValueError):
             eig_general(np.array([[np.inf, 0], [0, 1.0]]))
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_scale_neither_underflows_nor_overflows(self, size):
+        # squared entries of these sizes leave the float range
+        sys = eig_general(np.diag([3.0 * size, 4j * size]))
+        assert sys.scale == pytest.approx(5.0 * size, rel=1e-15)
+
 
 class TestBiorthonormalize:
     """Biorthonormal sets returned by ``spectrum_with_indices``."""
