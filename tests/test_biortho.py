@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from conftest import (assert_same_spectrum, hermitian_reference_indices, match_level_sets,
                       mirror_chains)

@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
@@ -126,7 +125,9 @@ class TestAgainstFullMatrix:
             if q >= 0:
                 assert sp.partner[q] == i
                 assert sp.eigenvalues[q] == np.conj(sp.eigenvalues[i])
+        # both solves cluster levels by distance, so both are biorthonormal
         assert sp.eigensystem.biortho_residual <= 1e-6
+        assert ref.eigensystem.biortho_residual <= 1e-6
 
     def test_cluster_chain_is_biorthonormal(self):
         # its near-equal +i pair is split by the -i pair in (Re, Im) order;
