@@ -147,9 +147,12 @@ def same_blocks(x, y) -> bool:
 
 
 @st.composite
-def mirror_chains(draw):
+def mirror_chains(draw, allow_subnormal=True):
     """Chains of N in {2, 4, 6} with a random mirror-antisymmetric gain profile."""
+    def floats(lo, hi):
+        return st.floats(lo, hi, allow_subnormal=allow_subnormal)
+
     n = draw(st.sampled_from([2, 4, 6]))
-    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=n // 2, max_size=n // 2))
-    return ChainSpec(n=n, delta=draw(st.floats(0.0, 1.5)), j=draw(st.floats(-1.5, 1.5)),
+    half = draw(st.lists(floats(-1.0, 1.0), min_size=n // 2, max_size=n // 2))
+    return ChainSpec(n=n, delta=draw(floats(0.0, 1.5)), j=draw(floats(-1.5, 1.5)),
                      gamma_profile=(*half, *(-g for g in reversed(half))))

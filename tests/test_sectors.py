@@ -3,6 +3,7 @@
 The full-matrix path (``spectrum_with_indices``) is the reference throughout.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,10 @@ from pshchain.numerics import CLUSTER_SCALE, eig_blocks
 #: of any solve grows like eps ||H|| kappa^2 (2.9e-6 at kappa = 8.6e3 on a
 #: 64-level chain, for this engine and the full solve alike).
 WELL_POSED = 1e3
+#: Chains with normal (not subnormal) floats: a subnormal entry carries too few
+#: bits for either solve to resolve levels to rounding (at delta = j = 5e-324
+#: the two solves order exact ties differently).
+normal_chains = mirror_chains(allow_subnormal=False)
 #: The chain of the neighbour-only cluster defect: on the full matrix its
 #: near-equal +i pair is split by the -i pair and the residual is 0.185.
 CLUSTER_CHAIN = ChainSpec(n=6, delta=0.01, j=-0.7,
@@ -89,22 +94,23 @@ def bound(sp, h) -> float:
     return max(1e-12 * frobenius(h) * max(1.0, sp.eigensystem.cond_right), np.finfo(float).tiny)
 
 
-def clusters(values, tol=1e-9):
+def clusters(values, tol):
     """Groups of levels chained by distances up to ``tol``, each as an index array."""
     _, label = connected_components(np.abs(values[:, None] - values[None, :]) <= tol)
     return [np.flatnonzero(label == k) for k in np.unique(label)]
 
 
 def matched(sp, ref):
-    """Column of ``ref`` matched to each level of ``sp``, and the largest distance."""
+    """Column of ``ref`` matched to each level of ``sp``, and each level's distance."""
     dist = np.abs(sp.eigenvalues[:, None] - ref.eigenvalues[None, :])
     rows, cols = linear_sum_assignment(dist)
-    return cols[np.argsort(rows)], float(dist[rows, cols].max())
+    cols = cols[np.argsort(rows)]
+    return cols, dist[np.arange(len(cols)), cols]
 
 
 class TestAgainstFullMatrix:
     @settings(max_examples=150, deadline=None)
-    @given(spec=mirror_chains())
+    @given(spec=normal_chains)
     @example(spec=CLUSTER_CHAIN)
     def test_sector_engine_matches_the_full_solve(self, spec):
         h = build_hamiltonian(spec)
@@ -115,11 +121,23 @@ class TestAgainstFullMatrix:
             assume(False)
         assume(max(sp.eigensystem.cond_right, ref.eigensystem.cond_right) <= WELL_POSED)
         cols, dist = matched(sp, ref)
-        assert dist <= max(bound(sp, h), bound(ref, h))
-        # equal indices at every level; inside a degenerate cluster either
-        # solve may order its levels differently, so clusters compare as sets
-        for members in clusters(sp.eigenvalues):
-            assert sorted(sp.z2[members]) == sorted(ref.z2[cols[members]])
+        # equal eigenvalues and indices at every isolated level. A degenerate
+        # cluster's values are resolved to CLUSTER_SCALE ||H||_F, and either
+        # solve may order its levels differently. The full solve's clusters
+        # may mix both sectors and real with complex levels, so it can leave
+        # indices undefined that the blocks resolve: there the indices one
+        # solve gives must all appear in the other's.
+        tol = 10 * CLUSTER_SCALE * frobenius(h)
+        for members in clusters(sp.eigenvalues, tol):
+            mine, theirs = sp.z2[members], ref.z2[cols[members]]
+            if members.size == 1:
+                assert dist[members[0]] <= max(bound(sp, h), bound(ref, h))
+                assert mine[0] == theirs[0]
+                continue
+            assert np.max(dist[members]) <= tol
+            fewer, more = sorted((Counter(mine[mine != 0].tolist()),
+                                  Counter(theirs[theirs != 0].tolist())), key=lambda c: c.total())
+            assert not fewer - more
         # partners are mutual and exact conjugates
         for i, q in enumerate(sp.partner):
             if q >= 0:
@@ -137,12 +155,13 @@ class TestAgainstFullMatrix:
         assert solve_chain(CLUSTER_CHAIN).eigensystem.biortho_residual <= 1e-6
 
     @settings(max_examples=60, deadline=None)
-    @given(spec=mirror_chains())
+    @given(spec=normal_chains)
     def test_levels_lie_in_their_sector(self, spec):
         try:
             sp = solve_chain(spec)
         except AtExceptionalPoint:
             assume(False)
+        assume(sp.eigensystem.cond_right <= WELL_POSED)
         dim = 1 << spec.n
         q_perm = reference_mirror(spec.n)[np.arange(dim) ^ (dim - 1)]
         right, h = sp.eigensystem.right, build_hamiltonian(spec)
@@ -160,7 +179,7 @@ class TestCouplingMirror:
     minus the spectrum at j, level by level, with equal indices."""
 
     @settings(max_examples=90, deadline=None)
-    @given(spec=mirror_chains())
+    @given(spec=normal_chains)
     def test_spectrum_at_minus_j(self, spec):
         try:
             sp, mirrored = solve_chain(spec), solve_chain(replace(spec, j=-spec.j))
@@ -173,9 +192,9 @@ class TestCouplingMirror:
         flipped = replace(sp, eigensystem=replace(sp.eigensystem,
                                                   eigenvalues=-sp.eigenvalues[::-1]))
         cols, dist = matched(mirrored, flipped)
-        assert dist <= max(bound(sp, h), bound(mirrored, h))
+        assert np.max(dist) <= max(bound(sp, h), bound(mirrored, h))
         z2 = sp.z2[::-1]
-        for members in clusters(mirrored.eigenvalues):
+        for members in clusters(mirrored.eigenvalues, 10 * CLUSTER_SCALE * frobenius(h)):
             assert sorted(mirrored.z2[members]) == sorted(z2[cols[members]])
 
 
