@@ -31,8 +31,8 @@ WELL_POSED = 1e3
 #: bits for either solve to resolve levels to rounding (at delta = j = 5e-324
 #: the two solves order exact ties differently).
 normal_chains = mirror_chains(allow_subnormal=False)
-#: The chain of the neighbour-only cluster defect: on the full matrix its
-#: near-equal +i pair is split by the -i pair and the residual is 0.185.
+#: A chain whose near-equal +i pair (1.4e-15 apart) is split by the -i pair
+#: in (Re, Im) order, so clustering by sort-order neighbours misses it.
 CLUSTER_CHAIN = ChainSpec(n=6, delta=0.01, j=-0.7,
                           gamma_profile=(0.3, -0.3, 0.3, -0.3, 0.3, -0.3))
 
@@ -148,8 +148,7 @@ class TestAgainstFullMatrix:
         assert ref.eigensystem.biortho_residual <= 1e-6
 
     def test_cluster_chain_is_biorthonormal(self):
-        # its near-equal +i pair is split by the -i pair in (Re, Im) order;
-        # levels cluster by distance, so both solves resolve the pair
+        # levels cluster by distance, so both solves resolve the split pair
         ref = spectrum_with_indices(build_hamiltonian(CLUSTER_CHAIN), build_parity(6))
         assert ref.eigensystem.biortho_residual <= 1e-6
         assert solve_chain(CLUSTER_CHAIN).eigensystem.biortho_residual <= 1e-6
