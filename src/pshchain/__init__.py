@@ -14,8 +14,8 @@ from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePa
                      NoEPInBracket, SweepGrid, classify_crossings, find_ep2,
                      find_ep3, find_ep3_candidates, locate_ep2_records,
                      locate_reality_boundary, predict_gamma_cr, project_two_level,
-                     reality_transitions, sweep, triple_pairing,
-                     verify_selection_rule)
+                     reality_transitions, refine_ep3_candidates, sweep,
+                     triple_pairing, verify_selection_rule)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "SweepGrid", "TriplePairing", "classify_crossings", "find_ep2", "find_ep3",
     "find_ep3_candidates", "locate_ep2_records", "locate_reality_boundary",
     "predict_gamma_cr", "project_two_level", "reality_transitions",
-    "sweep", "triple_pairing", "verify_selection_rule",
+    "refine_ep3_candidates", "sweep", "triple_pairing", "verify_selection_rule",
 ]

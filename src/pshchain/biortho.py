@@ -60,6 +60,9 @@ class AtExceptionalPoint(RuntimeError):
         self.cond = float(cond)
         super().__init__(message or f"defective eigensystem (condition {self.cond:.3e})")
 
+    def __reduce__(self):  # pickle rebuilds it from (cond, message), as from a pool worker
+        return type(self), (self.cond, str(self))
+
 
 class IndexIllDefined(RuntimeError):
     """<R|zeta|R> is too close to zero for the index sign to be trusted."""

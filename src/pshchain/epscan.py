@@ -83,6 +83,9 @@ class AccidentallyZeroElement(RuntimeError):
             f"gain matrix element {self.magnitude:.3e} below floor {self.floor:.3e}"
         )
 
+    def __reduce__(self):  # pickle rebuilds it from its arguments, as from a pool worker
+        return type(self), (self.magnitude, self.floor)
+
 
 class _Line(NamedTuple):
     """A line to solve on, with its tolerances: a :class:`SweepGrid` without points."""
@@ -234,8 +237,10 @@ def _sweep_task(args) -> list[BiorthoSpectrum]:
 def _imap(fn, tasks: list, workers: int, chunksize: int):
     """``fn(task)`` for every task, lazily and in task order.
 
-    Runs on a fork pool when ``workers > 1``; serially, one result is held at a time.
+    Runs on a fork pool of ``min(workers, len(tasks))`` processes when that is
+    more than one; otherwise in this process, one result held at a time.
     """
+    workers = min(workers, len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return
@@ -934,6 +939,28 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     for c in candidates:
         merged.setdefault((frozenset(c["triple"]), c["j_bracket"]), c)
     return list(merged.values())
+
+
+def _ep3_task(args) -> EPRecord | NoEP3InBox:
+    """One candidate's :func:`find_ep3`: its record, or the NoEP3InBox it raised."""
+    n, candidate, gamma_window, kw = args
+    try:
+        return find_ep3(n, candidate["j_bracket"], gamma_window, candidate["triple"], **kw)
+    except NoEP3InBox as exc:
+        return exc.with_traceback(None)
+
+
+def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
+                          **kw) -> list:
+    """:func:`find_ep3` of every candidate of :func:`find_ep3_candidates`.
+
+    Entry ``k`` is candidate ``k``'s :class:`EPRecord`, or the
+    :class:`NoEP3InBox` it raised; any other error is raised. Each candidate
+    is refined whole in one of ``workers`` processes, so the entries are the
+    same for any worker count. ``kw`` goes to :func:`find_ep3`.
+    """
+    tasks = [(n, c, gamma_window, kw) for c in candidates]
+    return list(_imap(_ep3_task, tasks, workers, 1))
 
 
 def verify_selection_rule(records) -> list[dict]:

@@ -52,6 +52,9 @@ class NearDefective(RuntimeError):
             or f"eigenvector basis condition number {self.cond:.3e} exceeds threshold"
         )
 
+    def __reduce__(self):  # pickle rebuilds it from (cond, message), as from a pool worker
+        return type(self), (self.cond, str(self))
+
 
 def as_complex_matrix(m) -> np.ndarray:
     """Validate and convert input to a finite square complex128 matrix."""
@@ -130,8 +133,27 @@ def _sorted(w: np.ndarray, *vectors: np.ndarray):
             *(np.take_along_axis(v, order[..., None, :], -1) for v in vectors))
 
 
+def _eig(a: np.ndarray):
+    """``np.linalg.eig`` of every matrix in the stack ``a``, and the mask of those
+    whose eigenvalues did not converge.
+
+    One such matrix fails a stacked call, so that stack is solved again matrix
+    by matrix: the others keep their values, bit for bit, and a failed matrix
+    gets zero eigenvalues and unit vectors, which carry no meaning.
+    """
+    try:
+        return (*np.linalg.eig(a), np.zeros(len(a), dtype=bool))
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            eye = np.eye(a.shape[1], dtype=a.dtype)[None]
+            return np.zeros(a.shape[:2], a.dtype), eye, np.ones(1, dtype=bool)
+    w, v, failed = zip(*(_eig(a[b:b + 1]) for b in range(len(a))))
+    return np.concatenate(w), np.concatenate(v), np.concatenate(failed)
+
+
 def _eig_vectors(a: np.ndarray):
-    """Sorted eigenvalues, right and left eigenvectors of every matrix in ``a``.
+    """Sorted eigenvalues, right and left eigenvectors of every matrix in ``a``,
+    and the mask of the matrices whose eigenvalues did not converge.
 
     For an exactly complex-symmetric matrix (M^T = M) the left eigenvectors
     are the conjugated right ones, so only the right ones are computed.
@@ -139,19 +161,26 @@ def _eig_vectors(a: np.ndarray):
     """
     symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
     if symmetric.all():
-        w, vr = _sorted(*np.linalg.eig(a))
-        return w, vr, vr.conj()
-    w = np.empty(a.shape[:2], dtype=np.complex128)
-    vr = np.empty_like(a)
-    vl = np.empty_like(a)
+        w, vr, failed = _eig(a)
+        w, vr = _sorted(w, vr)
+        return w, vr, vr.conj(), failed
+    # a matrix that fails keeps zero eigenvalues and unit vectors
+    w = np.zeros(a.shape[:2], dtype=np.complex128)
+    vr = np.tile(np.eye(a.shape[1], dtype=a.dtype), (len(a), 1, 1))
+    vl = vr.copy()
+    failed = np.zeros(len(a), dtype=bool)
     for b in range(a.shape[0]):
-        if symmetric[b]:
-            w[b], vr[b] = _sorted(*np.linalg.eig(a[b]))
-            vl[b] = vr[b].conj()
-        else:
-            wb, vlb, vrb = sla.eig(a[b], left=True, right=True)
-            w[b], vr[b], vl[b] = _sorted(wb, vrb, vlb)
-    return w, vr, vl
+        try:
+            if symmetric[b]:
+                wb, vrb = np.linalg.eig(a[b])
+                vlb = vrb.conj()
+            else:
+                wb, vlb, vrb = sla.eig(a[b], left=True, right=True)
+        except np.linalg.LinAlgError:
+            failed[b] = True
+            continue
+        w[b], vr[b], vl[b] = _sorted(wb, vrb, vlb)
+    return w, vr, vl, failed
 
 
 def eig_stack(mats) -> EigenStack:
@@ -163,7 +192,7 @@ def eig_stack(mats) -> EigenStack:
     """
     a = as_complex_stack(mats)
     scale = _frobenius([a])
-    w, vr, vl = _eig_vectors(a)
+    w, vr, vl, failed = _eig_vectors(a)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         sv = np.linalg.svd(vr, compute_uv=False)
@@ -177,7 +206,7 @@ def eig_stack(mats) -> EigenStack:
     res_left = np.max(np.linalg.norm(res, axis=1), axis=1)
 
     return EigenStack(w, vr, vl, scale, cond,
-                      _errors(cond, np.maximum(res_right, res_left), bound))
+                      _errors(cond, np.maximum(res_right, res_left), bound, failed))
 
 
 def _frobenius(blocks) -> np.ndarray:
@@ -192,12 +221,16 @@ def _frobenius(blocks) -> np.ndarray:
     return np.ldexp(np.sqrt(total), exp)
 
 
-def _errors(cond: np.ndarray, residual: np.ndarray, bound: np.ndarray) -> list:
-    """Per matrix: :class:`NearDefective`, an ``ArithmeticError`` for a residual
+def _errors(cond: np.ndarray, residual: np.ndarray, bound: np.ndarray,
+            failed: np.ndarray) -> list:
+    """Per matrix: an ``ArithmeticError`` if its eigenvalues did not converge
+    (``failed``), :class:`NearDefective`, an ``ArithmeticError`` for a residual
     above its bound, or None."""
     errors: list = []
-    for c, r, limit in zip(cond, residual, bound):
-        if not np.isfinite(c) or c > DEFECT_THRESHOLD:
+    for c, r, limit, bad in zip(cond, residual, bound, failed):
+        if bad:
+            errors.append(ArithmeticError("eigenvalues did not converge"))
+        elif not np.isfinite(c) or c > DEFECT_THRESHOLD:
             errors.append(NearDefective(c))
         elif r > limit:
             errors.append(ArithmeticError(
@@ -244,8 +277,10 @@ def eig_blocks(blocks) -> BlockStack:
     values, vectors, partners = [], [], []
     res = np.zeros(scale.shape)
     sv_max, sv_min = np.zeros(scale.shape), np.full(scale.shape, np.inf)
+    failed = np.zeros(scale.shape, dtype=bool)
     for a in blocks:
-        w, v = np.linalg.eig(a)
+        w, v, bad = _eig(a)
+        failed |= bad
         w, v = w.astype(np.complex128), np.ascontiguousarray(v, dtype=np.complex128)
         cols = np.arange(w.shape[1])
         partners.append(np.where(w.imag > 0, cols + 1, np.where(w.imag < 0, cols - 1, -1)))
@@ -263,7 +298,7 @@ def eig_blocks(blocks) -> BlockStack:
         vectors.append(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv_max / sv_min
-    errors = _errors(cond, res, DEFAULT_TOL * np.maximum(scale, 1e-300))
+    errors = _errors(cond, res, DEFAULT_TOL * np.maximum(scale, 1e-300), failed)
     return BlockStack(values, vectors, partners, scale, cond, errors)
 
 

@@ -493,6 +493,48 @@ class TestDeterminism:
             outs.append((out.read_bytes(), (tmp_path / f"det{k}.json").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_order_three_candidates_do_not_change_bytes(self, tmp_path):
+        # three candidates, refined one per task: a record and skipped entries
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"ep3-{workers}.json"
+            assert main(["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.9",
+                         "--j-stop", "-0.6", "--g-start", "0.35", "--g-stop", "0.45",
+                         "--points", "11", "--workers", workers, "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
+        assert len(doc["records"]) + len(doc["skipped"]) == 3 and doc["skipped"]
+
+
+#: find-ep at order 3 on two workers, each candidate's refinement failing.
+FAILING_REFINEMENT = """
+import sys
+from pshchain import AtExceptionalPoint, cli, epscan
+
+def at_ep(n, j_bracket, gamma_bracket, triple, **kw):
+    raise AtExceptionalPoint(1e20)
+
+epscan.find_ep3 = at_ep
+cli.find_ep3_candidates = lambda *args, **kw: [
+    {"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)},
+    {"triple": (3, 4, 7), "j_bracket": (0.75, 0.78)}]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestWorkerFailure:
+    def test_refinement_error_exits_2(self, tmp_path):
+        # the error comes back from a worker; the parent must not hang on it
+        argv = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.99", "--j-stop",
+                "0.99", "--g-start", "0.35", "--g-stop", "0.45", "--workers", "2",
+                "--output", str(tmp_path / "ep3.json")]
+        proc = subprocess.run([sys.executable, "-c", FAILING_REFINEMENT, *argv],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "numeric failure: defective eigensystem (condition 1.000e+20)\n"
+
 
 class TestTracerContract:
     @pytest.mark.parametrize("n, warm", [(4, [0.05, 0.5]), (8, [0.0, 0.5])])
@@ -521,3 +563,20 @@ class TestTracerContract:
         layers = json.loads(result.read_text())["layers"]
         assert layers["epscan.ep2.records"] > 0
         assert layers["epscan.sweep.self_s"] > 0
+
+    def test_traced_order_three_reports_its_refinement(self, tmp_path):
+        # the refinement task calls find_ep3 through the name the tracer patches
+        result = tmp_path / "child.json"
+        spec = {"result": str(result), "n": 4, "warm": [0.4, 0.5], "trace": True,
+                "argv": ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.78",
+                         "--j-stop", "-0.75", "--g-start", "0.35", "--g-stop", "0.45",
+                         "--triple", "3", "4", "7", "--workers", "1",
+                         "--output", str(tmp_path / "ep3.json")]}
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                               json.dumps(spec)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        layers = json.loads(result.read_text())["layers"]
+        assert layers["epscan.ep3.records"] >= 1
+        assert layers["epscan.ep3.self_s"] > 0

@@ -1,5 +1,6 @@
 import gc
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,17 +13,17 @@ from hypothesis import strategies as st
 from conftest import assert_same_spectrum, same_blocks, solve_chain
 from pshchain import epscan
 from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
-                      ChainSpec,
-                      EPRecord, NoEP3InBox, NoEPInBracket, NormalizedPoint,
-                      SweepGrid, build_hamiltonian, build_parity, classify_crossings,
-                      find_ep2, find_ep3, find_ep3_candidates, gain_generator,
-                      locate_ep2_records, locate_reality_boundary, predict_gamma_cr,
-                      project_two_level, reality_transitions, solve_modes,
+                      ChainSpec, EPRecord, IndexIllDefined, NearDefective, NoEP3InBox,
+                      NoEPInBracket, NormalizedPoint, SweepGrid, build_hamiltonian,
+                      build_parity, classify_crossings, find_ep2, find_ep3,
+                      find_ep3_candidates, gain_generator, locate_ep2_records,
+                      locate_reality_boundary, predict_gamma_cr, project_two_level,
+                      reality_transitions, refine_ep3_candidates, solve_modes,
                       spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
-from pshchain.cli import load_ep_records
-from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _Line, _point, _refine_crossing,
-                             _run, _solve_values)
+from pshchain.cli import UsageError, load_ep_records
+from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _imap, _Line, _point,
+                             _refine_crossing, _run, _solve_values)
 from pshchain.model import build_sector_blocks, sector_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,6 +79,54 @@ class TestBisect:
     def test_zero_tolerance_ends_at_adjacent_floats(self):
         lo, hi = _run(_bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0), lambda p: p)
         assert lo < 0.3 <= hi and np.nextafter(lo, hi) == hi
+
+
+#: A 2-worker sweep of three stacks whose every solve fails at an exact EP.
+RAISING_SWEEP = """
+from pshchain import AtExceptionalPoint, SweepGrid, epscan, sweep
+
+def at_ep(blocks, n, **kw):
+    return [AtExceptionalPoint(1e20) for _ in blocks[0]]
+
+epscan.sector_spectra = at_ep
+grid = SweepGrid(axis="j_tilde", fixed_value=0.2, points=tuple(k / 10 for k in range(-4, 5)), n=6)
+try:
+    sweep(grid, workers=2)
+except AtExceptionalPoint as exc:
+    print(type(exc).__name__, exc.cond, exc)
+"""
+
+
+class TestPool:
+    @pytest.mark.parametrize("exc", [
+        AtExceptionalPoint(1e20), AtExceptionalPoint(np.inf, "defective degenerate cluster"),
+        NearDefective(3e13), AccidentallyZeroElement(1e-20, 1e-12), IndexIllDefined("zeta"),
+        NoEPInBracket("no boundary"), NoEP3InBox("no wedge"), UsageError("bad flag"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_exceptions_survive_pickle(self, exc):
+        # a worker's exception reaches the parent pickled
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+    def test_worker_exception_reaches_the_parent(self):
+        # an exception the pool cannot rebuild kills its result handler and
+        # the parent waits forever, so this runs under a timeout
+        proc = subprocess.run([sys.executable, "-c", RAISING_SWEEP],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ("AtExceptionalPoint 1e+20 "
+                                       "defective eigensystem (condition 1.000e+20)")
+
+    def test_one_task_runs_in_this_process(self):
+        # a lambda cannot be pickled, so it runs here or not at all
+        assert list(_imap(lambda _: os.getpid(), [0], 4, 1)) == [os.getpid()]
+        grid = coupling_grid(4, 0.21, points=41, start=-0.8, stop=0.8)  # one stack
+        for a, b in zip(sweep(grid, workers=1), sweep(grid, workers=4)):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.columns, b.columns)
 
 
 class TestRealityBoundary:
@@ -734,6 +783,17 @@ class TestFindEp3:
         (rec,) = load_ep_records(out)
         g = rec.location[AXIS_GAIN]
         assert 0 < rec.bracket_width <= 2 * np.spacing(g)
+
+    def test_candidates_refine_alike_on_any_worker_count(self, record):
+        # one candidate per task: its record, or the NoEP3InBox it raised
+        cands = [{"triple": (3, 4, 7), "j_bracket": (-0.2, -0.1)},
+                 {"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)}]
+        with pytest.raises(NoEP3InBox) as direct:
+            find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7))
+        for workers in (1, 2):
+            empty, found = refine_ep3_candidates(4, cands, (0.35, 0.45), workers=workers)
+            assert type(empty) is NoEP3InBox and str(empty) == str(direct.value)
+            assert found == record
 
     def test_candidates_scan_finds_the_triple(self):
         cands = find_ep3_candidates(4, (-0.9, -0.6), (0.35, 0.45), probes=11)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import ID2, PAULI_X, PAULI_Z, kron_chain
-from pshchain import (DEFAULT_TOL, NearDefective, NormalizedPoint, build_hamiltonian,
-                      build_parity, eig_general, spectrum_with_indices)
-from pshchain.numerics import DEFECT_THRESHOLD
+from conftest import ID2, PAULI_X, PAULI_Z, assert_same_spectrum, kron_chain
+from pshchain import (DEFAULT_TOL, ChainSpec, NearDefective, NormalizedPoint,
+                      build_hamiltonian, build_parity, eig_general, eig_stack,
+                      spectra_with_indices, spectrum_with_indices)
+from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks
 
 RT3 = np.sqrt(3.0)
 METRIC_2X2 = np.diag([1.0, -1.0])
@@ -79,6 +80,61 @@ class TestEigGeneral:
         # squared entries of these sizes leave the float range
         sys = eig_general(np.diag([3.0 * size, 4j * size]))
         assert sys.scale == pytest.approx(5.0 * size, rel=1e-15)
+
+
+#: A chain whose full complex matrix LAPACK's zgeev fails to converge on (the
+#: sector engine solves it), with a well-posed chain to share its stack.
+UNCONVERGED = ChainSpec(n=6, delta=3.0370029471456205e-128, j=0.0,
+                        gamma_profile=(-0.3135009601267712, 0.0, -0.5120604661978797,
+                                       0.5120604661978797, -0.0, 0.3135009601267712))
+WELL_POSED = ChainSpec(n=6, delta=0.6, j=0.8, gamma_profile=(0.1, -0.1) * 3)
+
+
+class TestNonConvergingStack:
+    """A matrix whose eigenvalues do not converge fails alone, not its stack."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_eig_stack(self, symmetric):
+        good, bad = build_hamiltonian(WELL_POSED), build_hamiltonian(UNCONVERGED)
+        if not symmetric:  # a stack that takes LAPACK's left and right solve
+            good[0, 1] += 0.1
+        st, solo = eig_stack(np.stack([good, bad])), eig_stack(good[None])
+        assert st.errors[0] is None
+        assert type(st.errors[1]) is ArithmeticError
+        for name in ("eigenvalues", "right", "left", "scale", "cond_right"):
+            assert np.array_equal(getattr(st, name)[0], getattr(solo, name)[0])
+
+    def test_spectra_with_indices(self):
+        good, bad = build_hamiltonian(WELL_POSED), build_hamiltonian(UNCONVERGED)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eig(bad)
+        zeta = build_parity(6)
+        spectra = spectra_with_indices(np.stack([bad, good]), zeta)
+        assert type(spectra[0]) is ArithmeticError
+        assert_same_spectrum(spectra[1], spectrum_with_indices(good, zeta))
+
+    def test_eig_blocks(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        blocks = [rng.normal(size=(3, 5, 5)), rng.normal(size=(3, 4, 4))]
+        bad = blocks[1][1].copy()
+        lapack_eig = np.linalg.eig
+
+        def eig(a):
+            if a.shape[-1] == bad.shape[-1] and np.all(a == bad, axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return lapack_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        st = eig_blocks(blocks)
+        assert type(st.errors[1]) is ArithmeticError
+        for b in (0, 2):
+            solo = eig_blocks([a[b:b + 1] for a in blocks])
+            assert st.errors[b] is None
+            assert st.scale[b] == solo.scale[0] and st.cond_right[b] == solo.cond_right[0]
+            for k in range(2):
+                assert np.array_equal(st.eigenvalues[k][b], solo.eigenvalues[k][0])
+                assert np.array_equal(st.right[k][b], solo.right[k][0])
+                assert np.array_equal(st.partner[k][b], solo.partner[k][0])
 
 
 class TestBiorthonormalize:
