@@ -25,7 +25,10 @@ tests' reference for the engine.
 Both rescale all isolated levels of a stack together; levels closer than
 ``CLUSTER_SCALE * ||H||_F`` form a degenerate cluster, which is resolved
 one point at a time. A point's spectrum is the same, bit for bit, whichever
-stack it is part of.
+stack it is part of. A real cluster's Hermitian-definite pencil is reduced
+by Cholesky with numpy, and the general path pairs conjugates with
+:func:`pshchain.numerics.linear_sum_assignment`, so this module needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -36,13 +39,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from .model import sector_bases
 from .numerics import (CLUSTER_SCALE, EigenStack, EigenSystem, NearDefective,
                        as_complex_matrix, as_complex_stack, eig_blocks, eig_general,
-                       eig_stack)
+                       eig_stack, linear_sum_assignment)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -224,6 +225,16 @@ def _block_cluster(z: np.ndarray, rc: np.ndarray, lc: np.ndarray):
     return rc, lc, np.zeros(rc.shape[1], dtype=np.int8), _metric(z, rc)[2], None
 
 
+def _pencil_eigh(a: np.ndarray, b: np.ndarray):
+    """Eigenvalues (ascending) and vectors y of the Hermitian-definite pencil
+    a y = lambda b y, with y^+ b y = 1: with b = l l^+ (Cholesky), those of the
+    Hermitian l^-1 a l^-+, mapped back by l^-+, as LAPACK's ``hegv`` does."""
+    li = np.linalg.inv(np.linalg.cholesky(b))
+    c = li @ a @ li.conj().T
+    values, z = np.linalg.eigh(0.5 * (c + c.conj().T))
+    return values, li.conj().T @ z
+
+
 def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
                   resolution: float):
     """Index-rescaled basis of a cluster of real levels (a genuine crossing).
@@ -247,7 +258,7 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
         rc = np.linalg.svd(a - lam * np.eye(a.shape[0]))[2][-rc.shape[1]:].conj().T
         gram = np.eye(rc.shape[1])
     q = rc.conj().T @ _apply(z, rc)
-    qvals, y = sla.eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
+    qvals, y = _pencil_eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
     if np.min(np.abs(qvals)) < floor:
         return None
     sign = np.where(qvals > 0, 1, -1)

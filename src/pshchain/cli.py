@@ -130,6 +130,9 @@ class RunConfig:
             raise UsageError(f"chain.n must be a positive even integer, got {self.n}")
         if not _is(self.workers, int) or self.workers < 1:
             raise UsageError(f"workers must be a positive integer, got {self.workers}")
+        if self.gamma_values is not None and len(set(self.gamma_values)) < len(self.gamma_values):
+            # a repeated value would sweep its line again and emit its records twice
+            raise UsageError(f"grid.gamma_values must be distinct, got {list(self.gamma_values)}")
         for name in ("pair", "triple"):
             if getattr(self, name) is not None:
                 try:

@@ -23,12 +23,12 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
                       IndexIllDefined, LevelRecord, sector_spectra)
 from .model import (ChainSpec, NormalizedPoint, build_sector_blocks, gain_generator,
                     sector_blocks)
+from .numerics import linear_sum_assignment
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
 # these full-matrix entries under the names this module shares with cli.
@@ -255,12 +255,20 @@ def _imap(fn, tasks: list, workers: int, chunksize: int):
 def _match(ref_left: np.ndarray, right: np.ndarray):
     """Column of ``right`` matched to each reference left vector, and its overlap.
 
-    The one-to-one assignment maximizes the summed |<L_ref|R>|.
+    The one-to-one assignment maximizes the summed |<L_ref|R>|. Where every
+    row has a unique largest overlap and those columns are distinct, that
+    argmax is the only maximizing assignment, since the sum of the row maxima
+    bounds every other, and it is returned without solving one.
     """
     overlap = np.abs(ref_left.conj().T @ right)
-    rows, cols = linear_sum_assignment(-overlap)
-    cols = cols[np.argsort(rows)]
-    return cols, overlap[np.arange(ref_left.shape[1]), cols]
+    rows = np.arange(overlap.shape[0])
+    cols = overlap.argmax(axis=1)
+    best = overlap[rows, cols]
+    if (np.count_nonzero(overlap == best[:, None]) != rows.size
+            or len(set(cols.tolist())) < rows.size):
+        rows, cols = linear_sum_assignment(-overlap)  # rows come back in order
+        best = overlap[rows, cols]
+    return cols, best
 
 
 def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):

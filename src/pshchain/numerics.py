@@ -1,4 +1,5 @@
-"""Dense linear algebra for non-Hermitian eigenproblems.
+"""Dense linear algebra for non-Hermitian eigenproblems, and the assignment
+problem that matches levels between points.
 
 Two solvers share one contract: residuals checked against ``DEFAULT_TOL *
 ||M||_F``, and a near-defective input (condition number of the
@@ -13,6 +14,12 @@ right-eigenvector matrix above ``DEFECT_THRESHOLD``) reported as
   with left and right eigenvectors, for general-purpose use and as the
   reference of the block solve.
 
+:func:`linear_sum_assignment` is scipy's shortest-augmenting-path solver,
+ported to Python with scipy's tie rules, for matching levels between points.
+This module imports scipy only in the general solve of a matrix that is not
+complex-symmetric, for LAPACK's left and right eigenvectors; everything else
+here uses numpy alone, so that importing it costs no scipy import.
+
 The problem sizes we target (dim <= 4096) make dense solvers the robust
 choice over iterative ones. Every matrix of a stack is decomposed exactly as
 it would be alone: the LAPACK calls, reductions and products act on each
@@ -26,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 #: Relative residual tolerance of every eigendecomposition.
 DEFAULT_TOL = 1e-10
@@ -175,7 +181,8 @@ def _eig_vectors(a: np.ndarray):
                 wb, vrb = np.linalg.eig(a[b])
                 vlb = vrb.conj()
             else:
-                wb, vlb, vrb = sla.eig(a[b], left=True, right=True)
+                from scipy.linalg import eig  # here, so that importing the package skips scipy
+                wb, vlb, vrb = eig(a[b], left=True, right=True)
         except np.linalg.LinAlgError:
             failed[b] = True
             continue
@@ -322,3 +329,83 @@ def eig_general(m) -> EigenSystem:
     return EigenSystem(eigenvalues=st.eigenvalues[0], right=right, left=left,
                        scale=float(st.scale[0]), cond_right=float(st.cond_right[0]),
                        biortho_residual=residual)
+
+
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a minimum-cost one-to-one assignment.
+
+    A port of ``scipy.optimize.linear_sum_assignment``: the same
+    shortest-augmenting-path algorithm (Crouse, IEEE Trans. Aerosp. Electron.
+    Syst. 52(4), 1679, 2016), with the same arithmetic in the same order and
+    the same tie rules, so that it returns scipy's arrays on every input.
+    Rows are assigned one at a time. Each search scans the columns not yet
+    reached, which start in reverse order and leave by swap-with-last; a tie
+    at the minimum goes to the last unassigned column among the tied ones if
+    there is one, otherwise to the first tied column. A tall matrix is solved
+    transposed. Entries may be +inf (forbidden); a matrix that admits no
+    finite assignment raises ValueError, as do NaN and -inf entries.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {c.shape!r} array")
+    if not np.all(c > -np.inf):  # false for NaN as for -inf
+        raise ValueError("matrix contains invalid numeric entries")
+    transpose = c.shape[1] < c.shape[0]
+    col4row = _lsap(c.T if transpose else c)
+    if not transpose:
+        return np.arange(len(col4row)), np.array(col4row, dtype=np.int64)
+    cols = np.argsort(col4row)
+    return np.array(col4row, dtype=np.int64)[cols], cols
+
+
+def _lsap(cost: np.ndarray) -> list[int]:
+    """The column of each row of a cost matrix with no more rows than columns."""
+    nr, nc = cost.shape
+    cost = cost.tolist()
+    inf = math.inf
+    u, v = [0.0] * nr, [0.0] * nc
+    path = [-1] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row cur to an unassigned column
+        shortest = [inf] * nc
+        rows_seen, cols_seen = [], []
+        remaining = list(range(nc - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows_seen.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import bisect
-
 #: Offset used to keep bisection brackets away from the poles of sin(Nk).
 POLE_SHRINK = 1e-12
 _BISECT_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
@@ -61,6 +59,17 @@ class OracleState:
     r: int
 
 
+def _bisect(f, a: float, b: float, args=()) -> float:
+    """Root of ``f`` in [a, b] by scipy's bisection, at the oracle's tolerances.
+
+    scipy is imported here, at the first root, so that importing the package
+    does not import it.
+    """
+    from scipy.optimize import bisect
+
+    return float(bisect(f, a, b, args=args, **_BISECT_KW))
+
+
 def _mode_func(k: float, n: int, ratio: float) -> float:
     # sin((N+1)k) - ratio*sin(Nk); same roots as the dispersion equation on
     # the open intervals between poles, but finite everywhere.
@@ -84,7 +93,7 @@ def _solve_kappa(n: int, ratio_abs: float) -> float | None:
             raise ArithmeticError(
                 f"no sign change for the complex-mode equation up to kappa={hi:.3g}"
             )
-    return float(bisect(h, lo, hi, **_BISECT_KW))
+    return _bisect(h, lo, hi)
 
 
 def solve_modes(n: int, j: float, delta: float) -> list[FermionMode]:
@@ -114,7 +123,7 @@ def solve_modes(n: int, j: float, delta: float) -> list[FermionMode]:
         elif fb == 0.0:
             roots.append(b)
         elif fa * fb < 0.0:
-            roots.append(float(bisect(_mode_func, a, b, args=(n, ratio), **_BISECT_KW)))
+            roots.append(_bisect(_mode_func, a, b, args=(n, ratio)))
         else:
             missing.append((i, a, b, fa, fb))
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 
 from conftest import (assert_same_spectrum, hermitian_reference_indices, match_level_sets,
-                      mirror_chains)
+                      mirror_chains, solve_chain)
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
                       ep_indicator, full_spectrum, spectra_with_indices,
                       spectrum_with_indices, z2_index)
-from pshchain import numerics
+from pshchain import biortho, numerics
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -207,6 +208,49 @@ class TestSpectrumWithIndices:
         assert reference is not None
 
 
+def check_pencil(q, gram):
+    """``_pencil_eigh(q, gram)`` against scipy's generalized ``eigh``."""
+    values, y = biortho._pencil_eigh(q, gram)
+    ref = scipy.linalg.eigh(q, gram, eigvals_only=True)
+    bound = 1e-12 * np.linalg.norm(q)
+    assert np.max(np.abs(values - ref)) <= bound
+    assert np.array_equal(np.where(values > 0, 1, -1), np.where(ref > 0, 1, -1))
+    assert np.max(np.abs(q @ y - (gram @ y) * values)) <= bound * np.max(np.abs(y))
+    assert np.allclose(y.conj().T @ gram @ y, np.eye(values.size), rtol=0, atol=1e-12)
+
+
+class TestClusterPencil:
+    """The Hermitian-definite pencil of a real cluster, solved by Cholesky reduction."""
+
+    def test_matches_scipy_on_chain_clusters(self, monkeypatch):
+        seen = []
+        solve = biortho._pencil_eigh
+        monkeypatch.setattr(biortho, "_pencil_eigh",
+                            lambda q, gram: seen.append((q, gram)) or solve(q, gram))
+        chain_spectrum(4, 1.0, 0.0)   # the Ising limit's mirror-degenerate states
+        chain_spectrum(4, 1.0, 0.3)
+        solve_chain(NormalizedPoint(0.0, 0.0).chain(4))   # decoupled spins
+        for delta, j in [(0.2890625, 0.0), (0.920735393360631, -1e-97)]:
+            spectrum_with_indices(build_hamiltonian(
+                ChainSpec(n=2, delta=delta, j=j, gamma_profile=(0.0, 0.0))), build_parity(2))
+        monkeypatch.undo()
+        assert len(seen) >= 10 and max(q.shape[0] for q, _ in seen) >= 4
+        for q, gram in seen:
+            check_pencil(q, gram)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_scipy_on_random_pencils(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        k = int(rng.integers(1, d + 1))
+        basis = np.linalg.qr(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))[0]
+        rc = basis + 0.3 * (rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))
+        z = rng.choice([-1.0, 1.0], size=d)
+        q = rc.conj().T @ (z[:, None] * rc)
+        gram = rc.conj().T @ rc
+        check_pencil(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
+
+
 class TestSpectrumInvariants:
     """Partner links and index rescaling on random mirror-antisymmetric chains."""
 
@@ -278,8 +322,8 @@ class TestStackedSpectra:
 
     def test_symmetric_input_skips_the_left_solve(self, monkeypatch):
         calls = []
-        original = numerics.sla.eig
-        monkeypatch.setattr(numerics.sla, "eig",
+        original = scipy.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig",
                             lambda *a, **kw: calls.append(1) or original(*a, **kw))
         spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2)
         chain_spectrum(4, 0.3, 0.2)

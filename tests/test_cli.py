@@ -411,6 +411,14 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out")]) == 1
         assert f"usage error: {path} must satisfy" in capsys.readouterr().err
 
+    def test_repeated_gamma_values_rejected(self, tmp_path, capsys):
+        # the line was swept and refined once per repeat: 44 records instead of 22
+        out = tmp_path / "v.json"
+        assert main(["verify", "--n", "4", "--points", "101", "--gammas", "0.21,0.21",
+                     "--output", str(out)]) == 1
+        assert "usage error: grid.gamma_values must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_level_indices_checked_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"chain": {"n": 2}, "pair": [0, 4]}))
@@ -534,6 +542,48 @@ class TestWorkerFailure:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "numeric failure: defective eigensystem (condition 1.000e+20)\n"
+
+
+#: A fresh process that imports the package, sweeps an N=4 line through EP2s and
+#: argmax collisions, refines its records and solves a degenerate gain-free point.
+COLD_START = """
+import json
+import sys
+
+import numpy as np
+
+import pshchain
+import pshchain.cli
+from pshchain import AXIS_COUPLING, SweepGrid, biortho, epscan
+
+calls = {"assignment": 0, "cluster": 0}
+
+def counted(name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+epscan.linear_sum_assignment = counted("assignment", epscan.linear_sum_assignment)
+biortho._real_cluster = counted("cluster", biortho._real_cluster)
+tracks = epscan.sweep(SweepGrid(AXIS_COUPLING, 0.21, tuple(np.linspace(-1.0, 1.0, 41)), 4))
+records, _ = epscan.locate_ep2_records(tracks)
+SweepGrid(AXIS_COUPLING, 0.0, (0.0, 0.5), 4).solver()(0.0)
+print(json.dumps({"records": len(records), **calls,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cold_start_does_not_import_scipy():
+    # importing scipy takes a fresh process about 0.5 s and 48 MB, which every
+    # CLI call would pay before any physics
+    proc = subprocess.run([sys.executable, "-c", COLD_START],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["records"] > 0 and seen["assignment"] > 0 and seen["cluster"] > 0
+    assert seen["scipy"] == []
 
 
 class TestTracerContract:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import assert_same_spectrum, same_blocks, solve_chain
 from pshchain import epscan
@@ -22,7 +24,7 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import UsageError, load_ep_records
-from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _imap, _Line, _point,
+from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _imap, _Line, _match, _point,
                              _refine_crossing, _run, _solve_values)
 from pshchain.model import build_sector_blocks, sector_blocks
 
@@ -95,6 +97,50 @@ try:
 except AtExceptionalPoint as exc:
     print(type(exc).__name__, exc.cond, exc)
 """
+
+
+@st.composite
+def overlap_matrices(draw):
+    """A (d, d) matrix whose first ``rows`` rows are the overlaps of ``rows``
+    tracks with d levels: small integers, with tied maxima and argmax
+    collisions, or a partial permutation plus noise, where the argmax is the
+    assignment."""
+    d = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, d))
+    if draw(st.booleans()):
+        m = draw(arrays(np.int64, (d, d), elements=st.integers(0, 2))).astype(float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        m = 0.3 * rng.random((d, d))
+        m[np.arange(d), rng.permutation(d)] += 1.0
+    return m, rows
+
+
+class TestMatch:
+    @settings(max_examples=500, deadline=None)
+    @given(case=overlap_matrices())
+    def test_equals_the_full_assignment(self, case):
+        m, rows = case
+        cols, best = _match(np.eye(m.shape[0])[:, :rows], m)
+        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(-m[:rows])
+        assert np.array_equal(cols, ref_cols[np.argsort(ref_rows)])
+        assert np.array_equal(best, m[np.arange(rows), cols])
+
+    def test_solves_the_assignment_only_where_the_argmax_is_ambiguous(self, monkeypatch):
+        calls = []
+        solve = epscan.linear_sum_assignment
+        monkeypatch.setattr(epscan, "linear_sum_assignment",
+                            lambda cost: calls.append(1) or solve(cost))
+        ref = np.eye(3)
+        # unique row maxima in distinct columns
+        cols, _ = _match(ref, np.array([[0.1, 0.9, 0.0], [0.8, 0.2, 0.1], [0.0, 0.3, 0.7]]))
+        assert cols.tolist() == [1, 0, 2] and calls == []
+        # two rows' maxima in column 0
+        cols, _ = _match(ref, np.array([[0.9, 0.8, 0.0], [0.95, 0.1, 0.0], [0.0, 0.0, 1.0]]))
+        assert cols.tolist() == [1, 0, 2] and calls == [1]
+        # a tied maximum in row 0, though the first maxima are distinct
+        cols, _ = _match(ref, np.array([[0.5, 0.5, 0.0], [0.0, 0.1, 1.0], [0.0, 0.9, 0.2]]))
+        assert cols.tolist() == [0, 2, 1] and calls == [1, 1]
 
 
 class TestPool:

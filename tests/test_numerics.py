@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import ID2, PAULI_X, PAULI_Z, assert_same_spectrum, kron_chain
 from pshchain import (DEFAULT_TOL, ChainSpec, NearDefective, NormalizedPoint,
                       build_hamiltonian, build_parity, eig_general, eig_stack,
                       spectra_with_indices, spectrum_with_indices)
-from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks
+from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
 
 RT3 = np.sqrt(3.0)
 METRIC_2X2 = np.diag([1.0, -1.0])
@@ -179,3 +183,60 @@ class TestBiorthonormalize:
         raw = eig_general(psh_2x2())
         es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
         assert np.array_equal(raw.eigenvalues, es.eigenvalues)
+
+
+@st.composite
+def cost_matrices(draw):
+    """Wide, square and tall integer matrices, rich in ties: entries in {0, 1, 2},
+    all zero, or zero but for a few negative entries."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    elements = draw(st.sampled_from([st.integers(0, 2), st.just(0),
+                                     st.sampled_from([0, 0, 0, 0, 0, -1, -2, -7])]))
+    return draw(arrays(np.int64, shape, elements=elements))
+
+
+class TestLinearSumAssignment:
+    """The in-package solver returns scipy's arrays, ties broken alike."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(cost=cost_matrices())
+    @example(cost=np.zeros((5, 5), dtype=np.int64))
+    @example(cost=np.zeros((3, 7), dtype=np.int64))
+    @example(cost=np.zeros((7, 3), dtype=np.int64))
+    def test_equals_scipy(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(cost)
+        assert rows.dtype == ref_rows.dtype and cols.dtype == ref_cols.dtype
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_scipy_on_real_costs(self, seed):
+        rng = np.random.default_rng(seed)
+        cost = rng.normal(size=tuple(rng.integers(1, 17, size=2)))
+        for got, ref in zip(linear_sum_assignment(cost),
+                            scipy.optimize.linear_sum_assignment(cost)):
+            assert np.array_equal(got, ref)
+
+    def test_forbidden_entries_avoided(self):
+        cost = np.array([[np.inf, 1.0, 5.0], [2.0, np.inf, 0.0]])
+        rows, cols = linear_sum_assignment(cost)
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 2]
+        assert rows.tolist() == scipy.optimize.linear_sum_assignment(cost)[0].tolist()
+
+    @pytest.mark.parametrize("cost", [[[np.inf, 1.0], [np.inf, 2.0]],
+                                      [[1.0, 2.0], [np.inf, np.inf], [np.inf, np.inf]]])
+    def test_infeasible_matrix_raises(self, cost):
+        with pytest.raises(ValueError, match="infeasible"):
+            linear_sum_assignment(cost)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_invalid_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            linear_sum_assignment([[0.0, bad], [1.0, 2.0]])
+
+    def test_empty_and_non_matrix_input(self):
+        for shape in ((0, 3), (3, 0)):
+            rows, cols = linear_sum_assignment(np.zeros(shape))
+            assert rows.size == cols.size == 0
+        with pytest.raises(ValueError, match="2-D"):
+            linear_sum_assignment([1.0, 2.0])

@@ -52,10 +52,12 @@ def test_traced_sweep_is_recorded(spans):
 
     recorder = spans.Recorder()
     spans.install(recorder)
-    grid = SweepGrid(AXIS_COUPLING, 0.3, tuple(np.linspace(-0.5, 0.5, 5)), 2)
+    # the δ = 0 ends of this line have tied overlaps, so some track matches
+    # cannot take the argmax and solve the assignment
+    grid = SweepGrid(AXIS_COUPLING, 0.3, tuple(np.linspace(-1.0, 1.0, 5)), 2)
     epscan.sweep(grid)
     names = [s.name for s in recorder.spans]
-    # the sweep, then its track matches inside it
+    # the sweep, then its assignment solves inside it
     assert names[0] == spans.SWEEP and set(names[1:]) == {spans.ASSIGN}
     assert all(s.parent == 0 for s in recorder.spans[1:])
 
