@@ -42,8 +42,8 @@ import numpy as np
 
 from .model import sector_bases
 from .numerics import (CLUSTER_SCALE, EigenStack, EigenSystem, NearDefective,
-                       as_complex_matrix, as_complex_stack, eig_blocks, eig_general,
-                       eig_stack, linear_sum_assignment)
+                       as_complex_matrix, as_complex_stack, column_norms, eig_blocks,
+                       eig_general, eig_stack, linear_sum_assignment)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -135,7 +135,7 @@ class BiorthoSpectrum:
 
 
 def _apply(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """zeta @ r, for zeta a matrix or the diagonal of one."""
+    """zeta @ r, for zeta a matrix or a signature eta given by its diagonal."""
     return z[:, None] * r if z.ndim == 1 else z @ r
 
 
@@ -143,11 +143,13 @@ def _metric(z: np.ndarray, r: np.ndarray):
     """zeta|R>, <R|zeta|R> and the EP indicator of every column of ``r``.
 
     ``r`` may be a stack of matrices; the last two axes are (component, level).
-    ``z`` is zeta or, for a diagonal zeta, its diagonal.
+    ``z`` is zeta or, for a signature eta (entries +-1), its diagonal.
     """
     zr = _apply(z, r)
-    c = np.sum(r.conj() * zr, axis=-2)
-    return zr, c, np.abs(c) / (np.linalg.norm(r, axis=-2) * np.linalg.norm(zr, axis=-2))
+    c = (r.conj() * zr).sum(axis=-2)
+    norm = column_norms(r)
+    # eta changes no modulus, so ||eta R|| = ||R|| to the bit
+    return zr, c, np.abs(c) / (norm * (norm if z.ndim == 1 else column_norms(zr)))
 
 
 def ep_indicator(r, zeta) -> float:
@@ -310,7 +312,8 @@ def _reality_tol(values, reality_tol) -> np.ndarray:
 def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     """Index-rescaled levels of a stack of points from their raw eigenvectors.
 
-    ``z`` is zeta, or its diagonal. ``partner`` holds each level's conjugate
+    ``z`` is zeta, or the diagonal of a signature eta. ``raw_l`` None stands
+    for the left vectors of a real block, conj(eta R). ``partner`` holds each level's conjugate
     partner column; without it the partners are assigned by distance
     (:func:`_pair_conjugates`). Real levels with a resolvable <R|zeta|R> get
     |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit |R> and |L>
@@ -327,12 +330,18 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     # rounding level of the eigenvalues: d * eps * ||H||_F
     resolution = values.shape[1] * np.finfo(float).eps * scale
 
-    right = raw_r / np.linalg.norm(raw_r, axis=1)[:, None, :]
+    norm_r = column_norms(raw_r)
+    if raw_l is None:  # conj(eta R) has the norms of R, to the bit
+        conj_l, norm_l = _apply(z, raw_r), norm_r
+        raw_l = conj_l.conj()
+    else:
+        conj_l, norm_l = raw_l.conj(), column_norms(raw_l)
+    right = raw_r / norm_r[:, None, :]
     zr, c, indicator = _metric(z, right)
     indexed = is_real & ~clustered & (indicator >= floor)
     generic = ~clustered & ~indexed
-    s = np.sum(raw_l.conj() * right, axis=1)
-    flat = generic & (np.abs(s) < 1e-12 * np.linalg.norm(raw_l, axis=1))
+    s = (conj_l * right).sum(axis=1)
+    flat = generic & (np.abs(s) < 1e-12 * norm_l)
     sign = np.where(c.real > 0, 1, -1)
     k = 1.0 / np.sqrt(np.where(indexed, np.abs(c.real), 1.0))
     right *= k[:, None, :]
@@ -380,16 +389,12 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
 
 def _spectra(out, good, failed, levels: _Levels, scale, cond, rtol) -> list:
     """``out`` with each good point that did not fail replaced by its spectrum."""
-    for i, b in enumerate(good):
-        if i in failed:
-            out[b] = failed[i]
-            continue
-        es = EigenSystem(eigenvalues=levels.values[i], right=levels.right[i],
-                         left=levels.left[i], scale=float(scale[i]),
-                         cond_right=float(cond[i]), biortho_residual=float(levels.residual[i]))
-        out[b] = BiorthoSpectrum(eigensystem=es, z2=levels.z2[i], indicator=levels.indicator[i],
-                                 partner=levels.partner[i], reality_tol=float(rtol[i]),
-                                 sector=levels.sector[i])
+    points = zip(good, levels.values, levels.right, levels.left, scale.tolist(), cond.tolist(),
+                 levels.residual.tolist(), levels.z2, levels.indicator, levels.partner,
+                 rtol.tolist(), levels.sector)
+    for i, (b, values, right, left, s, c, res, z2, ind, partner, tol, sector) in enumerate(points):
+        out[b] = failed[i] if i in failed else BiorthoSpectrum(
+            EigenSystem(values, right, left, s, c, res), z2, ind, partner, tol, sector)
     return out
 
 
@@ -442,10 +447,8 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     rtol = _reality_tol(np.concatenate(values, axis=1), reality_tol)
     parts, failed = [], {}
     for basis, a, w, x, partner in zip(bases, blocks, values, st.right, st.partner):
-        x = sub(x)
-        ex = basis.eta[:, None] * x
-        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, x, ex.conj(),
-                             scale, rtol, indicator_floor, sub(partner))
+        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, sub(x), None, scale, rtol, indicator_floor,
+                             sub(partner))
         parts.append(part)
         failed = bad | failed
 
@@ -454,24 +457,28 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     d = plus.values.shape[1]
     values = np.concatenate([plus.values, minus.values], axis=1)
     order = np.lexsort((values.imag, values.real), axis=-1)
-    rank = np.argsort(order, axis=-1)
+    rows = np.arange(len(order))[:, None]
+    # each level's merged column, and -1 in a last column for "no partner"
+    rank = np.full((len(order), order.shape[1] + 1), -1)
+    rank[rows, order] = np.arange(order.shape[1])
+    partner = np.concatenate([plus.partner, np.where(minus.partner >= 0, minus.partner + d, -1)],
+                             axis=1)
 
     def merged(a, b):
-        return np.take_along_axis(np.concatenate([a, b], axis=1), order, -1)
+        return np.concatenate([a, b], axis=1)[rows, order]
 
-    partner = merged(plus.partner, np.where(minus.partner >= 0, minus.partner + d, -1))
-    partner = np.where(partner >= 0, np.take_along_axis(rank, np.maximum(partner, 0), -1), -1)
-    # each block's vectors go straight to their columns in the basis states
-    right, left = (np.empty(values.shape + values.shape[-1:], dtype=np.complex128)
-                   for _ in range(2))
-    for basis, part, cols in zip(bases, parts, (rank[:, :d], rank[:, d:])):
-        np.put_along_axis(right, cols[:, None, :], basis.to_states(part.right), axis=2)
-        np.put_along_axis(left, cols[:, None, :], basis.to_states(part.left), axis=2)
-    sector = merged(*(np.full(part.values.shape, basis.q, dtype=np.int8)
-                      for basis, part in zip(bases, parts)))
-    levels = _Levels(np.take_along_axis(values, order, -1), right, left,
+    def vectors(name):
+        # gathered as rows (level, state), then laid out as columns again
+        both = np.concatenate([basis.to_states(getattr(part, name)).swapaxes(1, 2)
+                               for basis, part in zip(bases, parts)], axis=1)
+        return np.ascontiguousarray(both[rows, order].swapaxes(1, 2))
+
+    sector = np.repeat(np.array([basis.q for basis in bases], dtype=np.int8),
+                       [plus.values.shape[1], minus.values.shape[1]])[order]
+    levels = _Levels(values[rows, order], vectors("right"), vectors("left"),
                      merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
-                     partner, np.maximum(plus.residual, minus.residual), sector)
+                     rank[rows, partner[rows, order]], np.maximum(plus.residual, minus.residual),
+                     sector)
     return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
                       IndexIllDefined, LevelRecord, sector_spectra)
-from .model import (ChainSpec, NormalizedPoint, build_sector_blocks, gain_generator,
-                    sector_blocks)
+from .model import (ChainSpec, NormalizedPoint, check_normalized, gain_generator,
+                    normalized_blocks, sector_blocks)
 from .numerics import linear_sum_assignment
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
@@ -102,11 +102,6 @@ def _location(line, value) -> dict:
     return dict.fromkeys(AXIS_RANGE, line.fixed_value) | {line.axis: value}
 
 
-def _point(line, value: float) -> NormalizedPoint:
-    lo, hi = AXIS_RANGE[line.axis]
-    return NormalizedPoint(**_location(line, min(hi, max(lo, value))))
-
-
 def check_levels(levels, n: int, name: str) -> tuple[int, ...]:
     """``levels`` as ints; a ValueError naming ``name`` unless they are distinct
     level indices of an ``n``-site chain, in 0..2^n-1."""
@@ -126,15 +121,20 @@ def _solve_values(line, values, nudges=_NUDGES):
     """Spectra at ``values + nudges[0]`` on ``line`` (a :class:`SweepGrid` or
     :class:`_Line`) with its tolerances, in order, lazily, in stacks of ``_stack_size``.
 
-    Each stack is solved as its points' two real sector blocks
-    (:func:`pshchain.biortho.sector_spectra`). A point at an exact exceptional
-    point is solved again through this routine at the remaining offsets; the
-    failure at the last is raised, other errors at once.
+    Each value is clamped to the axis range, and each stack is solved as its
+    points' two real sector blocks (:func:`pshchain.model.normalized_blocks`,
+    :func:`pshchain.biortho.sector_spectra`); a point off the unit circle
+    raises :class:`NormalizedPoint`'s ValueError. A point at an exact
+    exceptional point is solved again through this routine at the remaining
+    offsets; the failure at the last is raised, other errors at once.
     """
     size = _stack_size(line.n)
+    lo, hi = AXIS_RANGE[line.axis]
+    values = np.asarray(values, dtype=np.float64)
     for start in range(0, len(values), size):
-        chunk = [float(v) for v in values[start:start + size]]
-        blocks = build_sector_blocks([_point(line, v + nudges[0]) for v in chunk], line.n)
+        chunk = values[start:start + size]
+        location = _location(line, np.minimum(hi, np.maximum(lo, chunk + nudges[0])))
+        blocks = normalized_blocks(line.n, location[AXIS_COUPLING], location[AXIS_GAIN])
         spectra = sector_spectra(blocks, line.n, reality_tol=line.reality_tol,
                                  indicator_floor=line.indicator_floor)
         for v, sp in zip(chunk, spectra):
@@ -184,8 +184,7 @@ class SweepGrid:
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing (>= 2 points)")
         # every point must map onto the unit normalization circle
-        for p in pts:
-            NormalizedPoint(**_location(self, p))
+        check_normalized(**_location(self, np.array(pts)))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "fixed_value", float(self.fixed_value))
 
@@ -319,8 +318,9 @@ def _run(refinement, solve):
 def _lockstep(line, refinements) -> list:
     """Run refinement generators together, each round's probes solved in stacks.
 
-    Returns each one's result, or the :class:`NoEPInBracket` it raised without
-    its traceback, whose frames would keep a round's stacks alive in a cycle.
+    Returns each one's result, or the :class:`NoEPInBracket` or
+    :class:`~pshchain.biortho.IndexIllDefined` it raised without its traceback,
+    whose frames would keep a round's stacks alive in a cycle.
     """
     results = [None] * len(refinements)
     answers = dict.fromkeys(range(len(refinements)))
@@ -331,7 +331,7 @@ def _lockstep(line, refinements) -> list:
                 probes[k] = refinements[k].send(sp)
             except StopIteration as stop:
                 results[k] = stop.value
-            except NoEPInBracket as exc:
+            except (NoEPInBracket, IndexIllDefined) as exc:
                 results[k] = exc.with_traceback(None)
         answers = dict(zip(probes, _solve_values(line, list(probes.values()))))
     return results
@@ -348,12 +348,11 @@ def sweep(grid: SweepGrid, workers: int = 1) -> list[LevelTrack]:
     """
     npts = len(grid.points)
     dim = 1 << grid.n
-    evals = np.zeros((dim, npts), dtype=np.complex128)
-    z2 = np.zeros((dim, npts), dtype=np.int8)
-    ind = np.zeros((dim, npts))
-    partner = np.full((dim, npts), -1, dtype=np.int64)
-    columns = np.zeros((dim, npts), dtype=np.int64)
-    overlaps = np.ones((dim, npts))
+    # each point's levels in its own column order, read along the tracks at the end
+    values = np.empty((npts, dim), dtype=np.complex128)
+    z2 = np.empty((npts, dim), dtype=np.int8)
+    ind, overlaps = np.empty((npts, dim)), np.empty((npts, dim))
+    partner, columns = np.empty((npts, dim), dtype=np.int64), np.empty((npts, dim), dtype=np.int64)
 
     # one task per stack, so the stacks do not depend on the worker count
     size = _stack_size(grid.n)
@@ -361,15 +360,16 @@ def sweep(grid: SweepGrid, workers: int = 1) -> list[LevelTrack]:
     chunks = _imap(_sweep_task, tasks, workers, max(1, len(tasks) // (4 * workers)))
     spectra = (sp for chunk in chunks for sp in chunk)
     for p, (sp, cols, matched) in enumerate(_follow(spectra)):
-        overlaps[:, p] = matched
-        col_to_track = np.empty(dim, dtype=np.int64)
-        col_to_track[cols] = np.arange(dim)
-        evals[:, p] = sp.eigenvalues[cols]
-        z2[:, p] = sp.z2[cols]
-        ind[:, p] = sp.indicator[cols]
-        columns[:, p] = cols
-        pc = sp.partner[cols]
-        partner[:, p] = np.where(pc >= 0, col_to_track[pc], -1)
+        values[p], z2[p], ind[p], partner[p] = sp.eigenvalues, sp.z2, sp.indicator, sp.partner
+        columns[p], overlaps[p] = cols, matched
+    rows = np.arange(npts)[:, None]
+    track = np.empty_like(columns)
+    track[rows, columns] = np.arange(dim)
+    partner = partner[rows, columns]
+    partner = np.where(partner >= 0, track[rows, partner], -1)
+    evals, z2, ind, partner, columns, overlaps = (
+        np.ascontiguousarray(a.T) for a in (values[rows, columns], z2[rows, columns],
+                                            ind[rows, columns], partner, columns, overlaps))
     return [
         LevelTrack(level_id=t, grid=grid, eigenvalues=evals[t], z2=z2[t],
                    indicator=ind[t], partner=partner[t], columns=columns[t],
@@ -550,9 +550,10 @@ def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL):
     """Refine every reality transition of a sweep into an EP record.
 
     Partner exchanges that bisect to no reality boundary (they occur when a
-    complex pair trades one member for another level) are collected in the
-    second return value instead of producing records. All transitions are
-    refined together, their probes solved in shared stacks.
+    complex pair trades one member for another level), and transitions whose
+    pair has no well-defined index on the real side, are collected in the
+    second return value, with the reason, instead of producing records. All
+    transitions are refined together, their probes solved in shared stacks.
     """
     grid = tracks[0].grid
     events = reality_transitions(tracks)
@@ -561,7 +562,7 @@ def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL):
                                for (a, b, _, _), bracket in zip(events, brackets)])
     skipped = [{"levels": [a, b], "bracket": bracket, "complex_side": side, "reason": str(res)}
                for (a, b, _, side), bracket, res in zip(events, brackets, results)
-               if isinstance(res, NoEPInBracket)]
+               if isinstance(res, (NoEPInBracket, IndexIllDefined))]
     records = [res for res in results if isinstance(res, EPRecord)]
     return sorted(records, key=EPRecord.sort_key), skipped
 
@@ -751,14 +752,14 @@ def _all_real(sp: BiorthoSpectrum, cols) -> bool:
                 and np.all(np.abs(sp.eigenvalues[cols].imag) <= sp.reality_tol))
 
 
-def _triple_reality_boundary(p_real: float, p_cplx: float, tri_cols_real, tol: float):
+def _triple_reality_boundary(p_real: float, p_cplx: float, ref: np.ndarray, tol: float):
     """Bisect the parameter where a tracked triple stops being all-real.
 
-    A refinement (see :func:`_bisect`). Returns the boundary and the
+    A refinement (see :func:`_bisect`) from the triple's left vectors ``ref``
+    at ``p_real``, already solved. Returns the boundary and the
     :class:`TriplePairing` kind just outside it; matching follows the real
     side so label bookkeeping survives the approach to the boundary.
     """
-    ref = (yield p_real).eigensystem.left[:, tri_cols_real]
     outside = None
 
     def real_side(sp):
@@ -801,7 +802,7 @@ def _find_wedge(line: _Line, window, triple, j_tol: float) -> _Wedge | None:
         spectra = _solve_values(line, j_vals[part])
         for i, (sp, cols, _) in zip(part, _follow(spectra, sp_a, cols_a)):
             tri_cols = cols[tri]
-            states[i] = (_all_real(sp, tri_cols), tri_cols,
+            states[i] = (_all_real(sp, tri_cols), sp.eigensystem.left[:, tri_cols],
                          sp.eigenvalues[tri_cols].real, sp.z2[tri_cols])
 
     real_mask = [int(states[i][0]) for i in range(EP3_SAMPLES)]

@@ -263,7 +263,40 @@ def sector_bases(n: int) -> tuple[SectorBasis, SectorBasis]:
 def build_sector_blocks(points, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The Q = +1 and Q = -1 blocks of ``p.chain(n)`` for each :class:`NormalizedPoint`,
     as two real stacks (see :class:`SectorBasis`)."""
-    j, gamma, delta = np.array([(p.j_tilde, p.gamma_tilde, p.delta) for p in points]).T
+    j, gamma = np.array([(p.j_tilde, p.gamma_tilde) for p in points]).T
+    return normalized_blocks(n, j, gamma)
+
+
+def check_normalized(j_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray]:
+    """The points (``j_tilde[k]``, ``gamma_tilde[k]``) as two float arrays,
+    broadcast together, checked together with :class:`NormalizedPoint`'s
+    checks: the first point that fails raises its ValueError. Coordinates
+    that are not real numbers raise TypeError."""
+    j, gamma = np.asarray(j_tilde), np.asarray(gamma_tilde)
+    for a in (j, gamma):
+        if a.dtype.kind not in "iuf":
+            raise TypeError(f"normalized coordinates must be real numbers, got {a!r}")
+    j, gamma = np.broadcast_arrays(j.astype(np.float64, copy=False),
+                                   gamma.astype(np.float64, copy=False))
+    valid = (np.abs(j) <= 1.0) & (gamma >= 0.0) & (gamma < math.inf)  # false for NaN
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        NormalizedPoint(float(j[bad]), float(gamma[bad]))  # raises its ValueError
+    return j, gamma
+
+
+def normalized_blocks(n: int, j_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray]:
+    """The Q = +1 and Q = -1 blocks at the normalized points (``j_tilde[k]``,
+    ``gamma_tilde[k]``), 1-D arrays or scalars that broadcast together, as two
+    real stacks.
+
+    The points are checked by :func:`check_normalized`. delta = sqrt(1 -
+    j_tilde^2) is computed as :attr:`NormalizedPoint.delta` computes it, so the
+    blocks are those of :func:`build_sector_blocks` on the same points, bit for
+    bit.
+    """
+    j, gamma = check_normalized(j_tilde, gamma_tilde)
+    delta = np.sqrt(np.maximum(0.0, 1.0 - j * j))
     return _sector_blocks(n, delta, j, gamma[:, None] * (-1.0) ** np.arange(n))
 
 

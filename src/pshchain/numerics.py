@@ -233,18 +233,23 @@ def _errors(cond: np.ndarray, residual: np.ndarray, bound: np.ndarray,
     """Per matrix: an ``ArithmeticError`` if its eigenvalues did not converge
     (``failed``), :class:`NearDefective`, an ``ArithmeticError`` for a residual
     above its bound, or None."""
-    errors: list = []
-    for c, r, limit, bad in zip(cond, residual, bound, failed):
-        if bad:
-            errors.append(ArithmeticError("eigenvalues did not converge"))
-        elif not np.isfinite(c) or c > DEFECT_THRESHOLD:
-            errors.append(NearDefective(c))
-        elif r > limit:
-            errors.append(ArithmeticError(
-                f"eigendecomposition residuals {r:.3e} exceed {limit:.3e}"))
+    defective = ~np.isfinite(cond) | (cond > DEFECT_THRESHOLD)
+    errors: list = [None] * len(cond)
+    for b in np.flatnonzero(failed | defective | (residual > bound)).tolist():
+        if failed[b]:
+            errors[b] = ArithmeticError("eigenvalues did not converge")
+        elif defective[b]:
+            errors[b] = NearDefective(cond[b])
         else:
-            errors.append(None)
+            errors[b] = ArithmeticError(
+                f"eigendecomposition residuals {residual[b]:.3e} exceed {bound[b]:.3e}")
     return errors
+
+
+def column_norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of every column of a stack of matrices: ``np.linalg.norm(x, axis=-2)``,
+    computed as numpy computes it, without its argument checks."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2))
 
 
 @dataclass(frozen=True)
@@ -285,25 +290,28 @@ def eig_blocks(blocks) -> BlockStack:
     res = np.zeros(scale.shape)
     sv_max, sv_min = np.zeros(scale.shape), np.full(scale.shape, np.inf)
     failed = np.zeros(scale.shape, dtype=bool)
-    for a in blocks:
-        w, v, bad = _eig(a)
-        failed |= bad
-        w, v = w.astype(np.complex128), np.ascontiguousarray(v, dtype=np.complex128)
-        cols = np.arange(w.shape[1])
-        partners.append(np.where(w.imag > 0, cols + 1, np.where(w.imag < 0, cols - 1, -1)))
-        # the real basis sqrt2 [u, w] of a pair u +- i w has the singular
-        # values of the two complex vectors
-        basis = np.where(w.imag[:, None, :] < 0, v.imag, v.real)
-        basis *= np.where(w.imag != 0, math.sqrt(2.0), 1.0)[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sv = np.linalg.svd(basis, compute_uv=False)
-        sv_max, sv_min = np.maximum(sv_max, sv[:, 0]), np.minimum(sv_min, sv[:, -1])
-        r = (a @ v.view(np.float64)).view(np.complex128)  # real times complex
-        r -= v * w[:, None, :]
-        res = np.maximum(res, np.max(np.linalg.norm(r, axis=1), axis=1))
-        values.append(w)
-        vectors.append(v)
     with np.errstate(divide="ignore", invalid="ignore"):
+        for a in blocks:
+            w, v, bad = _eig(a)
+            failed |= bad
+            # a stack with complex eigenvalues comes back complex, one without real
+            w = w.astype(np.complex128, copy=False)
+            v = np.ascontiguousarray(v, dtype=np.complex128)
+            im = w.imag
+            cols = np.arange(w.shape[1])
+            partners.append(np.where(im > 0, cols + 1, np.where(im < 0, cols - 1, -1)))
+            # the real basis sqrt2 [u, w] of a pair u +- i w has the singular
+            # values of the two complex vectors
+            basis = np.where(im[:, None, :] < 0, v.imag, v.real)
+            basis *= np.where(im != 0, math.sqrt(2.0), 1.0)[:, None, :]
+            sv = np.linalg.svd(basis, compute_uv=False)
+            np.maximum(sv_max, sv[:, 0], out=sv_max)
+            np.minimum(sv_min, sv[:, -1], out=sv_min)
+            r = (a @ v.view(np.float64)).view(np.complex128)  # real times complex
+            r -= v * w[:, None, :]
+            np.maximum(res, column_norms(r).max(axis=1), out=res)
+            values.append(w)
+            vectors.append(v)
         cond = sv_max / sv_min
     errors = _errors(cond, res, DEFAULT_TOL * np.maximum(scale, 1e-300), failed)
     return BlockStack(values, vectors, partners, scale, cond, errors)

@@ -179,6 +179,23 @@ class TestSweepCommand:
         rows = read_csv(out)
         assert all(float(r["im_eps"]) == 0.0 for r in rows)
 
+    def test_pair_without_index_is_skipped_not_fatal(self, tmp_path):
+        # at this floor the pair (14, 15) has no index on the real side of its
+        # bracket; the run keeps its other records and lists that pair
+        out = tmp_path / "floor.csv"
+        code = main(["sweep", "--n", "4", "--axis", "gt", "--fixed", "0.3", "--start", "0",
+                     "--stop", "0.5", "--points", "101", "--tol", "indicator_floor=0.05",
+                     "--output", str(out)])
+        doc = json.loads((tmp_path / "floor.json").read_text())
+        records = load_ep_records(tmp_path / "floor.json")
+        assert code == cli._rule_exit(records) == 0
+        assert len(read_csv(out)) == 101 * 16
+        assert len(records) == 3
+        assert doc["skipped"] == [{"levels": [14, 15], "bracket": [0.41500000000000004, 0.42],
+                                   "complex_side": "hi",
+                                   "reason": "no well-defined index on the real side of "
+                                             "the bracket"}]
+
     def test_requires_output(self):
         assert main(["sweep", "--n", "2", "--axis", "gt", "--fixed", "0.5",
                      "--start", "0", "--stop", "0.4", "--points", "5"]) == 1

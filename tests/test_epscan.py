@@ -24,13 +24,20 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import UsageError, load_ep_records
-from pshchain.epscan import (_NUDGES, CROSSING_TOL, _bisect, _imap, _Line, _match, _point,
-                             _refine_crossing, _run, _solve_values)
-from pshchain.model import build_sector_blocks, sector_blocks
+from pshchain.epscan import (_NUDGES, AXIS_RANGE, CROSSING_TOL, _bisect, _imap, _Line,
+                             _location, _match, _refine_crossing, _run, _solve_values)
+from pshchain.model import build_sector_blocks, normalized_blocks, sector_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
+
+
+def _point(line, value: float) -> NormalizedPoint:
+    """The point a solve on ``line`` takes for ``value``, built alone: the value
+    clamped to its axis range. The per-point reference of ``_solve_values``."""
+    lo, hi = AXIS_RANGE[line.axis]
+    return NormalizedPoint(**_location(line, min(hi, max(lo, value))))
 
 
 def toy_solver(gap, w, zeta=ZETA2):
@@ -652,8 +659,31 @@ class TestStackedBuild:
                 line = _Line(axis, fixed, n, None, INDICATOR_FLOOR)
                 points = [_point(line, v) for v in values]
                 stacked = build_sector_blocks(points, n)
+                lo, hi = AXIS_RANGE[axis]
+                location = _location(line, np.minimum(hi, np.maximum(lo, values)))
+                from_arrays = normalized_blocks(n, location[AXIS_COUPLING], location[AXIS_GAIN])
                 for k, p in enumerate(points):
                     assert same_blocks([b[k:k + 1] for b in stacked], sector_blocks(p.chain(n)))
+                    assert same_blocks([b[k:k + 1] for b in from_arrays],
+                                       sector_blocks(p.chain(n)))
+
+    @pytest.mark.parametrize("axis, fixed", [
+        (AXIS_GAIN, 1.5), (AXIS_GAIN, -1.0 - 1e-12), (AXIS_GAIN, np.nan), (AXIS_GAIN, np.inf),
+        (AXIS_COUPLING, -0.1), (AXIS_COUPLING, np.nan), (AXIS_COUPLING, np.inf)])
+    def test_point_off_the_circle_raises_its_error(self, axis, fixed):
+        # the fixed coordinate is not clamped: the stacked check raises the
+        # ValueError that NormalizedPoint raises for the first point
+        line = _Line(axis, fixed, 4, None, INDICATOR_FLOOR)
+        with pytest.raises(ValueError) as alone:
+            NormalizedPoint(**_location(line, 0.25))
+        with pytest.raises(ValueError) as stacked:
+            next(_solve_values(line, [0.25, 0.5]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_nan_value_raises(self):
+        line = _Line(AXIS_COUPLING, 0.2, 4, None, INDICATOR_FLOOR)
+        with pytest.raises(ValueError, match="j_tilde must lie in"):
+            list(_solve_values(line, [0.1, np.nan]))
 
 
 class TestProjectTwoLevel:
@@ -815,6 +845,35 @@ class TestFindEp3:
     def test_empty_box_raises(self):
         with pytest.raises(NoEP3InBox):
             find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7))
+
+    def test_wedge_edges_start_from_their_samples(self, monkeypatch):
+        # each edge's bisection starts from the real-side sample the wedge search
+        # has solved: its first round probes the midpoints, and no round
+        # solves a sample again
+        solved = []
+        original = epscan._solve_values
+
+        def recording(line, values, *args):
+            solved.append([float(v) for v in values])
+            return original(line, values, *args)
+
+        monkeypatch.setattr(epscan, "_solve_values", recording)
+        window = (-0.8, -0.72)
+        line = _Line(AXIS_COUPLING, 0.4, 4, None, INDICATOR_FLOOR)
+        wedge = epscan._find_wedge(line, window, (3, 4, 7), epscan.EP3_J_TOL)
+        assert wedge.edge_kinds == ("mid-up", "low-mid")
+        # the anchor's gain march and the two halves of the samples come first
+        samples = np.linspace(*window, epscan.EP3_SAMPLES)
+        assert sorted(v for part in solved[1:3] for v in part) == samples.tolist()
+        rounds = solved[3:]
+        step = samples[1] - samples[0]
+        lo = int(np.searchsorted(samples, wedge.j_lo))
+        hi = int(np.searchsorted(samples, wedge.j_hi))
+        assert rounds[0] == [0.5 * (samples[lo] + samples[lo - 1]),
+                             0.5 * (samples[hi - 1] + samples[hi])]
+        assert not set(samples.tolist()) & {v for r in rounds for v in r}
+        halvings = int(np.ceil(np.log2(step / epscan.EP3_J_TOL)))
+        assert len(rounds) <= halvings + 1
 
     def test_zero_gain_tolerance_ends(self, tmp_path):
         # the gain bisection stops once its midpoint rounds onto an end

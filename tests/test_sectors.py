@@ -5,10 +5,12 @@ The full-matrix path (``spectrum_with_indices``) is the reference throughout.
 
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
@@ -17,7 +19,8 @@ from conftest import (assert_same_spectrum, mirror_chains, reference_hamiltonian
 from pshchain import (AXIS_COUPLING, AtExceptionalPoint, ChainSpec, NearDefective,
                       NormalizedPoint, SweepGrid, build_hamiltonian, build_parity,
                       locate_ep2_records, spectrum_with_indices, sweep)
-from pshchain.biortho import sector_spectra
+from pshchain import biortho, numerics
+from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
 from pshchain.model import build_sector_blocks, sector_bases, sector_blocks
 from pshchain.numerics import CLUSTER_SCALE, eig_blocks
 
@@ -229,6 +232,122 @@ class TestStackedSectorSpectra:
         assert isinstance(stacked[1], AtExceptionalPoint)
         for b in (0, 2):
             assert_same_spectrum(stacked[b], solve_chain(points[b].chain(2)))
+
+
+def _numpy_norms(x):
+    return np.linalg.norm(x, axis=-2)
+
+
+def _full_metric(z, r):
+    """The EP indicator with both norms taken, ||eta R|| as well as ||R||."""
+    zr = biortho._apply(z, r)
+    c = np.sum(r.conj() * zr, axis=-2)
+    return zr, c, np.abs(c) / (np.linalg.norm(r, axis=-2) * np.linalg.norm(zr, axis=-2))
+
+
+def merged_by_scatter(blocks, n, reality_tol=None, indicator_floor=INDICATOR_FLOOR):
+    """The oracle of ``sector_spectra``: every norm taken with ``np.linalg.norm``,
+    each block's left vectors passed in explicitly, and both blocks' levels
+    merged by scattering each block into its columns (``np.empty`` plus
+    ``put_along_axis``), as the engine merged them before it gathered."""
+    with patch.object(numerics, "column_norms", _numpy_norms), \
+            patch.object(biortho, "column_norms", _numpy_norms), \
+            patch.object(biortho, "_metric", _full_metric):
+        bases = sector_bases(n)
+        st_ = eig_blocks(blocks)
+        out, good, sub = biortho._good_points(st_)
+        if not good:
+            return out
+        scale = sub(st_.scale)
+        values = [sub(w) for w in st_.eigenvalues]
+        rtol = biortho._reality_tol(np.concatenate(values, axis=1), reality_tol)
+        parts, failed = [], {}
+        for basis, a, w, x, partner in zip(bases, blocks, values, st_.right, st_.partner):
+            x = sub(x)
+            ex = basis.eta[:, None] * x
+            part, bad = biortho._rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, x,
+                                         ex.conj(), scale, rtol, indicator_floor, sub(partner))
+            parts.append(part)
+            failed = bad | failed
+
+    plus, minus = parts
+    d = plus.values.shape[1]
+    values = np.concatenate([plus.values, minus.values], axis=1)
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    rank = np.argsort(order, axis=-1)
+
+    def merged(a, b):
+        return np.take_along_axis(np.concatenate([a, b], axis=1), order, -1)
+
+    partner = merged(plus.partner, np.where(minus.partner >= 0, minus.partner + d, -1))
+    partner = np.where(partner >= 0, np.take_along_axis(rank, np.maximum(partner, 0), -1), -1)
+    right, left = (np.empty(values.shape + values.shape[-1:], dtype=np.complex128)
+                   for _ in range(2))
+    for basis, part, cols in zip(bases, parts, (rank[:, :d], rank[:, d:])):
+        np.put_along_axis(right, cols[:, None, :], basis.to_states(part.right), axis=2)
+        np.put_along_axis(left, cols[:, None, :], basis.to_states(part.left), axis=2)
+    sector = merged(*(np.full(part.values.shape, basis.q, dtype=np.int8)
+                      for basis, part in zip(bases, parts)))
+    levels = biortho._Levels(np.take_along_axis(values, order, -1), right, left,
+                             merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
+                             partner, np.maximum(plus.residual, minus.residual), sector)
+    return biortho._spectra(out, good, failed, levels, scale, sub(st_.cond_right), rtol)
+
+
+def same_bits(x, y) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def chain_stacks(draw):
+    """Sector blocks of 1-4 random chains of one N in {2, 4, 6}, and whether the
+    first point's Q = +1 block is replaced by a Jordan block, which fails it."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    floats = st.floats(-1.5, 1.5, allow_subnormal=False)
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        half = draw(st.lists(floats, min_size=n // 2, max_size=n // 2))
+        specs.append(ChainSpec(n, abs(draw(floats)), draw(floats),
+                               (*half, *(-g for g in reversed(half)))))
+    blocks = tuple(np.concatenate(b) for b in zip(*(sector_blocks(s) for s in specs)))
+    if draw(st.booleans()):
+        d = blocks[0].shape[1]
+        blocks[0][0] = np.eye(d) + np.eye(d, k=1)
+    return n, blocks
+
+
+class TestMergeOracle:
+    """The gathered merge of both blocks equals the scattered one, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=chain_stacks())
+    def test_gather_equals_scatter(self, stack):
+        n, blocks = stack
+        for got, want in zip(sector_spectra(blocks, n), merged_by_scatter(blocks, n),
+                             strict=True):
+            assert type(got) is type(want)
+            if isinstance(want, Exception):
+                assert str(got) == str(want)
+                continue
+            for name in ("eigenvalues", "z2", "indicator", "partner", "sector"):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+            for name in ("right", "left", "scale", "cond_right", "biortho_residual"):
+                assert same_bits(getattr(got.eigensystem, name),
+                                 getattr(want.eigensystem, name)), name
+            assert got.reality_tol == want.reality_tol
+
+    def test_failed_point_keeps_its_error(self):
+        n = 4
+        blocks = tuple(np.concatenate(b) for b in zip(
+            *(sector_blocks(NormalizedPoint(j, 0.3).chain(n)) for j in (-0.4, 0.2, 0.7))))
+        blocks[0][1] = np.eye(10) + np.eye(10, k=1)
+        got, want = sector_spectra(blocks, n), merged_by_scatter(blocks, n)
+        assert isinstance(got[1], AtExceptionalPoint) and str(got[1]) == str(want[1])
+        for b in (0, 2):
+            assert same_bits(got[b].eigensystem.right, want[b].eigensystem.right)
+            assert same_bits(got[b].partner, want[b].partner)
 
 
 class TestEigBlocks:
