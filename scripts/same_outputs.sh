@@ -29,10 +29,11 @@ git -C "$root" worktree add --detach --quiet "$work/ref" "$ref"
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 # name, then the CLI arguments without --output
+ep3="find-ep --order 3 --n 4 --j-start -0.99 --j-stop 0.99 --g-start 0.35 --g-stop 0.45"
 calls=(
     "verify_n4|verify --n 4 --points 801 --gammas 0.05,0.21,0.40125,0.48375 --workers 1"
-    "ep3_n4_w1|find-ep --order 3 --n 4 --j-start -0.99 --j-stop 0.99 --g-start 0.35 --g-stop 0.45 --points 67 --workers 1"
-    "ep3_n4_w2|find-ep --order 3 --n 4 --j-start -0.99 --j-stop 0.99 --g-start 0.35 --g-stop 0.45 --points 67 --workers 2"
+    "ep3_n4_w1|$ep3 --points 67 --workers 1"
+    "ep3_n4_w2|$ep3 --points 67 --workers 2"
     "sweep_n8_h|sweep --n 8 --axis jt --fixed 0 --start -0.99 --stop 0.99 --points 40 --workers 1"
     "sweep_n6_gt|sweep --n 6 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 301"
 )

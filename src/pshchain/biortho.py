@@ -313,9 +313,9 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     """Index-rescaled levels of a stack of points from their raw eigenvectors.
 
     ``z`` is zeta, or the diagonal of a signature eta. ``raw_l`` None stands
-    for the left vectors of a real block, conj(eta R). ``partner`` holds each level's conjugate
-    partner column; without it the partners are assigned by distance
-    (:func:`_pair_conjugates`). Real levels with a resolvable <R|zeta|R> get
+    for the left vectors of a real block, conj(eta R). ``partner`` holds each
+    level's conjugate partner column; without it the partners are assigned by
+    distance (:func:`_pair_conjugates`). Real levels with a resolvable <R|zeta|R> get
     |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit |R> and |L>
     scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
     resolved together, one point at a time. Returns the values, right and
@@ -327,8 +327,6 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     close = (np.abs(values[:, :, None] - values[:, None, :])
              <= (CLUSTER_SCALE * scale)[:, None, None])
     clustered = np.count_nonzero(close, axis=2) > 1
-    # rounding level of the eigenvalues: d * eps * ||H||_F
-    resolution = values.shape[1] * np.finfo(float).eps * scale
 
     norm_r = column_norms(raw_r)
     if raw_l is None:  # conj(eta R) has the norms of R, to the bit
@@ -346,9 +344,10 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     k = 1.0 / np.sqrt(np.where(indexed, np.abs(c.real), 1.0))
     right *= k[:, None, :]
     zr *= (sign * k)[:, None, :]
+    # indexed levels keep s zeta |R>, generic ones get |L> / conj<L|R>; the
+    # clusters' columns are set below
     with np.errstate(divide="ignore", invalid="ignore"):
-        left = raw_l / np.conj(np.where(generic, s, 1.0))[:, None, :]
-    np.copyto(left, zr, where=indexed[:, None, :])
+        left = np.divide(raw_l, np.conj(s)[:, None, :], out=zr, where=generic[:, None, :])
     z2 = np.where(indexed, sign, 0).astype(np.int8)
     if partner is None:
         radius = np.max(np.abs(values), axis=1)
@@ -368,7 +367,9 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
         try:
             for cols in _clusters(close[i]) if clustered[i].any() else ():
                 rc = raw_r[i][:, cols]
-                done = (_real_cluster(a[i], z, rc, floor, resolution[i])
+                # the rounding level of the eigenvalues: d * eps * ||H||_F
+                resolution = values.shape[1] * np.finfo(float).eps * scale[i]
+                done = (_real_cluster(a[i], z, rc, floor, resolution)
                         if is_real[i, cols].all() else None)
                 if done is None:
                     done = _block_cluster(z, rc, raw_l[i][:, cols])
@@ -422,7 +423,7 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     """Biorthogonal spectra of n-site chain Hamiltonians given by their two real Q blocks.
 
     ``blocks`` are the Q = +1 and Q = -1 stacks of
-    :func:`pshchain.model.build_sector_blocks`. Each block is solved and
+    :func:`pshchain.model.normalized_blocks`. Each block is solved and
     rescaled on its own, with the checks and results of
     :func:`spectra_with_indices`, but in real arithmetic: P is the diagonal
     signature eta of the block, a real level's index is its Krein signature
@@ -447,8 +448,8 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     rtol = _reality_tol(np.concatenate(values, axis=1), reality_tol)
     parts, failed = [], {}
     for basis, a, w, x, partner in zip(bases, blocks, values, st.right, st.partner):
-        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, sub(x), None, scale, rtol, indicator_floor,
-                             sub(partner))
+        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, sub(x), None,
+                             scale, rtol, indicator_floor, sub(partner))
         parts.append(part)
         failed = bad | failed
 

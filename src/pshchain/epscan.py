@@ -26,8 +26,8 @@ import numpy as np
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
                       IndexIllDefined, LevelRecord, sector_spectra)
-from .model import (ChainSpec, NormalizedPoint, check_normalized, gain_generator,
-                    normalized_blocks, sector_blocks)
+from .model import (ChainSpec, check_normalized, gain_generator, normalized_blocks,
+                    sector_blocks)
 from .numerics import linear_sum_assignment
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches

@@ -18,7 +18,7 @@ is antiunitary and commutes with H and Q. In P's eigenbasis of a Q sector,
 with the P = -1 vectors multiplied by i, H is a real matrix A and P is a
 diagonal signature eta with eta A symmetric (:class:`SectorBasis`). The two
 blocks, Q = +1 and Q = -1, are built in real arithmetic from orbit tables
-cached per N (:func:`sector_bases`, :func:`build_sector_blocks`).
+cached per N (:func:`sector_bases`, :func:`normalized_blocks`).
 :func:`build_hamiltonian` and :func:`build_parity` give the dense matrices
 for general-purpose use and as the tests' reference.
 """
@@ -260,13 +260,6 @@ def sector_bases(n: int) -> tuple[SectorBasis, SectorBasis]:
     return tuple(bases)
 
 
-def build_sector_blocks(points, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Q = +1 and Q = -1 blocks of ``p.chain(n)`` for each :class:`NormalizedPoint`,
-    as two real stacks (see :class:`SectorBasis`)."""
-    j, gamma = np.array([(p.j_tilde, p.gamma_tilde) for p in points]).T
-    return normalized_blocks(n, j, gamma)
-
-
 def check_normalized(j_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray]:
     """The points (``j_tilde[k]``, ``gamma_tilde[k]``) as two float arrays,
     broadcast together, checked together with :class:`NormalizedPoint`'s
@@ -288,12 +281,12 @@ def check_normalized(j_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray]:
 def normalized_blocks(n: int, j_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray]:
     """The Q = +1 and Q = -1 blocks at the normalized points (``j_tilde[k]``,
     ``gamma_tilde[k]``), 1-D arrays or scalars that broadcast together, as two
-    real stacks.
+    real stacks (see :class:`SectorBasis`).
 
     The points are checked by :func:`check_normalized`. delta = sqrt(1 -
-    j_tilde^2) is computed as :attr:`NormalizedPoint.delta` computes it, so the
-    blocks are those of :func:`build_sector_blocks` on the same points, bit for
-    bit.
+    j_tilde^2) is computed as :attr:`NormalizedPoint.delta` computes it, so
+    block ``k`` is that of ``NormalizedPoint(j_tilde[k],
+    gamma_tilde[k]).chain(n)`` (:func:`sector_blocks`), bit for bit.
     """
     j, gamma = check_normalized(j_tilde, gamma_tilde)
     delta = np.sqrt(np.maximum(0.0, 1.0 - j * j))

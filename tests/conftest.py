@@ -141,6 +141,11 @@ def solve_chain(spec, **kw):
     return sp
 
 
+def build_sector_blocks(points, n):
+    """Both sector stacks of ``NormalizedPoint``s, built one point at a time."""
+    return tuple(np.concatenate(b) for b in zip(*(sector_blocks(p.chain(n)) for p in points)))
+
+
 def same_blocks(x, y) -> bool:
     """Two single-point sector stacks (one matrix per Q block) agree bit for bit."""
     return all(np.array_equal(a, b) for a, b in zip(x, y))

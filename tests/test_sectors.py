@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
-from conftest import (assert_same_spectrum, mirror_chains, reference_hamiltonian,
-                      reference_mirror, solve_chain)
+from conftest import (assert_same_spectrum, build_sector_blocks, mirror_chains,
+                      reference_hamiltonian, reference_mirror, solve_chain)
 from pshchain import (AXIS_COUPLING, AtExceptionalPoint, ChainSpec, NearDefective,
                       NormalizedPoint, SweepGrid, build_hamiltonian, build_parity,
                       locate_ep2_records, spectrum_with_indices, sweep)
 from pshchain import biortho, numerics
 from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
-from pshchain.model import build_sector_blocks, sector_bases, sector_blocks
+from pshchain.model import sector_bases, sector_blocks
 from pshchain.numerics import CLUSTER_SCALE, eig_blocks
 
 #: Eigenvector condition number up to which a point counts as well posed: its
