@@ -24,8 +24,8 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
 from pshchain.cli import UsageError, load_ep_records
-from pshchain.epscan import (_NUDGES, AXIS_RANGE, CROSSING_TOL, _bisect, _imap, _Line,
-                             _location, _match, _refine_crossing, _run, _solve_values)
+from pshchain.epscan import (_NUDGES, AXIS_RANGE, CROSSING_TOL, OVERLAP_MIN, _bisect, _imap,
+                             _Line, _location, _match, _refine_crossing, _run, _solve_values)
 from pshchain.model import normalized_blocks, sector_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -291,6 +291,30 @@ class TestSweep:
         d1, d2 = 1e-4, 5e-5
         s1, s2 = splitting(g_cr - d1), splitting(g_cr - d2)
         assert np.isclose(s1 / s2, np.sqrt(d1 / d2), rtol=0.02)
+
+    @pytest.mark.parametrize("grid", [coupling_grid(4, 0.21, points=101, start=-0.8, stop=0.8),
+                                      gain_grid(4, 0.3, 0.5, 101), gain_grid(2, 0.6, 0.9, 31)])
+    def test_tracks_match_the_point_by_point_reading(self, grid):
+        # the reference reads each point along the tracks as it arrives
+        dim = 1 << grid.n
+        want = {name: np.zeros((dim, len(grid.points)), dtype=dtype) for name, dtype in (
+            ("eigenvalues", np.complex128), ("z2", np.int8), ("indicator", float),
+            ("partner", np.int64), ("columns", np.int64), ("overlaps", float))}
+        for p, (sp, cols, matched) in enumerate(epscan._follow(_solve_values(grid, grid.points))):
+            col_to_track = np.empty(dim, dtype=np.int64)
+            col_to_track[cols] = np.arange(dim)
+            pc = sp.partner[cols]
+            for name, column in (("eigenvalues", sp.eigenvalues[cols]), ("z2", sp.z2[cols]),
+                                 ("indicator", sp.indicator[cols]), ("columns", cols),
+                                 ("partner", np.where(pc >= 0, col_to_track[pc], -1)),
+                                 ("overlaps", matched)):
+                want[name][:, p] = column
+        assert any((want["partner"] >= 0).ravel())
+        for t, track in enumerate(sweep(grid)):
+            for name, rows in want.items():
+                got = getattr(track, name)
+                assert got.dtype == rows.dtype and np.array_equal(got, rows[t]), name
+            assert track.breaks == np.flatnonzero(rows[t] < OVERLAP_MIN).tolist()
 
     def test_workers_bitwise_identical(self):
         grid = coupling_grid(4, 0.21, points=101, start=-0.8, stop=0.8)
