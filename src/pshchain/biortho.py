@@ -304,7 +304,7 @@ def _good_points(st):
 
 def _reality_tol(values, reality_tol) -> np.ndarray:
     """Per point: ``reality_tol``, or ``REALITY_SCALE`` times the spectral radius."""
-    radius = np.max(np.abs(values), axis=1)
+    radius = np.abs(values).max(axis=1)
     return (REALITY_SCALE * radius if reality_tol is None
             else np.full(radius.shape, float(reality_tol)))
 
@@ -315,9 +315,9 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     ``z`` is zeta, or the diagonal of a signature eta. ``raw_l`` None stands
     for the left vectors of a real block, conj(eta R). ``partner`` holds each
     level's conjugate partner column; without it the partners are assigned by
-    distance (:func:`_pair_conjugates`). Real levels with a resolvable <R|zeta|R> get
-    |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit |R> and |L>
-    scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
+    distance (:func:`_pair_conjugates`). Real levels with a resolvable
+    <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit
+    |R> and |L> scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
     resolved together, one point at a time. Returns the values, right and
     left vectors, indices, indicators, partners and biorthogonality residual
     of every point, and the exceptions of the points that failed, by position.

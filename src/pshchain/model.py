@@ -300,13 +300,14 @@ def sector_blocks(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _sector_blocks(n: int, delta, j, gains) -> tuple[np.ndarray, np.ndarray]:
     """Both real blocks for per-matrix ``delta``, ``j`` and site ``gains``, in real arithmetic."""
+    delta, j, gains = np.asarray(delta), np.asarray(j), np.asarray(gains)
     blocks = []
     for basis in sector_bases(n):
         d = basis.eta.size
-        a = np.multiply(np.asarray(delta)[:, None, None], basis.flips)
-        a.reshape(len(a), -1)[:, ::d + 1] -= np.asarray(j)[:, None] * basis.bonds
+        a = np.multiply(delta[:, None, None], basis.flips)
+        a.reshape(len(a), -1)[:, ::d + 1] -= j[:, None] * basis.bonds
         g = np.zeros((len(a), basis.z.shape[1]))
-        for g_site, z in zip(np.asarray(gains).T, basis.z):
+        for g_site, z in zip(gains.T, basis.z):
             g += g_site[:, None] * z
         plus, minus = basis.gain_pairs
         a[:, plus, minus] = -g

@@ -223,8 +223,8 @@ def _frobenius(blocks) -> np.ndarray:
     tiny or huge entries neither underflow nor overflow when squared.
     """
     mags = [np.abs(a) for a in blocks]
-    _, exp = np.frexp(np.max([np.max(m, axis=(1, 2)) for m in mags], axis=0))
-    total = sum(np.sum(np.ldexp(m, -exp[:, None, None]) ** 2, axis=(1, 2)) for m in mags)
+    _, exp = np.frexp(np.max([m.max(axis=(1, 2)) for m in mags], axis=0))
+    total = sum((np.ldexp(m, -exp[:, None, None]) ** 2).sum(axis=(1, 2)) for m in mags)
     return np.ldexp(np.sqrt(total), exp)
 
 
@@ -294,7 +294,7 @@ def eig_blocks(blocks) -> BlockStack:
         for a in blocks:
             w, v, bad = _eig(a)
             failed |= bad
-            # a stack with complex eigenvalues comes back complex, one without real
+            # numpy returns w and v real for a stack whose eigenvalues are all real
             w = w.astype(np.complex128, copy=False)
             v = np.ascontiguousarray(v, dtype=np.complex128)
             im = w.imag
