@@ -340,8 +340,7 @@ class TestMergeOracle:
 
     def test_failed_point_keeps_its_error(self):
         n = 4
-        blocks = tuple(np.concatenate(b) for b in zip(
-            *(sector_blocks(NormalizedPoint(j, 0.3).chain(n)) for j in (-0.4, 0.2, 0.7))))
+        blocks = build_sector_blocks([NormalizedPoint(j, 0.3) for j in (-0.4, 0.2, 0.7)], n)
         blocks[0][1] = np.eye(10) + np.eye(10, k=1)
         got, want = sector_spectra(blocks, n), merged_by_scatter(blocks, n)
         assert isinstance(got[1], AtExceptionalPoint) and str(got[1]) == str(want[1])
