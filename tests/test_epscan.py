@@ -314,7 +314,7 @@ class TestSweep:
             for name, rows in want.items():
                 got = getattr(track, name)
                 assert got.dtype == rows.dtype and np.array_equal(got, rows[t]), name
-            assert track.breaks == np.flatnonzero(rows[t] < OVERLAP_MIN).tolist()
+            assert track.breaks == np.flatnonzero(want["overlaps"][t] < OVERLAP_MIN).tolist()
 
     def test_workers_bitwise_identical(self):
         grid = coupling_grid(4, 0.21, points=101, start=-0.8, stop=0.8)
