@@ -3,9 +3,10 @@
 #
 #   scripts/same_outputs.sh REF
 #
-# REF is checked out in a temporary git worktree. Both trees run the seed-0
-# CLI calls of the three benchmark workloads (perfbench/run.py), the ep3_n4
-# call with 1 and with 2 workers, and one N=6 gain sweep through many EP2s.
+# REF's files are exported into a temporary directory. Both trees run the
+# seed-0 CLI calls of the three benchmark workloads (perfbench/run.py), the
+# ep3_n4 call with 1 and with 2 workers, one N=6 gain sweep through many EP2s,
+# and four `spectrum` calls, which solve through the general-matrix path.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). Exits 1 on
 # any difference, 0 when all are identical. BLAS runs on one thread.
@@ -18,13 +19,9 @@ fi
 ref=$1
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/same_outputs.XXXXXX")
-cleanup() {
-    git -C "$root" worktree remove --force "$work/ref" >/dev/null 2>&1 || true
-    git -C "$root" worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$work/ref" "$ref"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/ref"
+git -C "$root" archive "$ref" | tar -x -C "$work/ref"
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
@@ -36,6 +33,10 @@ calls=(
     "ep3_n4_w2|$ep3 --points 67 --workers 2"
     "sweep_n8_h|sweep --n 8 --axis jt --fixed 0 --start -0.99 --stop 0.99 --points 40 --workers 1"
     "sweep_n6_gt|sweep --n 6 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 301"
+    "spectrum_n4|spectrum --n 4 --jt 0.5 --gt 0.21"
+    "spectrum_n4_profile|spectrum --n 4 --jt 0.5 --profile 0.3,-0.1,0.1,-0.3"
+    "spectrum_n6_degenerate|spectrum --n 6 --jt 0 --gt 0 --format json"
+    "spectrum_n6|spectrum --n 6 --jt -0.84184 --gt 0.3"
 )
 
 run_tree() {  # tree, output directory

@@ -1,12 +1,11 @@
 """Biorthogonal spectra, Z2 level indices, and exceptional-point searches for
 a transverse-field Ising chain with balanced staggered gain and loss."""
 
-from .numerics import DEFAULT_TOL, EigenSystem, NearDefective, eig_general, eig_stack
+from .numerics import DEFAULT_TOL, EigenSystem, NearDefective, eig_general
 from .model import (ChainSpec, NormalizedPoint, build_hamiltonian, build_parity,
                     gain_generator, psh_residual)
 from .biortho import (AtExceptionalPoint, BiorthoSpectrum, IndexIllDefined,
-                      LevelRecord, ep_indicator, spectra_with_indices,
-                      spectrum_with_indices, z2_index)
+                      LevelRecord, ep_indicator, spectrum_with_indices, z2_index)
 from .oracle import (FermionMode, OracleState, almost_zero_energy, full_spectrum,
                      pair_relative_parity, solve_modes)
 from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePairing,
@@ -20,11 +19,11 @@ from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePa
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "EigenSystem", "NearDefective", "eig_general", "eig_stack",
+    "DEFAULT_TOL", "EigenSystem", "NearDefective", "eig_general",
     "ChainSpec", "NormalizedPoint", "build_hamiltonian", "build_parity",
     "gain_generator", "psh_residual",
     "AtExceptionalPoint", "BiorthoSpectrum", "IndexIllDefined", "LevelRecord",
-    "ep_indicator", "spectra_with_indices", "spectrum_with_indices", "z2_index",
+    "ep_indicator", "spectrum_with_indices", "z2_index",
     "FermionMode", "OracleState", "almost_zero_energy", "full_spectrum",
     "pair_relative_parity", "solve_modes",
     "AXIS_COUPLING", "AXIS_GAIN", "AccidentallyZeroElement", "CrossingRecord",

@@ -18,17 +18,17 @@ x) and its left vector s eta x; any simple level's left vector is eta
 conj(x) / conj(x^T eta x), with no P product and no left eigensolve.
 Conjugate partners are LAPACK's exact pairs, and the paper's selection rule
 is the Krein-collision rule: only levels of opposite signature in one block
-can meet in an EP2. :func:`spectrum_with_indices` and
-:func:`spectra_with_indices` serve a general matrix and zeta, and are the
-tests' reference for the engine.
+can meet in an EP2. :func:`spectrum_with_indices` serves one general
+matrix and zeta, and is the tests' reference for the engine and the
+``spectrum`` command's solver.
 
-Both rescale all isolated levels of a stack together; levels closer than
-``CLUSTER_SCALE * ||H||_F`` form a degenerate cluster, which is resolved
-one point at a time. A point's spectrum is the same, bit for bit, whichever
-stack it is part of. A real cluster's Hermitian-definite pencil is reduced
-by Cholesky with numpy, and the general path pairs conjugates with
-:func:`pshchain.numerics.linear_sum_assignment`, so this module needs no
-scipy.
+Both share one rescaling core, which treats all isolated levels of a stack
+together; levels closer than ``CLUSTER_SCALE * ||H||_F`` form a degenerate
+cluster, which is resolved one point at a time. A point's spectrum is the
+same, bit for bit, whichever stack it is part of. A real cluster's
+Hermitian-definite pencil is reduced by Cholesky with numpy, and the general
+path pairs conjugates with :func:`pshchain.numerics.linear_sum_assignment`,
+so this module needs no scipy.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import sector_bases
-from .numerics import (CLUSTER_SCALE, EigenStack, EigenSystem, NearDefective,
-                       as_complex_matrix, as_complex_stack, column_norms, eig_blocks,
-                       eig_general, eig_stack, linear_sum_assignment)
+from .numerics import (CLUSTER_SCALE, EigenSystem, NearDefective, as_complex_matrix,
+                       column_norms, eig_blocks, eig_general, linear_sum_assignment)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -156,12 +155,13 @@ def ep_indicator(r, zeta) -> float:
     """Normalized |<R|zeta|R>|, in [0, 1]; tends to 0 on approach to an EP."""
     z = as_complex_matrix(zeta)
     vec = np.asarray(r, dtype=np.complex128).reshape(-1, 1)
+    if vec.shape[0] != z.shape[1]:
+        raise ValueError(f"dimension mismatch: {vec.shape[:1]} vs {z.shape}")
     if not np.any(vec):
         raise ValueError("zero vector has no indicator")
-    zr, _, ind = _metric(z, vec)
-    if not np.any(zr):
+    if not np.any(z @ vec):  # before the indicator divides by ||zeta R||
         raise ValueError("zeta maps the vector to zero (zeta not invertible?)")
-    return float(ind[0])
+    return float(_metric(z, vec)[2][0])
 
 
 def z2_index(r, zeta, floor: float = INDICATOR_FLOOR) -> int:
@@ -399,25 +399,6 @@ def _spectra(out, good, failed, levels: _Levels, scale, cond, rtol) -> list:
     return out
 
 
-def _index_stack(a: np.ndarray, z: np.ndarray, st: EigenStack, reality_tol,
-                 indicator_floor: float) -> list:
-    """Rescaled spectra of the stack ``a`` from its raw eigendecompositions.
-
-    Entry ``b`` is the :class:`BiorthoSpectrum` of ``a[b]``, or the
-    exception that point raised (:class:`AtExceptionalPoint` or
-    ``ArithmeticError``).
-    """
-    out, good, sub = _good_points(st)
-    if not good:
-        return out
-    values, scale = sub(st.eigenvalues), sub(st.scale)
-    rtol = _reality_tol(values, reality_tol)
-    levels, failed = _rescale(sub(a), z, values, sub(st.right), sub(st.left), scale, rtol,
-                              indicator_floor)
-    levels = levels._replace(sector=np.zeros(values.shape, dtype=np.int8))
-    return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
-
-
 def sector_spectra(blocks, n: int, reality_tol: float | None = None,
                    indicator_floor: float = INDICATOR_FLOOR) -> list:
     """Biorthogonal spectra of n-site chain Hamiltonians given by their two real Q blocks.
@@ -425,7 +406,7 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     ``blocks`` are the Q = +1 and Q = -1 stacks of
     :func:`pshchain.model.normalized_blocks`. Each block is solved and
     rescaled on its own, with the checks and results of
-    :func:`spectra_with_indices`, but in real arithmetic: P is the diagonal
+    :func:`spectrum_with_indices`, but in real arithmetic: P is the diagonal
     signature eta of the block, a real level's index is its Krein signature
     sign(x^T eta x), and the left vector of a level is eta conj(x) (s eta x
     for an indexed level), so no P product and no left eigensolve is needed.
@@ -483,27 +464,6 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
 
 
-def _check_shapes(a: np.ndarray, z: np.ndarray) -> None:
-    if a.shape[-2:] != z.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[-2:]} vs {z.shape}")
-
-
-def spectra_with_indices(hs, zeta, reality_tol: float | None = None,
-                         indicator_floor: float = INDICATOR_FLOOR) -> list:
-    """:func:`spectrum_with_indices` of every matrix in the stack ``hs``.
-
-    One eigensolve and one vectorized rescaling serve the whole stack. Entry
-    ``b`` is the spectrum of ``hs[b]``, bit for bit what
-    :func:`spectrum_with_indices` returns for it alone, or the exception it
-    would raise (:class:`AtExceptionalPoint`, ``ArithmeticError``): a point
-    that fails does not fail the stack.
-    """
-    a = as_complex_stack(hs)
-    z = as_complex_matrix(zeta)
-    _check_shapes(a, z)
-    return _index_stack(a, z, eig_stack(a), reality_tol, indicator_floor)
-
-
 def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
                           indicator_floor: float = INDICATOR_FLOOR) -> BiorthoSpectrum:
     """Biorthogonal spectrum of ``h`` with per-level Z2 indices.
@@ -514,17 +474,22 @@ def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
     crossings) are resolved by diagonalizing zeta restricted to the cluster,
     and then zeta H inside each same-index subspace, which keeps indices and
     energies well defined through stable crossings. A defective input
-    raises :class:`AtExceptionalPoint`. This is :func:`spectra_with_indices`
-    on a stack of one.
+    raises :class:`AtExceptionalPoint`.
     """
     a = as_complex_matrix(h)
     z = as_complex_matrix(zeta)
-    _check_shapes(a, z)
+    if a.shape != z.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {z.shape}")
     try:
         es = eig_general(a)
     except NearDefective as exc:
         raise AtExceptionalPoint(exc.cond) from exc
-    sp = _index_stack(a[None], z, EigenStack.of(es), reality_tol, indicator_floor)[0]
+    values, scale = es.eigenvalues[None], np.array([es.scale])
+    rtol = _reality_tol(values, reality_tol)
+    levels, failed = _rescale(a[None], z, values, es.right[None], es.left[None], scale, rtol,
+                              indicator_floor)
+    sp, = _spectra([None], [0], failed, levels._replace(sector=np.zeros(values.shape, np.int8)),
+                   scale, np.array([es.cond_right]), rtol)
     if isinstance(sp, Exception):
         raise sp
     return sp

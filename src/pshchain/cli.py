@@ -133,6 +133,8 @@ class RunConfig:
         if self.gamma_values is not None and len(set(self.gamma_values)) < len(self.gamma_values):
             # a repeated value would sweep its line again and emit its records twice
             raise UsageError(f"grid.gamma_values must be distinct, got {list(self.gamma_values)}")
+        if self.order not in (None, 2, 3):
+            raise UsageError(f"order must be 2 or 3, got {self.order!r}")
         for name in ("pair", "triple"):
             if getattr(self, name) is not None:
                 try:
@@ -406,8 +408,7 @@ def _cmd_crossings(cfg: RunConfig) -> int:
 def _cmd_find_ep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for find-ep")
-    order = cfg.order or 2
-    if order == 2:
+    if cfg.order in (None, 2):
         grid = _grid_from_config(cfg, default_points=401)
         tracks = sweep(grid, workers=cfg.workers)
         tol = cfg.tol("bisect_tol", BISECT_TOL)
@@ -417,7 +418,7 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
             records, skipped = [rec], []
         else:
             records, skipped = locate_ep2_records(tracks, tol=tol)
-    elif order == 3:
+    else:  # order 3
         j_box = (cfg.j_start, cfg.j_stop)
         g_box = (cfg.g_start, cfg.g_stop)
         if any(v is None for v in j_box + g_box):
@@ -444,8 +445,6 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
         if not records:
             raise NoEP3InBox(f"no collision refined inside {j_box} x {g_box}")
         records.sort(key=EPRecord.sort_key)
-    else:
-        raise UsageError(f"order must be 2 or 3, got {order}")
     _write_text(cfg.output_path, _json_text(_records_json(records, skipped)))
     return _rule_exit(records)
 

@@ -742,6 +742,7 @@ def triple_pairing(n: int, j_value: float, gamma: float, triple) -> TriplePairin
     """Pairing state of three levels (zero-gain energy ranks) at one point,
     classified at the library's default tolerances."""
     triple = check_levels(triple, n, "triple")
+    check_normalized(j_value, gamma)
     sp, cols = _march_probe(_Line(AXIS_GAIN, j_value, n, None, INDICATOR_FLOOR), gamma)
     return _classify_triple(sp, cols[list(triple)])
 

@@ -149,26 +149,21 @@ def _flips(n: int) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary)."""
-    return _hamiltonians(spec.n, [spec.delta], [spec.j], [spec.gamma_profile])[0]
-
-
-def _hamiltonians(n: int, delta, j, gains) -> np.ndarray:
-    """Hamiltonians for per-matrix ``delta``, ``j`` and site ``gains``, in one broadcast.
+    """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary).
 
     The diagonal adds i g_n sz_n site by site, then -j sz_n sz_{n+1} bond by
     bond: the order of a term-by-term sum of tensor products, which the
     result therefore matches to the last bit.
     """
-    sites = _sites(n)
-    h = np.zeros((len(delta), 1 << n, 1 << n), dtype=np.complex128)
-    np.multiply(np.asarray(delta)[:, None, None], _flips(n), out=h.real)
-    diag = h.reshape(len(h), -1)[:, ::(1 << n) + 1]  # a view of each diagonal
-    gain, bond = np.zeros(diag.shape), np.zeros(diag.shape)
-    for g, z in zip(np.asarray(gains).T, sites.z):
-        gain += g[:, None] * z
-    for za, zb in zip(sites.z, sites.z[1:]):
-        bond -= np.asarray(j)[:, None] * (za * zb)
+    z = _sites(spec.n).z
+    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+    np.multiply(spec.delta, _flips(spec.n), out=h.real)
+    gain, bond = np.zeros(spec.dim), np.zeros(spec.dim)
+    for g, z_site in zip(spec.gamma_profile, z):
+        gain += g * z_site
+    for za, zb in zip(z, z[1:]):
+        bond -= spec.j * (za * zb)
+    diag = h.reshape(-1)[::spec.dim + 1]  # a view of the diagonal
     diag.real, diag.imag = bond, gain
     return h
 
@@ -274,7 +269,7 @@ def check_normalized(j_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray]:
     valid = (np.abs(j) <= 1.0) & (gamma >= 0.0) & (gamma < math.inf)  # false for NaN
     if not valid.all():
         bad = int(np.argmin(valid))
-        NormalizedPoint(float(j[bad]), float(gamma[bad]))  # raises its ValueError
+        NormalizedPoint(float(j.flat[bad]), float(gamma.flat[bad]))  # raises its ValueError
     return j, gamma
 
 

@@ -10,9 +10,9 @@ right-eigenvector matrix above ``DEFECT_THRESHOLD``) reported as
   solved block by block with LAPACK's real solve, right vectors only.
   Complex eigenvalues come as exact conjugate pairs, and the singular values
   of the blocks' eigenvector matrices together are those of the whole.
-* :func:`eig_general` and :func:`eig_stack` take general complex matrices,
-  with left and right eigenvectors, for general-purpose use and as the
-  reference of the block solve.
+* :func:`eig_general` takes one general complex matrix, with left and
+  right eigenvectors, for general-purpose use and as the reference of the
+  block solve.
 
 :func:`linear_sum_assignment` is scipy's shortest-augmenting-path solver,
 ported to Python with scipy's tie rules, for matching levels between points.
@@ -21,10 +21,10 @@ complex-symmetric, for LAPACK's left and right eigenvectors; everything else
 here uses numpy alone, so that importing it costs no scipy import.
 
 The problem sizes we target (dim <= 4096) make dense solvers the robust
-choice over iterative ones. Every matrix of a stack is decomposed exactly as
-it would be alone: the LAPACK calls, reductions and products act on each
-matrix separately, so a result does not depend on which stack it was solved
-in, down to the last bit.
+choice over iterative ones. Every matrix of a block stack is decomposed
+exactly as it would be alone: the LAPACK calls, reductions and products act
+on each matrix separately, so a result does not depend on which stack it was
+solved in, down to the last bit.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return _as_array(m, 2)
 
 
-def as_complex_stack(m) -> np.ndarray:
-    """Validate and convert input to a finite (count, d, d) complex128 stack."""
-    return _as_array(m, 3)
-
-
 def _as_array(m, ndim: int, dtype=np.complex128) -> np.ndarray:
     a = np.asarray(m, dtype=dtype)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or 0 in a.shape:
@@ -106,32 +101,6 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class EigenStack:
-    """Raw eigendecompositions of a stack of matrices, entry ``b`` for matrix ``b``.
-
-    ``eigenvalues`` is (count, d) and sorted by (Re, Im) in each row;
-    ``right`` and ``left`` are (count, d, d) with the column conventions of
-    :class:`EigenSystem`; ``scale`` (Frobenius norm) and ``cond_right`` are
-    per matrix. ``errors[b]`` is the exception matrix ``b`` failed with
-    (:class:`NearDefective` or ``ArithmeticError``) or None; the arrays of a
-    failed entry carry no meaning.
-    """
-
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    scale: np.ndarray
-    cond_right: np.ndarray
-    errors: list
-
-    @classmethod
-    def of(cls, es: EigenSystem) -> "EigenStack":
-        """Stack of one holding ``es``."""
-        return cls(es.eigenvalues[None], es.right[None], es.left[None],
-                   np.array([es.scale]), np.array([es.cond_right]), [None])
-
-
 def _sorted(w: np.ndarray, *vectors: np.ndarray):
     """Eigenvalues sorted by (Re, Im) along the last axis, with their vector columns."""
     order = np.lexsort((w.imag, w.real), axis=-1)
@@ -155,65 +124,6 @@ def _eig(a: np.ndarray):
             return np.zeros(a.shape[:2], a.dtype), eye, np.ones(1, dtype=bool)
     w, v, failed = zip(*(_eig(a[b:b + 1]) for b in range(len(a))))
     return np.concatenate(w), np.concatenate(v), np.concatenate(failed)
-
-
-def _eig_vectors(a: np.ndarray):
-    """Sorted eigenvalues, right and left eigenvectors of every matrix in ``a``,
-    and the mask of the matrices whose eigenvalues did not converge.
-
-    For an exactly complex-symmetric matrix (M^T = M) the left eigenvectors
-    are the conjugated right ones, so only the right ones are computed.
-    Other matrices take LAPACK's left and right solve.
-    """
-    symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
-    if symmetric.all():
-        w, vr, failed = _eig(a)
-        w, vr = _sorted(w, vr)
-        return w, vr, vr.conj(), failed
-    # a matrix that fails keeps zero eigenvalues and unit vectors
-    w = np.zeros(a.shape[:2], dtype=np.complex128)
-    vr = np.tile(np.eye(a.shape[1], dtype=a.dtype), (len(a), 1, 1))
-    vl = vr.copy()
-    failed = np.zeros(len(a), dtype=bool)
-    for b in range(a.shape[0]):
-        try:
-            if symmetric[b]:
-                wb, vrb = np.linalg.eig(a[b])
-                vlb = vrb.conj()
-            else:
-                from scipy.linalg import eig  # here, so that importing the package skips scipy
-                wb, vlb, vrb = eig(a[b], left=True, right=True)
-        except np.linalg.LinAlgError:
-            failed[b] = True
-            continue
-        w[b], vr[b], vl[b] = _sorted(wb, vrb, vlb)
-    return w, vr, vl, failed
-
-
-def eig_stack(mats) -> EigenStack:
-    """Eigendecompositions of a stack of general complex matrices.
-
-    Applies the contract of :func:`eig_general`, with the constants
-    ``DEFAULT_TOL`` and ``DEFECT_THRESHOLD``, to every matrix; a matrix that
-    breaks it records its exception in ``errors`` instead of failing the stack.
-    """
-    a = as_complex_stack(mats)
-    scale = _frobenius([a])
-    w, vr, vl, failed = _eig_vectors(a)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sv = np.linalg.svd(vr, compute_uv=False)
-        cond = sv[:, 0] / sv[:, -1]
-    bound = DEFAULT_TOL * np.maximum(scale, 1e-300)
-    res = a @ vr
-    res -= vr * w[:, None, :]
-    res_right = np.max(np.linalg.norm(res, axis=1), axis=1)
-    res = a.conj().swapaxes(1, 2) @ vl
-    res -= vl * w.conj()[:, None, :]
-    res_left = np.max(np.linalg.norm(res, axis=1), axis=1)
-
-    return EigenStack(w, vr, vl, scale, cond,
-                      _errors(cond, np.maximum(res_right, res_left), bound, failed))
 
 
 def _frobenius(blocks) -> np.ndarray:
@@ -260,8 +170,9 @@ class BlockStack:
     ``k``, in LAPACK's order: (count, d_k) eigenvalues, (count, d_k, d_k) unit
     right eigenvectors, and the column of each eigenvalue's exact conjugate
     partner (-1 for a real eigenvalue). ``scale`` (Frobenius norm),
-    ``cond_right`` and ``errors`` are per matrix, of all its blocks together,
-    as in :class:`EigenStack`.
+    ``cond_right`` are per matrix, of all its blocks together. ``errors[b]``
+    is the exception matrix ``b`` failed with (:class:`NearDefective` or
+    ``ArithmeticError``) or None; the arrays of a failed entry carry no meaning.
     """
 
     eigenvalues: list
@@ -278,7 +189,7 @@ def eig_blocks(blocks) -> BlockStack:
     ``blocks`` holds one real (count, d_k, d_k) stack per block. LAPACK's real
     solve returns real eigenvalues with zero imaginary part and complex ones
     as exact conjugate pairs, in adjacent columns with Im > 0 first. The
-    contract of :func:`eig_stack` holds for the whole matrix: the residuals
+    contract of :func:`eig_general` holds for the whole matrix: the residuals
     are checked against ``DEFAULT_TOL * ||M||_F``, and the condition number
     of the full right-eigenvector matrix, whose singular values are those of
     its blocks together, against ``DEFECT_THRESHOLD``. Left vectors are not
@@ -325,18 +236,38 @@ def eig_general(m) -> EigenSystem:
     are verified against the constant ``DEFAULT_TOL * ||M||_F``. A
     near-defective input (condition number of the right-eigenvector matrix
     above the constant ``DEFECT_THRESHOLD``) raises :class:`NearDefective`
-    instead of returning garbage vectors. This is :func:`eig_stack` on a
-    stack of one.
+    instead of returning garbage vectors, and eigenvalues that do not
+    converge raise ``ArithmeticError``. For an exactly complex-symmetric
+    matrix (M^T = M) the left eigenvectors are the conjugated right ones, so
+    only the right ones are computed; other matrices take LAPACK's left and
+    right solve.
     """
-    st = eig_stack(as_complex_matrix(m)[None])
-    if st.errors[0] is not None:
-        raise st.errors[0]
-    right, left = st.right[0], st.left[0]
-    overlap = left.conj().T @ right
-    residual = float(np.max(np.abs(overlap - np.eye(right.shape[0]))))
-    return EigenSystem(eigenvalues=st.eigenvalues[0], right=right, left=left,
-                       scale=float(st.scale[0]), cond_right=float(st.cond_right[0]),
-                       biortho_residual=residual)
+    a = as_complex_matrix(m)
+    scale = _frobenius([a[None]])
+    try:
+        if np.array_equal(a, a.T):
+            w, vr = np.linalg.eig(a)
+            vl = vr.conj()
+        else:
+            from scipy.linalg import eig  # here, so that importing the package skips scipy
+            w, vl, vr = eig(a, left=True, right=True)
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("eigenvalues did not converge") from None
+    w, vr, vl = _sorted(w, vr, vl)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = np.linalg.svd(vr, compute_uv=False)
+        cond = sv[:1] / sv[-1:]
+    residual = max(np.linalg.norm(a @ vr - vr * w, axis=0).max(),
+                   np.linalg.norm(a.conj().T @ vl - vl * w.conj(), axis=0).max())
+    error, = _errors(cond, np.array([residual]), DEFAULT_TOL * np.maximum(scale, 1e-300),
+                     np.zeros(1, dtype=bool))
+    if error is not None:
+        raise error
+    overlap = vl.conj().T @ vr
+    return EigenSystem(eigenvalues=w, right=vr, left=vl, scale=float(scale[0]),
+                       cond_right=float(cond[0]),
+                       biortho_residual=float(np.max(np.abs(overlap - np.eye(len(w))))))
 
 
 def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 
-from conftest import (assert_same_spectrum, hermitian_reference_indices, match_level_sets,
-                      mirror_chains, solve_chain)
+from conftest import (hermitian_reference_indices, match_level_sets, mirror_chains,
+                      solve_chain)
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
-                      ep_indicator, full_spectrum, spectra_with_indices,
-                      spectrum_with_indices, z2_index)
+                      ep_indicator, full_spectrum, spectrum_with_indices, z2_index)
 from pshchain import biortho, numerics
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
@@ -71,6 +70,17 @@ class TestEpIndicator:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ep_indicator(np.zeros(3), np.eye(3))
+
+    @pytest.mark.parametrize("read", [ep_indicator, z2_index])
+    def test_vector_mapped_to_zero_rejected_without_warning(self, read):
+        # warnings are errors here: the check must come before any division
+        with pytest.raises(ValueError, match="maps the vector to zero"):
+            read([1.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("read", [ep_indicator, z2_index])
+    def test_dimension_mismatch_rejected(self, read):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            read([1.0, 0.0, 1.0], ZETA2)
 
 
 class TestSpectrumWithIndices:
@@ -168,6 +178,38 @@ class TestSpectrumWithIndices:
     def test_at_exceptional_point_raises(self):
         with pytest.raises(AtExceptionalPoint):
             spectrum_with_indices(psh_2x2(1.0, 1.0), ZETA2)
+
+    def test_complex_symmetric_exceptional_point_raises(self):
+        with pytest.raises(AtExceptionalPoint):
+            spectrum_with_indices(psym_2x2(1.0, 1.0), ZETA2)
+
+    def test_levels_agree_with_arrays(self):
+        sp = chain_spectrum(4, -0.9, 0.3)
+        es = sp.eigensystem
+        assert any(lv.conjugate_partner is not None for lv in sp.levels)
+        for i, lv in enumerate(sp.levels):
+            assert lv.label == i
+            assert lv.eigenvalue == es.eigenvalues[i]
+            assert lv.z2_index == (int(sp.z2[i]) or None)
+            assert lv.ep_indicator == sp.indicator[i]
+            assert lv.conjugate_partner == (int(sp.partner[i]) if sp.partner[i] >= 0 else None)
+            assert np.array_equal(lv.right, es.right[:, i])
+            assert np.array_equal(lv.left, es.left[:, i])
+
+    def test_symmetric_input_skips_the_left_solve(self, monkeypatch):
+        calls = []
+        original = scipy.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2)
+        chain_spectrum(4, 0.3, 0.2)
+        assert calls == []
+        # psh_2x2 is not symmetric: LAPACK left+right route, left vectors of M
+        m = psh_2x2(2.0, 1.0 + 0.5j)
+        es = numerics.eig_general(m)
+        assert calls == [1]
+        assert np.allclose(es.left.conj().T @ m, es.eigenvalues[:, None] * es.left.conj().T)
+        assert not np.allclose(es.left, es.right.conj())
 
     def test_degenerate_cluster_resolved(self):
         # Ising limit: the mirror-related product states are exactly degenerate
@@ -276,64 +318,3 @@ class TestSpectrumInvariants:
             pr = zeta @ right
             assert sp.z2[i] == np.sign(np.vdot(right, pr).real)
             assert np.linalg.norm(left - sp.z2[i] * pr) <= 1e-12 * np.linalg.norm(left)
-
-
-class TestStackedSpectra:
-    """A point's spectrum does not depend on the stack it is solved in."""
-
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_stack_matches_single_solves(self, n):
-        rng = np.random.default_rng(40 + n)
-        points = [NormalizedPoint(float(rng.uniform(-1, 1)), float(rng.uniform(0, 0.6)))
-                  for _ in range(6)]
-        # degenerate clusters: the Ising endpoint with gain, and decoupled spins
-        points += [NormalizedPoint(1.0, 0.3), NormalizedPoint(0.0, 0.0)]
-        hs = np.stack([build_hamiltonian(p.chain(n)) for p in points])
-        zeta = build_parity(n)
-        singles = [spectrum_with_indices(h, zeta) for h in hs]
-        for b, sp in enumerate(spectra_with_indices(hs, zeta)):
-            assert_same_spectrum(sp, singles[b])
-        # another stack size and order
-        sub = [5, 0, 7, 2]
-        for b, sp in zip(sub, spectra_with_indices(hs[sub], zeta)):
-            assert_same_spectrum(sp, singles[b])
-
-    def test_failed_point_does_not_fail_its_stack(self):
-        hs = np.stack([psym_2x2(2.0, 1.0), psym_2x2(1.0, 1.0), psym_2x2(0.5, 1.5, c=0.3)])
-        stacked = spectra_with_indices(hs, ZETA2)
-        assert isinstance(stacked[1], AtExceptionalPoint)
-        with pytest.raises(AtExceptionalPoint):
-            spectrum_with_indices(hs[1], ZETA2)
-        for b in (0, 2):
-            assert_same_spectrum(stacked[b], spectrum_with_indices(hs[b], ZETA2))
-
-    def test_levels_agree_with_arrays(self):
-        sp = chain_spectrum(4, -0.9, 0.3)
-        es = sp.eigensystem
-        assert any(lv.conjugate_partner is not None for lv in sp.levels)
-        for i, lv in enumerate(sp.levels):
-            assert lv.label == i
-            assert lv.eigenvalue == es.eigenvalues[i]
-            assert lv.z2_index == (int(sp.z2[i]) or None)
-            assert lv.ep_indicator == sp.indicator[i]
-            assert lv.conjugate_partner == (int(sp.partner[i]) if sp.partner[i] >= 0 else None)
-            assert np.array_equal(lv.right, es.right[:, i])
-            assert np.array_equal(lv.left, es.left[:, i])
-
-    def test_symmetric_input_skips_the_left_solve(self, monkeypatch):
-        calls = []
-        original = scipy.linalg.eig
-        monkeypatch.setattr(scipy.linalg, "eig",
-                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
-        spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2)
-        chain_spectrum(4, 0.3, 0.2)
-        assert calls == []
-        # psh_2x2 is not symmetric: LAPACK left+right route, left vectors of M
-        m = psh_2x2(2.0, 1.0 + 0.5j)
-        es = numerics.eig_general(m)
-        assert calls == [1]
-        assert np.allclose(es.left.conj().T @ m, es.eigenvalues[:, None] * es.left.conj().T)
-        assert not np.allclose(es.left, es.right.conj())
-        mixed = spectra_with_indices(np.stack([m, psym_2x2(2.0, 1.0)]), ZETA2)
-        assert_same_spectrum(mixed[0], spectrum_with_indices(m, ZETA2))
-        assert_same_spectrum(mixed[1], spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2))

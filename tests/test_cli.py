@@ -369,6 +369,16 @@ class TestExitCodes:
         assert main(["find-ep", *argv, "--output", str(tmp_path / "ep.json")]) == 1
         assert f"usage error: {path} must be distinct level indices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    def test_order_other_than_two_or_three_rejected(self, order, tmp_path, capsys):
+        # the flag's choices reject these; a config file used to run order 0 as order 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "find-ep", "order": order}))
+        out = tmp_path / "ep.json"
+        assert main(["find-ep", "--config", str(cfg), *N2_GAIN_LINE, "--output", str(out)]) == 1
+        assert f"usage error: order must be 2 or 3, got {order}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("g_box", [("0.45", "0.35"), ("0", "0"), ("-0.1", "0.45")])
     def test_order_three_gain_box_checked(self, g_box, tmp_path, capsys):
         # the candidate scan marches the gain from 0 up to g_stop

@@ -812,6 +812,12 @@ class TestLevelIndices:
         with pytest.raises(ValueError, match=r"triple must be distinct level indices in 0\.\.15"):
             call(triple)
 
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, -0.1])
+    def test_triple_pairing_bad_gain_rejected(self, gamma):
+        # the point is checked before the gain march sizes its rungs from gamma
+        with pytest.raises(ValueError, match="gamma_tilde must be >= 0, got"):
+            triple_pairing(4, -0.7, gamma, (3, 4, 7))
+
     @pytest.mark.parametrize("pair", [(-16, 1), (1, 1), (0, 16)])
     def test_bad_pair_rejected(self, pair):
         with pytest.raises(ValueError, match=r"pair must be distinct level indices in 0\.\.15"):

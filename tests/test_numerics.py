@@ -5,10 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ID2, PAULI_X, PAULI_Z, assert_same_spectrum, kron_chain
+from conftest import ID2, PAULI_X, PAULI_Z, kron_chain
 from pshchain import (DEFAULT_TOL, ChainSpec, NearDefective, NormalizedPoint,
-                      build_hamiltonian, build_parity, eig_general, eig_stack,
-                      spectra_with_indices, spectrum_with_indices)
+                      build_hamiltonian, build_parity, eig_general, spectrum_with_indices)
 from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
 
 RT3 = np.sqrt(3.0)
@@ -87,35 +86,35 @@ class TestEigGeneral:
 
 
 #: A chain whose full complex matrix LAPACK's zgeev fails to converge on (the
-#: sector engine solves it), with a well-posed chain to share its stack.
+#: sector engine solves it).
 UNCONVERGED = ChainSpec(n=6, delta=3.0370029471456205e-128, j=0.0,
                         gamma_profile=(-0.3135009601267712, 0.0, -0.5120604661978797,
                                        0.5120604661978797, -0.0, 0.3135009601267712))
-WELL_POSED = ChainSpec(n=6, delta=0.6, j=0.8, gamma_profile=(0.1, -0.1) * 3)
 
 
 class TestNonConvergingStack:
-    """A matrix whose eigenvalues do not converge fails alone, not its stack."""
+    """A matrix whose eigenvalues do not converge raises ArithmeticError after
+    one LAPACK call, and in a block stack fails alone, not its stack."""
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_eig_stack(self, symmetric):
-        good, bad = build_hamiltonian(WELL_POSED), build_hamiltonian(UNCONVERGED)
-        if not symmetric:  # a stack that takes LAPACK's left and right solve
-            good[0, 1] += 0.1
-        st, solo = eig_stack(np.stack([good, bad])), eig_stack(good[None])
-        assert st.errors[0] is None
-        assert type(st.errors[1]) is ArithmeticError
-        for name in ("eigenvalues", "right", "left", "scale", "cond_right"):
-            assert np.array_equal(getattr(st, name)[0], getattr(solo, name)[0])
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        lapack_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or lapack_eig(a))
+        return calls
 
-    def test_spectra_with_indices(self):
-        good, bad = build_hamiltonian(WELL_POSED), build_hamiltonian(UNCONVERGED)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.eig(bad)
-        zeta = build_parity(6)
-        spectra = spectra_with_indices(np.stack([bad, good]), zeta)
-        assert type(spectra[0]) is ArithmeticError
-        assert_same_spectrum(spectra[1], spectrum_with_indices(good, zeta))
+    def test_eig_general(self, eig_calls):
+        with pytest.raises(ArithmeticError) as exc:
+            eig_general(build_hamiltonian(UNCONVERGED))
+        assert type(exc.value) is ArithmeticError
+        assert str(exc.value) == "eigenvalues did not converge"
+        assert eig_calls == [1]
+
+    def test_spectrum_with_indices(self, eig_calls):
+        with pytest.raises(ArithmeticError) as exc:
+            spectrum_with_indices(build_hamiltonian(UNCONVERGED), build_parity(6))
+        assert type(exc.value) is ArithmeticError
+        assert eig_calls == [1]
 
     def test_eig_blocks(self, monkeypatch):
         rng = np.random.default_rng(5)
