@@ -5,8 +5,16 @@
 #
 # REF's files are exported into a temporary directory. Both trees run the
 # seed-0 CLI calls of the three benchmark workloads (perfbench/run.py), the
-# ep3_n4 call with 1 and with 2 workers, one N=6 gain sweep through many EP2s,
-# and four `spectrum` calls, which solve through the general-matrix path.
+# ep3_n4 call with 1 and with 2 workers, an EP3 search over an asymmetric
+# coupling window (which solves every probe and every candidate, without the
+# coupling mirror), one N=6 gain sweep through many EP2s, and four `spectrum`
+# calls, which solve through the general-matrix path.
+#
+# Against a commit from before the EP3 search used the coupling mirror (2c07e07
+# and older), ep3_n4_w1.out and ep3_n4_w2.out differ on purpose: the probe
+# grid of the symmetric window is now exactly symmetric, so the j > 0 skipped
+# entry's j_bracket and the window in its reason move by 1 ulp
+# (0.5999999999999999 -> 0.6). The records do not move.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). Exits 1 on
 # any difference, 0 when all are identical. BLAS runs on one thread.
@@ -31,6 +39,7 @@ calls=(
     "verify_n4|verify --n 4 --points 801 --gammas 0.05,0.21,0.40125,0.48375 --workers 1"
     "ep3_n4_w1|$ep3 --points 67 --workers 1"
     "ep3_n4_w2|$ep3 --points 67 --workers 2"
+    "ep3_n4_asym|find-ep --order 3 --n 4 --j-start -0.9 --j-stop -0.6 --g-start 0.35 --g-stop 0.45 --points 11"
     "sweep_n8_h|sweep --n 8 --axis jt --fixed 0 --start -0.99 --stop 0.99 --points 40 --workers 1"
     "sweep_n6_gt|sweep --n 6 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 301"
     "spectrum_n4|spectrum --n 4 --jt 0.5 --gt 0.21"

@@ -30,7 +30,7 @@ from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
                      NoEPInBracket, SweepGrid, check_levels, classify_crossings, find_ep2,
                      find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
-                     sweep, verify_selection_rule)
+                     rises_on_axis, sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, build_hamiltonian, build_parity
 from .numerics import NearDefective
 from .oracle import full_spectrum
@@ -315,9 +315,8 @@ def _check_on_axis(axis: str, names: tuple[str, ...], values) -> None:
     """Reject values of the config fields ``grid.<names>`` off ``axis``'s range:
     [-1, 1] for the coupling, finite and >= 0 for the gain. Two names, a start
     and a stop, must also rise. The message names the fields and the condition."""
-    lo, hi = AXIS_RANGE[axis]
-    if not (all(math.isfinite(v) and lo <= v <= hi for v in values)
-            and (len(names) == 1 or values[0] < values[1])):
+    if not rises_on_axis(axis, values):
+        lo, hi = AXIS_RANGE[axis]
         chain = f"{lo:g} <= {' < '.join(names)}" + (f" <= {hi:g}" if hi < math.inf else "")
         raise UsageError(f"grid.{'/'.join(names)} must satisfy {chain}")
 

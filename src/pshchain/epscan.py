@@ -102,6 +102,23 @@ def _location(line, value) -> dict:
     return dict.fromkeys(AXIS_RANGE, line.fixed_value) | {line.axis: value}
 
 
+def rises_on_axis(axis: str, values) -> bool:
+    """True when ``values`` are finite, inside ``axis``'s range and strictly rising."""
+    lo, hi = AXIS_RANGE[axis]
+    return (all(math.isfinite(v) and lo <= v <= hi for v in values)
+            and all(a < b for a, b in zip(values, values[1:])))
+
+
+def _window(axis: str, window, name: str) -> tuple[float, float]:
+    """``window`` as two floats; a ValueError naming ``name`` unless they are
+    finite, inside ``axis``'s range and rising."""
+    lo, hi = (float(v) for v in window)
+    if not rises_on_axis(axis, (lo, hi)):
+        raise ValueError(f"{name} must be two finite rising values in "
+                         f"[{AXIS_RANGE[axis][0]:g}, {AXIS_RANGE[axis][1]:g}], got {window!r}")
+    return lo, hi
+
+
 def check_levels(levels, n: int, name: str) -> tuple[int, ...]:
     """``levels`` as ints; a ValueError naming ``name`` unless they are distinct
     level indices of an ``n``-site chain, in 0..2^n-1."""
@@ -843,11 +860,12 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     in the gain, with the coupling window re-centered on the last seen
     interval. The record's indices are read inside the last resolved
     interval, its residual is that interval's width, and the bracket width
-    is the final gain bracket.
+    is the final gain bracket. A bracket that is not two finite rising values
+    on its axis raises ValueError.
     """
     triple = check_levels(triple, n, "triple")
-    g_lo, g_hi = float(gamma_bracket[0]), float(gamma_bracket[1])
-    j_lo, j_hi = float(j_bracket[0]), float(j_bracket[1])
+    j_lo, j_hi = _window(AXIS_COUPLING, j_bracket, "j_bracket")
+    g_lo, g_hi = _window(AXIS_GAIN, gamma_bracket, "gamma_bracket")
     pad = 0.5 * (j_hi - j_lo)
     window = (max(-1.0, j_lo - pad), min(1.0, j_hi + pad))
 
@@ -905,6 +923,30 @@ def _candidate_probe(grid: SweepGrid) -> dict:
     return first
 
 
+# The coupling mirror H(-j) = -C conj(H(j)) C, C = prod sz: the spectrum at -j is
+# minus the conjugate of that at j, so level k there is level 2^n - 1 - k here,
+# with the same index, and the energy order of a triple reverses. Coupling
+# values map to 0.0 - j, which is -j without a negative zero.
+
+
+def _mirror_levels(levels, n: int) -> tuple[int, ...]:
+    """``levels`` (in energy order) of the mirrored point, in energy order."""
+    top = (1 << n) - 1
+    return tuple(top - k for k in reversed(levels))
+
+
+def _mirror_candidate(candidate: dict, n: int) -> dict:
+    a, b = candidate["j_bracket"]
+    return {"triple": _mirror_levels(candidate["triple"], n), "j_bracket": (0.0 - b, 0.0 - a)}
+
+
+def _mirror_record(record: EPRecord, n: int) -> EPRecord:
+    location = record.location | {AXIS_COUPLING: 0.0 - record.location[AXIS_COUPLING]}
+    return EPRecord(order=record.order, location=location,
+                    levels=_mirror_levels(record.levels, n), indices=record.indices[::-1],
+                    residual=record.residual, bracket_width=record.bracket_width)
+
+
 def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
                         workers: int = 1, reality_tol=None,
                         indicator_floor: float = INDICATOR_FLOOR) -> list[dict]:
@@ -919,17 +961,36 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     collision, so the coarse probes routinely undershoot the window).
     Each candidate carries a (lower, middle, upper) triple and a coupling
     bracket, ready for :func:`find_ep3`.
+
+    A window symmetric about j = 0 gets an exactly symmetric probe grid: the
+    probes with j <= 0 are solved, and the others and the candidates with
+    j > 0 are their coupling mirrors. Any other window solves every probe.
+    Windows that are not two finite rising values on their axes, and fewer
+    than two probes, raise ValueError.
     """
-    g_lo, g_hi = float(gamma_window[0]), float(gamma_window[1])
+    j_lo, j_hi = _window(AXIS_COUPLING, j_window, "j_window")
+    g_lo, g_hi = _window(AXIS_GAIN, gamma_window, "gamma_window")
+    if isinstance(probes, bool) or not isinstance(probes, (int, np.integer)) or probes < 2:
+        raise ValueError(f"probes must be an integer >= 2, got {probes!r}")
     g_floor = g_lo - (g_hi - g_lo)
-    j_vals = np.linspace(float(j_window[0]), float(j_window[1]), probes)
+    j_vals = np.linspace(j_lo, j_hi, probes)
+    mirrored = j_lo == -j_hi
+    if mirrored:  # exactly symmetric, which linspace is not
+        lower = j_vals[:probes // 2]
+        j_vals = np.concatenate([lower, [0.0] * (probes % 2), -lower[::-1]])
     ladder = tuple(np.linspace(0.0, g_hi, EP3_CANDIDATE_STEPS + 1))
     grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
-             for j in j_vals]
+             for j in j_vals[:(probes + 1) // 2 if mirrored else probes]]
     results = list(_imap(_candidate_probe, grids, workers, 1))
+    if mirrored:  # the mirror of a probe's first merges
+        top = (1 << n) - 1
+        results += [{top - k: (g, top - p) for k, (g, p) in r.items()}
+                    for r in results[probes // 2 - 1::-1]]
 
     candidates = []
-    for i in range(probes - 1):
+    # with a mirror, only the brackets up to the middle are read; the others
+    # (bracket i is the mirror of bracket probes - 2 - i) take their mirrors' candidates
+    for i in range(probes // 2 if mirrored else probes - 1):
         left, right = results[i], results[i + 1]
         for mid in sorted(set(left) & set(right)):
             g_a, part_a = left[mid]
@@ -948,7 +1009,11 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     merged: dict = {}
     for c in candidates:
         merged.setdefault((frozenset(c["triple"]), c["j_bracket"]), c)
-    return list(merged.values())
+    found = list(merged.values())
+    if mirrored:  # mirrored, not merged again: the choice of the first is not mirror-symmetric
+        found += [_mirror_candidate(c, n) for c in found
+                  if c["j_bracket"][0] != -c["j_bracket"][1]]
+    return sorted(found, key=lambda c: (c["triple"], c["j_bracket"]))
 
 
 def _ep3_task(args) -> EPRecord | NoEP3InBox:
@@ -960,17 +1025,41 @@ def _ep3_task(args) -> EPRecord | NoEP3InBox:
         return exc.with_traceback(None)
 
 
+def _candidate_key(candidate: dict) -> tuple:
+    return (tuple(float(j) for j in candidate["j_bracket"]),
+            tuple(int(k) for k in candidate["triple"]))
+
+
 def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
                           **kw) -> list:
     """:func:`find_ep3` of every candidate of :func:`find_ep3_candidates`.
 
     Entry ``k`` is candidate ``k``'s :class:`EPRecord`, or the
-    :class:`NoEP3InBox` it raised; any other error is raised. Each candidate
-    is refined whole in one of ``workers`` processes, so the entries are the
-    same for any worker count. ``kw`` goes to :func:`find_ep3`.
+    :class:`NoEP3InBox` it raised; any other error is raised. Of a candidate
+    and its coupling mirror, both in the list, only the one with the lower
+    coupling bracket is refined, and the other's record is the mirror of its
+    record; where it raised NoEP3InBox, the other is refined too, so that its
+    message is its own. Each candidate is refined whole in one of ``workers``
+    processes, so the entries are the same for any worker count. ``kw`` goes
+    to :func:`find_ep3`.
     """
-    tasks = [(n, c, gamma_window, kw) for c in candidates]
-    return list(_imap(_ep3_task, tasks, workers, 1))
+    keys = [_candidate_key(c) for c in candidates]
+    where = {key: k for k, key in enumerate(keys)}
+    twin = [where.get(_candidate_key(_mirror_candidate(c, n)), k)
+            for k, c in enumerate(candidates)]
+
+    def refine(todo):
+        tasks = [(n, candidates[k], gamma_window, kw) for k in todo]
+        for k, r in zip(todo, _imap(_ep3_task, tasks, workers, 1)):
+            results[k] = r
+
+    results: list = [None] * len(candidates)
+    refine([k for k, t in enumerate(twin) if keys[k] <= keys[t]])
+    for k, t in enumerate(twin):
+        if results[k] is None and isinstance(results[t], EPRecord):
+            results[k] = _mirror_record(results[t], n)
+    refine([k for k, r in enumerate(results) if r is None])
+    return results
 
 
 def verify_selection_rule(records) -> list[dict]:

@@ -932,6 +932,117 @@ class TestFindEp3:
         cands = find_ep3_candidates(4, (-0.9, -0.6), (0.35, 0.45), probes=11)
         assert any(c["triple"] == (3, 4, 7) for c in cands)
 
+    @pytest.mark.parametrize("j_bracket, gamma_bracket", [
+        ((np.nan, -0.75), (0.35, 0.45)), ((-0.78, np.inf), (0.35, 0.45)),
+        ((-0.75, -0.78), (0.35, 0.45)), ((-1.5, -0.75), (0.35, 0.45)),
+        ((-0.78, -0.75), (0.45, 0.35)), ((-0.78, -0.75), (0.35, np.inf)),
+        ((-0.78, -0.75), (-0.1, 0.45)), ((-0.78, -0.75), (0.35, np.nan)),
+    ])
+    def test_bad_bracket_rejected(self, j_bracket, gamma_bracket):
+        with pytest.raises(ValueError, match="j_bracket" if j_bracket != (-0.78, -0.75)
+                           else "gamma_bracket"):
+            find_ep3(4, j_bracket, gamma_bracket, (3, 4, 7))
+
+    @pytest.mark.parametrize("j_window, gamma_window, probes, name", [
+        ((np.nan, 0.99), (0.35, 0.45), 5, "j_window"),
+        ((0.5, -0.5), (0.35, 0.45), 5, "j_window"),
+        ((-1.5, 0.99), (0.35, 0.45), 5, "j_window"),
+        ((-0.99, 0.99), (0.45, 0.35), 5, "gamma_window"),
+        ((-0.99, 0.99), (0.35, np.inf), 5, "gamma_window"),
+        ((-0.99, 0.99), (0.35, 0.45), 1, "probes"),
+        ((-0.99, 0.99), (0.35, 0.45), 2.0, "probes"),
+    ])
+    def test_bad_candidate_window_rejected(self, j_window, gamma_window, probes, name):
+        with pytest.raises(ValueError, match=name):
+            find_ep3_candidates(4, j_window, gamma_window, probes=probes)
+
+
+def _mirror_levels(levels, n):
+    """The coupling mirror's k -> 2^n - 1 - k on a triple, in energy order."""
+    return tuple((1 << n) - 1 - k for k in reversed(levels))
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``epscan.<name>`` (made in this process)."""
+    calls = []
+    original = getattr(epscan, name)
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(epscan, name, counting)
+    return calls
+
+
+class TestEp3Mirror:
+    """H(-j) = -C conj(H(j)) C: the EP3 search solves one half of a symmetric
+    window and maps the other with the level map k -> 2^n - 1 - k."""
+
+    @pytest.mark.parametrize("j", [-0.96, -0.75, -0.6, -0.45, -0.3])
+    def test_probe_at_minus_j_is_the_mirror(self, j):
+        ladder = tuple(np.linspace(0.0, 0.45, epscan.EP3_CANDIDATE_STEPS + 1))
+        left = epscan._candidate_probe(SweepGrid(AXIS_GAIN, j, ladder, 4))
+        right = epscan._candidate_probe(SweepGrid(AXIS_GAIN, -j, ladder, 4))
+        assert left and right == {15 - k: (g, 15 - p) for k, (g, p) in left.items()}
+
+    def test_mirrored_record_is_the_direct_one(self, record, monkeypatch):
+        direct = find_ep3(4, (0.75, 0.78), (0.35, 0.45), (8, 11, 12))
+        calls = _count_calls(monkeypatch, "find_ep3")
+        cands = [{"triple": (8, 11, 12), "j_bracket": (0.75, 0.78)},
+                 {"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)}]
+        mapped, found = refine_ep3_candidates(4, cands, (0.35, 0.45))
+        assert [c[1] for c in calls] == [(-0.78, -0.75)]  # only the j < 0 one is refined
+        assert found == record
+        assert mapped.to_dict() == direct.to_dict()
+        assert mapped.levels == _mirror_levels(record.levels, 4)
+        assert mapped.location[AXIS_COUPLING] == -record.location[AXIS_COUPLING]
+
+    def test_mirrored_failure_has_its_own_message(self, monkeypatch):
+        cands = [{"triple": (11, 9, 12), "j_bracket": (-0.63, -0.6)},
+                 {"triple": (3, 6, 4), "j_bracket": (0.6, 0.63)}]
+        calls = _count_calls(monkeypatch, "find_ep3")
+        results = refine_ep3_candidates(4, cands, (0.35, 0.45))
+        assert len(calls) == 2
+        for c, r in zip(cands, results):
+            with pytest.raises(NoEP3InBox) as direct:
+                find_ep3(4, c["j_bracket"], (0.35, 0.45), c["triple"])
+            assert type(r) is NoEP3InBox and str(r) == str(direct.value)
+
+    @pytest.mark.parametrize("window, probes, solved", [
+        ((-0.9, 0.8), 7, 7), ((-0.9, -0.6), 6, 6), ((-0.9, 0.9), 7, 4), ((-0.9, 0.9), 6, 3),
+    ])
+    def test_only_a_symmetric_window_is_halved(self, monkeypatch, window, probes, solved):
+        calls = _count_calls(monkeypatch, "_candidate_probe")
+        find_ep3_candidates(4, window, (0.35, 0.45), probes=probes)
+        assert len(calls) == solved
+
+    @pytest.mark.parametrize("probes", [6, 7])
+    def test_symmetric_grid_is_exact(self, monkeypatch, probes):
+        calls = _count_calls(monkeypatch, "_candidate_probe")
+        find_ep3_candidates(4, (-0.9, 0.9), (0.35, 0.45), probes=probes)
+        lower = np.linspace(-0.9, 0.9, probes)[:probes // 2].tolist()
+        assert [grid.fixed_value for (grid,) in calls] == lower + [0.0] * (probes % 2)
+
+    def test_candidates_come_in_mirror_pairs(self):
+        cands = find_ep3_candidates(4, (-0.99, 0.99), (0.35, 0.45), probes=67)
+        pairs = {(c["triple"], c["j_bracket"]) for c in cands}
+        assert len(pairs) == 6
+        assert pairs == {(_mirror_levels(t, 4), (-b, -a)) for t, (a, b) in pairs}
+        assert cands == sorted(cands, key=lambda c: (c["triple"], c["j_bracket"]))
+        assert cands == find_ep3_candidates(4, (-0.99, 0.99), (0.35, 0.45), probes=67,
+                                            workers=2)
+
+    def test_refinement_alike_on_any_worker_count(self, record):
+        cands = [{"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)},
+                 {"triple": (3, 6, 4), "j_bracket": (0.6, 0.63)},
+                 {"triple": (8, 11, 12), "j_bracket": (0.75, 0.78)},
+                 {"triple": (11, 9, 12), "j_bracket": (-0.63, -0.6)}]
+        runs = [refine_ep3_candidates(4, cands, (0.35, 0.45), workers=w) for w in (1, 2)]
+        assert [r if isinstance(r, EPRecord) else (type(r), str(r)) for r in runs[0]] == \
+            [r if isinstance(r, EPRecord) else (type(r), str(r)) for r in runs[1]]
+        assert runs[0][0] == record
+
 
 def test_ep_records_roundtrip():
     rec = EPRecord(order=2, location={"j_tilde": -0.25, "gamma_tilde": 0.4},

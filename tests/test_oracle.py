@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import match_level_sets, solve_chain
 from pshchain import (ChainSpec, almost_zero_energy, build_hamiltonian,
                       full_spectrum, pair_relative_parity, solve_modes)
 
@@ -198,3 +201,33 @@ class TestPairRelativeParity:
             pair_relative_parity(-1, 1.0)
         with pytest.raises(ValueError):
             pair_relative_parity(0, 0.0)
+
+
+class TestEngineAgainstOracle:
+    """The sector engine's spectrum and indices against the closed form at zero gain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6]),
+           j=st.floats(0.05, 2.0).flatmap(lambda a: st.sampled_from([a, -a])),
+           delta=st.floats(0.05, 2.0))
+    @example(n=6, j=0.97, delta=0.2431)
+    @example(n=4, j=-0.6, delta=0.8)
+    def test_energies_indices_and_pair_parities(self, n, j, delta):
+        states = full_spectrum(n, j, delta)
+        sp = solve_chain(ChainSpec.staggered(n, delta, j, 0.0))
+        energies = sp.eigenvalues.real
+        oracle = np.array([s.energy for s in states])
+        tol = 1e-9 * max(1.0, abs(j) + delta)
+        assert np.max(np.abs(sp.eigenvalues.imag)) <= tol
+        assert np.max(np.abs(np.sort(energies) - oracle)) <= tol
+        assert match_level_sets([(s.energy, s.parity) for s in states],
+                                list(zip(energies, sp.z2)), energy_tol=1e-8) == 0
+        # two levels that differ by the lowest mode's filling, each alone at
+        # its energy, carry the indices pair_relative_parity relates
+        by_mask = {s.occupation: s for s in states}
+        for mask in range(0, 1 << n, 2):
+            pair = (by_mask[mask].energy, by_mask[mask | 1].energy)
+            if any(np.sum(np.abs(oracle - e) < 1e-6) > 1 for e in pair):
+                continue
+            a, b = (int(np.argmin(np.abs(energies - e))) for e in pair)
+            assert sp.z2[a] * sp.z2[b] == pair_relative_parity(bin(mask).count("1"), j)
