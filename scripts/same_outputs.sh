@@ -8,7 +8,15 @@
 # ep3_n4 call with 1 and with 2 workers, an EP3 search over an asymmetric
 # coupling window (which solves every probe and every candidate, without the
 # coupling mirror), one N=6 gain sweep through many EP2s, and four `spectrum`
-# calls, which solve through the general-matrix path.
+# calls.
+#
+# Against ba0f014 and older commits, the four spectrum_*.out files differ on
+# purpose: `spectrum` solved the dense 2^N matrix there and solves its two Q
+# blocks on the sector engine now. Values move in their last bits, each
+# conjugate pair's rows now share their real part to the bit (lower
+# half-plane first), and the levels inside a degenerate cluster come in
+# another order. Matched values agree to 1e-12, and each degenerate cluster
+# carries the same indices.
 #
 # Against a commit from before the EP3 search used the coupling mirror (2c07e07
 # and older), ep3_n4_w1.out and ep3_n4_w2.out differ on purpose: the probe

@@ -18,9 +18,9 @@ x) and its left vector s eta x; any simple level's left vector is eta
 conj(x) / conj(x^T eta x), with no P product and no left eigensolve.
 Conjugate partners are LAPACK's exact pairs, and the paper's selection rule
 is the Krein-collision rule: only levels of opposite signature in one block
-can meet in an EP2. :func:`spectrum_with_indices` serves one general
-matrix and zeta, and is the tests' reference for the engine and the
-``spectrum`` command's solver.
+can meet in an EP2. Every command solves through it.
+:func:`spectrum_with_indices` serves one general matrix and zeta: the paper's
+general-zeta definition, and the tests' reference for the engine.
 
 Both share one rescaling core, which treats all isolated levels of a stack
 together; levels closer than ``CLUSTER_SCALE * ||H||_F`` form a degenerate
@@ -464,8 +464,7 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
 
 
-def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
-                          indicator_floor: float = INDICATOR_FLOOR) -> BiorthoSpectrum:
+def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
     """Biorthogonal spectrum of ``h`` with per-level Z2 indices.
 
     Real levels get the zeta-rescaled left vectors |L> = s * zeta |R> and the
@@ -473,8 +472,8 @@ def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
     their conjugate partners. Degenerate clusters of real levels (genuine
     crossings) are resolved by diagonalizing zeta restricted to the cluster,
     and then zeta H inside each same-index subspace, which keeps indices and
-    energies well defined through stable crossings. A defective input
-    raises :class:`AtExceptionalPoint`.
+    energies well defined through stable crossings, with the default solve
+    tolerances. A defective input raises :class:`AtExceptionalPoint`.
     """
     a = as_complex_matrix(h)
     z = as_complex_matrix(zeta)
@@ -485,9 +484,9 @@ def spectrum_with_indices(h, zeta, reality_tol: float | None = None,
     except NearDefective as exc:
         raise AtExceptionalPoint(exc.cond) from exc
     values, scale = es.eigenvalues[None], np.array([es.scale])
-    rtol = _reality_tol(values, reality_tol)
+    rtol = _reality_tol(values, None)
     levels, failed = _rescale(a[None], z, values, es.right[None], es.left[None], scale, rtol,
-                              indicator_floor)
+                              INDICATOR_FLOOR)
     sp, = _spectra([None], [0], failed, levels._replace(sector=np.zeros(values.shape, np.int8)),
                    scale, np.array([es.cond_right]), rtol)
     if isinstance(sp, Exception):

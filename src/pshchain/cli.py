@@ -24,21 +24,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined,
-                      spectrum_with_indices)
+from .biortho import INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined, sector_spectra
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
                      NoEPInBracket, SweepGrid, check_levels, classify_crossings, find_ep2,
                      find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
                      rises_on_axis, sweep, verify_selection_rule)
-from .model import ChainSpec, NormalizedPoint, build_hamiltonian, build_parity
+from .model import ChainSpec, NormalizedPoint, sector_blocks
 from .numerics import NearDefective
 from .oracle import full_spectrum
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
-# find_ep3 under the name this module shares with epscan, whose candidate
-# refinement calls it.
+# these names, which this module shares with epscan.
+from .biortho import spectrum_with_indices  # noqa: F401
 from .epscan import find_ep3  # noqa: F401
+from .model import build_hamiltonian, build_parity  # noqa: F401
 
 TOLERANCE_NAMES = frozenset({
     "reality_tol", "indicator_floor", "bisect_tol", "ep3_gamma_tol", "ambiguous_gap",
@@ -365,9 +365,9 @@ def _rule_exit(records) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    spec = _chain_from_config(cfg)
-    sp = spectrum_with_indices(build_hamiltonian(spec), build_parity(cfg.n),
-                               **cfg.solve_tols())
+    sp = sector_spectra(sector_blocks(_chain_from_config(cfg)), cfg.n, **cfg.solve_tols())[0]
+    if isinstance(sp, Exception):  # an exact EP exits 2
+        raise sp
     _table_output(cfg, "levels", ("level_id", "re_eps", "im_eps", "z2_index", "ep_indicator"),
                   [(lv.label, lv.eigenvalue.real, lv.eigenvalue.imag, lv.z2_index or 0,
                     lv.ep_indicator) for lv in sp.levels])

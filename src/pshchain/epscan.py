@@ -26,7 +26,7 @@ import numpy as np
 
 from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
                       IndexIllDefined, LevelRecord, sector_spectra)
-from .model import (ChainSpec, check_normalized, gain_generator, normalized_blocks,
+from .model import (ChainSpec, check_normalized, gain_diagonal, normalized_blocks,
                     sector_blocks)
 from .numerics import linear_sum_assignment
 
@@ -704,8 +704,7 @@ def predict_gamma_cr(spec: ChainSpec, pair):
     la, lb = sp.levels[a], sp.levels[b]
     if la.z2_index is None or lb.z2_index is None:
         raise IndexIllDefined("pair indices undefined at the gain-free point")
-    v = gain_generator(spec)
-    w = complex(np.vdot(lb.left, v @ la.right))
+    w = complex(np.vdot(lb.left, gain_diagonal(spec) * la.right))
     floor = 1e-8 * spec.n
     if abs(w) < floor:
         raise AccidentallyZeroElement(abs(w), floor)
@@ -982,15 +981,14 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
              for j in j_vals[:(probes + 1) // 2 if mirrored else probes]]
     results = list(_imap(_candidate_probe, grids, workers, 1))
-    if mirrored:  # the mirror of a probe's first merges
+    if mirrored and probes % 2 == 0:  # the middle bracket's right end: its left end's mirror
         top = (1 << n) - 1
-        results += [{top - k: (g, top - p) for k, (g, p) in r.items()}
-                    for r in results[probes // 2 - 1::-1]]
+        results.append({top - k: (g, top - p) for k, (g, p) in results[-1].items()})
 
     candidates = []
     # with a mirror, only the brackets up to the middle are read; the others
     # (bracket i is the mirror of bracket probes - 2 - i) take their mirrors' candidates
-    for i in range(probes // 2 if mirrored else probes - 1):
+    for i in range(len(results) - 1):
         left, right = results[i], results[i + 1]
         for mid in sorted(set(left) & set(right)):
             g_a, part_a = left[mid]
@@ -1065,7 +1063,8 @@ def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
 def verify_selection_rule(records) -> list[dict]:
     """Check every record against the index selection rules.
 
-    Order-2 records must join opposite indices; order-3 records must carry a
+    Each record needs one defined index per level of its order: order-2
+    records must join opposite indices, order-3 records must carry a
     staggered signature (s, -s, s). Returns the list of violations (empty on
     success); violations are data, not errors.
     """
@@ -1073,16 +1072,16 @@ def verify_selection_rule(records) -> list[dict]:
     for rec in records:
         idx = rec.indices
         if any(i not in (-1, 1) for i in idx):
-            violations.append({"record": rec.to_dict(), "reason": "undefined index"})
-        elif rec.order == 2:
-            if idx[0] * idx[1] != -1:
-                violations.append({"record": rec.to_dict(),
-                                   "reason": "second-order point with equal indices"})
-        elif rec.order == 3:
-            if not (idx[0] == idx[2] == -idx[1]):
-                violations.append({"record": rec.to_dict(),
-                                   "reason": "third-order point without staggered signature"})
+            reason = "undefined index"
+        elif rec.order not in (2, 3):
+            reason = f"unsupported order {rec.order}"
+        elif len(idx) != rec.order:
+            reason = "index count does not match order"
+        elif rec.order == 2 and idx[0] == idx[1]:
+            reason = "second-order point with equal indices"
+        elif rec.order == 3 and not idx[0] == idx[2] == -idx[1]:
+            reason = "third-order point without staggered signature"
         else:
-            violations.append({"record": rec.to_dict(),
-                               "reason": f"unsupported order {rec.order}"})
+            continue
+        violations.append({"record": rec.to_dict(), "reason": reason})
     return violations

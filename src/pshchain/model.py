@@ -340,14 +340,21 @@ def psh_residual(h, zeta) -> float:
     return float(np.linalg.norm(z @ a - a.conj().T @ z))
 
 
+def gain_diagonal(spec: ChainSpec) -> np.ndarray:
+    """The diagonal of :func:`gain_generator`, i * sum_n (-1)^(n-1) sz_n per
+    basis state, without the dense 2^N x 2^N matrix."""
+    if spec.staggered_gamma() is None:
+        raise ValueError("gain generator is defined for staggered profiles only")
+    v = np.zeros(spec.dim, dtype=np.complex128)
+    v.imag = (-1.0) ** np.arange(spec.n) @ _sites(spec.n).z
+    return v
+
+
 def gain_generator(spec: ChainSpec) -> np.ndarray:
     """Derivative of H with respect to the staggered gain strength.
 
-    V = i * sum_n (-1)^(n-1) sz_n, an anti-Hermitian diagonal matrix. Only
-    defined for chains whose profile is (a multiple of) the staggered one.
+    V = i * sum_n (-1)^(n-1) sz_n, an anti-Hermitian diagonal matrix
+    (:func:`gain_diagonal`). Only defined for chains whose profile is (a
+    multiple of) the staggered one.
     """
-    if spec.staggered_gamma() is None:
-        raise ValueError("gain generator is defined for staggered profiles only")
-    v = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    np.fill_diagonal(v.imag, (-1.0) ** np.arange(spec.n) @ _sites(spec.n).z)
-    return v
+    return np.diag(gain_diagonal(spec))

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pshchain import (build_hamiltonian, build_parity, cli, epscan, full_spectrum,
-                      spectrum_with_indices)
+from pshchain import (biortho, build_hamiltonian, build_parity, cli, epscan, full_spectrum,
+                      model, numerics, spectrum_with_indices)
+from pshchain.biortho import sector_spectra
 from pshchain.cli import (RunConfig, UsageError, _config_from_args, build_parser,
                           load_ep_records, main)
-from pshchain.model import NormalizedPoint
+from pshchain.model import NormalizedPoint, sector_blocks
+from pshchain.numerics import linear_sum_assignment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -112,12 +114,42 @@ class TestSpectrumCommand:
                      "--output", str(out)]) == 0
         rows = read_csv(out)
         assert len(rows) == 16
-        sp = spectrum_with_indices(
-            build_hamiltonian(NormalizedPoint(0.5, 0.21).chain(4)), build_parity(4))
-        for row, lv in zip(rows, sp.levels):
+        spec = NormalizedPoint(0.5, 0.21).chain(4)
+        sp = sector_spectra(sector_blocks(spec), 4)[0]
+        for row, lv in zip(rows, sp.levels, strict=True):  # the engine's levels, to the bit
+            assert int(row["level_id"]) == lv.label
             assert float(row["re_eps"]) == lv.eigenvalue.real
             assert float(row["im_eps"]) == lv.eigenvalue.imag
             assert int(row["z2_index"]) == (lv.z2_index or 0)
+            assert float(row["ep_indicator"]) == lv.ep_indicator
+        # the general-matrix reference, level by level after matching
+        ref = spectrum_with_indices(build_hamiltonian(spec), build_parity(4))
+        got = np.array([complex(float(r["re_eps"]), float(r["im_eps"])) for r in rows])
+        match, _ = linear_sum_assignment(np.abs(ref.eigenvalues[:, None] - got[None, :]))
+        assert np.max(np.abs(ref.eigenvalues - got[match])) <= 1e-12
+        z2 = np.array([int(r["z2_index"]) for r in rows])[match]
+        close = np.abs(ref.eigenvalues[:, None] - ref.eigenvalues[None, :]) <= 1e-9
+        for cluster in close:  # the index multiset of each degenerate cluster
+            assert sorted(z2[cluster]) == sorted(ref.z2[cluster])
+
+    def test_conjugate_pairs_in_adjacent_rows(self, tmp_path):
+        # a pair's members share their real part to the bit, so their row
+        # order does not turn on rounding: the lower half-plane comes first
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--n", "6", "--jt", "-0.84184", "--gt", "0.3",
+                     "--output", str(out)]) == 0
+        rows = read_csv(out)
+        complex_rows = [k for k, r in enumerate(rows) if float(r["im_eps"]) != 0.0]
+        assert len(complex_rows) == 52
+        for k in complex_rows[::2]:
+            low, high = rows[k], rows[k + 1]
+            assert low["re_eps"] == high["re_eps"]
+            assert float(low["im_eps"]) == -float(high["im_eps"]) < 0
+
+    def test_exact_ep_exits_2(self, capsys):
+        # decoupled spins at their own EPs: the solve is defective
+        assert main(["spectrum", "--n", "4", "--jt", "0", "--gt", "1"]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: defective eigensystem")
 
     def test_gain_free_matches_oracle(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -499,13 +531,13 @@ class TestSolveTolerances:
         seen = []
 
         def recording(original):
-            def solve(h, zeta, **kw):
+            def solve(blocks, n, **kw):
                 seen.append((kw.get("reality_tol"), kw.get("indicator_floor")))
-                return original(h, zeta, **kw)
+                return original(blocks, n, **kw)
             return solve
 
-        for module, name in ((epscan, "sector_spectra"), (cli, "spectrum_with_indices")):
-            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        for module in (epscan, cli):
+            monkeypatch.setattr(module, "sector_spectra", recording(module.sector_spectra))
         out = tmp_path / ("out.csv" if argv[0] in ("sweep", "spectrum", "crossings")
                           else "out.json")
         tols = ["--tol", "reality_tol=2e-8", "--tol", "indicator_floor=2e-6"]
@@ -515,6 +547,38 @@ class TestSolveTolerances:
             tols = ["--config", str(cfg)]
         assert main([*argv, *tols, "--output", str(out)]) == 0
         assert seen and set(seen) == {(2e-8, 2e-6)}
+
+
+#: One call of every command, at small N.
+EVERY_COMMAND = [
+    ["spectrum", "--n", "4", "--jt", "0.5", "--gt", "0.21"],
+    ["oracle", "--n", "4", "--j", "0.6", "--delta", "0.8"],
+    ["sweep", *N2_GAIN_LINE],
+    ["verify", "--n", "4", "--points", "41", "--gammas", "0.21"],
+    ["crossings", "--n", "4", "--points", "101"],
+    ["find-ep", "--order", "2", *N2_GAIN_LINE],
+    ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.78", "--j-stop", "-0.75",
+     "--g-start", "0.35", "--g-stop", "0.45", "--triple", "3", "4", "7",
+     "--tol", "ep3_gamma_tol=1e-3"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_no_command_takes_the_dense_path(argv, tmp_path, monkeypatch):
+    # every command solves on the sector engine; the dense builders and the
+    # general solve are the tests' reference only
+    def dense(*args, **kw):
+        raise AssertionError("dense path called")
+
+    names = ("build_hamiltonian", "build_parity", "spectrum_with_indices", "eig_general")
+    for module in (model, numerics, biortho, epscan, cli):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+    out = tmp_path / ("out.csv" if argv[0] in ("sweep", "spectrum", "crossings")
+                      else "out.json")
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 class TestDeterminism:

@@ -846,6 +846,15 @@ class TestVerifySelectionRule:
                        levels=(0, 1), indices=(0, 1), residual=0.0, bracket_width=0.0)
         assert verify_selection_rule([rec])[0]["reason"] == "undefined index"
 
+    @pytest.mark.parametrize("order, indices", [(3, (1, -1)), (2, (1,)), (2, (1, -1, 1))])
+    def test_index_count_must_match_order(self, order, indices):
+        # a record read back from a file can carry any number of indices
+        rec = EPRecord.from_dict({"order": order, "location": {"j_tilde": 0.1, "gamma_tilde": 0.2},
+                                  "levels": list(range(order)), "indices": list(indices),
+                                  "residual": 0.0, "bracket_width": 0.0})
+        assert ([v["reason"] for v in verify_selection_rule([rec])]
+                == ["index count does not match order"])
+
 
 @pytest.fixture(scope="module")
 def record():
