@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import sector_bases
-from .numerics import (CLUSTER_SCALE, EigenSystem, NearDefective, as_complex_matrix,
+from .numerics import (CLUSTER_SCALE, AtExceptionalPoint, EigenSystem, as_complex_matrix,
                        column_norms, eig_blocks, eig_general, linear_sum_assignment)
 
 #: Indicator value below which the Z2 index is reported undefined.
@@ -51,17 +51,6 @@ REALITY_SCALE = 1e-8
 #: Condition number of a real cluster's Gram matrix above which its raw
 #: eigenvectors, nearly parallel, no longer pin down the cluster's eigenspace.
 GRAM_COND_MAX = 1e10
-
-
-class AtExceptionalPoint(RuntimeError):
-    """The matrix is numerically defective; no biorthogonal basis exists."""
-
-    def __init__(self, cond: float, message: str | None = None):
-        self.cond = float(cond)
-        super().__init__(message or f"defective eigensystem (condition {self.cond:.3e})")
-
-    def __reduce__(self):  # pickle rebuilds it from (cond, message), as from a pool worker
-        return type(self), (self.cond, str(self))
 
 
 class IndexIllDefined(RuntimeError):
@@ -208,13 +197,14 @@ def _pair_conjugates(values: np.ndarray, is_real: np.ndarray, pair_tol: float) -
 def _clusters(close: np.ndarray) -> list[np.ndarray]:
     """Groups of two or more levels chained by ``close``, a symmetric boolean
     matrix with a true diagonal; each group in ascending order."""
-    label = np.arange(close.shape[0])
+    label = levels = np.arange(close.shape[0])
     while True:  # every level takes the smallest label among its neighbours
         new = np.min(np.where(close, label, close.shape[0]), axis=1)
         if np.array_equal(new, label):
             break
         label = new
-    return [g for g in (np.flatnonzero(label == k) for k in np.unique(label)) if g.size > 1]
+    # a group's label is its smallest level (np.unique would import numpy.ma)
+    return [g for g in (np.flatnonzero(label == k) for k in levels[label == levels]) if g.size > 1]
 
 
 def _block_cluster(z: np.ndarray, rc: np.ndarray, lc: np.ndarray):
@@ -295,8 +285,7 @@ class _Levels(NamedTuple):
 def _good_points(st):
     """The exceptions of the failed points of a raw stack ``st``, the indices of
     the others, and the map that selects the others from an array over the stack."""
-    out = [AtExceptionalPoint(exc.cond) if isinstance(exc, NearDefective) else exc
-           for exc in st.errors]
+    out = list(st.errors)
     good = [b for b, exc in enumerate(st.errors) if exc is None]
     # the failed points drop out of the vectorized rescaling
     return out, good, (lambda x: x) if len(good) == len(out) else (lambda x: x[good])
@@ -479,10 +468,7 @@ def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
     z = as_complex_matrix(zeta)
     if a.shape != z.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {z.shape}")
-    try:
-        es = eig_general(a)
-    except NearDefective as exc:
-        raise AtExceptionalPoint(exc.cond) from exc
+    es = eig_general(a)
     values, scale = es.eigenvalues[None], np.array([es.scale])
     rtol = _reality_tol(values, None)
     levels, failed = _rescale(a[None], z, values, es.right[None], es.left[None], scale, rtol,

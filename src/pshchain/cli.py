@@ -24,14 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .biortho import INDICATOR_FLOOR, AtExceptionalPoint, IndexIllDefined, sector_spectra
+from .biortho import INDICATOR_FLOOR, IndexIllDefined, sector_spectra
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
                      NoEPInBracket, SweepGrid, check_levels, classify_crossings, find_ep2,
                      find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
                      rises_on_axis, sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, sector_blocks
-from .numerics import NearDefective
+from .numerics import AtExceptionalPoint
 from .oracle import full_spectrum
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
@@ -48,8 +48,8 @@ DEFAULT_GAMMAS = (0.05, 0.21, 0.40125, 0.48375)
 #: Each axis's span where no start or stop is given.
 _DEFAULT_SPAN = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, 1.0)}
 
-_NUMERIC_ERRORS = (NearDefective, AtExceptionalPoint, IndexIllDefined, NoEPInBracket,
-                   NoEP3InBox, AccidentallyZeroElement, ArithmeticError)
+_NUMERIC_ERRORS = (AtExceptionalPoint, IndexIllDefined, NoEPInBracket, NoEP3InBox,
+                   AccidentallyZeroElement, ArithmeticError)
 
 # Commands that offer a group of flags.
 _SPAN = ("sweep", "find-ep", "verify", "crossings")
@@ -275,13 +275,25 @@ def load_ep_records(path) -> list[EPRecord]:
     return [EPRecord.from_dict(d) for d in data["records"]]
 
 
+def _records_path(path) -> Path:
+    """The record JSON beside a sweep's CSV ``path``: same stem, ``.json`` suffix.
+    Raises ValueError where that is ``path`` itself."""
+    sibling = Path(path).with_suffix(".json")
+    if sibling == Path(path):
+        raise ValueError(f"output.path {str(path)!r} ends in .json, where the sweep's "
+                         f"records go; give the CSV another suffix")
+    return sibling
+
+
 def emit_figure_data(tracks, records, path, skipped=()) -> None:
     """Write sweep tracks as figure-ready CSV plus a sibling record JSON.
 
     CSV columns: grid_value, level_id, re_eps, im_eps, z2_index
     (-1 / 0 undefined / +1), ep_indicator. The sibling JSON (same stem,
-    ``.json`` suffix) carries the refined exceptional-point records.
+    ``.json`` suffix) carries the refined exceptional-point records, so a
+    ``path`` that ends in ``.json`` raises ValueError.
     """
+    sibling = _records_path(path)
     grid = tracks[0].grid
     rows = []
     for p, value in enumerate(grid.points):
@@ -290,7 +302,6 @@ def emit_figure_data(tracks, records, path, skipped=()) -> None:
                          tr.eigenvalues[p].imag, tr.z2[p], tr.indicator[p]))
     header = ("grid_value", "level_id", "re_eps", "im_eps", "z2_index", "ep_indicator")
     _write_text(str(path), _csv_text(header, rows))
-    sibling = Path(path).with_suffix(".json")
     _write_text(str(sibling), _json_text(_records_json(records, skipped)))
 
 
@@ -386,6 +397,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for sweep")
+    _records_path(cfg.output_path)  # checked before the sweep, so a refused path costs no solve
     tracks = sweep(_grid_from_config(cfg), workers=cfg.workers)
     records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", BISECT_TOL))
     emit_figure_data(tracks, records, cfg.output_path, skipped=skipped)

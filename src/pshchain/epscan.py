@@ -24,11 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .biortho import (INDICATOR_FLOOR, AtExceptionalPoint, BiorthoSpectrum,
-                      IndexIllDefined, LevelRecord, sector_spectra)
+from .biortho import INDICATOR_FLOOR, BiorthoSpectrum, IndexIllDefined, LevelRecord, sector_spectra
 from .model import (ChainSpec, check_normalized, gain_diagonal, normalized_blocks,
                     sector_blocks)
-from .numerics import linear_sum_assignment
+from .numerics import AtExceptionalPoint, linear_sum_assignment
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
 # these full-matrix entries under the names this module shares with cli.
@@ -962,8 +961,9 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     bracket, ready for :func:`find_ep3`.
 
     A window symmetric about j = 0 gets an exactly symmetric probe grid: the
-    probes with j <= 0 are solved, and the others and the candidates with
-    j > 0 are their coupling mirrors. Any other window solves every probe.
+    probes with j <= 0 are solved and the others are their coupling mirrors,
+    so the candidates are those of a scan that solves every probe of that
+    grid. Any other window solves every probe.
     Windows that are not two finite rising values on their axes, and fewer
     than two probes, raise ValueError.
     """
@@ -981,13 +981,12 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
              for j in j_vals[:(probes + 1) // 2 if mirrored else probes]]
     results = list(_imap(_candidate_probe, grids, workers, 1))
-    if mirrored and probes % 2 == 0:  # the middle bracket's right end: its left end's mirror
+    if mirrored:  # the probes with j > 0: the mirrors of the solved ones
         top = (1 << n) - 1
-        results.append({top - k: (g, top - p) for k, (g, p) in results[-1].items()})
+        results += [{top - k: (g, top - p) for k, (g, p) in r.items()}
+                    for r in reversed(results[:probes // 2])]
 
     candidates = []
-    # with a mirror, only the brackets up to the middle are read; the others
-    # (bracket i is the mirror of bracket probes - 2 - i) take their mirrors' candidates
     for i in range(len(results) - 1):
         left, right = results[i], results[i + 1]
         for mid in sorted(set(left) & set(right)):
@@ -1007,11 +1006,7 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     merged: dict = {}
     for c in candidates:
         merged.setdefault((frozenset(c["triple"]), c["j_bracket"]), c)
-    found = list(merged.values())
-    if mirrored:  # mirrored, not merged again: the choice of the first is not mirror-symmetric
-        found += [_mirror_candidate(c, n) for c in found
-                  if c["j_bracket"][0] != -c["j_bracket"][1]]
-    return sorted(found, key=lambda c: (c["triple"], c["j_bracket"]))
+    return list(merged.values())
 
 
 def _ep3_task(args) -> EPRecord | NoEP3InBox:

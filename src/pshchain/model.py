@@ -215,7 +215,7 @@ def sector_bases(n: int) -> tuple[SectorBasis, SectorBasis]:
     element = np.argmax(images[:, rep] == states, axis=0)  # g with g(rep) = state
     fixed = images == states  # the stabilizer of each state
     length = 4 // fixed.sum(axis=0)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(rep == states)  # (np.unique would import numpy.ma)
     bonds = np.sum(sites.z[:-1] * sites.z[1:], axis=0)
     bases = []
     for q in (1, -1):

@@ -4,7 +4,7 @@ problem that matches levels between points.
 Two solvers share one contract: residuals checked against ``DEFAULT_TOL *
 ||M||_F``, and a near-defective input (condition number of the
 right-eigenvector matrix above ``DEFECT_THRESHOLD``) reported as
-:class:`NearDefective` instead of returning garbage vectors.
+:class:`AtExceptionalPoint` instead of returning garbage vectors.
 
 * :func:`eig_blocks` is the solve engine's: real block-diagonal matrices,
   solved block by block with LAPACK's real solve, right vectors only.
@@ -43,20 +43,12 @@ DEFECT_THRESHOLD = 1e12
 CLUSTER_SCALE = 1e-8
 
 
-class NearDefective(RuntimeError):
-    """Right-eigenvector basis is numerically singular.
-
-    Raised when the condition number of the right-eigenvector matrix exceeds
-    the defectiveness threshold, which happens in the immediate vicinity of
-    an exceptional point. Carries the condition estimate in ``cond``.
-    """
+class AtExceptionalPoint(RuntimeError):
+    """The matrix is numerically defective; no biorthogonal basis exists."""
 
     def __init__(self, cond: float, message: str | None = None):
         self.cond = float(cond)
-        super().__init__(
-            message
-            or f"eigenvector basis condition number {self.cond:.3e} exceeds threshold"
-        )
+        super().__init__(message or f"defective eigensystem (condition {self.cond:.3e})")
 
     def __reduce__(self):  # pickle rebuilds it from (cond, message), as from a pool worker
         return type(self), (self.cond, str(self))
@@ -141,7 +133,7 @@ def _frobenius(blocks) -> np.ndarray:
 def _errors(cond: np.ndarray, residual: np.ndarray, bound: np.ndarray,
             failed: np.ndarray) -> list:
     """Per matrix: an ``ArithmeticError`` if its eigenvalues did not converge
-    (``failed``), :class:`NearDefective`, an ``ArithmeticError`` for a residual
+    (``failed``), :class:`AtExceptionalPoint`, an ``ArithmeticError`` for a residual
     above its bound, or None."""
     defective = ~np.isfinite(cond) | (cond > DEFECT_THRESHOLD)
     errors: list = [None] * len(cond)
@@ -149,7 +141,7 @@ def _errors(cond: np.ndarray, residual: np.ndarray, bound: np.ndarray,
         if failed[b]:
             errors[b] = ArithmeticError("eigenvalues did not converge")
         elif defective[b]:
-            errors[b] = NearDefective(cond[b])
+            errors[b] = AtExceptionalPoint(cond[b])
         else:
             errors[b] = ArithmeticError(
                 f"eigendecomposition residuals {residual[b]:.3e} exceed {bound[b]:.3e}")
@@ -171,7 +163,7 @@ class BlockStack:
     right eigenvectors, and the column of each eigenvalue's exact conjugate
     partner (-1 for a real eigenvalue). ``scale`` (Frobenius norm),
     ``cond_right`` are per matrix, of all its blocks together. ``errors[b]``
-    is the exception matrix ``b`` failed with (:class:`NearDefective` or
+    is the exception matrix ``b`` failed with (:class:`AtExceptionalPoint` or
     ``ArithmeticError``) or None; the arrays of a failed entry carry no meaning.
     """
 
@@ -235,7 +227,7 @@ def eig_general(m) -> EigenSystem:
     orderings. Residuals ||M R_n - lambda_n R_n|| and ||L_n^+ M - lambda_n L_n^+||
     are verified against the constant ``DEFAULT_TOL * ||M||_F``. A
     near-defective input (condition number of the right-eigenvector matrix
-    above the constant ``DEFECT_THRESHOLD``) raises :class:`NearDefective`
+    above the constant ``DEFECT_THRESHOLD``) raises :class:`AtExceptionalPoint`
     instead of returning garbage vectors, and eigenvalues that do not
     converge raise ``ArithmeticError``. For an exactly complex-symmetric
     matrix (M^T = M) the left eigenvectors are the conjugated right ones, so

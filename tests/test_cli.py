@@ -232,6 +232,16 @@ class TestSweepCommand:
         assert main(["sweep", "--n", "2", "--axis", "gt", "--fixed", "0.5",
                      "--start", "0", "--stop", "0.4", "--points", "5"]) == 1
 
+    def test_json_output_is_refused(self, tmp_path, capsys):
+        # the records go to the CSV's .json sibling, which here is the CSV itself
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--n", "2", "--axis", "gt", "--fixed", "0.7071", "--start", "0",
+                     "--stop", "0.4", "--points", "5", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: output.path ")
+        assert not out.exists()
+        with pytest.raises(ValueError, match="output.path"):
+            cli.emit_figure_data([], [], out)
+
     def test_gain_axis_default_span(self, tmp_path):
         # the default span was -1..1 on both axes, so a gain sweep needed --start
         out = tmp_path / "gain.csv"
@@ -660,21 +670,22 @@ biortho._real_cluster = counted("cluster", biortho._real_cluster)
 tracks = epscan.sweep(SweepGrid(AXIS_COUPLING, 0.21, tuple(np.linspace(-1.0, 1.0, 41)), 4))
 records, _ = epscan.locate_ep2_records(tracks)
 SweepGrid(AXIS_COUPLING, 0.0, (0.0, 0.5), 4).solver()(0.0)
-print(json.dumps({"records": len(records), **calls,
+print(json.dumps({"records": len(records), **calls, "numpy.ma": "numpy.ma" in sys.modules,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def test_cold_start_does_not_import_scipy():
     # importing scipy takes a fresh process about 0.5 s and 48 MB, which every
-    # CLI call would pay before any physics
+    # CLI call would pay before any physics; numpy.ma, which the first
+    # np.unique call imports, takes about 15 ms
     proc = subprocess.run([sys.executable, "-c", COLD_START],
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["records"] > 0 and seen["assignment"] > 0 and seen["cluster"] > 0
-    assert seen["scipy"] == []
+    assert seen["scipy"] == [] and not seen["numpy.ma"]
 
 
 class TestTracerContract:

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import assert_same_spectrum, same_blocks, solve_chain
 from pshchain import epscan
 from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
-                      ChainSpec, EPRecord, IndexIllDefined, NearDefective, NoEP3InBox,
+                      ChainSpec, EPRecord, IndexIllDefined, NoEP3InBox,
                       NoEPInBracket, NormalizedPoint, SweepGrid, build_hamiltonian,
                       build_parity, classify_crossings, find_ep2, find_ep3,
                       find_ep3_candidates, gain_generator, locate_ep2_records,
@@ -153,7 +153,7 @@ class TestMatch:
 class TestPool:
     @pytest.mark.parametrize("exc", [
         AtExceptionalPoint(1e20), AtExceptionalPoint(np.inf, "defective degenerate cluster"),
-        NearDefective(3e13), AccidentallyZeroElement(1e-20, 1e-12), IndexIllDefined("zeta"),
+        AccidentallyZeroElement(1e-20, 1e-12), IndexIllDefined("zeta"),
         NoEPInBracket("no boundary"), NoEP3InBox("no wedge"), UsageError("bad flag"),
     ], ids=lambda exc: type(exc).__name__)
     def test_exceptions_survive_pickle(self, exc):
@@ -878,6 +878,10 @@ class TestFindEp3:
         left = triple_pairing(4, js - 2e-3, gs + 2e-3, (3, 4, 7))
         right = triple_pairing(4, js + 2e-3, gs + 2e-3, (3, 4, 7))
         assert {left.kind, right.kind} == {"low-mid", "mid-up"}
+
+    def test_gain_free_triple_is_all_real(self):
+        # no gain, no conjugate pair: the triple has no pairing
+        assert triple_pairing(4, -0.7, 0.0, (3, 4, 7)).kind == "none"
 
     def test_empty_box_raises(self):
         with pytest.raises(NoEP3InBox):

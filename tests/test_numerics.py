@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import ID2, PAULI_X, PAULI_Z, kron_chain
-from pshchain import (DEFAULT_TOL, ChainSpec, NearDefective, NormalizedPoint,
+from pshchain import (DEFAULT_TOL, AtExceptionalPoint, ChainSpec, NormalizedPoint,
                       build_hamiltonian, build_parity, eig_general, spectrum_with_indices)
 from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
 
@@ -46,13 +46,13 @@ class TestEigGeneral:
         assert np.allclose(np.abs(sys.right), np.eye(2))
 
     def test_jordan_block_raises(self):
-        with pytest.raises(NearDefective):
+        with pytest.raises(AtExceptionalPoint):
             eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_near_defective_carries_condition(self):
         # the refusal reports a condition estimate above the fixed threshold;
         # close to (but not at) the defective point the solve still succeeds
-        with pytest.raises(NearDefective) as exc:
+        with pytest.raises(AtExceptionalPoint) as exc:
             eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert exc.value.cond > DEFECT_THRESHOLD
         eig_general(psh_2x2(a=1.0 + 1e-12, w=1.0))

@@ -16,13 +16,13 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import (assert_same_spectrum, build_sector_blocks, mirror_chains,
                       reference_hamiltonian, reference_mirror, solve_chain)
-from pshchain import (AXIS_COUPLING, AtExceptionalPoint, ChainSpec, NearDefective,
+from pshchain import (AXIS_COUPLING, AtExceptionalPoint, ChainSpec,
                       NormalizedPoint, SweepGrid, build_hamiltonian, build_parity,
                       locate_ep2_records, spectrum_with_indices, sweep)
 from pshchain import biortho, numerics
 from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
 from pshchain.model import sector_bases, sector_blocks
-from pshchain.numerics import CLUSTER_SCALE, eig_blocks
+from pshchain.numerics import CLUSTER_SCALE, DEFECT_THRESHOLD, eig_blocks
 
 #: Eigenvector condition number up to which a point counts as well posed: its
 #: indices and biorthonormal vectors are then determined to rounding. Nearer
@@ -374,7 +374,9 @@ class TestEigBlocks:
     def test_defective_block_is_reported_per_matrix(self):
         jordan = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]])
         st_ = eig_blocks((jordan, np.ones((2, 1, 1))))
-        assert isinstance(st_.errors[0], NearDefective)
+        assert isinstance(st_.errors[0], AtExceptionalPoint)
+        assert st_.errors[0].cond == st_.cond_right[0] > DEFECT_THRESHOLD
+        assert str(st_.errors[0]).startswith("defective eigensystem (condition ")
         assert st_.errors[1] is None
 
     def test_rejects_nonfinite(self):
