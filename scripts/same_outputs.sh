@@ -7,8 +7,10 @@
 # seed-0 CLI calls of the three benchmark workloads (perfbench/run.py), the
 # ep3_n4 call with 1 and with 2 workers, an EP3 search over an asymmetric
 # coupling window (which solves every probe and every candidate, without the
-# coupling mirror), one N=6 gain sweep through many EP2s, and four `spectrum`
-# calls.
+# coupling mirror), one N=6 gain sweep through many EP2s, four `spectrum`
+# calls, the gain-free crossing classification at N=4 (which refines every
+# sign change of a pair's gap) and one `find-ep --pair` search (which
+# refines one pair's EP2 over the whole span).
 #
 # Against ba0f014 and older commits, the four spectrum_*.out files differ on
 # purpose: `spectrum` solved the dense 2^N matrix there and solves its two Q
@@ -54,6 +56,8 @@ calls=(
     "spectrum_n4_profile|spectrum --n 4 --jt 0.5 --profile 0.3,-0.1,0.1,-0.3"
     "spectrum_n6_degenerate|spectrum --n 6 --jt 0 --gt 0 --format json"
     "spectrum_n6|spectrum --n 6 --jt -0.84184 --gt 0.3"
+    "crossings_n4|crossings --n 4 --points 801"
+    "ep2_pair|find-ep --order 2 --n 4 --axis gt --fixed -0.95 --start 0 --stop 0.004 --points 101 --pair 0 1"
 )
 
 run_tree() {  # tree, output directory

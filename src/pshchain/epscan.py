@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .biortho import INDICATOR_FLOOR, BiorthoSpectrum, IndexIllDefined, LevelRecord, sector_spectra
-from .model import (ChainSpec, check_normalized, gain_diagonal, normalized_blocks,
-                    sector_blocks)
+from .model import (ChainSpec, check_chain_length, check_normalized, gain_diagonal,
+                    normalized_blocks, sector_blocks)
 from .numerics import AtExceptionalPoint, linear_sum_assignment
 
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
@@ -183,8 +183,7 @@ class SweepGrid:
     def __post_init__(self):
         if self.axis not in AXIS_RANGE:
             raise ValueError(f"axis must be one of {tuple(AXIS_RANGE)}, got {self.axis!r}")
-        if not isinstance(self.n, int) or self.n <= 0 or self.n % 2:
-            raise ValueError(f"n must be a positive even integer, got {self.n!r}")
+        check_chain_length(self.n)
         for name in ("reality_tol", "indicator_floor"):
             value = getattr(self, name)
             if not (value is None and name == "reality_tol"
@@ -321,6 +320,36 @@ def _bisect(inside, p_in: float, p_out: float, tol: float, max_iter: int = 200):
     return p_in, p_out
 
 
+def _matched(state, sp: BiorthoSpectrum):
+    """Columns of ``sp`` matched to the levels of ``state``, a ``(spectrum, columns)``."""
+    ref, cols = state
+    return _match(ref.eigensystem.left[:, cols], sp.eigensystem.right)[0]
+
+
+def _tracked(sp: BiorthoSpectrum, cols, p_in: float, p_out: float, tol: float, inside):
+    """Bisect (p_in, p_out) following the levels ``cols`` of ``sp``, solved at ``p_in``.
+
+    A refinement (see :func:`_bisect`): each probe's levels are matched to
+    those of the last probe inside, where they are still apart, and
+    ``inside(spectrum, columns)`` places the probe. Returns the final ends,
+    the last inside ``(spectrum, columns)`` (``(sp, cols)`` before any) and
+    the last outside one (None before any).
+    """
+    last_in, last_out = (sp, cols), None
+
+    def side(probe):
+        nonlocal last_in, last_out
+        state = probe, _matched(last_in, probe)
+        if inside(*state):
+            last_in = state
+            return True
+        last_out = state
+        return False
+
+    p_in, p_out = yield from _bisect(side, p_in, p_out, tol)
+    return p_in, p_out, last_in, last_out
+
+
 def _run(refinement, solve):
     """Result of one refinement generator, each probe ``p`` answered with ``solve(p)``."""
     try:
@@ -436,17 +465,9 @@ class EPRecord:
                    bracket_width=float(d["bracket_width"]))
 
 
-def _pair_state(sp: BiorthoSpectrum, ca: int, cb: int) -> dict:
-    cols = [ca, cb]
-    values = sp.eigenvalues[cols]
-    return {
-        "mutual": bool(sp.partner[ca] == cb and sp.partner[cb] == ca),
-        "both_real": bool(np.all(np.abs(values.imag) <= sp.reality_tol)),
-        "gap": float(abs(values[0] - values[1])),
-        "z2": tuple(int(i) or None for i in sp.z2[cols]),
-        "indicator": tuple(float(i) for i in sp.indicator[cols]),
-        "left": sp.eigensystem.left[:, cols],
-    }
+def _mutual(sp: BiorthoSpectrum, cols) -> bool:
+    """True when the two levels in ``cols`` are each other's conjugate partner."""
+    return bool(sp.partner[cols[0]] == cols[1] and sp.partner[cols[1]] == cols[0])
 
 
 def locate_reality_boundary(solve, p_real: float, p_complex: float,
@@ -466,37 +487,27 @@ def locate_reality_boundary(solve, p_real: float, p_complex: float,
 
 
 def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
-    """:func:`locate_reality_boundary` as a refinement (see :func:`_bisect`)."""
-    state_r = _pair_state((yield p_real), *pair)
-    if state_r["mutual"]:
+    """:func:`locate_reality_boundary` as a refinement (see :func:`_tracked`)."""
+    real = (yield p_real), list(pair)
+    if _mutual(*real):
         raise NoEPInBracket("pair is already complex on the declared real side")
-
-    def real_side(sp):
-        nonlocal state_r
-        state = _pair_state(sp, *_match(state_r["left"], sp.eigensystem.right)[0])
-        if state["mutual"]:
-            return False
-        state_r = state
-        return True
-
-    if real_side((yield p_complex)):
+    sp = yield p_complex
+    if not _mutual(sp, _matched(real, sp)):
         raise NoEPInBracket("pair is not complex-conjugate on the complex side")
-    pr, pc = yield from _bisect(real_side, float(p_real), float(p_complex), tol)
-    if not state_r["both_real"]:
-        raise NoEPInBracket(
-            "pairing changes without a reality boundary (partner exchange)"
-        )
+    pr, pc, (sp, cols), _ = yield from _tracked(*real, float(p_real), float(p_complex), tol,
+                                                lambda sp, cols: not _mutual(sp, cols))
+    if not np.all(np.abs(sp.eigenvalues[cols].imag) <= sp.reality_tol):
+        raise NoEPInBracket("pairing changes without a reality boundary (partner exchange)")
 
     location = 0.5 * (pr + pc)
     sp_loc = yield location
-    cols_loc, _ = _match(state_r["left"], sp_loc.eigensystem.right)
-    residual = _pair_state(sp_loc, *cols_loc)["gap"]
+    a, b = sp_loc.eigenvalues[_matched((sp, cols), sp_loc)]
     return {
         "location": location,
         "width": abs(pc - pr),
-        "residual": float(residual),
-        "real_side_z2": state_r["z2"],
-        "real_side_indicator": state_r["indicator"],
+        "residual": float(abs(a - b)),
+        "real_side_z2": tuple(int(i) or None for i in sp.z2[cols]),
+        "real_side_indicator": tuple(float(i) for i in sp.indicator[cols]),
     }
 
 
@@ -601,22 +612,17 @@ def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
 
 
 def _crossing(p_lo: float, p_hi: float, pair, d_lo: float, tol: float):
-    """:func:`_refine_crossing` as a refinement (see :func:`_bisect`)."""
-    ref = (yield p_lo).eigensystem.left[:, list(pair)]
+    """:func:`_refine_crossing` as a refinement (see :func:`_tracked`)."""
     sign_lo = math.copysign(1.0, d_lo)
     gap = abs(d_lo)
 
-    def low_side(sp):
-        nonlocal ref, gap
-        cols, _ = _match(ref, sp.eigensystem.right)
+    def low_side(sp, cols):
+        nonlocal gap
         d = float((sp.eigenvalues[cols[0]] - sp.eigenvalues[cols[1]]).real)
         gap = abs(d)
-        if math.copysign(1.0, d) != sign_lo:
-            return False
-        ref = sp.eigensystem.left[:, cols]
-        return True
+        return math.copysign(1.0, d) == sign_lo
 
-    lo, hi = yield from _bisect(low_side, p_lo, p_hi, tol)
+    lo, hi, _, _ = yield from _tracked((yield p_lo), list(pair), p_lo, p_hi, tol, low_side)
     return 0.5 * (lo + hi), gap
 
 
@@ -756,7 +762,7 @@ def _march_probe(line: _Line, gamma: float):
 def triple_pairing(n: int, j_value: float, gamma: float, triple) -> TriplePairing:
     """Pairing state of three levels (zero-gain energy ranks) at one point,
     classified at the library's default tolerances."""
-    triple = check_levels(triple, n, "triple")
+    triple = check_levels(triple, check_chain_length(n), "triple")
     check_normalized(j_value, gamma)
     sp, cols = _march_probe(_Line(AXIS_GAIN, j_value, n, None, INDICATOR_FLOOR), gamma)
     return _classify_triple(sp, cols[list(triple)])
@@ -768,30 +774,18 @@ def _all_real(sp: BiorthoSpectrum, cols) -> bool:
                 and np.all(np.abs(sp.eigenvalues[cols].imag) <= sp.reality_tol))
 
 
-def _triple_reality_boundary(p_real: float, p_cplx: float, ref: np.ndarray, tol: float):
+def _triple_reality_boundary(sp: BiorthoSpectrum, cols, p_real: float, p_cplx: float, tol: float):
     """Bisect the parameter where a tracked triple stops being all-real.
 
-    A refinement (see :func:`_bisect`) from the triple's left vectors ``ref``
-    at ``p_real``, already solved. Returns the boundary and the
-    :class:`TriplePairing` kind just outside it; matching follows the real
-    side so label bookkeeping survives the approach to the boundary.
+    A refinement (see :func:`_tracked`) from the triple's columns ``cols`` of
+    ``sp``, solved at ``p_real``. Returns the boundary and the
+    :class:`TriplePairing` kind just outside it.
     """
-    outside = None
-
-    def real_side(sp):
-        nonlocal ref, outside
-        cols, _ = _match(ref, sp.eigensystem.right)
-        if _all_real(sp, cols):
-            ref = sp.eigensystem.left[:, cols]
-            return True
-        outside = _classify_triple(sp, cols)
-        return False
-
-    pr, pc = yield from _bisect(real_side, float(p_real), float(p_cplx), tol)
+    pr, pc, real, outside = yield from _tracked(sp, cols, p_real, p_cplx, tol, _all_real)
     if outside is None:
-        sp_c = yield pc
-        outside = _classify_triple(sp_c, _match(ref, sp_c.eigensystem.right)[0])
-    return 0.5 * (pr + pc), outside.kind
+        sp = yield pc
+        outside = sp, _matched(real, sp)
+    return 0.5 * (pr + pc), _classify_triple(*outside).kind
 
 
 @dataclass(frozen=True)
@@ -817,11 +811,9 @@ def _find_wedge(line: _Line, window, triple, j_tol: float) -> _Wedge | None:
     for part in (right_part, left_part):
         spectra = _solve_values(line, j_vals[part])
         for i, (sp, cols, _) in zip(part, _follow(spectra, sp_a, cols_a)):
-            tri_cols = cols[tri]
-            states[i] = (_all_real(sp, tri_cols), sp.eigensystem.left[:, tri_cols],
-                         sp.eigenvalues[tri_cols].real, sp.z2[tri_cols])
+            states[i] = sp, cols[tri]
 
-    real_mask = [int(states[i][0]) for i in range(EP3_SAMPLES)]
+    real_mask = [int(_all_real(*states[i])) for i in range(EP3_SAMPLES)]
     if not any(real_mask):
         return None
     # widest run of all-real samples, the first of equal ones
@@ -832,14 +824,15 @@ def _find_wedge(line: _Line, window, triple, j_tol: float) -> _Wedge | None:
     anchor_idx = (lo + hi) // 2
     # march labels can swap inside complex bubbles; the physical roles
     # (lower, middle, upper) are the energy order inside the interval
-    _, _, energies, z2 = states[anchor_idx]
-    indices = tuple(int(i) for i in z2[np.argsort(energies, kind="stable")])
+    sp, cols = states[anchor_idx]
+    order = np.argsort(sp.eigenvalues[cols].real, kind="stable")
+    indices = tuple(int(i) for i in sp.z2[cols[order]])
 
     # both edges are refined together; an edge at the window's end stays there
     ends = [(lo, lo - 1), (hi, hi + 1)]
     inner = [(i, o) for i, o in ends if 0 <= o < EP3_SAMPLES]
     refined = dict(zip(inner, _lockstep(line, [_triple_reality_boundary(
-        float(j_vals[i]), float(j_vals[o]), states[i][1], j_tol) for i, o in inner])))
+        *states[i], float(j_vals[i]), float(j_vals[o]), j_tol) for i, o in inner])))
     (j_left, kind_left), (j_right, kind_right) = [
         refined.get(end, (float(j_vals[end[0]]), "edge")) for end in ends]
     return _Wedge(gamma=gamma, j_lo=j_left, j_hi=j_right, indices=indices,
@@ -858,10 +851,10 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     in the gain, with the coupling window re-centered on the last seen
     interval. The record's indices are read inside the last resolved
     interval, its residual is that interval's width, and the bracket width
-    is the final gain bracket. A bracket that is not two finite rising values
-    on its axis raises ValueError.
+    is the final gain bracket. A chain length that is not a positive even integer
+    or a bracket that is not two finite rising values on its axis raises ValueError.
     """
-    triple = check_levels(triple, n, "triple")
+    triple = check_levels(triple, check_chain_length(n), "triple")
     j_lo, j_hi = _window(AXIS_COUPLING, j_bracket, "j_bracket")
     g_lo, g_hi = _window(AXIS_GAIN, gamma_bracket, "gamma_bracket")
     pad = 0.5 * (j_hi - j_lo)

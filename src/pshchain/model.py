@@ -37,6 +37,14 @@ from .numerics import as_complex_matrix
 _PROFILE_TOL = 1e-12
 
 
+def check_chain_length(n) -> int:
+    """``n``; a ValueError unless it is a positive even integer, the lengths
+    whose staggered gain profile is mirror-antisymmetric."""
+    if not isinstance(n, int) or n <= 0 or n % 2:
+        raise ValueError(f"chain length must be a positive even integer, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Physical parameters of one chain instance.
@@ -51,8 +59,7 @@ class ChainSpec:
     gamma_profile: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n <= 0 or self.n % 2:
-            raise ValueError(f"chain length must be a positive even integer, got {self.n}")
+        check_chain_length(self.n)
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"transverse field must be finite and >= 0, got {self.delta}")
         if not math.isfinite(self.j):
@@ -197,7 +204,7 @@ class SectorBasis(NamedTuple):
         return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: n=4.0 is checked, not n=4's entry
 def sector_bases(n: int) -> tuple[SectorBasis, SectorBasis]:
     """The Q = +1 and Q = -1 blocks of an n-site chain, built once per length.
 
@@ -207,7 +214,7 @@ def sector_bases(n: int) -> tuple[SectorBasis, SectorBasis]:
     and under X, so it couples only the p = +1 and p = -1 columns of one
     orbit, by -G and +G with G = sum_n g_n sz_n of the representative.
     """
-    sites = _sites(n)
+    sites = _sites(check_chain_length(n))
     states = np.arange(1 << n)
     full = (1 << n) - 1
     images = np.stack([states, sites.reverse, states ^ full, sites.reverse ^ full])  # 1, P, X, Q
@@ -317,9 +324,7 @@ def build_parity(n: int) -> np.ndarray:
     Self-inverse and Hermitian; serves as the pseudo-metric of the model.
     The matrix is built once per chain length and returned read-only.
     """
-    if not isinstance(n, int) or n <= 0 or n % 2:
-        raise ValueError(f"chain length must be a positive even integer, got {n}")
-    return _parity(n)
+    return _parity(check_chain_length(n))
 
 
 @functools.cache

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import check_chain_length
+
 #: Offset used to keep bisection brackets away from the poles of sin(Nk).
 POLE_SHRINK = 1e-12
 _BISECT_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
@@ -103,8 +105,7 @@ def solve_modes(n: int, j: float, delta: float) -> list[FermionMode]:
     poles of sin(Nk); a missing root in the first (ferromagnet) or last
     (antiferromagnet) interval signals the complex branch of the lowest mode.
     """
-    if not isinstance(n, int) or n <= 0 or n % 2:
-        raise ValueError(f"chain length must be a positive even integer, got {n}")
+    check_chain_length(n)
     if not delta > 0:
         raise ValueError("transverse field must be positive")
     if j == 0:

@@ -512,6 +512,30 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(cfg), "--jt", "0.5"]) == 1
         assert "tolerances.bisect_tol" in capsys.readouterr().err
 
+    @pytest.fixture
+    def equal_index_record(self, monkeypatch):
+        # a breach of the selection rule: an EP2 that joins two levels of one index
+        rec = epscan.EPRecord(order=2, location={"j_tilde": 0.1, "gamma_tilde": 0.2},
+                              levels=(0, 1), indices=(1, 1), residual=0.0, bracket_width=0.0)
+        monkeypatch.setattr(cli, "locate_ep2_records", lambda tracks, tol: ([rec], []))
+        return rec
+
+    @pytest.mark.parametrize("command", [["sweep"], ["find-ep", "--order", "2"]])
+    def test_selection_rule_breach_exits_3(self, command, equal_index_record, tmp_path,
+                                           capsys):
+        out = tmp_path / "out.csv"
+        assert main([*command, *N2_GAIN_LINE, "--output", str(out)]) == 3
+        assert "selection-rule violations: 1" in capsys.readouterr().err
+
+    def test_verify_reports_a_breach_and_exits_3(self, equal_index_record, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--n", "2", "--points", "41", "--gammas", "0.5",
+                     "--output", str(out)]) == 3
+        assert "selection-rule violations: 1" in capsys.readouterr().out
+        (violation,) = json.loads(out.read_text())["violations"]
+        assert violation["record"] == equal_index_record.to_dict()
+        assert violation["reason"] == "second-order point with equal indices"
+
     @pytest.mark.parametrize("command", ["verify", "sweep", "find-ep"])
     def test_format_only_on_commands_that_read_it(self, command, capsys):
         # these commands write fixed formats, so --format would be ignored

@@ -50,6 +50,14 @@ def toy_solver(gap, w, zeta=ZETA2):
     return solve
 
 
+def swap_metric(dim, a, b):
+    """The metric that swaps basis states ``a`` and ``b``, making their diagonal
+    entries of a diagonal H a conjugate pair."""
+    zeta = np.eye(dim, dtype=complex)
+    zeta[[a, b]] = zeta[[b, a]]
+    return zeta
+
+
 def gain_grid(n, j_tilde, stop, points):
     return SweepGrid(axis=AXIS_GAIN, fixed_value=j_tilde,
                      points=tuple(np.linspace(0.0, stop, points)), n=n)
@@ -218,6 +226,18 @@ class TestRealityBoundary:
     def test_wrong_orientation_detected(self):
         with pytest.raises(NoEPInBracket):
             locate_reality_boundary(toy_solver(0.2, 1.0), 0.2, 0.3, (0, 1))
+
+    def test_partner_exchange_raises(self):
+        # column 2 (1+1j) is complex throughout; at p = 0.5 its conjugate partner
+        # moves onto the tracked column 0, so the pair turns mutual without
+        # having been real: the bisection ends at a change of partners
+        def solve(p):
+            if p < 0.5:
+                return spectrum_with_indices(np.diag([1 + 1j, 0.5, 1 - 1j]), swap_metric(3, 0, 2))
+            return spectrum_with_indices(np.diag([1 + 1j, 1 - 1j, 0.5]), swap_metric(3, 0, 1))
+
+        with pytest.raises(NoEPInBracket, match=r"without a reality boundary \(partner exchange\)"):
+            locate_reality_boundary(solve, 0.1, 0.9, (2, 0), tol=1e-6)
 
 
 NUDGE_GRID = coupling_grid(4, 0.21, points=70, start=-0.9, stop=0.9)
@@ -812,6 +832,17 @@ class TestLevelIndices:
         with pytest.raises(ValueError, match=r"triple must be distinct level indices in 0\.\.15"):
             call(triple)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: find_ep3(n, (-0.78, -0.75), (0.35, 0.45), (0, 1, 2)),
+        lambda n: triple_pairing(n, -0.7, 0.3, (0, 1, 2)),
+    ], ids=["find_ep3", "triple_pairing"])
+    @pytest.mark.parametrize("n", [3, 0, -2, 4.0])
+    def test_bad_chain_length_rejected(self, call, n):
+        # an odd chain is not P-pseudo-Hermitian; every length is checked
+        # before the levels and before any solve
+        with pytest.raises(ValueError, match="chain length must be a positive even integer"):
+            call(n)
+
     @pytest.mark.parametrize("gamma", [np.inf, np.nan, -0.1])
     def test_triple_pairing_bad_gain_rejected(self, gamma):
         # the point is checked before the gain march sizes its rungs from gamma
@@ -886,6 +917,22 @@ class TestFindEp3:
     def test_empty_box_raises(self):
         with pytest.raises(NoEP3InBox):
             find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7))
+
+    def test_edge_without_outside_probe_solves_the_outer_end(self):
+        # the triple pairs only at p = 1, so every probe of the bisection is
+        # all-real; the kind outside is read at the outer end, solved last
+        solved = []
+
+        def solve(p):
+            solved.append(p)
+            if p < 1:
+                return spectrum_with_indices(np.diag([0.0, 1.0, 2.0]).astype(complex),
+                                             np.eye(3, dtype=complex))
+            return spectrum_with_indices(np.diag([0, 1 + 1j, 1 - 1j]), swap_metric(3, 1, 2))
+
+        edge = epscan._triple_reality_boundary(solve(0.0), np.arange(3), 0.0, 1.0, 1e-3)
+        assert _run(edge, solve) == (0.99951171875, "mid-up")
+        assert solved[-1] == 1.0
 
     def test_wedge_edges_start_from_their_samples(self, monkeypatch):
         # each edge's bisection starts from the real-side sample the wedge search
