@@ -24,7 +24,8 @@ general-zeta definition, and the tests' reference for the engine.
 
 Both share one rescaling core, which treats all isolated levels of a stack
 together; levels closer than ``CLUSTER_SCALE * ||H||_F`` form a degenerate
-cluster, which is resolved one point at a time. A point's spectrum is the
+cluster, which is resolved one point at a time. The core is also the one
+test for an exceptional point (:func:`_rescale`). A point's spectrum is the
 same, bit for bit, whichever stack it is part of. A real cluster's
 Hermitian-definite pencil is reduced by Cholesky with numpy, and the general
 path pairs conjugates with :func:`pshchain.numerics.linear_sum_assignment`,
@@ -34,15 +35,15 @@ so this module needs no scipy.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import sector_bases
-from .numerics import (CLUSTER_SCALE, AtExceptionalPoint, EigenSystem, as_complex_matrix,
-                       column_norms, eig_blocks, eig_general, linear_sum_assignment)
+from .numerics import (CLUSTER_SCALE, DEFECT_THRESHOLD, AtExceptionalPoint, EigenSystem,
+                       as_complex_matrix, column_norms, eig_blocks, eig_general,
+                       linear_sum_assignment)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -208,12 +209,14 @@ def _clusters(close: np.ndarray) -> list[np.ndarray]:
 
 
 def _block_cluster(z: np.ndarray, rc: np.ndarray, lc: np.ndarray):
-    """Generic biorthonormalization of a degenerate cluster; no indices."""
+    """Generic biorthonormalization of a degenerate cluster; no indices. The
+    cluster is defective if L^+ R has a condition above ``DEFECT_THRESHOLD``."""
     rc = rc / np.linalg.norm(rc, axis=0)
-    try:
-        lc = lc @ np.linalg.inv(lc.conj().T @ rc).conj().T
-    except np.linalg.LinAlgError as exc:
-        raise AtExceptionalPoint(math.inf, "defective degenerate cluster") from exc
+    overlap = lc.conj().T @ rc
+    cond = np.linalg.cond(overlap)
+    if cond > DEFECT_THRESHOLD:
+        raise AtExceptionalPoint(cond)
+    lc = lc @ np.linalg.inv(overlap).conj().T
     return rc, lc, np.zeros(rc.shape[1], dtype=np.int8), _metric(z, rc)[2], None
 
 
@@ -241,13 +244,18 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
     keeps its basis. Raw vectors too close to parallel (Gram condition above
     ``GRAM_COND_MAX``) are replaced by an orthonormal basis of the
     eigenspace: the right singular vectors of H - lambda with the smallest
-    singular values. Returns None when zeta is singular on the cluster.
+    singular values; if fewer of those than levels are below ``CLUSTER_SCALE``
+    times the largest, the cluster is defective. Returns None when zeta is
+    singular on the cluster.
     """
     gram = rc.conj().T @ rc
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] * GRAM_COND_MAX < sv[0]:
         lam = np.vdot(rc[:, 0], a @ rc[:, 0])
-        rc = np.linalg.svd(a - lam * np.eye(a.shape[0]))[2][-rc.shape[1]:].conj().T
+        _, sh, vh = np.linalg.svd(a - lam * np.eye(a.shape[0]))
+        if sh[-rc.shape[1]] > CLUSTER_SCALE * sh[0]:
+            raise AtExceptionalPoint(np.linalg.cond(rc))
+        rc = vh[-rc.shape[1]:].conj().T
         gram = np.eye(rc.shape[1])
     q = rc.conj().T @ _apply(z, rc)
     qvals, y = _pencil_eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
@@ -279,6 +287,7 @@ class _Levels(NamedTuple):
     indicator: np.ndarray
     partner: np.ndarray
     residual: np.ndarray  # biorthogonality residual per point
+    cond: np.ndarray  # largest condition of an isolated level, per point
     sector: np.ndarray | None = None
 
 
@@ -307,9 +316,12 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     distance (:func:`_pair_conjugates`). Real levels with a resolvable
     <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit
     |R> and |L> scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
-    resolved together, one point at a time. Returns the values, right and
-    left vectors, indices, indicators, partners and biorthogonality residual
-    of every point, and the exceptions of the points that failed, by position.
+    resolved together, one point at a time, and check themselves for a
+    defect; any other level fails its point with :class:`AtExceptionalPoint`
+    if its condition 1/|<l|r>| (unit vectors) exceeds ``DEFECT_THRESHOLD``.
+    Returns the values, right and left vectors, indices, indicators,
+    partners, biorthogonality residual and largest such condition of every
+    point, and the exceptions of the points that failed, by position.
     """
     values = values.copy()
     is_real = np.abs(values.imag) <= rtol[:, None]
@@ -328,7 +340,8 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     indexed = is_real & ~clustered & (indicator >= floor)
     generic = ~clustered & ~indexed
     s = (conj_l * right).sum(axis=1)
-    flat = generic & (np.abs(s) < 1e-12 * norm_l)
+    with np.errstate(divide="ignore"):
+        cond = np.max(norm_l / np.abs(s), axis=1, initial=1.0, where=~clustered)
     sign = np.where(c.real > 0, 1, -1)
     k = 1.0 / np.sqrt(np.where(indexed, np.abs(c.real), 1.0))
     right *= k[:, None, :]
@@ -346,12 +359,10 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
         pair_tol, partner = None, np.where(is_real, -1, partner)
 
     failed = {}
-    pending = flat.any(axis=1) | clustered.any(axis=1) | (pair_tol is not None)
+    pending = (cond > DEFECT_THRESHOLD) | clustered.any(axis=1) | (pair_tol is not None)
     for i in np.flatnonzero(pending):
-        if flat[i].any():
-            col = int(np.argmax(flat[i]))
-            failed[i] = AtExceptionalPoint(1.0 / max(abs(s[i, col]), 1e-300),
-                                           "left/right pair nearly orthogonal")
+        if cond[i] > DEFECT_THRESHOLD:
+            failed[i] = AtExceptionalPoint(cond[i])
             continue
         try:
             for cols in _clusters(close[i]) if clustered[i].any() else ():
@@ -374,14 +385,14 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     overlap = left.conj().swapaxes(1, 2) @ right
     overlap -= np.eye(values.shape[1])
     residual = np.max(np.abs(overlap), axis=(1, 2))
-    return _Levels(values, right, left, z2, indicator, partner, residual), failed
+    return _Levels(values, right, left, z2, indicator, partner, residual, cond), failed
 
 
-def _spectra(out, good, failed, levels: _Levels, scale, cond, rtol) -> list:
+def _spectra(out, good, failed, levels: _Levels, scale, rtol) -> list:
     """``out`` with each good point that did not fail replaced by its spectrum."""
-    points = zip(good, levels.values, levels.right, levels.left, scale.tolist(), cond.tolist(),
-                 levels.residual.tolist(), levels.z2, levels.indicator, levels.partner,
-                 rtol.tolist(), levels.sector)
+    points = zip(good, levels.values, levels.right, levels.left, scale.tolist(),
+                 levels.cond.tolist(), levels.residual.tolist(), levels.z2, levels.indicator,
+                 levels.partner, rtol.tolist(), levels.sector)
     for i, (b, values, right, left, s, c, res, z2, ind, partner, tol, sector) in enumerate(points):
         out[b] = failed[i] if i in failed else BiorthoSpectrum(
             EigenSystem(values, right, left, s, c, res), z2, ind, partner, tol, sector)
@@ -449,8 +460,8 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     levels = _Levels(values[rows, order], vectors("right"), vectors("left"),
                      merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
                      rank[rows, partner[rows, order]], np.maximum(plus.residual, minus.residual),
-                     sector)
-    return _spectra(out, good, failed, levels, scale, sub(st.cond_right), rtol)
+                     np.maximum(plus.cond, minus.cond), sector)
+    return _spectra(out, good, failed, levels, scale, rtol)
 
 
 def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
@@ -474,7 +485,7 @@ def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
     levels, failed = _rescale(a[None], z, values, es.right[None], es.left[None], scale, rtol,
                               INDICATOR_FLOOR)
     sp, = _spectra([None], [0], failed, levels._replace(sector=np.zeros(values.shape, np.int8)),
-                   scale, np.array([es.cond_right]), rtol)
+                   scale, rtol)
     if isinstance(sp, Exception):
         raise sp
     return sp

@@ -30,7 +30,7 @@ from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT
                      NoEPInBracket, SweepGrid, check_levels, classify_crossings, find_ep2,
                      find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
                      rises_on_axis, sweep, verify_selection_rule)
-from .model import ChainSpec, NormalizedPoint, sector_blocks
+from .model import ChainSpec, NormalizedPoint, check_chain_length, sector_blocks
 from .numerics import AtExceptionalPoint
 from .oracle import full_spectrum
 
@@ -126,8 +126,10 @@ class RunConfig:
                                  f"number, got {value!r}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output.format must be 'csv' or 'json', got {self.output_format!r}")
-        if not _is(self.n, int) or self.n <= 0 or self.n % 2:
-            raise UsageError(f"chain.n must be a positive even integer, got {self.n}")
+        try:
+            check_chain_length(self.n)
+        except ValueError as exc:
+            raise UsageError(f"chain.n: {exc}") from None
         if not _is(self.workers, int) or self.workers < 1:
             raise UsageError(f"workers must be a positive integer, got {self.workers}")
         if self.gamma_values is not None and len(set(self.gamma_values)) < len(self.gamma_values):

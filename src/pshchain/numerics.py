@@ -1,18 +1,20 @@
 """Dense linear algebra for non-Hermitian eigenproblems, and the assignment
 problem that matches levels between points.
 
-Two solvers share one contract: residuals checked against ``DEFAULT_TOL *
-||M||_F``, and a near-defective input (condition number of the
-right-eigenvector matrix above ``DEFECT_THRESHOLD``) reported as
-:class:`AtExceptionalPoint` instead of returning garbage vectors.
+Both solvers check their residuals against ``DEFAULT_TOL * ||M||_F``. A
+level's condition is 1/|<l|r>| for its unit left and right eigenvectors
+(Wilkinson 1965); it grows without bound as levels coalesce, and above
+``DEFECT_THRESHOLD`` the point counts as an exceptional point.
 
 * :func:`eig_blocks` is the solve engine's: real block-diagonal matrices,
   solved block by block with LAPACK's real solve, right vectors only.
-  Complex eigenvalues come as exact conjugate pairs, and the singular values
-  of the blocks' eigenvector matrices together are those of the whole.
+  Complex eigenvalues come as exact conjugate pairs. It is a pure solve:
+  :mod:`pshchain.biortho` decides whether a point is defective, from the
+  left vectors it builds for the rescaling.
 * :func:`eig_general` takes one general complex matrix, with left and
   right eigenvectors, for general-purpose use and as the reference of the
-  block solve.
+  block solve. It raises :class:`AtExceptionalPoint` when a level's
+  condition exceeds ``DEFECT_THRESHOLD``.
 
 :func:`linear_sum_assignment` is scipy's shortest-augmenting-path solver,
 ported to Python with scipy's tie rules, for matching levels between points.
@@ -36,8 +38,8 @@ import numpy as np
 
 #: Relative residual tolerance of every eigendecomposition.
 DEFAULT_TOL = 1e-10
-#: Condition number of the right-eigenvector matrix above which the
-#: decomposition is treated as (near-)defective.
+#: Condition 1/|<l|r>| of a level's unit left and right eigenvectors above
+#: which the eigensystem is treated as (near-)defective.
 DEFECT_THRESHOLD = 1e12
 #: Relative spacing below which eigenvalues count as a degenerate cluster.
 CLUSTER_SCALE = 1e-8
@@ -75,7 +77,10 @@ class EigenSystem:
 
     Column ``n`` of ``right`` is the right eigenvector |R_n>; column ``n`` of
     ``left`` is the ket |L_n>, i.e. the left eigenvector enters expressions
-    as ``left[:, n].conj().T``. ``biortho_residual`` is max |<L_n|R_m> - delta_nm|.
+    as ``left[:, n].conj().T``. ``cond_right`` is the largest condition
+    1/|<l_n|r_n>| of a level's unit vectors (in the spectra of
+    :mod:`pshchain.biortho`, of a level in no degenerate cluster).
+    ``biortho_residual`` is max |<L_n|R_m> - delta_nm|.
     The raw vectors of :func:`eig_general` are unit-norm and not scaled to
     <L_n|R_n> = 1, so there it is of order 1; it is small for the rescaled
     sets of :func:`pshchain.biortho.spectrum_with_indices`.
@@ -130,21 +135,14 @@ def _frobenius(blocks) -> np.ndarray:
     return np.ldexp(np.sqrt(total), exp)
 
 
-def _errors(cond: np.ndarray, residual: np.ndarray, bound: np.ndarray,
-            failed: np.ndarray) -> list:
+def _errors(residual: np.ndarray, bound: np.ndarray, failed: np.ndarray) -> list:
     """Per matrix: an ``ArithmeticError`` if its eigenvalues did not converge
-    (``failed``), :class:`AtExceptionalPoint`, an ``ArithmeticError`` for a residual
-    above its bound, or None."""
-    defective = ~np.isfinite(cond) | (cond > DEFECT_THRESHOLD)
-    errors: list = [None] * len(cond)
-    for b in np.flatnonzero(failed | defective | (residual > bound)).tolist():
-        if failed[b]:
-            errors[b] = ArithmeticError("eigenvalues did not converge")
-        elif defective[b]:
-            errors[b] = AtExceptionalPoint(cond[b])
-        else:
-            errors[b] = ArithmeticError(
-                f"eigendecomposition residuals {residual[b]:.3e} exceed {bound[b]:.3e}")
+    (``failed``) or its residual is above its bound, or None."""
+    errors: list = [None] * len(residual)
+    for b in np.flatnonzero(failed | (residual > bound)).tolist():
+        errors[b] = ArithmeticError(
+            "eigenvalues did not converge" if failed[b] else
+            f"eigendecomposition residuals {residual[b]:.3e} exceed {bound[b]:.3e}")
     return errors
 
 
@@ -161,17 +159,16 @@ class BlockStack:
     Entry ``k`` of ``eigenvalues``, ``right`` and ``partner`` belongs to block
     ``k``, in LAPACK's order: (count, d_k) eigenvalues, (count, d_k, d_k) unit
     right eigenvectors, and the column of each eigenvalue's exact conjugate
-    partner (-1 for a real eigenvalue). ``scale`` (Frobenius norm),
-    ``cond_right`` are per matrix, of all its blocks together. ``errors[b]``
-    is the exception matrix ``b`` failed with (:class:`AtExceptionalPoint` or
-    ``ArithmeticError``) or None; the arrays of a failed entry carry no meaning.
+    partner (-1 for a real eigenvalue). ``scale`` is the Frobenius norm of
+    each matrix, of all its blocks together. ``errors[b]`` is the
+    ``ArithmeticError`` matrix ``b`` failed with or None (a defective matrix
+    solves); the arrays of a failed entry carry no meaning.
     """
 
     eigenvalues: list
     right: list
     partner: list
     scale: np.ndarray
-    cond_right: np.ndarray
     errors: list
 
 
@@ -181,43 +178,31 @@ def eig_blocks(blocks) -> BlockStack:
     ``blocks`` holds one real (count, d_k, d_k) stack per block. LAPACK's real
     solve returns real eigenvalues with zero imaginary part and complex ones
     as exact conjugate pairs, in adjacent columns with Im > 0 first. The
-    contract of :func:`eig_general` holds for the whole matrix: the residuals
-    are checked against ``DEFAULT_TOL * ||M||_F``, and the condition number
-    of the full right-eigenvector matrix, whose singular values are those of
-    its blocks together, against ``DEFECT_THRESHOLD``. Left vectors are not
-    computed.
+    residuals of the whole matrix are checked against ``DEFAULT_TOL *
+    ||M||_F``. Left vectors are not computed, and neither is any measure of
+    defectiveness: a Jordan block solves without an error.
     """
     blocks = [_as_array(a, 3, np.float64) for a in blocks]
     scale = _frobenius(blocks)
     values, vectors, partners = [], [], []
     res = np.zeros(scale.shape)
-    sv_max, sv_min = np.zeros(scale.shape), np.full(scale.shape, np.inf)
     failed = np.zeros(scale.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in blocks:
-            w, v, bad = _eig(a)
-            failed |= bad
-            # numpy returns w and v real for a stack whose eigenvalues are all real
-            w = w.astype(np.complex128, copy=False)
-            v = np.ascontiguousarray(v, dtype=np.complex128)
-            im = w.imag
-            cols = np.arange(w.shape[1])
-            partners.append(np.where(im > 0, cols + 1, np.where(im < 0, cols - 1, -1)))
-            # the real basis sqrt2 [u, w] of a pair u +- i w has the singular
-            # values of the two complex vectors
-            basis = np.where(im[:, None, :] < 0, v.imag, v.real)
-            basis *= np.where(im != 0, math.sqrt(2.0), 1.0)[:, None, :]
-            sv = np.linalg.svd(basis, compute_uv=False)
-            np.maximum(sv_max, sv[:, 0], out=sv_max)
-            np.minimum(sv_min, sv[:, -1], out=sv_min)
-            r = (a @ v.view(np.float64)).view(np.complex128)  # real times complex
-            r -= v * w[:, None, :]
-            np.maximum(res, column_norms(r).max(axis=1), out=res)
-            values.append(w)
-            vectors.append(v)
-        cond = sv_max / sv_min
-    errors = _errors(cond, res, DEFAULT_TOL * np.maximum(scale, 1e-300), failed)
-    return BlockStack(values, vectors, partners, scale, cond, errors)
+    for a in blocks:
+        w, v, bad = _eig(a)
+        failed |= bad
+        # numpy returns w and v real for a stack whose eigenvalues are all real
+        w = w.astype(np.complex128, copy=False)
+        v = np.ascontiguousarray(v, dtype=np.complex128)
+        im = w.imag
+        cols = np.arange(w.shape[1])
+        partners.append(np.where(im > 0, cols + 1, np.where(im < 0, cols - 1, -1)))
+        r = (a @ v.view(np.float64)).view(np.complex128)  # real times complex
+        r -= v * w[:, None, :]
+        np.maximum(res, column_norms(r).max(axis=1), out=res)
+        values.append(w)
+        vectors.append(v)
+    errors = _errors(res, DEFAULT_TOL * np.maximum(scale, 1e-300), failed)
+    return BlockStack(values, vectors, partners, scale, errors)
 
 
 def eig_general(m) -> EigenSystem:
@@ -226,13 +211,13 @@ def eig_general(m) -> EigenSystem:
     Eigenvalues are sorted by (Re, Im) so repeated runs produce identical
     orderings. Residuals ||M R_n - lambda_n R_n|| and ||L_n^+ M - lambda_n L_n^+||
     are verified against the constant ``DEFAULT_TOL * ||M||_F``. A
-    near-defective input (condition number of the right-eigenvector matrix
-    above the constant ``DEFECT_THRESHOLD``) raises :class:`AtExceptionalPoint`
-    instead of returning garbage vectors, and eigenvalues that do not
-    converge raise ``ArithmeticError``. For an exactly complex-symmetric
-    matrix (M^T = M) the left eigenvectors are the conjugated right ones, so
-    only the right ones are computed; other matrices take LAPACK's left and
-    right solve.
+    near-defective input (a level whose unit vectors have a condition
+    1/|<l_n|r_n>| above the constant ``DEFECT_THRESHOLD``) raises
+    :class:`AtExceptionalPoint` instead of returning garbage vectors, and
+    eigenvalues that do not converge raise ``ArithmeticError``. For an
+    exactly complex-symmetric matrix (M^T = M) the left eigenvectors are the
+    conjugated right ones, so only the right ones are computed; other
+    matrices take LAPACK's left and right solve.
     """
     a = as_complex_matrix(m)
     scale = _frobenius([a[None]])
@@ -247,18 +232,18 @@ def eig_general(m) -> EigenSystem:
         raise ArithmeticError("eigenvalues did not converge") from None
     w, vr, vl = _sorted(w, vr, vl)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sv = np.linalg.svd(vr, compute_uv=False)
-        cond = sv[:1] / sv[-1:]
+    overlap = vl.conj().T @ vr
+    with np.errstate(divide="ignore"):
+        cond = float(1.0 / np.abs(np.diagonal(overlap)).min())
+    if cond > DEFECT_THRESHOLD:
+        raise AtExceptionalPoint(cond)
     residual = max(np.linalg.norm(a @ vr - vr * w, axis=0).max(),
                    np.linalg.norm(a.conj().T @ vl - vl * w.conj(), axis=0).max())
-    error, = _errors(cond, np.array([residual]), DEFAULT_TOL * np.maximum(scale, 1e-300),
+    error, = _errors(np.array([residual]), DEFAULT_TOL * np.maximum(scale, 1e-300),
                      np.zeros(1, dtype=bool))
     if error is not None:
         raise error
-    overlap = vl.conj().T @ vr
-    return EigenSystem(eigenvalues=w, right=vr, left=vl, scale=float(scale[0]),
-                       cond_right=float(cond[0]),
+    return EigenSystem(eigenvalues=w, right=vr, left=vl, scale=float(scale[0]), cond_right=cond,
                        biortho_residual=float(np.max(np.abs(overlap - np.eye(len(w))))))
 
 

@@ -9,6 +9,7 @@ from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
                       ep_indicator, full_spectrum, spectrum_with_indices, z2_index)
 from pshchain import biortho, numerics
+from pshchain.model import sector_bases
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -291,6 +292,27 @@ class TestClusterPencil:
         q = rc.conj().T @ (z[:, None] * rc)
         gram = rc.conj().T @ rc
         check_pencil(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
+
+
+
+class TestClusterDefects:
+    """A degenerate cluster checks its own eigenspace for a defect."""
+
+    def test_defective_real_cluster_raises(self):
+        # one Jordan block of ten levels: LAPACK returns ten nearly parallel vectors
+        a = np.eye(10) + np.eye(10, k=1)
+        rc = np.linalg.eig(a)[1].astype(complex)
+        eta = sector_bases(4)[0].eta
+        with pytest.raises(AtExceptionalPoint) as exc:
+            biortho._real_cluster(a, eta, rc, biortho.INDICATOR_FLOOR, 1e-14)
+        assert exc.value.cond > numerics.DEFECT_THRESHOLD
+
+    def test_ill_conditioned_block_cluster_raises(self):
+        # L^+ R = diag(1, 1e-14): invertible, and of condition 1e14
+        lc = np.diag([1.0, 1e-14]).astype(complex)
+        with pytest.raises(AtExceptionalPoint) as exc:
+            biortho._block_cluster(np.array([1.0, -1.0]), np.eye(2, dtype=complex), lc)
+        assert exc.value.cond == pytest.approx(1e14)
 
 
 class TestSpectrumInvariants:

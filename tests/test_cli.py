@@ -82,8 +82,10 @@ class TestRunConfig:
         assert "chain.m" in str(exc.value)
 
     def test_odd_chain_rejected(self):
-        with pytest.raises(UsageError):
-            RunConfig(command="spectrum", n=3)
+        for n in (3, 0, -2):
+            with pytest.raises(UsageError) as exc:
+                RunConfig(command="spectrum", n=n)
+            assert "chain.n" in str(exc.value)
 
     @pytest.mark.parametrize("name", FIELD_NAMES)
     def test_every_field_round_trips_from_its_flag(self, name):

@@ -290,8 +290,9 @@ def merged_by_scatter(blocks, n, reality_tol=None, indicator_floor=INDICATOR_FLO
                       for basis, part in zip(bases, parts)))
     levels = biortho._Levels(np.take_along_axis(values, order, -1), right, left,
                              merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
-                             partner, np.maximum(plus.residual, minus.residual), sector)
-    return biortho._spectra(out, good, failed, levels, scale, sub(st_.cond_right), rtol)
+                             partner, np.maximum(plus.residual, minus.residual),
+                             np.maximum(plus.cond, minus.cond), sector)
+    return biortho._spectra(out, good, failed, levels, scale, rtol)
 
 
 def same_bits(x, y) -> bool:
@@ -350,7 +351,7 @@ class TestMergeOracle:
 
 
 class TestEigBlocks:
-    def test_condition_and_pairs_of_the_whole_matrix(self):
+    def test_vectors_and_pairs_of_the_whole_matrix(self):
         rng = np.random.default_rng(7)
         blocks = (rng.normal(size=(3, 5, 5)), rng.normal(size=(3, 4, 4)))
         st_ = eig_blocks(blocks)
@@ -359,7 +360,9 @@ class TestEigBlocks:
             full[:5, :5], full[5:, 5:] = blocks[0][b], blocks[1][b]
             vectors = np.zeros((9, 9), dtype=complex)
             vectors[:5, :5], vectors[5:, 5:] = st_.right[0][b], st_.right[1][b]
-            assert np.isclose(st_.cond_right[b], np.linalg.cond(vectors), rtol=1e-10)
+            values = np.concatenate([st_.eigenvalues[0][b], st_.eigenvalues[1][b]])
+            assert np.allclose(full @ vectors, vectors * values, atol=1e-12 * np.linalg.norm(full))
+            assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0)
             assert np.isclose(st_.scale[b], np.linalg.norm(full))
             assert st_.errors[b] is None
             for k, (w, partner) in enumerate(zip(st_.eigenvalues, st_.partner)):
@@ -372,12 +375,17 @@ class TestEigBlocks:
                                               st_.right[k][b][:, i].conj())
 
     def test_defective_block_is_reported_per_matrix(self):
+        # the solve judges no defect; the rescaling reports it for its matrix alone
         jordan = np.array([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]])
-        st_ = eig_blocks((jordan, np.ones((2, 1, 1))))
-        assert isinstance(st_.errors[0], AtExceptionalPoint)
-        assert st_.errors[0].cond == st_.cond_right[0] > DEFECT_THRESHOLD
-        assert str(st_.errors[0]).startswith("defective eigensystem (condition ")
-        assert st_.errors[1] is None
+        assert eig_blocks((jordan, np.ones((2, 1, 1)))).errors == [None, None]
+        blocks = build_sector_blocks([NormalizedPoint(0.3, 0.2), NormalizedPoint(0.5, 0.1)], 2)
+        blocks[0][0] = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        assert eig_blocks(blocks).errors == [None, None]
+        defective, good = sector_spectra(blocks, 2)
+        assert isinstance(defective, AtExceptionalPoint)
+        assert defective.cond > DEFECT_THRESHOLD
+        assert str(defective).startswith("defective eigensystem (condition ")
+        assert_same_spectrum(good, solve_chain(NormalizedPoint(0.5, 0.1).chain(2)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
