@@ -10,10 +10,12 @@
 # coupling mirror), one N=6 gain sweep through many EP2s, four `spectrum`
 # calls, the gain-free crossing classification at N=4 (which refines every
 # sign change of a pair's gap), one `find-ep --pair` search (which
-# refines one pair's EP2 over the whole span), and two calls that reach the
-# defect test: an N=2 gain sweep whose grid point at gamma_tilde = 1 is an
-# exact EP, solved again at a nudged value (exit 0), and a `spectrum` call at
-# the exact EP of decoupled spins (exit 2).
+# refines one pair's EP2 over the whole span), an N=4 gain sweep at a high
+# indicator_floor (0.05), where one pair's real end has no well-defined index,
+# so its EP2 is written as a "no well-defined index" skipped entry, and two
+# calls that reach the defect test: an N=2 gain sweep whose grid point at
+# gamma_tilde = 1 is an exact EP, solved again at a nudged value (exit 0), and
+# a `spectrum` call at the exact EP of decoupled spins (exit 2).
 #
 # Against ba0f014 and older commits, the four spectrum_*.out files differ on
 # purpose: `spectrum` solved the dense 2^N matrix there and solves its two Q
@@ -61,6 +63,7 @@ calls=(
     "spectrum_n6|spectrum --n 6 --jt -0.84184 --gt 0.3"
     "crossings_n4|crossings --n 4 --points 801"
     "ep2_pair|find-ep --order 2 --n 4 --axis gt --fixed -0.95 --start 0 --stop 0.004 --points 101 --pair 0 1"
+    "ep2_floor|sweep --n 4 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 101 --tol indicator_floor=0.05"
     "ep_nudge_n2|sweep --n 2 --axis gt --fixed 0 --start 0 --stop 2 --points 5"
     "spectrum_n4_ep|spectrum --n 4 --jt 0 --gt 1"
 )

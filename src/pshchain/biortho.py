@@ -307,13 +307,13 @@ def _reality_tol(values, reality_tol) -> np.ndarray:
             else np.full(radius.shape, float(reality_tol)))
 
 
-def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
+def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner):
     """Index-rescaled levels of a stack of points from their raw eigenvectors.
 
     ``z`` is zeta, or the diagonal of a signature eta. ``raw_l`` None stands
     for the left vectors of a real block, conj(eta R). ``partner`` holds each
-    level's conjugate partner column; without it the partners are assigned by
-    distance (:func:`_pair_conjugates`). Real levels with a resolvable
+    level's conjugate partner column, both members of a pair linked, and is
+    kept for the levels that are not real. Real levels with a resolvable
     <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit
     |R> and |L> scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
     resolved together, one point at a time, and check themselves for a
@@ -351,16 +351,10 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         left = np.divide(raw_l, np.conj(s)[:, None, :], out=zr, where=generic[:, None, :])
     z2 = np.where(indexed, sign, 0).astype(np.int8)
-    if partner is None:
-        radius = np.max(np.abs(values), axis=1)
-        pair_tol = np.maximum(1e-6 * np.maximum(radius, 1.0), 10.0 * rtol)
-        partner = np.full(values.shape, -1, dtype=np.int64)
-    else:
-        pair_tol, partner = None, np.where(is_real, -1, partner)
+    partner = np.where(is_real, -1, partner)
 
     failed = {}
-    pending = (cond > DEFECT_THRESHOLD) | clustered.any(axis=1) | (pair_tol is not None)
-    for i in np.flatnonzero(pending):
+    for i in np.flatnonzero((cond > DEFECT_THRESHOLD) | clustered.any(axis=1)):
         if cond[i] > DEFECT_THRESHOLD:
             failed[i] = AtExceptionalPoint(cond[i])
             continue
@@ -378,9 +372,6 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner=None):
                     values[i, cols] = vals
         except AtExceptionalPoint as exc:
             failed[i] = exc
-            continue
-        if pair_tol is not None:
-            partner[i] = _pair_conjugates(values[i], is_real[i], pair_tol[i])
 
     overlap = left.conj().swapaxes(1, 2) @ right
     overlap -= np.eye(values.shape[1])
@@ -482,8 +473,10 @@ def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
     es = eig_general(a)
     values, scale = es.eigenvalues[None], np.array([es.scale])
     rtol = _reality_tol(values, None)
+    partner = _pair_conjugates(es.eigenvalues, np.abs(es.eigenvalues.imag) <= rtol[0],
+                               1e-6 * max(np.max(np.abs(es.eigenvalues)), 1.0))
     levels, failed = _rescale(a[None], z, values, es.right[None], es.left[None], scale, rtol,
-                              INDICATOR_FLOOR)
+                              INDICATOR_FLOOR, partner[None])
     sp, = _spectra([None], [0], failed, levels._replace(sector=np.zeros(values.shape, np.int8)),
                    scale, rtol)
     if isinstance(sp, Exception):

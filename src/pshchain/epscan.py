@@ -96,6 +96,17 @@ class _Line(NamedTuple):
     indicator_floor: float
 
 
+def _check_tolerances(line) -> None:
+    """A ValueError unless ``line``'s ``reality_tol`` (None: the default) and
+    ``indicator_floor`` are finite numbers >= 0."""
+    for name in ("reality_tol", "indicator_floor"):
+        value = getattr(line, name)
+        if not (value is None and name == "reality_tol"
+                or isinstance(value, (int, float)) and not isinstance(value, bool)
+                and 0 <= value < math.inf):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _location(line, value) -> dict:
     """Both coordinates of ``value`` on ``line``: the other axis at its fixed value."""
     return dict.fromkeys(AXIS_RANGE, line.fixed_value) | {line.axis: value}
@@ -184,12 +195,7 @@ class SweepGrid:
         if self.axis not in AXIS_RANGE:
             raise ValueError(f"axis must be one of {tuple(AXIS_RANGE)}, got {self.axis!r}")
         check_chain_length(self.n)
-        for name in ("reality_tol", "indicator_floor"):
-            value = getattr(self, name)
-            if not (value is None and name == "reality_tol"
-                    or isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _check_tolerances(self)
         if isinstance(self.fixed_value, bool):
             raise ValueError(f"fixed_value must be a number, got {self.fixed_value!r}")
         pts = tuple(self.points)
@@ -240,8 +246,7 @@ class LevelTrack:
         return float(np.min(self.overlaps[1:])) if self.overlaps.size > 1 else 1.0
 
     def mutual_partner(self, point_index: int, other: "LevelTrack") -> bool:
-        return (self.partner[point_index] == other.level_id
-                and other.partner[point_index] == self.level_id)
+        return bool(self.partner[point_index] == other.level_id)
 
 
 def _sweep_task(args) -> list[BiorthoSpectrum]:
@@ -467,7 +472,7 @@ class EPRecord:
 
 def _mutual(sp: BiorthoSpectrum, cols) -> bool:
     """True when the two levels in ``cols`` are each other's conjugate partner."""
-    return bool(sp.partner[cols[0]] == cols[1] and sp.partner[cols[1]] == cols[0])
+    return bool(sp.partner[cols[0]] == cols[1])
 
 
 def locate_reality_boundary(solve, p_real: float, p_complex: float,
@@ -519,11 +524,6 @@ def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
     and separated on one side and complex-conjugate on the other. The record
     carries both Z2 indices from the real side.
     """
-    return _run(_ep2(track_a, track_b, bracket, tol), track_a.grid.solver())
-
-
-def _ep2(track_a: LevelTrack, track_b: LevelTrack, bracket, tol: float):
-    """:func:`find_ep2` as a refinement (see :func:`_bisect`)."""
     grid = track_a.grid
     if grid != track_b.grid:
         raise ValueError("tracks come from different sweeps")
@@ -534,7 +534,12 @@ def _ep2(track_a: LevelTrack, track_b: LevelTrack, bracket, tol: float):
     if paired_lo == paired_hi:
         raise NoEPInBracket("no real/complex transition between the bracket ends")
     i_real, i_cplx = (i_lo, i_hi) if paired_hi else (i_hi, i_lo)
+    return _run(_ep2(track_a, track_b, i_real, i_cplx, tol), grid.solver())
 
+
+def _ep2(track_a: LevelTrack, track_b: LevelTrack, i_real: int, i_cplx: int, tol: float):
+    """:func:`find_ep2` as a refinement (see :func:`_bisect`) from grid point i_real to i_cplx."""
+    grid = track_a.grid
     res = yield from _reality_boundary(
         grid.points[i_real], grid.points[i_cplx],
         (int(track_a.columns[i_real]), int(track_b.columns[i_real])), tol)
@@ -558,17 +563,13 @@ def reality_transitions(tracks: list[LevelTrack]):
     Returns tuples ``(a, b, interval_index, complex_side)`` with
     ``complex_side`` in {"lo", "hi"}.
     """
-    npts = len(tracks[0].grid.points)
-    partner = [tr.partner.tolist() for tr in tracks]
-    pairs_at = [{(tr.level_id, q[p]) for tr, q in zip(tracks, partner)
-                 if q[p] > tr.level_id and partner[q[p]][p] == tr.level_id}
-                for p in range(npts)]
+    # a pair (a, b), a < b, is read from track a where a's partner changes
+    partner = np.array([tr.partner for tr in tracks])
     events = []
-    for p in range(npts - 1):
-        for a, b in sorted(pairs_at[p] - pairs_at[p + 1]):
-            events.append((a, b, p, "lo"))
-        for a, b in sorted(pairs_at[p + 1] - pairs_at[p]):
-            events.append((a, b, p, "hi"))
+    for a, p in zip(*np.nonzero(partner[:, :-1] != partner[:, 1:])):
+        for b, side in ((partner[a, p], "lo"), (partner[a, p + 1], "hi")):
+            if b > a:
+                events.append((int(a), int(b), int(p), side))
     events.sort(key=lambda e: (e[2], e[0], e[1], e[3]))
     return events
 
@@ -576,19 +577,21 @@ def reality_transitions(tracks: list[LevelTrack]):
 def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL):
     """Refine every reality transition of a sweep into an EP record.
 
-    Partner exchanges that bisect to no reality boundary (they occur when a
-    complex pair trades one member for another level), and transitions whose
-    pair has no well-defined index on the real side, are collected in the
-    second return value, with the reason, instead of producing records. All
-    transitions are refined together, their probes solved in shared stacks.
+    Transitions that give no record are collected in the second return
+    value, with the reason, instead: a pair that, matched from its real end,
+    is not linked at its complex end; a partner exchange that bisects to no
+    reality boundary (a complex pair trades one member for another level);
+    and a pair with no well-defined index on the real side. All transitions
+    are refined together, their probes solved in shared stacks.
     """
     grid = tracks[0].grid
     events = reality_transitions(tracks)
-    brackets = [[grid.points[p], grid.points[p + 1]] for _, _, p, _ in events]
-    results = _lockstep(grid, [_ep2(tracks[a], tracks[b], bracket, tol)
-                               for (a, b, _, _), bracket in zip(events, brackets)])
-    skipped = [{"levels": [a, b], "bracket": bracket, "complex_side": side, "reason": str(res)}
-               for (a, b, _, side), bracket, res in zip(events, brackets, results)
+    results = _lockstep(grid, [
+        _ep2(tracks[a], tracks[b], *((p + 1, p) if side == "lo" else (p, p + 1)), tol)
+        for a, b, p, side in events])
+    skipped = [{"levels": [a, b], "bracket": [grid.points[p], grid.points[p + 1]],
+                "complex_side": side, "reason": str(res)}
+               for (a, b, p, side), res in zip(events, results)
                if isinstance(res, (NoEPInBracket, IndexIllDefined))]
     records = [res for res in results if isinstance(res, EPRecord)]
     return sorted(records, key=EPRecord.sort_key), skipped
@@ -735,19 +738,14 @@ class TriplePairing:
 
 def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
     cols = [int(c) for c in tri_cols]
-    mutual = None
-    for i in range(3):
-        q = int(sp.partner[cols[i]])
-        if q < 0:
-            continue
-        if q not in cols:
-            return TriplePairing("external")
-        if mutual is None:
-            mutual = (i, cols.index(q))
-    if mutual is None:
+    partner = sp.partner[cols].tolist()
+    if not set(partner) <= {-1, *cols}:
+        return TriplePairing("external")
+    if partner == [-1, -1, -1]:
         return TriplePairing("none")
-    spect = cols[({0, 1, 2} - set(mutual)).pop()]
-    pair_below = sp.eigenvalues[cols[mutual[0]]].real < sp.eigenvalues[spect].real
+    # links are mutual: two members form the pair, and the unlinked one is the spectator
+    first, spect = (cols[0] if partner[0] >= 0 else cols[1]), cols[partner.index(-1)]
+    pair_below = sp.eigenvalues[first].real < sp.eigenvalues[spect].real
     return TriplePairing("low-mid" if pair_below else "mid-up")
 
 
@@ -851,8 +849,9 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     in the gain, with the coupling window re-centered on the last seen
     interval. The record's indices are read inside the last resolved
     interval, its residual is that interval's width, and the bracket width
-    is the final gain bracket. A chain length that is not a positive even integer
-    or a bracket that is not two finite rising values on its axis raises ValueError.
+    is the final gain bracket. A chain length that is not a positive even
+    integer, a bracket that is not two finite rising values on its axis, or a
+    tolerance that a :class:`SweepGrid` rejects raises ValueError, before any solve.
     """
     triple = check_levels(triple, check_chain_length(n), "triple")
     j_lo, j_hi = _window(AXIS_COUPLING, j_bracket, "j_bracket")
@@ -861,6 +860,7 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     window = (max(-1.0, j_lo - pad), min(1.0, j_hi + pad))
 
     line = _Line(AXIS_COUPLING, g_lo, n, reality_tol, indicator_floor)
+    _check_tolerances(line)
     wedge = _find_wedge(line, window, triple, j_tol)
     if wedge is None:
         raise NoEP3InBox(

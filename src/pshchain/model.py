@@ -144,27 +144,20 @@ def _sites(n: int) -> _Sites:
     return _Sites(z, reverse)
 
 
-@functools.cache
-def _flips(n: int) -> np.ndarray:
-    """sum_n sx_n, a read-only real 2^n x 2^n matrix."""
-    basis = np.arange(1 << n)
-    flips = np.zeros((basis.size, basis.size))
-    for mask in 1 << np.arange(n):
-        flips[basis ^ mask, basis] = 1.0
-    flips.flags.writeable = False
-    return flips
-
-
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the chain Hamiltonian (open boundary).
 
-    The diagonal adds i g_n sz_n site by site, then -j sz_n sz_{n+1} bond by
-    bond: the order of a term-by-term sum of tensor products, which the
-    result therefore matches to the last bit.
+    The transverse field delta sx_n flips site n's bit of a basis state, so
+    delta is scattered to (state ^ mask, state). The diagonal adds i g_n sz_n
+    site by site, then -j sz_n sz_{n+1} bond by bond: the order of a
+    term-by-term sum of tensor products, which the result therefore matches
+    to the last bit.
     """
     z = _sites(spec.n).z
     h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    np.multiply(spec.delta, _flips(spec.n), out=h.real)
+    states = np.arange(spec.dim)
+    for mask in 1 << np.arange(spec.n):
+        h[states ^ mask, states] = spec.delta
     gain, bond = np.zeros(spec.dim), np.zeros(spec.dim)
     for g, z_site in zip(spec.gamma_profile, z):
         gain += g * z_site

@@ -318,6 +318,16 @@ class TestClusterDefects:
 class TestSpectrumInvariants:
     """Partner links and index rescaling on random mirror-antisymmetric chains."""
 
+    @staticmethod
+    def check_links(sp, pair_tol):
+        # every partner link is mutual and joins a level that is not real to its conjugate
+        values = sp.eigenvalues
+        for i, q in enumerate(sp.partner):
+            if q >= 0:
+                assert q != i and sp.partner[q] == i
+                assert abs(values[i].imag) > sp.reality_tol
+                assert abs(values[q] - np.conj(values[i])) <= pair_tol
+
     @settings(max_examples=50, deadline=None)
     @given(spec=mirror_chains())
     def test_partners_and_indexed_levels(self, spec):
@@ -326,17 +336,22 @@ class TestSpectrumInvariants:
             sp = spectrum_with_indices(build_hamiltonian(spec), zeta)
         except AtExceptionalPoint:
             assume(False)
-        values = sp.eigenvalues
-        radius = np.max(np.abs(values))
-        pair_tol = max(1e-6 * max(radius, 1.0), 10 * sp.reality_tol)
-        # every partner link is mutual and joins a level to its conjugate
-        for i, q in enumerate(sp.partner):
-            if q >= 0:
-                assert sp.partner[q] == i
-                assert abs(values[q] - np.conj(values[i])) <= pair_tol
+        radius = np.max(np.abs(sp.eigenvalues))
+        self.check_links(sp, max(1e-6 * max(radius, 1.0), 10 * sp.reality_tol))
         # every indexed level has z2 = sign Re<R|P|R> and |L> = z2 P|R>
         for i in np.flatnonzero(sp.z2):
             right, left = sp.eigensystem.right[:, i], sp.eigensystem.left[:, i]
             pr = zeta @ right
             assert sp.z2[i] == np.sign(np.vdot(right, pr).real)
             assert np.linalg.norm(left - sp.z2[i] * pr) <= 1e-12 * np.linalg.norm(left)
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=mirror_chains())
+    def test_sector_engine_partners(self, spec):
+        # LAPACK's pairs: exact conjugates, and every level that is not real has one
+        try:
+            sp = solve_chain(spec)
+        except AtExceptionalPoint:
+            assume(False)
+        self.check_links(sp, 0.0)
+        assert np.array_equal(sp.partner >= 0, np.abs(sp.eigenvalues.imag) > sp.reality_tol)

@@ -1,6 +1,7 @@
 import gc
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +286,15 @@ class TestSweep:
                 q = tracks[tr.partner[p]]
                 assert q.partner[p] == tr.level_id
                 assert abs(tr.eigenvalues[p] - np.conj(q.eigenvalues[p])) < 1e-8
+
+    def test_partner_links_are_mutual_through_ep2s(self):
+        # the EP2 path reads each link in one direction; a gain line with six EP2s
+        tracks = sweep(gain_grid(4, -0.84184, 0.5, 201))
+        assert len(reality_transitions(tracks)) == 6
+        for t, track in enumerate(tracks):
+            for p, q in enumerate(track.partner.tolist()):
+                if q >= 0:
+                    assert q != t and tracks[q].partner[p] == t
 
     def test_track_count_conserved_and_columns_partition(self):
         tracks = sweep(gain_grid(2, 1 / np.sqrt(2), 1.2, 61))
@@ -627,6 +637,19 @@ def high_gain_tracks():
 
 class TestLockstep:
     """Refinements run together, sharing stacked solves, and end as they would alone."""
+
+    def test_transitions_are_the_changes_of_the_pair_sets(self, high_gain_tracks):
+        # the reference reading: the set of linked pairs at each point, compared
+        # between neighbouring points
+        tracks = high_gain_tracks
+        pairs = [{(a, int(tr.partner[p])) for a, tr in enumerate(tracks) if tr.partner[p] > a}
+                 for p in range(len(tracks[0].grid.points))]
+        want = [(a, b, p, side) for p in range(len(pairs) - 1)
+                for side, gone, there in (("lo", pairs[p], pairs[p + 1]),
+                                          ("hi", pairs[p + 1], pairs[p]))
+                for a, b in gone - there]
+        want.sort(key=lambda e: (e[2], e[0], e[1], e[3]))
+        assert want and reality_transitions(tracks) == want
 
     def test_records_match_one_transition_at_a_time(self, high_gain_tracks):
         tracks = high_gain_tracks
@@ -1002,6 +1025,18 @@ class TestFindEp3:
         with pytest.raises(ValueError, match="j_bracket" if j_bracket != (-0.78, -0.75)
                            else "gamma_bracket"):
             find_ep3(4, j_bracket, gamma_bracket, (3, 4, 7))
+
+    @pytest.mark.parametrize("tols", [
+        *({"reality_tol": v} for v in (-1.0, np.nan, np.inf, True)),
+        *({"indicator_floor": v} for v in (-1e-6, np.nan, np.inf, None)),
+    ], ids=lambda tols: "{}={!r}".format(*next(iter(tols.items()))))
+    def test_bad_tolerance_rejected_before_any_solve(self, tols, monkeypatch):
+        # SweepGrid's check, made before the first wedge is solved
+        monkeypatch.setattr(epscan, "sector_spectra", None)  # a solve raises TypeError
+        (name, value), = tols.items()
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and >= 0, "
+                                                       f"got {value!r}")):
+            find_ep3(4, (-0.78, -0.75), (0.35, 0.45), (3, 4, 7), **tols)
 
     @pytest.mark.parametrize("j_window, gamma_window, probes, name", [
         ((np.nan, 0.99), (0.35, 0.45), 5, "j_window"),
