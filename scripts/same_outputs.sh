@@ -30,6 +30,25 @@
 # grid of the symmetric window is now exactly symmetric, so the j > 0 skipped
 # entry's j_bracket and the window in its reason move by 1 ulp
 # (0.5999999999999999 -> 0.6). The records do not move.
+#
+# Against 33516d1 and older commits, five files differ on purpose: a block
+# of a gain-free point is symmetric, and is solved there by LAPACK's general
+# real solver and now by its symmetric one. Every other file, each EP record
+# JSON included, is the same.
+# - sweep_n8_h.out: 10065 of 10240 rows, at all 40 points. re_eps moves by at
+#   most 5.3e-14 and ep_indicator by 2.2e-16; every row keeps its z2_index.
+# - sweep_n6_gt.out (63 rows) and ep2_floor.out (14 rows): only the rows of
+#   the gamma_tilde = 0 point. re_eps moves by at most 6.2e-15 and
+#   ep_indicator by 2.2e-16.
+# - spectrum_n6_degenerate.out, the fully degenerate point jt = gt = 0:
+#   values move by at most 2.7e-15, imaginary parts of up to 4.9e-17 become
+#   0, and the levels inside a degenerate cluster come in another order.
+#   Each cluster carries the same indices.
+# - crossings_n4.out: tracks 10 and 11 swap labels, as track ids are set at
+#   the degenerate start jt = -1. Apart from that swap every crossing keeps
+#   its location, levels, indices and kind, and its gap moves by at most
+#   2.5e-15, except within 4.2e-9 of the degeneracy at jt = 0, where the
+#   list goes from 103 to 104 crossings.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). Exits 1 on
 # any difference, 0 when all are identical. BLAS runs on one thread.

@@ -18,7 +18,10 @@ x) and its left vector s eta x; any simple level's left vector is eta
 conj(x) / conj(x^T eta x), with no P product and no left eigensolve.
 Conjugate partners are LAPACK's exact pairs, and the paper's selection rule
 is the Krein-collision rule: only levels of opposite signature in one block
-can meet in an EP2. Every command solves through it.
+can meet in an EP2. Every command solves through it. The blocks of a
+gain-free point, where the indices are defined, are symmetric, and
+:func:`pshchain.numerics.eig_blocks` solves each such matrix with LAPACK's
+symmetric solve: all its levels are real, with orthonormal vectors.
 :func:`spectrum_with_indices` serves one general matrix and zeta: the paper's
 general-zeta definition, and the tests' reference for the engine.
 

@@ -297,11 +297,11 @@ def emit_figure_data(tracks, records, path, skipped=()) -> None:
     """
     sibling = _records_path(path)
     grid = tracks[0].grid
-    rows = []
-    for p, value in enumerate(grid.points):
-        for tr in tracks:
-            rows.append((value, tr.level_id, tr.eigenvalues[p].real,
-                         tr.eigenvalues[p].imag, tr.z2[p], tr.indicator[p]))
+    # each track's arrays read once, as Python numbers, which format as numpy's do
+    cols = [(tr.level_id, tr.eigenvalues.real.tolist(), tr.eigenvalues.imag.tolist(),
+             tr.z2.tolist(), tr.indicator.tolist()) for tr in tracks]
+    rows = [(value, level, re[p], im[p], z2[p], indicator[p])
+            for p, value in enumerate(grid.points) for level, re, im, z2, indicator in cols]
     header = ("grid_value", "level_id", "re_eps", "im_eps", "z2_index", "ep_indicator")
     _write_text(str(path), _csv_text(header, rows))
     _write_text(str(sibling), _json_text(_records_json(records, skipped)))

@@ -7,8 +7,10 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
 ``DEFECT_THRESHOLD`` the point counts as an exceptional point.
 
 * :func:`eig_blocks` is the solve engine's: real block-diagonal matrices,
-  solved block by block with LAPACK's real solve, right vectors only.
-  Complex eigenvalues come as exact conjugate pairs. It is a pure solve:
+  solved block by block, right vectors only. A block equal to its transpose
+  (a gain-free chain's) takes LAPACK's symmetric solve, every other block
+  LAPACK's real solve, whose complex eigenvalues come as exact conjugate
+  pairs. It is a pure solve:
   :mod:`pshchain.biortho` decides whether a point is defective, from the
   left vectors it builds for the rescaling.
 * :func:`eig_general` takes one general complex matrix, with left and
@@ -106,20 +108,37 @@ def _sorted(w: np.ndarray, *vectors: np.ndarray):
 
 
 def _eig(a: np.ndarray):
-    """``np.linalg.eig`` of every matrix in the stack ``a``, and the mask of those
-    whose eigenvalues did not converge.
+    """:func:`_solve` of the stack ``a``: each matrix equal to its transpose by
+    ``np.linalg.eigh``, every other by ``np.linalg.eig``."""
+    symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
+    count = np.count_nonzero(symmetric)
+    if count in (0, len(a)):  # one LAPACK call for the whole stack
+        return _solve(np.linalg.eigh if count else np.linalg.eig, a)
+    w = np.empty(a.shape[:2], np.complex128)
+    v = np.empty(a.shape, np.complex128)
+    failed = np.empty(len(a), dtype=bool)
+    for mask, solve in ((symmetric, np.linalg.eigh), (~symmetric, np.linalg.eig)):
+        w[mask], v[mask], failed[mask] = _solve(solve, a[mask])
+    return w, v, failed
+
+
+def _solve(solve, a: np.ndarray):
+    """``solve`` (``np.linalg.eig`` or ``eigh``) of every matrix in the stack
+    ``a``, as complex arrays, and the mask of those that did not converge.
 
     One such matrix fails a stacked call, so that stack is solved again matrix
     by matrix: the others keep their values, bit for bit, and a failed matrix
     gets zero eigenvalues and unit vectors, which carry no meaning.
     """
     try:
-        return (*np.linalg.eig(a), np.zeros(len(a), dtype=bool))
+        w, v = solve(a)
+        return (w.astype(np.complex128, copy=False), v.astype(np.complex128, copy=False),
+                np.zeros(len(a), dtype=bool))
     except np.linalg.LinAlgError:
         if len(a) == 1:
-            eye = np.eye(a.shape[1], dtype=a.dtype)[None]
-            return np.zeros(a.shape[:2], a.dtype), eye, np.ones(1, dtype=bool)
-    w, v, failed = zip(*(_eig(a[b:b + 1]) for b in range(len(a))))
+            eye = np.eye(a.shape[1], dtype=np.complex128)[None]
+            return np.zeros(a.shape[:2], np.complex128), eye, np.ones(1, dtype=bool)
+    w, v, failed = zip(*(_solve(solve, a[b:b + 1]) for b in range(len(a))))
     return np.concatenate(w), np.concatenate(v), np.concatenate(failed)
 
 
@@ -175,12 +194,17 @@ class BlockStack:
 def eig_blocks(blocks) -> BlockStack:
     """Eigendecompositions of real block-diagonal matrices, block by block.
 
-    ``blocks`` holds one real (count, d_k, d_k) stack per block. LAPACK's real
-    solve returns real eigenvalues with zero imaginary part and complex ones
-    as exact conjugate pairs, in adjacent columns with Im > 0 first. The
-    residuals of the whole matrix are checked against ``DEFAULT_TOL *
-    ||M||_F``. Left vectors are not computed, and neither is any measure of
-    defectiveness: a Jordan block solves without an error.
+    ``blocks`` holds one real (count, d_k, d_k) stack per block. Each matrix
+    of a stack that equals its transpose exactly is solved by LAPACK's
+    symmetric solve (``np.linalg.eigh``): real eigenvalues in ascending order
+    with orthonormal real vectors. Every other matrix is solved by LAPACK's
+    real solve (``np.linalg.eig``), which returns real eigenvalues with zero
+    imaginary part and complex ones as exact conjugate pairs, in adjacent
+    columns with Im > 0 first. The choice is made per matrix, so that a
+    matrix gets the same bits in any stack. The residuals of the whole
+    matrix are checked against ``DEFAULT_TOL * ||M||_F``. Left vectors are
+    not computed, and neither is any measure of defectiveness: a Jordan block
+    solves without an error.
     """
     blocks = [_as_array(a, 3, np.float64) for a in blocks]
     scale = _frobenius(blocks)
@@ -190,9 +214,6 @@ def eig_blocks(blocks) -> BlockStack:
     for a in blocks:
         w, v, bad = _eig(a)
         failed |= bad
-        # numpy returns w and v real for a stack whose eigenvalues are all real
-        w = w.astype(np.complex128, copy=False)
-        v = np.ascontiguousarray(v, dtype=np.complex128)
         im = w.imag
         cols = np.arange(w.shape[1])
         partners.append(np.where(im > 0, cols + 1, np.where(im < 0, cols - 1, -1)))

@@ -117,19 +117,31 @@ class TestNonConvergingStack:
         assert eig_calls == [1]
 
     def test_eig_blocks(self, monkeypatch):
+        # the matrices listed in ``symmetric`` take eigh, the others eig; the
+        # solver of matrix 1 fails on it
+        for symmetric in [(), (0, 1, 2), (1,), (0, 2)]:
+            with monkeypatch.context() as mp:
+                self._fails_alone(mp, symmetric)
+
+    @staticmethod
+    def _fails_alone(monkeypatch, symmetric):
         rng = np.random.default_rng(5)
         blocks = [rng.normal(size=(3, 5, 5)), rng.normal(size=(3, 4, 4))]
+        for a in blocks:
+            a[list(symmetric)] += a[list(symmetric)].swapaxes(1, 2)
         bad = blocks[1][1].copy()
-        lapack_eig = np.linalg.eig
+        name = "eigh" if 1 in symmetric else "eig"
+        lapack_solve = getattr(np.linalg, name)
 
-        def eig(a):
+        def solve(a):
             if a.shape[-1] == bad.shape[-1] and np.all(a == bad, axis=(-2, -1)).any():
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return lapack_eig(a)
+            return lapack_solve(a)
 
-        monkeypatch.setattr(np.linalg, "eig", eig)
+        monkeypatch.setattr(np.linalg, name, solve)
         st = eig_blocks(blocks)
         assert type(st.errors[1]) is ArithmeticError
+        assert str(st.errors[1]) == "eigenvalues did not converge"
         for b in (0, 2):
             solo = eig_blocks([a[b:b + 1] for a in blocks])
             assert st.errors[b] is None
@@ -138,6 +150,9 @@ class TestNonConvergingStack:
                 assert np.array_equal(st.eigenvalues[k][b], solo.eigenvalues[k][0])
                 assert np.array_equal(st.right[k][b], solo.right[k][0])
                 assert np.array_equal(st.partner[k][b], solo.partner[k][0])
+                if b in symmetric:
+                    assert np.all(st.eigenvalues[k][b].imag == 0)
+                    assert np.all(st.partner[k][b] == -1)
 
 
 class TestBiorthonormalize:

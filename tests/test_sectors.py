@@ -303,20 +303,38 @@ def same_bits(x, y) -> bool:
 
 @st.composite
 def chain_stacks(draw):
-    """Sector blocks of 1-4 random chains of one N in {2, 4, 6}, and whether the
-    first point's Q = +1 block is replaced by a Jordan block, which fails it."""
+    """Sector blocks of 1-4 random chains of one N in {2, 4, 6}, some of them
+    gain-free, whose blocks are symmetric; whether the first point's Q = +1
+    block is replaced by a Jordan block, which fails it; and which points
+    are gain-free with both blocks intact."""
     n = draw(st.sampled_from([2, 4, 6]))
     floats = st.floats(-1.5, 1.5, allow_subnormal=False)
-    specs = []
+    specs, gain_free = [], []
     for _ in range(draw(st.integers(1, 4))):
-        half = draw(st.lists(floats, min_size=n // 2, max_size=n // 2))
+        gain_free.append(draw(st.booleans()))
+        half = ([0.0] * (n // 2) if gain_free[-1] else
+                draw(st.lists(floats, min_size=n // 2, max_size=n // 2)))
         specs.append(ChainSpec(n, abs(draw(floats)), draw(floats),
                                (*half, *(-g for g in reversed(half)))))
     blocks = tuple(np.concatenate(b) for b in zip(*(sector_blocks(s) for s in specs)))
     if draw(st.booleans()):
         d = blocks[0].shape[1]
         blocks[0][0] = np.eye(d) + np.eye(d, k=1)
-    return n, blocks
+        gain_free[0] = False
+    return n, blocks, gain_free
+
+
+def assert_same_point(got, want):
+    """Two solves of one point agree bit for bit, or fail with one message."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        return
+    for name in ("eigenvalues", "z2", "indicator", "partner", "sector"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("right", "left", "scale", "cond_right", "biortho_residual"):
+        assert same_bits(getattr(got.eigensystem, name), getattr(want.eigensystem, name)), name
+    assert got.reality_tol == want.reality_tol
 
 
 class TestMergeOracle:
@@ -325,19 +343,23 @@ class TestMergeOracle:
     @settings(max_examples=60, deadline=None)
     @given(stack=chain_stacks())
     def test_gather_equals_scatter(self, stack):
-        n, blocks = stack
+        n, blocks, _ = stack
         for got, want in zip(sector_spectra(blocks, n), merged_by_scatter(blocks, n),
                              strict=True):
-            assert type(got) is type(want)
-            if isinstance(want, Exception):
-                assert str(got) == str(want)
-                continue
-            for name in ("eigenvalues", "z2", "indicator", "partner", "sector"):
-                assert same_bits(getattr(got, name), getattr(want, name)), name
-            for name in ("right", "left", "scale", "cond_right", "biortho_residual"):
-                assert same_bits(getattr(got.eigensystem, name),
-                                 getattr(want.eigensystem, name)), name
-            assert got.reality_tol == want.reality_tol
+            assert_same_point(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=chain_stacks())
+    def test_point_equals_its_solo_solve(self, stack):
+        # gain-free blocks take the symmetric solve, the others the general
+        # one, matrix by matrix: a stack that mixes them changes no bit
+        n, blocks, gain_free = stack
+        for b, got in enumerate(sector_spectra(blocks, n)):
+            assert_same_point(got, sector_spectra(tuple(a[b:b + 1] for a in blocks), n)[0])
+        raw = eig_blocks(blocks)
+        for b in np.flatnonzero(gain_free):
+            for v in raw.right:
+                assert np.allclose(v[b].T @ v[b], np.eye(v.shape[1]), rtol=0, atol=1e-13)
 
     def test_failed_point_keeps_its_error(self):
         n = 4
