@@ -7,10 +7,11 @@
 # seed-0 CLI calls of the three benchmark workloads (perfbench/run.py), the
 # ep3_n4 call with 1 and with 2 workers, an EP3 search over an asymmetric
 # coupling window (which solves every probe and every candidate, without the
-# coupling mirror), one N=6 gain sweep through many EP2s, four `spectrum`
-# calls, the gain-free crossing classification at N=4 (which refines every
-# sign change of a pair's gap), one `find-ep --pair` search (which
-# refines one pair's EP2 over the whole span), an N=4 gain sweep at a high
+# coupling mirror), the ep3_n4 search over the window (-0.981, 0.999), whose
+# (3,4,7) and (8,11,12) records pair, one N=6 gain sweep through many EP2s,
+# four `spectrum` calls, the gain-free crossing classification at N=4 (which
+# refines every sign change of a pair's gap), one `find-ep --pair` search
+# (which refines one pair's EP2 over the whole span), an N=4 gain sweep at a high
 # indicator_floor (0.05), where one pair's real end has no well-defined index,
 # so its EP2 is written as a "no well-defined index" skipped entry, and two
 # calls that reach the defect test: an N=2 gain sweep whose grid point at
@@ -49,6 +50,18 @@
 #   its location, levels, indices and kind, and its gap moves by at most
 #   2.5e-15, except within 4.2e-9 of the degeneracy at jt = 0, where the
 #   list goes from 103 to 104 crossings.
+# Against 8e072ec and older commits, the EP3 record files differ on purpose:
+# find_ep3 now follows the closing wedge by its cusp law, and its records sit
+# on the collision instead of on a wedge the gain bisection lost. Standard
+# output, exit status and every skipped entry are the same.
+# - ep3_n4_w1.out and ep3_n4_w2.out: both records move from (-/+0.7485696,
+#   0.4124996) to (-/+0.7478532, 0.4137375), 7.16e-4 toward j = 0 and 1.238e-3
+#   up the gain. residual goes from 8.3e-5 to 8.5e-10, bracket_width from
+#   7.6e-7 to 9.9e-7.
+# - ep3_n4_asym.out: its (3,4,7) record moves the same way.
+# - ep3_n4_moved.out: the (3,4,7) record moves from (-0.7554342, 0.3999996),
+#   7.58e-3 and 1.374e-2 away, to the (3,4,7) record above, and now pairs with
+#   the (8,11,12) record, which moves as in ep3_n4_w1.out.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). Exits 1 on
 # any difference, 0 when all are identical. BLAS runs on one thread.
@@ -74,6 +87,7 @@ calls=(
     "ep3_n4_w1|$ep3 --points 67 --workers 1"
     "ep3_n4_w2|$ep3 --points 67 --workers 2"
     "ep3_n4_asym|find-ep --order 3 --n 4 --j-start -0.9 --j-stop -0.6 --g-start 0.35 --g-stop 0.45 --points 11"
+    "ep3_n4_moved|find-ep --order 3 --n 4 --j-start -0.981 --j-stop 0.999 --g-start 0.35 --g-stop 0.45 --points 67"
     "sweep_n8_h|sweep --n 8 --axis jt --fixed 0 --start -0.99 --stop 0.99 --points 40 --workers 1"
     "sweep_n6_gt|sweep --n 6 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 301"
     "spectrum_n4|spectrum --n 4 --jt 0.5 --gt 0.21"

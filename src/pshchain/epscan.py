@@ -10,8 +10,8 @@ Second-order exceptional points are boundaries between real and
 complex-conjugate eigenvalues of a tracked pair and are localized by
 bisection in the swept parameter. Third-order points show up as the
 collision of two such boundaries sharing the middle level of a triple; they
-are localized by bisecting the coupling for the partner-switch of the middle
-level.
+are localized by following the coupling interval between the two boundaries
+up the gain until it closes, guided by the cusp law of its width.
 """
 
 from __future__ import annotations
@@ -41,13 +41,23 @@ AXIS_RANGE = {AXIS_COUPLING: (-1.0, 1.0), AXIS_GAIN: (0.0, math.inf)}
 
 #: Default bisection tolerance in the swept parameter.
 BISECT_TOL = 1e-8
-#: Default tolerances of ``find_ep3``: its coupling and its gain bisections.
+#: Default tolerances of ``find_ep3``: its finest edge bisection and its final
+#: gain bracket.
 EP3_J_TOL = 1e-10
 EP3_GAMMA_TOL = 1e-6
-#: Coupling samples per interval search of ``find_ep3``, gain steps per probe line
-#: of ``find_ep3_candidates``.
+#: Coupling samples across the first window of ``find_ep3`` and across its probe
+#: at the top of the gain bracket, gain steps per probe line of
+#: ``find_ep3_candidates``.
 EP3_SAMPLES = 61
 EP3_CANDIDATE_STEPS = 128
+#: ``find_ep3``: edges bisected to this fraction of a wedge's width (never finer
+#: than ``j_tol``); share of the distance to the predicted collision that a gain
+#: probe stays off it; most samples on each side of a window's centre.
+_EDGE_FRACTION = 1 / 128
+_AIM_OFF = 1 / 8
+_MAX_REACH = 256
+#: Sampling rounds of one ``find_ep3`` window, the first and its extensions.
+_MAX_GROWTH = 8
 #: Default gap below which ``classify_crossings`` flags a near-degeneracy.
 AMBIGUOUS_GAP = 1e-6
 #: Matched overlap below which a track break is recorded.
@@ -435,8 +445,8 @@ class EPRecord:
 
     ``location`` always carries both normalized coordinates. ``indices`` are
     the Z2 indices of the participating levels just outside the point, and
-    ``residual`` is the eigenvalue gap (order 2) or the mismatch of the two
-    colliding boundaries (order 3) at the claimed location.
+    ``residual`` is the eigenvalue gap at the claimed location (order 2) or
+    the width of the last all-real interval below the collision (order 3).
     """
 
     order: int
@@ -749,12 +759,24 @@ def _classify_triple(sp: BiorthoSpectrum, tri_cols) -> TriplePairing:
     return TriplePairing("low-mid" if pair_below else "mid-up")
 
 
-def _march_probe(line: _Line, gamma: float):
-    """Spectrum and track columns at ``gamma`` on the gain ``line``, by a gain march."""
-    steps = max(4, int(math.ceil(gamma / GAIN_RUNG)))
-    for sp, cols, _ in _follow(_solve_values(line, np.linspace(0.0, gamma, steps + 1))):
+def _march(line, state, values):
+    """``state`` (spectrum, track columns) followed through ``values`` on ``line``."""
+    sp, cols = state
+    for sp, cols, _ in _follow(_solve_values(line, values), sp, cols):
         pass
     return sp, cols
+
+
+def _rungs(start: float, stop: float) -> np.ndarray:
+    """Values after ``start`` up to ``stop``, in equal steps of at most ``GAIN_RUNG``."""
+    return np.linspace(start, stop, math.ceil(abs(stop - start) / GAIN_RUNG) + 1)[1:]
+
+
+def _march_probe(line: _Line, gamma: float):
+    """Spectrum and track columns at ``gamma`` on the gain ``line``, by a gain
+    march from zero gain, where the tracks are the energy ranks."""
+    steps = max(4, int(math.ceil(gamma / GAIN_RUNG)))
+    return _march(line, (None, None), np.linspace(0.0, gamma, steps + 1))
 
 
 def triple_pairing(n: int, j_value: float, gamma: float, triple) -> TriplePairing:
@@ -786,55 +808,146 @@ def _triple_reality_boundary(sp: BiorthoSpectrum, cols, p_real: float, p_cplx: f
     return 0.5 * (pr + pc), _classify_triple(*outside).kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Wedge:
+    """The all-real interval of a triple at one gain, with the state a march
+    to the next gain starts from: ``anchor`` is (coupling, spectrum, track
+    columns) at an all-real sample."""
+
     gamma: float
     j_lo: float
     j_hi: float
     indices: tuple
     edge_kinds: tuple
+    edge_tol: float
+    anchor: tuple
+
+    @property
+    def centre(self) -> float:
+        return 0.5 * (self.j_lo + self.j_hi)
+
+    @property
+    def width(self) -> float:
+        return self.j_hi - self.j_lo
 
 
-def _find_wedge(line: _Line, window, triple, j_tol: float) -> _Wedge | None:
-    """Locate the all-real interval of the triple on the fixed-gain ``line``."""
-    gamma = line.fixed_value
-    j_vals = np.linspace(window[0], window[1], EP3_SAMPLES)
-    anchor = 0.5 * (window[0] + window[1])
-    sp_a, cols_a = _march_probe(line._replace(axis=AXIS_GAIN, fixed_value=anchor), gamma)
+def _find_wedge(line: _Line, state, centre: float, h: float, reach: int, triple,
+                j_tol: float) -> _Wedge | None:
+    """Locate the all-real interval of the triple on the fixed-gain ``line``.
 
+    Samples ``centre + k*h`` for ``|k| <= reach`` (those in [-1, 1]), marched
+    outward from ``state``, the spectrum and track columns at ``centre``. A
+    run of all-real samples that reaches the outermost sample on a side goes
+    on ``reach`` samples further there, up to ``_MAX_GROWTH`` rounds in all,
+    and an edge still at the outermost sample stays there. The widest run,
+    the first of equal ones, is the interval; both its edges are bisected
+    together, to ``_EDGE_FRACTION`` of the width its samples allow but never
+    finer than ``j_tol``. None when no sample is all-real.
+    """
     tri = list(triple)
-    states: dict[int, tuple] = {}
-    right_part = sorted(i for i in range(EP3_SAMPLES) if j_vals[i] >= anchor)
-    left_part = sorted((i for i in range(EP3_SAMPLES) if j_vals[i] < anchor), reverse=True)
-    for part in (right_part, left_part):
-        spectra = _solve_values(line, j_vals[part])
-        for i, (sp, cols, _) in zip(part, _follow(spectra, sp_a, cols_a)):
-            states[i] = sp, cols[tri]
+    states = {0: state}
+    last = {-1: 0, 1: 0}  # outermost k sampled on each side
+    grow = (-1, 1)
+    for _ in range(_MAX_GROWTH):
+        if not grow:
+            break
+        parts = {side: [k for k in range(last[side] + side, last[side] + side * (reach + 1), side)
+                        if abs(centre + k * h) <= 1.0] for side in grow}
+        parts = {side: ks for side, ks in parts.items() if ks}
+        # both sides share one stacked solve, then each is followed from its own end
+        spectra = _solve_values(line, [centre + k * h for ks in parts.values() for k in ks])
+        for side, ks in parts.items():
+            for k, (sp, cols, _) in zip(ks, _follow(spectra, *states[last[side]])):
+                states[k] = sp, cols
+            last[side] = ks[-1]
+        ks = sorted(states)
+        real_mask = [int(_all_real(states[k][0], states[k][1][tri])) for k in ks]
+        if not any(real_mask):
+            return None
+        # widest run of all-real samples, the first of equal ones
+        edges = np.flatnonzero(np.diff([0, *real_mask, 0])).tolist()
+        lo, hi = max(zip(edges[::2], edges[1::2]), key=lambda r: r[1] - r[0])
+        lo, hi = ks[lo], ks[hi - 1]
+        grow = tuple(side for side, end in ((-1, lo), (1, hi))
+                     if end == last[side] and parts.get(side))
 
-    real_mask = [int(_all_real(*states[i])) for i in range(EP3_SAMPLES)]
-    if not any(real_mask):
-        return None
-    # widest run of all-real samples, the first of equal ones
-    edges = np.flatnonzero(np.diff([0, *real_mask, 0])).tolist()
-    lo, hi = max(zip(edges[::2], edges[1::2]), key=lambda r: r[1] - r[0])
-    hi -= 1
+    # the anchor: the all-real sample nearest the centre. March labels can swap
+    # inside complex bubbles; the physical roles (lower, middle, upper) are the
+    # energy order inside the interval
+    k_a = min(max(0, lo), hi)
+    sp, cols = states[k_a]
+    order = np.argsort(sp.eigenvalues[cols[tri]].real, kind="stable")
+    indices = tuple(int(i) for i in sp.z2[cols[tri][order]])
 
-    anchor_idx = (lo + hi) // 2
-    # march labels can swap inside complex bubbles; the physical roles
-    # (lower, middle, upper) are the energy order inside the interval
-    sp, cols = states[anchor_idx]
-    order = np.argsort(sp.eigenvalues[cols].real, kind="stable")
-    indices = tuple(int(i) for i in sp.z2[cols[order]])
-
-    # both edges are refined together; an edge at the window's end stays there
+    tol = max(j_tol, _EDGE_FRACTION * (hi - lo + 2) * h)
     ends = [(lo, lo - 1), (hi, hi + 1)]
-    inner = [(i, o) for i, o in ends if 0 <= o < EP3_SAMPLES]
+    inner = [(i, o) for i, o in ends if o in states]
     refined = dict(zip(inner, _lockstep(line, [_triple_reality_boundary(
-        *states[i], float(j_vals[i]), float(j_vals[o]), j_tol) for i, o in inner])))
+        states[i][0], states[i][1][tri], centre + i * h, centre + o * h, tol) for i, o in inner])))
     (j_left, kind_left), (j_right, kind_right) = [
-        refined.get(end, (float(j_vals[end[0]]), "edge")) for end in ends]
-    return _Wedge(gamma=gamma, j_lo=j_left, j_hi=j_right, indices=indices,
-                  edge_kinds=(kind_left, kind_right))
+        refined.get(end, (centre + end[0] * h, "edge")) for end in ends]
+    return _Wedge(gamma=line.fixed_value, j_lo=j_left, j_hi=j_right, indices=indices,
+                  edge_kinds=(kind_left, kind_right), edge_tol=tol,
+                  anchor=(centre + k_a * h, sp, cols))
+
+
+def _next_probe(wedges: list[_Wedge], g_gone: float, weights, g_tol: float):
+    """The next gain probe of :func:`find_ep3`: (gain, window centre, spacing, reach).
+
+    Near the collision the interval's width w follows the cusp law: w^(2/3)
+    falls linearly to zero, and the centre moves linearly. The probe is the
+    regula falsi point of w^(2/3) between the last interval's gain and the
+    gain where none is left, whose value is the law's extrapolation through
+    the last two intervals; ``weights`` are the Illinois factors of the two
+    ends. It keeps ``_AIM_OFF`` of the distance from the last interval to the
+    predicted collision, and at least 0.4 * g_tol, off that collision, where
+    the predicted interval would be too narrow to sample; once the last
+    interval is that close, it goes past the collision instead. The window is
+    centred on the predicted centre, sampled at a quarter of the predicted
+    width (or coarser, to keep within ``_MAX_REACH`` samples a side), and
+    reaches twice that width beyond the centre's uncertainty: the curvature
+    of the path of the last three centres, or half the predicted drift, plus
+    the edges' tolerance. Until the law can be read (one interval, or widths
+    that do not fall), the probe goes up an eighth of the last width (a
+    quarter of the bracket at most): if each edge moves no faster than twice
+    the gain, at least half the width is left, and the window, sampled at an
+    eighth of the last width, spans that drift.
+    """
+    w1 = wedges[-1]
+    g1, f1 = w1.gamma, w1.width ** (2 / 3)
+    if len(wedges) > 1:
+        w0 = wedges[-2]
+        g0, step = w0.gamma, w1.gamma - w0.gamma
+        slope = (f1 - w0.width ** (2 / 3)) / step
+    if len(wedges) < 2 or not slope < 0:
+        h = 0.125 * max(w1.width, w1.edge_tol)
+        g = g1 + min(0.25 * (g_gone - g1), h)
+        return g, w1.centre, h, math.ceil((0.5 * w1.width + 2.0 * (g - g1)) / h)
+
+    root = g1 - f1 / slope
+    beyond = f1 + slope * (g_gone - g1)
+    f_exist, f_gone = weights[0] * f1, weights[1] * (beyond if beyond < 0 else -f1)
+    g = (g1 * f_gone - g_gone * f_exist) / (f_gone - f_exist)
+    aim_off = max(0.4 * g_tol, _AIM_OFF * (root - g1))
+    if abs(g - root) < aim_off:
+        below = g <= root and root - g1 >= 2.0 * aim_off
+        g = root - aim_off if below else root + aim_off
+    if not g1 < g < g_gone:
+        g = 0.5 * (g1 + g_gone)
+    width = (-slope * max(abs(g - root), aim_off)) ** 1.5
+
+    drift = (w1.centre - w0.centre) / step
+    if len(wedges) > 2:
+        wa = wedges[-3]
+        curvature = (drift - (w0.centre - wa.centre) / (g0 - wa.gamma)) / (g1 - wa.gamma)
+        spread = 2.0 * abs(curvature * (g - g0) * (g - g1))
+    else:
+        spread = 0.5 * abs(drift * (g - g1))
+    lever = (g - g1) / step
+    spread += w1.edge_tol * (1.0 + lever) + w0.edge_tol * lever
+    span = 2.0 * width + spread
+    h = max(0.25 * width, span / _MAX_REACH)
+    return g, w1.centre + drift * (g - g1), h, math.ceil(span / h)
 
 
 def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
@@ -843,15 +956,29 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
     """Localize a third-order point as the collision of two tracked boundaries.
 
     At fixed gain below the collision, the triple (zero-gain energy ranks,
-    middle entry = shared level) is all-real on a coupling interval bounded
-    by the two second-order boundaries that share the middle level. The
-    interval shrinks to a point as the gain rises; its collapse is bisected
-    in the gain, with the coupling window re-centered on the last seen
-    interval. The record's indices are read inside the last resolved
-    interval, its residual is that interval's width, and the bracket width
-    is the final gain bracket. A chain length that is not a positive even
-    integer, a bracket that is not two finite rising values on its axis, or a
-    tolerance that a :class:`SweepGrid` rejects raises ValueError, before any solve.
+    middle entry = shared level) is all-real on a coupling interval, the
+    wedge, bounded by the two second-order boundaries that share the middle
+    level. The wedge closes as the gain rises, by the cusp law: its width
+    w^(2/3) falls linearly to zero and its centre moves linearly. The first
+    wedge is sampled across ``j_bracket``, padded by half its width on each
+    side, at ``gamma_bracket[0]``, its triple labelled by a gain march from
+    zero gain. The wedge must be gone at ``gamma_bracket[1]``. Between them a
+    regula falsi on w^(2/3) with the Illinois modification (see
+    :func:`_next_probe`) keeps a bracket of a gain with a wedge and a gain
+    without one, until it is no wider than ``g_tol``. Each probe labels the
+    triple by a short march from the last wedge's anchor sample, and samples
+    a window of the predicted wedge; an empty window means no wedge. Every
+    wedge's edges are bisected to a fraction of its width, never finer than
+    ``j_tol``.
+
+    The record's gain is the middle of the final bracket and its coupling is
+    the last wedge's centre moved along the drift to that gain. Its indices
+    are read inside the last wedge where the indicators of all three levels
+    resolve them, its residual is the last wedge's width, and its bracket
+    width is the final gain bracket. A chain length that is not a
+    positive even integer, a bracket that is not two finite rising values on
+    its axis, or a tolerance that a :class:`SweepGrid` rejects raises
+    ValueError, before any solve.
     """
     triple = check_levels(triple, check_chain_length(n), "triple")
     j_lo, j_hi = _window(AXIS_COUPLING, j_bracket, "j_bracket")
@@ -861,45 +988,73 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
 
     line = _Line(AXIS_COUPLING, g_lo, n, reality_tol, indicator_floor)
     _check_tolerances(line)
-    wedge = _find_wedge(line, window, triple, j_tol)
+    centre, half = 0.5 * (window[0] + window[1]), EP3_SAMPLES // 2
+    state = _march_probe(line._replace(axis=AXIS_GAIN, fixed_value=centre), g_lo)
+    wedge = _find_wedge(line, state, centre, (window[1] - window[0]) / (2 * half), half,
+                        triple, j_tol)
     if wedge is None:
         raise NoEP3InBox(
             f"triple {triple} has no all-real interval at gamma={g_lo:.6g} in {window}")
+    wedges = [wedge]
 
-    def probe(g: float) -> _Wedge | None:
-        # the window re-centers on the last seen interval, widened by the gain step
-        width = max(wedge.j_hi - wedge.j_lo, 10 * j_tol)
-        margin = max(2.0 * width, 2.0 * (g - wedge.gamma), 1e-4)
-        window = (max(-1.0, wedge.j_lo - margin), min(1.0, wedge.j_hi + margin))
-        return _find_wedge(line._replace(fixed_value=g), window, triple, j_tol)
+    def probe(g: float, centre: float, h: float, reach: int) -> _Wedge | None:
+        j_a, sp, cols = wedges[-1].anchor
+        state = _march(line._replace(axis=AXIS_GAIN, fixed_value=j_a), (sp, cols),
+                       _rungs(wedges[-1].gamma, g))
+        at_g = line._replace(fixed_value=g)
+        return _find_wedge(at_g, _march(at_g, state, _rungs(j_a, centre)), centre, h, reach,
+                           triple, j_tol)
 
-    if probe(g_hi) is not None:
+    reach = max(2.0 * wedge.width, 2.0 * (g_hi - g_lo), 1e-4)
+    if probe(g_hi, wedge.centre, reach / half, half) is not None:
         raise NoEP3InBox(
             f"the all-real interval persists at gamma={g_hi:.6g}; "
             "the boundaries collide above the box")
 
-    def exists(found: _Wedge | None) -> bool:
-        nonlocal wedge
-        wedge = found or wedge
-        return found is not None
+    g_gone, weights, found_last = g_hi, [1.0, 1.0], None
+    for _ in range(200):
+        g_exist = wedges[-1].gamma
+        if not g_gone - g_exist > g_tol:
+            break
+        g, *plan = _next_probe(wedges, g_gone, weights, g_tol)
+        if g in (g_exist, g_gone):  # the bracket is down to adjacent floats
+            break
+        found = probe(g, *plan)
+        # Illinois: an end kept twice in a row counts half
+        if found is not None:
+            wedges.append(found)
+            weights[0] = 1.0
+            if found_last:
+                weights[1] *= 0.5
+        else:
+            g_gone = g
+            weights[1] = 1.0
+            if found_last is False:
+                weights[0] *= 0.5
+        found_last = found is not None
 
-    g_exist, g_gone = _run(_bisect(exists, g_lo, g_hi, g_tol), probe)
-
+    wedge = wedges[-1]
     kinds = set(wedge.edge_kinds)
     if kinds != {"low-mid", "mid-up"}:
         raise NoEP3InBox(
             f"interval at gamma={wedge.gamma:.6g} is not bounded by the two "
             f"boundaries sharing the middle level (edge kinds {wedge.edge_kinds})")
-    if any(i not in (-1, 1) for i in wedge.indices):
+    # the indicators vanish as the three levels coalesce: the indices are the
+    # last ones that every level of the triple resolves
+    indices = [w.indices for w in wedges if all(i in (-1, 1) for i in w.indices)]
+    if not indices:
         raise NoEP3InBox("triple indices are not resolved inside the interval")
 
-    j_star = 0.5 * (wedge.j_lo + wedge.j_hi)
-    g_star = 0.5 * (g_exist + g_gone)
+    g_star = 0.5 * (wedge.gamma + g_gone)
+    j_star = wedge.centre
+    if len(wedges) > 1:
+        w0 = wedges[-2]
+        j_star += (wedge.centre - w0.centre) / (wedge.gamma - w0.gamma) * (g_star - wedge.gamma)
     return EPRecord(order=3,
                     location={AXIS_COUPLING: float(j_star), AXIS_GAIN: float(g_star)},
-                    levels=triple, indices=tuple(int(i) for i in wedge.indices),
-                    residual=float(wedge.j_hi - wedge.j_lo),
-                    bracket_width=float(g_gone - g_exist))
+                    levels=triple, indices=indices[-1],
+                    residual=float(wedge.width),
+                    bracket_width=float(g_gone - wedge.gamma))
 
 
 def _candidate_probe(grid: SweepGrid) -> dict:

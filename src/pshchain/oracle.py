@@ -62,14 +62,33 @@ class OracleState:
 
 
 def _bisect(f, a: float, b: float, args=()) -> float:
-    """Root of ``f`` in [a, b] by scipy's bisection, at the oracle's tolerances.
+    """Root of ``f`` in [a, b], at the oracle's tolerances: the loop of
+    ``scipy.optimize.bisect``, step for step.
 
-    scipy is imported here, at the first root, so that importing the package
-    does not import it.
+    The step from ``a`` halves each round. The midpoint replaces ``a`` when
+    f there has the sign of f(a) (or is 0), and is returned once f is 0 there
+    or the step is below ``xtol + rtol*|midpoint|`` (``_BISECT_KW``). An end
+    where f is 0 is returned before any round. Ends of one sign raise
+    ValueError, and ``maxiter`` rounds without convergence raise ArithmeticError.
     """
-    from scipy.optimize import bisect
-
-    return float(bisect(f, a, b, args=args, **_BISECT_KW))
+    xtol, rtol, maxiter = _BISECT_KW["xtol"], _BISECT_KW["rtol"], _BISECT_KW["maxiter"]
+    fa, fb = f(a, *args), f(b, *args)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    step = b - a
+    for _ in range(maxiter):
+        step *= 0.5
+        mid = a + step
+        fm = f(mid, *args)
+        if fm * fa >= 0:
+            a = mid
+        if fm == 0 or abs(step) < xtol + rtol * abs(mid):
+            return mid
+    raise ArithmeticError(f"bisection did not converge after {maxiter} rounds")
 
 
 def _mode_func(k: float, n: int, ratio: float) -> float:

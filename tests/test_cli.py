@@ -307,6 +307,20 @@ class TestFindEpCommand:
                      "--triple", "3", "4", "7", "--output", str(out)])
         assert code == 2
 
+    def test_moved_window_gives_paired_records(self, tmp_path):
+        # the (3,4,7) search of this window and the mirrored (8,11,12) one
+        # close on mirror points, within the benchmark's EP3 pairing
+        # tolerances (1e-3 in the coupling, 1e-5 in the gain)
+        out = tmp_path / "ep3.json"
+        assert main(["find-ep", "--order", "3", "--n", "4",
+                     "--j-start", "-0.981", "--j-stop", "0.999",
+                     "--g-start", "0.35", "--g-stop", "0.45",
+                     "--points", "67", "--output", str(out)]) == 0
+        low, high = load_ep_records(out)
+        assert (low.levels, high.levels) == ((3, 4, 7), (8, 11, 12))
+        assert abs(low.location["j_tilde"] + high.location["j_tilde"]) <= 1e-3
+        assert abs(low.location["gamma_tilde"] - high.location["gamma_tilde"]) <= 1e-5
+
 
 class TestVerifyCommand:
     def test_small_grid_clean(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import pickle
 import re
@@ -961,6 +962,9 @@ class TestFindEp3:
         # each edge's bisection starts from the real-side sample the wedge search
         # has solved: its first round probes the midpoints, and no round
         # solves a sample again
+        line = _Line(AXIS_COUPLING, 0.4, 4, None, INDICATOR_FLOOR)
+        centre, h, reach = -0.76, 0.08 / 60, 30
+        state = epscan._march_probe(line._replace(axis=AXIS_GAIN, fixed_value=centre), 0.4)
         solved = []
         original = epscan._solve_values
 
@@ -969,22 +973,64 @@ class TestFindEp3:
             return original(line, values, *args)
 
         monkeypatch.setattr(epscan, "_solve_values", recording)
-        window = (-0.8, -0.72)
-        line = _Line(AXIS_COUPLING, 0.4, 4, None, INDICATOR_FLOOR)
-        wedge = epscan._find_wedge(line, window, (3, 4, 7), epscan.EP3_J_TOL)
+        wedge = epscan._find_wedge(line, state, centre, h, reach, (3, 4, 7), epscan.EP3_J_TOL)
         assert wedge.edge_kinds == ("mid-up", "low-mid")
-        # the anchor's gain march and the two halves of the samples come first
-        samples = np.linspace(*window, epscan.EP3_SAMPLES)
-        assert sorted(v for part in solved[1:3] for v in part) == samples.tolist()
-        rounds = solved[3:]
-        step = samples[1] - samples[0]
-        lo = int(np.searchsorted(samples, wedge.j_lo))
-        hi = int(np.searchsorted(samples, wedge.j_hi))
+        # both sides of the centre, solved in one call, come first
+        samples = {k: centre + k * h for k in range(-reach, reach + 1) if k}
+        assert sorted(solved[0]) == sorted(samples.values())
+        rounds = solved[1:]
+        inside = [k for k, j in samples.items() if wedge.j_lo < j < wedge.j_hi]
+        lo, hi = min(inside), max(inside)
         assert rounds[0] == [0.5 * (samples[lo] + samples[lo - 1]),
-                             0.5 * (samples[hi - 1] + samples[hi])]
-        assert not set(samples.tolist()) & {v for r in rounds for v in r}
-        halvings = int(np.ceil(np.log2(step / epscan.EP3_J_TOL)))
+                             0.5 * (samples[hi] + samples[hi + 1])]
+        assert not set(samples.values()) & {v for r in rounds for v in r}
+        # to a fraction of the width the samples allow, never finer than j_tol
+        assert wedge.edge_tol == max(epscan.EP3_J_TOL, epscan._EDGE_FRACTION * (hi - lo + 2) * h)
+        halvings = int(np.ceil(np.log2(h / wedge.edge_tol)))
         assert len(rounds) <= halvings + 1
+
+    def test_wedge_run_at_the_window_end_goes_on(self):
+        # a window that holds only part of the wedge samples on until both
+        # edges lie between samples
+        line = _Line(AXIS_COUPLING, 0.4, 4, None, INDICATOR_FLOOR)
+        centre, h = -0.755, 2e-4
+        state = epscan._march_probe(line._replace(axis=AXIS_GAIN, fixed_value=centre), 0.4)
+        wedge = epscan._find_wedge(line, state, centre, h, 3, (3, 4, 7), epscan.EP3_J_TOL)
+        assert wedge.edge_kinds == ("mid-up", "low-mid")
+        assert wedge.width > 2 * 3 * h and abs(wedge.width - 3.183e-3) < wedge.edge_tol + 1e-6
+
+    def test_record_sits_on_the_dense_collision(self, record, monkeypatch):
+        # the reference: the wedge followed densely below the collision, windows
+        # of 201 samples, edges to 1e-13, and quadratic fits of width^(2/3)
+        # (the cusp law's straight line) and of the centre against the gain
+        monkeypatch.setattr(epscan, "_EDGE_FRACTION", 0.0)
+        rows = []
+        for g in np.linspace(0.4130, 0.41372, 8):
+            centre = -0.7478533 + 0.5813 * (g - 0.4137375)  # the measured drift
+            width = 1.9 * (0.4137375 - g) ** 1.5
+            line = _Line(AXIS_COUPLING, g, 4, None, INDICATOR_FLOOR)
+            state = epscan._march_probe(line._replace(axis=AXIS_GAIN, fixed_value=centre), g)
+            wedge = epscan._find_wedge(line, state, centre, width / 50, 100, (3, 4, 7), 1e-13)
+            assert wedge.edge_kinds == ("mid-up", "low-mid")
+            rows.append((g - 0.4137, wedge.width ** (2 / 3), wedge.centre))
+        dg, f, c = np.array(rows).T
+        law = np.polynomial.Polynomial.fit(dg, f, 2).convert()
+        assert np.max(np.abs(law(dg) - f)) < 1e-6 * np.max(f)
+        root = min(r.real for r in law.roots() if r.real > dg[-1])
+        g_star = 0.4137 + root
+        j_star = np.polynomial.Polynomial.fit(dg, c, 2).convert()(root)
+        assert abs(g_star - 0.4137376) < 1e-6 and abs(j_star + 0.7478532) < 1e-6
+        assert abs(record.location[AXIS_GAIN] - g_star) < 1e-6
+        assert abs(record.location[AXIS_COUPLING] - j_star) < 1e-6
+        assert record.residual < 1e-6
+
+    def test_mirror_exact_at_a_shifted_gain_start(self):
+        # every window centre, width and probe of the search is odd under
+        # j -> -j, so the coupling mirror of a search is the mirrored search
+        g = 0.34819418444333977
+        direct = find_ep3(4, (0.75, 0.78), (g, 0.45), (8, 11, 12))
+        mapped = epscan._mirror_record(find_ep3(4, (-0.78, -0.75), (g, 0.45), (3, 4, 7)), 4)
+        assert json.dumps(mapped.to_dict()) == json.dumps(direct.to_dict())
 
     def test_zero_gain_tolerance_ends(self, tmp_path):
         # the gain bisection stops once its midpoint rounds onto an end

@@ -1,13 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import match_level_sets, solve_chain
 from pshchain import (ChainSpec, almost_zero_energy, build_hamiltonian,
-                      full_spectrum, pair_relative_parity, solve_modes)
+                      full_spectrum, oracle, pair_relative_parity, solve_modes)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RATIO_GRID = [-5.0, -1.0, -0.2, 0.2, 1.0, 5.0]
 
@@ -231,3 +239,43 @@ class TestEngineAgainstOracle:
                 continue
             a, b = (int(np.argmin(np.abs(energies - e))) for e in pair)
             assert sp.z2[a] * sp.z2[b] == pair_relative_parity(bin(mask).count("1"), j)
+
+
+class TestBisect:
+    """``oracle._bisect`` is the loop of ``scipy.optimize.bisect``, to the bit."""
+
+    def test_equals_scipy_on_every_oracle_bracket(self, monkeypatch):
+        brackets = []
+        port = oracle._bisect
+
+        def recording(f, a, b, args=()):
+            brackets.append((f, a, b, args))
+            return port(f, a, b, args)
+
+        monkeypatch.setattr(oracle, "_bisect", recording)
+        for n in range(2, 13, 2):
+            for ratio in RATIO_GRID:
+                solve_modes(n, *normalized_couplings(ratio))
+        # the band roots of solve_modes, and the complex mode's of _solve_kappa
+        assert {f.__name__ for f, *_ in brackets} == {"_mode_func", "h"}
+        for f, a, b, args in brackets:
+            ref = scipy.optimize.bisect(f, a, b, args=args, **oracle._BISECT_KW)
+            assert port(f, a, b, args).hex() == float(ref).hex()
+
+    def test_ends(self):
+        assert oracle._bisect(lambda x: x, 0.0, 1.0) == 0.0
+        assert oracle._bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        with pytest.raises(ValueError, match="different signs"):
+            oracle._bisect(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+
+def test_full_spectrum_runs_without_scipy():
+    code = ("import json, sys; from pshchain import full_spectrum; "
+            "states = full_spectrum(6, 0.8, 0.6); "
+            "print(json.dumps([len(states), sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [64, []]
