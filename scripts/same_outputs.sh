@@ -62,9 +62,23 @@
 # - ep3_n4_moved.out: the (3,4,7) record moves from (-0.7554342, 0.3999996),
 #   7.58e-3 and 1.374e-2 away, to the (3,4,7) record above, and now pairs with
 #   the (8,11,12) record, which moves as in ep3_n4_w1.out.
+# Against a7a979c and older commits, the four EP2 record files differ on
+# purpose: each EP2 is now the root of the pair's squared gap, found by
+# Chandrupatla's method instead of bisection, so its bracket ends elsewhere
+# within the tolerance. Every record keeps its levels and indices, every
+# skipped entry is the same, and the EP3 records, crossings, spectra and
+# sweep CSVs are the same.
+# - verify_n4.out: 80 records; locations move by at most 7.4e-9, and
+#   bracket_width is at most 7.0e-9.
+# - sweep_n6_gt.json: 38 records; at most 7.1e-9, widths at most 9.3e-9.
+# - ep2_floor.json: 3 records; at most 6.5e-9, widths at most 5.0e-9.
+# - ep2_pair.out: 1 record; 1.4e-10, width 5.0e-9.
 # Every output file, standard output and exit status is compared with cmp
-# (standard error is not, as it may name paths). Exits 1 on
-# any difference, 0 when all are identical. BLAS runs on one thread.
+# (standard error is not, as it may name paths). For two EP record JSON files
+# that differ, one more line says whether the record count, levels, indices
+# and skipped entries match, with the largest location shift and the largest
+# bracket_width in this tree. Exits 1 on any difference, 0 when all are
+# identical. BLAS runs on one thread.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -115,6 +129,36 @@ run_tree() {  # tree, output directory
     done
 }
 
+records_summary() {  # reference file, this tree's file
+    # one line on two differing EP record JSON files, nothing on other files
+    python3 - "$1" "$2" <<'PY'
+import json
+import sys
+
+try:
+    old, new = (json.load(open(path)) for path in sys.argv[1:])
+except ValueError:
+    sys.exit()
+if not all(isinstance(d, dict) and "records" in d for d in (old, new)):
+    sys.exit()
+ro, rn = old["records"], new["records"]
+
+
+def same(value):
+    return "same" if value(old) == value(new) else "differ"
+
+
+shift = "n/a"
+if len(ro) == len(rn):
+    shift = f"{max((abs(a['location'][k] - b['location'][k]) for a, b in zip(ro, rn) for k in a['location']), default=0.0):.3g}"
+print(f"  records {len(ro)} -> {len(rn)}, "
+      f"levels {same(lambda d: [r['levels'] for r in d['records']])}, "
+      f"indices {same(lambda d: [r['indices'] for r in d['records']])}, "
+      f"skipped {same(lambda d: d.get('skipped'))}; largest location shift {shift}, "
+      f"largest bracket_width {max((r['bracket_width'] for r in rn), default=0.0):.3g}")
+PY
+}
+
 run_tree "$work/ref" "$work/out_ref"
 run_tree "$root" "$work/out_new"
 
@@ -127,6 +171,7 @@ for f in "$work"/out_ref/*; do
         status=1
     elif ! cmp -s "$f" "$work/out_new/$name"; then
         echo "differs: $name"
+        records_summary "$f" "$work/out_new/$name"
         status=1
     else
         echo "same: $name"

@@ -7,8 +7,11 @@ which stays reliable through genuine crossings where plain energy ordering
 would swap labels.
 
 Second-order exceptional points are boundaries between real and
-complex-conjugate eigenvalues of a tracked pair and are localized by
-bisection in the swept parameter. Third-order points show up as the
+complex-conjugate eigenvalues of a tracked pair. Each is localized in the
+swept parameter as the root of the pair's squared gap (a - b)^2, which is
+real within a Q block and crosses zero linearly there, by Chandrupatla's
+bracketing method; it falls back to bisection where the gap's values do not
+fit an inverse quadratic. Third-order points show up as the
 collision of two such boundaries sharing the middle level of a triple; they
 are localized by following the coupling interval between the two boundaries
 up the gain until it closes, guided by the cusp law of its width.
@@ -316,23 +319,76 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
         yield new, cols, overlaps
 
 
-def _bisect(inside, p_in: float, p_out: float, tol: float, max_iter: int = 200):
-    """Shrink the bracket (p_in, p_out) onto the point where ``inside`` flips.
+def _signed(value) -> float:
+    """A refinement's answer as a signed value: a bool counts as +1 or -1."""
+    if isinstance(value, bool):
+        return 1.0 if value else -1.0
+    return float(value)
 
-    A refinement: yields each midpoint and, given its spectrum ``sp``, asks
-    ``inside(sp)`` whether it lies on ``p_in``'s side. Stops once the bracket
-    is no wider than ``tol``, after ``max_iter`` probes, or when the midpoint
-    rounds onto an end. Returns the final ends.
+
+def _bisect(side, p_in: float, p_out: float, tol: float, max_iter: int = 200, ends=None):
+    """Shrink the bracket (p_in, p_out) onto the point where ``side`` changes sign.
+
+    A refinement: yields each probe and, given its spectrum ``sp``, asks
+    ``side(sp)`` for a value whose sign (of a zero too) places the probe, + on
+    ``p_in``'s side; a bool counts as +1 or -1. ``ends`` holds the values at
+    ``p_in`` and ``p_out`` when they are known. Stops once the bracket is no
+    wider than ``tol``, after ``max_iter`` probes, or when the midpoint rounds
+    onto an end. Returns the final ends.
+
+    The signs alone decide the bracket; the magnitudes only choose the probes.
+    The first probe is the secant root of ``ends``, each later one the root of
+    the inverse quadratic through the last probe, the end it replaced and the
+    other end, where Chandrupatla's test accepts it (Adv. Eng. Softw. 28, 145,
+    1997). Such a probe stays at least ``tol / 2`` inside both ends, so a zero
+    at an end gives a probe half a tolerance off it. The probe is the midpoint
+    instead where those values are missing, where the test rejects the step,
+    and where the last three probes have not halved the bracket, so that every
+    four probes at least halve it. Values of equal magnitude, as bools give,
+    always fail the test: they bisect.
     """
+    v_in, v_out = (None, None) if ends is None else map(_signed, ends)
+    last = None  # the last probe, its value, and the end and value it replaced
+    widths = [abs(p_out - p_in)]
     for _ in range(max_iter):
         pm = 0.5 * (p_in + p_out)
         if not abs(p_out - p_in) > tol or pm in (p_in, p_out):
             break
-        if inside((yield pm)):
-            p_in = pm
+        p = pm
+        if len(widths) < 4 or widths[-1] <= 0.5 * widths[-4]:
+            p = _interpolate(p_in, v_in, p_out, v_out, last, tol)
+            if p is None or not min(p_in, p_out) < p < max(p_in, p_out):
+                p = pm
+        v = _signed(side((yield p)))
+        if math.copysign(1.0, v) > 0:
+            last = p, v, p_in, v_in
+            p_in, v_in = p, v
         else:
-            p_out = pm
+            last = p, v, p_out, v_out
+            p_out, v_out = p, v
+        widths.append(abs(p_out - p_in))
     return p_in, p_out
+
+
+def _interpolate(p_in, v_in, p_out, v_out, last, tol):
+    """Chandrupatla's next probe of :func:`_bisect`, or None for the midpoint."""
+    if last is None:  # the secant through the ends
+        a, fa, b, fb = p_in, v_in, p_out, v_out
+        if fa is None or fb is None or fa == fb:
+            return None
+        t = fa / (fa - fb)
+    else:
+        a, fa, c, fc = last
+        b, fb = (p_out, v_out) if a == p_in else (p_in, v_in)
+        if fb is None or fc is None or fc == fb:
+            return None
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        if not (phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi):
+            return None
+        t = (fa / (fb - fa) * fc / (fb - fc)
+             + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+    lim = 0.5 * tol / abs(b - a)
+    return a + min(max(t, lim), 1.0 - lim) * (b - a)
 
 
 def _matched(state, sp: BiorthoSpectrum):
@@ -341,27 +397,30 @@ def _matched(state, sp: BiorthoSpectrum):
     return _match(ref.eigensystem.left[:, cols], sp.eigensystem.right)[0]
 
 
-def _tracked(sp: BiorthoSpectrum, cols, p_in: float, p_out: float, tol: float, inside):
-    """Bisect (p_in, p_out) following the levels ``cols`` of ``sp``, solved at ``p_in``.
+def _tracked(sp: BiorthoSpectrum, cols, p_in: float, p_out: float, tol: float, inside,
+             ends=None):
+    """Shrink (p_in, p_out) following the levels ``cols`` of ``sp``, solved at ``p_in``.
 
-    A refinement (see :func:`_bisect`): each probe's levels are matched to
-    those of the last probe inside, where they are still apart, and
-    ``inside(spectrum, columns)`` places the probe. Returns the final ends,
-    the last inside ``(spectrum, columns)`` (``(sp, cols)`` before any) and
-    the last outside one (None before any).
+    A refinement (see :func:`_bisect`, which takes ``ends``): each probe's
+    levels are matched to those of the last probe inside, where they are
+    still apart, and ``inside(spectrum, columns)``, a bool or a signed value,
+    places the probe. Returns the final ends, the last inside ``(spectrum,
+    columns)`` (``(sp, cols)`` before any) and the last outside one (None
+    before any).
     """
     last_in, last_out = (sp, cols), None
 
     def side(probe):
         nonlocal last_in, last_out
         state = probe, _matched(last_in, probe)
-        if inside(*state):
+        value = _signed(inside(*state))
+        if math.copysign(1.0, value) > 0:
             last_in = state
-            return True
-        last_out = state
-        return False
+        else:
+            last_out = state
+        return value
 
-    p_in, p_out = yield from _bisect(side, p_in, p_out, tol)
+    p_in, p_out = yield from _bisect(side, p_in, p_out, tol, ends=ends)
     return p_in, p_out, last_in, last_out
 
 
@@ -485,16 +544,30 @@ def _mutual(sp: BiorthoSpectrum, cols) -> bool:
     return bool(sp.partner[cols[0]] == cols[1])
 
 
+def _squared_gap(sp: BiorthoSpectrum, cols) -> float:
+    """The pair's squared gap D = (a - b)^2, real within a Q block: |a - b|^2,
+    negated when the two levels in ``cols`` are each other's conjugate partner."""
+    a, b = sp.eigenvalues[cols]
+    return math.copysign(float(abs(a - b)) ** 2, -1.0 if _mutual(sp, cols) else 1.0)
+
+
 def locate_reality_boundary(solve, p_real: float, p_complex: float,
                             pair, tol: float = BISECT_TOL) -> dict:
-    """Bisect the parameter where a tracked pair switches real <-> complex.
+    """Locate the parameter where a tracked pair switches real <-> complex.
 
     ``solve`` maps a parameter value to a :class:`BiorthoSpectrum`; ``pair``
-    gives the two level labels at ``p_real``. The pair is re-identified at
-    every probe by overlap against the current real-side vectors. Returns
-    the boundary ``location``, the final bracket ``width``, the pair's gap
-    there (``residual``), and the pair's Z2 indices and indicators at the
-    last real-side probe (``real_side_z2``, ``real_side_indicator``). Raises
+    gives the two level labels at ``p_real``. The boundary is the root of the
+    pair's squared gap D = (a - b)^2, positive while the pair is real and
+    -4 Im(a)^2 once it is a conjugate pair (:func:`_squared_gap`): the first
+    probe is the secant root of D at the two ends, the next ones
+    Chandrupatla's steps, and a midpoint wherever those do not apply
+    (:func:`_bisect`). Whether the pair is each other's conjugate partner
+    decides each probe's side, the magnitude of D only where to probe. The
+    pair is re-identified at every probe by overlap against the current
+    real-side vectors. Returns the boundary ``location`` (the final
+    bracket's midpoint), the bracket's ``width``, the pair's gap there
+    (``residual``), and the pair's Z2 indices and indicators at the last
+    real-side probe (``real_side_z2``, ``real_side_indicator``). Raises
     :class:`NoEPInBracket` when the bracket shows no transition or the
     converged boundary is not a real-to-complex one.
     """
@@ -507,10 +580,12 @@ def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
     if _mutual(*real):
         raise NoEPInBracket("pair is already complex on the declared real side")
     sp = yield p_complex
-    if not _mutual(sp, _matched(real, sp)):
+    cplx = sp, _matched(real, sp)
+    if not _mutual(*cplx):
         raise NoEPInBracket("pair is not complex-conjugate on the complex side")
+    ends = _squared_gap(*real), _squared_gap(*cplx)
     pr, pc, (sp, cols), _ = yield from _tracked(*real, float(p_real), float(p_complex), tol,
-                                                lambda sp, cols: not _mutual(sp, cols))
+                                                _squared_gap, ends)
     if not np.all(np.abs(sp.eigenvalues[cols].imag) <= sp.reality_tol):
         raise NoEPInBracket("pairing changes without a reality boundary (partner exchange)")
 

@@ -22,7 +22,9 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
 ported to Python with scipy's tie rules, for matching levels between points.
 This module imports scipy only in the general solve of a matrix that is not
 complex-symmetric, for LAPACK's left and right eigenvectors; everything else
-here uses numpy alone, so that importing it costs no scipy import.
+here uses numpy alone, so that importing it costs no scipy import. scipy is
+the package's one optional dependency, its ``general`` extra; without it that
+solve raises ImportError.
 
 The problem sizes we target (dim <= 4096) make dense solvers the robust
 choice over iterative ones. Every matrix of a block stack is decomposed
@@ -247,7 +249,12 @@ def eig_general(m) -> EigenSystem:
             w, vr = np.linalg.eig(a)
             vl = vr.conj()
         else:
-            from scipy.linalg import eig  # here, so that importing the package skips scipy
+            try:  # here, so that importing the package skips scipy
+                from scipy.linalg import eig
+            except ImportError as exc:
+                raise ImportError("eig_general needs scipy for a matrix that is not complex "
+                                  "symmetric: install the 'general' extra, "
+                                  "pip install 'pshchain[general]'") from exc
             w, vl, vr = eig(a, left=True, right=True)
     except np.linalg.LinAlgError:
         raise ArithmeticError("eigenvalues did not converge") from None

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import pickle
 import re
@@ -98,6 +99,104 @@ class TestBisect:
     def test_zero_tolerance_ends_at_adjacent_floats(self):
         lo, hi = _run(_bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0), lambda p: p)
         assert lo < 0.3 <= hi and np.nextafter(lo, hi) == hi
+
+
+def plain_bisect(inside, p_in, p_out, tol, max_iter=200):
+    """Bisection by a predicate alone: the loop ``_bisect`` must equal on answers
+    without magnitude."""
+    for _ in range(max_iter):
+        pm = 0.5 * (p_in + p_out)
+        if not abs(p_out - p_in) > tol or pm in (p_in, p_out):
+            break
+        if inside((yield pm)):
+            p_in = pm
+        else:
+            p_out = pm
+    return p_in, p_out
+
+
+def probed(loop, answer, *args, **kw):
+    """The probes of ``loop(side, *args, **kw)`` whose ``side`` answers
+    ``answer(p)`` at probe p, and its result."""
+    probes = []
+    ends = _run(loop(lambda p: probes.append(p) or answer(p), *args, **kw), lambda p: p)
+    return probes, ends
+
+
+class TestRootFinder:
+    """``_bisect`` on signed values: magnitudes steer the probes, signs decide."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3), hi=st.floats(-1e3, 1e3), frac=st.floats(0.0, 1.0),
+           tol=st.sampled_from([0.0, 1e-12, 1e-3]), max_iter=st.integers(1, 200),
+           upper_inside=st.booleans(), as_bool=st.booleans())
+    def test_signs_alone_bisect_bit_for_bit(self, lo, hi, frac, tol, max_iter, upper_inside,
+                                            as_bool):
+        t = lo + frac * (hi - lo)
+        assume(lo < t <= hi)
+
+        def inside(p):
+            return (p >= t) == upper_inside
+
+        def answer(p):
+            return inside(p) if as_bool else (1.0 if inside(p) else -1.0)
+
+        p_in, p_out = (hi, lo) if upper_inside else (lo, hi)
+        args = p_in, p_out, tol, max_iter
+        new, old = probed(_bisect, answer, *args), probed(plain_bisect, inside, *args)
+        assert [p.hex() for p in new[0]] == [p.hex() for p in old[0]]
+        assert [p.hex() for p in new[1]] == [p.hex() for p in old[1]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1.0, 1.0), hi=st.floats(-1.0, 1.0), frac=st.floats(0.0, 1.0),
+           tol=st.sampled_from([1e-12, 1e-8, 1e-3]), upper_inside=st.booleans(),
+           shape=st.sampled_from(["linear root", "double root at an end", "random", "falling"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_signed_values_end_in_a_verified_bracket(self, lo, hi, frac, tol, upper_inside,
+                                                     shape, seed):
+        t = lo + frac * (hi - lo)
+        assume(lo < t <= hi)
+        p_in, p_out = (hi, lo) if upper_inside else (lo, hi)
+        rng = np.random.default_rng(seed)
+        falling = iter(0.1 ** np.arange(1, 1000))
+
+        def inside(p):
+            return (p >= t) == upper_inside
+
+        magnitude = {"linear root": lambda p: 3.0 * abs(p - t),
+                     # zero at p_in, where it touches zero without a sign change
+                     "double root at an end": lambda p: (p - p_in) ** 2 * abs(p - t),
+                     # magnitudes that say nothing of the root
+                     "random": lambda p: 10.0 ** rng.uniform(-300, 300),
+                     # each answer inside smaller than the last: the inverse
+                     # quadratic steps creep away from that end
+                     "falling": lambda p: float(next(falling)) if inside(p) else 1.0}[shape]
+
+        def answer(p):
+            return math.copysign(magnitude(p), 1.0 if inside(p) else -1.0)
+
+        bracket = {True: p_in, False: p_out}
+        widths = [abs(p_out - p_in)]
+
+        def side(p):
+            bracket[inside(p)] = p
+            widths.append(abs(bracket[True] - bracket[False]))
+            return answer(p)
+
+        probes, ends = probed(_bisect, side, p_in, p_out, tol, ends=(answer(p_in), answer(p_out)))
+        # the final ends are the last probes on each side, around the root
+        assert ends == (bracket[True], bracket[False])
+        a, b = sorted(ends)
+        assert a < t <= b and b - a <= tol and len(probes) <= 200
+        # every probe is a new point strictly inside the starting bracket
+        assert all(lo < p < hi for p in probes) and len(set(probes)) == len(probes)
+        # and every four probes at least halve the bracket
+        assert all(w <= 0.5 * v for v, w in zip(widths, widths[4:]))
+
+    def test_zero_at_an_end_steps_half_a_tolerance_off_it(self):
+        probes, _ = probed(_bisect, lambda p: 1.0 if p < 0.3 else -1.0, 0.0, 1.0, 1e-3,
+                           ends=(0.0, -1.0))
+        assert probes[0] == 5e-4
 
 
 #: A 2-worker sweep of three stacks whose every solve fails at an exact EP.
@@ -240,6 +339,40 @@ class TestRealityBoundary:
 
         with pytest.raises(NoEPInBracket, match=r"without a reality boundary \(partner exchange\)"):
             locate_reality_boundary(solve, 0.1, 0.9, (2, 0), tol=1e-6)
+
+
+class TestEp2RootFinder:
+    """EP2s found as roots of the pair's squared gap, on chain data."""
+
+    def test_c05_ground_pair_in_a_third_of_the_solves(self, monkeypatch):
+        # c05's grid: bisection took 62 solves to 1e-12 here
+        spec = NormalizedPoint(-0.95, 0.0).chain(4)
+        stop = 4 * predict_gamma_cr(spec, (0, 1))
+        tracks = sweep(SweepGrid(axis=AXIS_GAIN, fixed_value=-0.95,
+                                 points=tuple(np.linspace(0.0, stop, 41)), n=4))
+        solves = []
+        solve_values = epscan._solve_values
+
+        def count(line, values, nudges=_NUDGES):
+            solves.extend(values)
+            return solve_values(line, values, nudges)
+
+        monkeypatch.setattr(epscan, "_solve_values", count)
+        records, skipped = locate_ep2_records(tracks, tol=1e-12)
+        assert (0, 1) in [r.levels for r in records] and skipped == []
+        assert all(r.bracket_width <= 1e-12 for r in records)
+        assert len(solves) <= 21
+
+    def test_double_root_at_the_grid_end(self):
+        # verify's (10, 11) transition next to jt = -1 at gt = 0.48375: the pair
+        # is degenerate at the end (delta = 0), and its squared gap stays zero
+        # to rounding up to the record, 1.4e-8 away, so the refinement bisects
+        grid = coupling_grid(4, 0.48375, points=801)
+        tracks = sweep(grid)
+        assert tracks[10].eigenvalues[0] == tracks[11].eigenvalues[0]
+        rec = find_ep2(tracks[10], tracks[11], grid.points[:2])
+        assert abs(rec.location[AXIS_COUPLING] - -0.9999999864816468) <= 1e-8
+        assert rec.bracket_width <= 1e-8 and rec.indices == (-1, 1)
 
 
 NUDGE_GRID = coupling_grid(4, 0.21, points=70, start=-0.9, stop=0.9)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -10,6 +15,7 @@ from pshchain import (DEFAULT_TOL, AtExceptionalPoint, ChainSpec, NormalizedPoin
                       build_hamiltonian, build_parity, eig_general, spectrum_with_indices)
 from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
 
+ROOT = Path(__file__).resolve().parents[1]
 RT3 = np.sqrt(3.0)
 METRIC_2X2 = np.diag([1.0, -1.0])
 
@@ -83,6 +89,31 @@ class TestEigGeneral:
         # squared entries of these sizes leave the float range
         sys = eig_general(np.diag([3.0 * size, 4j * size]))
         assert sys.scale == pytest.approx(5.0 * size, rel=1e-15)
+
+    def test_without_scipy_only_a_non_symmetric_matrix_fails(self):
+        # scipy is the 'general' extra: a complex-symmetric matrix takes numpy's
+        # solve, any other raises an ImportError that names the extra
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["symmetric: 2 levels",
+                                                "ImportError: pshchain[general]"]
+
+
+#: eig_general in a fresh interpreter that cannot import scipy.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from pshchain import eig_general
+
+print("symmetric:", len(eig_general(np.array([[1.0, 2j], [2j, -1.0]])).eigenvalues), "levels")
+try:
+    eig_general(np.array([[1.0, 2.0], [0.5, -1.0]]))
+except ImportError as exc:
+    print("ImportError:", "pshchain[general]" if "pip install 'pshchain[general]'" in str(exc) else exc)
+"""
 
 
 #: A chain whose full complex matrix LAPACK's zgeev fails to converge on (the
