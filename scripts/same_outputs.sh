@@ -11,7 +11,7 @@
 # (3,4,7) and (8,11,12) records pair, one N=6 gain sweep through many EP2s,
 # four `spectrum` calls, the gain-free crossing classification at N=4 (which
 # refines every sign change of a pair's gap), one `find-ep --pair` search
-# (which refines one pair's EP2 over the whole span), an N=4 gain sweep at a high
+# (which keeps the sweep's EP2 records of one pair), an N=4 gain sweep at a high
 # indicator_floor (0.05), where one pair's real end has no well-defined index,
 # so its EP2 is written as a "no well-defined index" skipped entry, and two
 # calls that reach the defect test: an N=2 gain sweep whose grid point at
@@ -73,6 +73,13 @@
 # - sweep_n6_gt.json: 38 records; at most 7.1e-9, widths at most 9.3e-9.
 # - ep2_floor.json: 3 records; at most 6.5e-9, widths at most 5.0e-9.
 # - ep2_pair.out: 1 record; 1.4e-10, width 5.0e-9.
+# Against 4f1efd4 and older commits, ep2_pair.out differs on purpose:
+# `find-ep --pair` now keeps the pair's records of the sweep's EP2 refinement,
+# which starts from the grid interval where the pair turns complex, instead
+# of refining from the two ends of the whole span. So its bracket ends
+# elsewhere within the tolerance: the record keeps its levels and indices and
+# the skipped list stays empty; the location moves by 4.8e-9 and
+# bracket_width is 5.0e-9. Every other file is the same.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). For two EP record JSON files
 # that differ, one more line says whether the record count, levels, indices

@@ -10,8 +10,8 @@ from .oracle import (FermionMode, OracleState, almost_zero_energy, full_spectrum
                      pair_relative_parity, solve_modes)
 from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePairing,
                      CrossingRecord, EPRecord, LevelTrack, NoEP3InBox,
-                     NoEPInBracket, SweepGrid, classify_crossings, find_ep2,
-                     find_ep3, find_ep3_candidates, locate_ep2_records,
+                     NoEPInBracket, SweepGrid, classify_crossings, find_ep3,
+                     find_ep3_candidates, locate_ep2_records,
                      locate_reality_boundary, predict_gamma_cr, project_two_level,
                      reality_transitions, refine_ep3_candidates, sweep,
                      triple_pairing, verify_selection_rule)
@@ -28,7 +28,7 @@ __all__ = [
     "pair_relative_parity", "solve_modes",
     "AXIS_COUPLING", "AXIS_GAIN", "AccidentallyZeroElement", "CrossingRecord",
     "EPRecord", "LevelTrack", "NoEP3InBox", "NoEPInBracket",
-    "SweepGrid", "TriplePairing", "classify_crossings", "find_ep2", "find_ep3",
+    "SweepGrid", "TriplePairing", "classify_crossings", "find_ep3",
     "find_ep3_candidates", "locate_ep2_records", "locate_reality_boundary",
     "predict_gamma_cr", "project_two_level", "reality_transitions",
     "refine_ep3_candidates", "sweep", "triple_pairing", "verify_selection_rule",

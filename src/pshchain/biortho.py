@@ -22,17 +22,19 @@ can meet in an EP2. Every command solves through it. The blocks of a
 gain-free point, where the indices are defined, are symmetric, and
 :func:`pshchain.numerics.eig_blocks` solves each such matrix with LAPACK's
 symmetric solve: all its levels are real, with orthonormal vectors.
-:func:`spectrum_with_indices` serves one general matrix and zeta: the paper's
-general-zeta definition, and the tests' reference for the engine.
+:func:`spectrum_with_indices` serves one complex-symmetric matrix (H^T = H,
+as the dense chain Hamiltonian is) and any zeta: the paper's general-zeta
+definition, and the tests' reference for the engine.
 
 Both share one rescaling core, which treats all isolated levels of a stack
 together; levels closer than ``CLUSTER_SCALE * ||H||_F`` form a degenerate
-cluster, which is resolved one point at a time. The core is also the one
-test for an exceptional point (:func:`_rescale`). A point's spectrum is the
-same, bit for bit, whichever stack it is part of. A real cluster's
-Hermitian-definite pencil is reduced by Cholesky with numpy, and the general
-path pairs conjugates with :func:`pshchain.numerics.linear_sum_assignment`,
-so this module needs no scipy.
+cluster, which is resolved one point at a time. On both paths a raw left
+vector is conj(m R) for a diagonal signature m (eta on a Q block, ones for
+a complex-symmetric matrix). The core is also the one test for an
+exceptional point (:func:`_rescale`). A point's spectrum is the same, bit
+for bit, whichever stack it is part of. A real cluster's Hermitian-definite
+pencil is reduced by Cholesky, and the general path pairs conjugates with
+:func:`pshchain.numerics.linear_sum_assignment`.
 """
 
 from __future__ import annotations
@@ -310,13 +312,14 @@ def _reality_tol(values, reality_tol) -> np.ndarray:
             else np.full(radius.shape, float(reality_tol)))
 
 
-def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner):
+def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     """Index-rescaled levels of a stack of points from their raw eigenvectors.
 
-    ``z`` is zeta, or the diagonal of a signature eta. ``raw_l`` None stands
-    for the left vectors of a real block, conj(eta R). ``partner`` holds each
-    level's conjugate partner column, both members of a pair linked, and is
-    kept for the levels that are not real. Real levels with a resolvable
+    ``z`` is zeta, or the diagonal of a signature eta. Each raw left vector is
+    conj(m R) for the diagonal signature ``m``: eta for a real block, ones
+    for a complex-symmetric matrix. ``partner`` holds each level's conjugate
+    partner column, both members of a pair linked, and is kept for the
+    levels that are not real. Real levels with a resolvable
     <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit
     |R> and |L> scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
     resolved together, one point at a time, and check themselves for a
@@ -332,19 +335,16 @@ def _rescale(a, z, values, raw_r, raw_l, scale, rtol, floor, partner):
              <= (CLUSTER_SCALE * scale)[:, None, None])
     clustered = np.count_nonzero(close, axis=2) > 1
 
-    norm_r = column_norms(raw_r)
-    if raw_l is None:  # conj(eta R) has the norms of R, to the bit
-        conj_l, norm_l = _apply(z, raw_r), norm_r
-        raw_l = conj_l.conj()
-    else:
-        conj_l, norm_l = raw_l.conj(), column_norms(raw_l)
+    norm_r = column_norms(raw_r)  # conj(m R) has the norms of R, to the bit
+    conj_l = _apply(m, raw_r)
+    raw_l = conj_l.conj()
     right = raw_r / norm_r[:, None, :]
     zr, c, indicator = _metric(z, right)
     indexed = is_real & ~clustered & (indicator >= floor)
     generic = ~clustered & ~indexed
     s = (conj_l * right).sum(axis=1)
     with np.errstate(divide="ignore"):
-        cond = np.max(norm_l / np.abs(s), axis=1, initial=1.0, where=~clustered)
+        cond = np.max(norm_r / np.abs(s), axis=1, initial=1.0, where=~clustered)
     sign = np.where(c.real > 0, 1, -1)
     k = 1.0 / np.sqrt(np.where(indexed, np.abs(c.real), 1.0))
     right *= k[:, None, :]
@@ -423,8 +423,8 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     rtol = _reality_tol(np.concatenate(values, axis=1), reality_tol)
     parts, failed = [], {}
     for basis, a, w, x, partner in zip(bases, blocks, values, st.right, st.partner):
-        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, sub(x), None,
-                             scale, rtol, indicator_floor, sub(partner))
+        part, bad = _rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, sub(x),
+                             basis.eta, scale, rtol, indicator_floor, sub(partner))
         parts.append(part)
         failed = bad | failed
 
@@ -461,13 +461,15 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
 def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
     """Biorthogonal spectrum of ``h`` with per-level Z2 indices.
 
-    Real levels get the zeta-rescaled left vectors |L> = s * zeta |R> and the
-    index s; complex levels are biorthonormalized generically and linked to
-    their conjugate partners. Degenerate clusters of real levels (genuine
-    crossings) are resolved by diagonalizing zeta restricted to the cluster,
-    and then zeta H inside each same-index subspace, which keeps indices and
-    energies well defined through stable crossings, with the default solve
-    tolerances. A defective input raises :class:`AtExceptionalPoint`.
+    ``h`` must be complex symmetric (H^T = H, exactly), as a chain
+    Hamiltonian is; any other matrix raises ValueError. Real levels get the
+    zeta-rescaled left vectors |L> = s * zeta |R> and the index s; complex
+    levels are biorthonormalized generically and linked to their conjugate
+    partners. Degenerate clusters of real levels (genuine crossings) are
+    resolved by diagonalizing zeta restricted to the cluster, and then zeta H
+    inside each same-index subspace, which keeps indices and energies well
+    defined through stable crossings, with the default solve tolerances. A
+    defective input raises :class:`AtExceptionalPoint`.
     """
     a = as_complex_matrix(h)
     z = as_complex_matrix(zeta)
@@ -478,8 +480,8 @@ def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:
     rtol = _reality_tol(values, None)
     partner = _pair_conjugates(es.eigenvalues, np.abs(es.eigenvalues.imag) <= rtol[0],
                                1e-6 * max(np.max(np.abs(es.eigenvalues)), 1.0))
-    levels, failed = _rescale(a[None], z, values, es.right[None], es.left[None], scale, rtol,
-                              INDICATOR_FLOOR, partner[None])
+    levels, failed = _rescale(a[None], z, values, es.right[None], np.ones(a.shape[0]), scale,
+                              rtol, INDICATOR_FLOOR, partner[None])
     sp, = _spectra([None], [0], failed, levels._replace(sector=np.zeros(values.shape, np.int8)),
                    scale, rtol)
     if isinstance(sp, Exception):

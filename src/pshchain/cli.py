@@ -27,7 +27,7 @@ import numpy as np
 from .biortho import INDICATOR_FLOOR, IndexIllDefined, sector_spectra
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
-                     NoEPInBracket, SweepGrid, check_levels, classify_crossings, find_ep2,
+                     NoEPInBracket, SweepGrid, check_levels, classify_crossings,
                      find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
                      rises_on_axis, sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, check_chain_length, sector_blocks
@@ -423,14 +423,15 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
         raise UsageError("output.path is required for find-ep")
     if cfg.order in (None, 2):
         grid = _grid_from_config(cfg, default_points=401)
-        tracks = sweep(grid, workers=cfg.workers)
-        tol = cfg.tol("bisect_tol", BISECT_TOL)
+        records, skipped = locate_ep2_records(sweep(grid, workers=cfg.workers),
+                                              tol=cfg.tol("bisect_tol", BISECT_TOL))
         if cfg.pair is not None:
-            a, b = cfg.pair
-            rec = find_ep2(tracks[a], tracks[b], (grid.points[0], grid.points[-1]), tol=tol)
-            records, skipped = [rec], []
-        else:
-            records, skipped = locate_ep2_records(tracks, tol=tol)
+            pair = sorted(cfg.pair)
+            records = [r for r in records if list(r.levels) == pair]
+            skipped = [s for s in skipped if s["levels"] == pair]
+            if not records:
+                raise NoEPInBracket(f"no EP2 of pair {pair} on the line" + "".join(
+                    f"; {s['bracket']}: {s['reason']}" for s in skipped))
     else:  # order 3
         j_box = (cfg.j_start, cfg.j_stop)
         g_box = (cfg.g_start, cfg.g_stop)

@@ -601,29 +601,10 @@ def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
     }
 
 
-def find_ep2(track_a: LevelTrack, track_b: LevelTrack, bracket,
-             tol: float = BISECT_TOL) -> EPRecord:
-    """Localize a second-order exceptional point of two tracked levels.
-
-    ``bracket`` is a pair of grid-point parameter values with the levels real
-    and separated on one side and complex-conjugate on the other. The record
-    carries both Z2 indices from the real side.
-    """
-    grid = track_a.grid
-    if grid != track_b.grid:
-        raise ValueError("tracks come from different sweeps")
-    i_lo = grid.index_of(bracket[0])
-    i_hi = grid.index_of(bracket[1])
-    paired_lo = track_a.mutual_partner(i_lo, track_b)
-    paired_hi = track_a.mutual_partner(i_hi, track_b)
-    if paired_lo == paired_hi:
-        raise NoEPInBracket("no real/complex transition between the bracket ends")
-    i_real, i_cplx = (i_lo, i_hi) if paired_hi else (i_hi, i_lo)
-    return _run(_ep2(track_a, track_b, i_real, i_cplx, tol), grid.solver())
-
-
 def _ep2(track_a: LevelTrack, track_b: LevelTrack, i_real: int, i_cplx: int, tol: float):
-    """:func:`find_ep2` as a refinement (see :func:`_bisect`) from grid point i_real to i_cplx."""
+    """The EP2 record of two tracked levels as a refinement (see :func:`_bisect`)
+    from grid point i_real, where the pair is real, to i_cplx, where it is a
+    conjugate pair. The record carries both Z2 indices from the real side."""
     grid = track_a.grid
     res = yield from _reality_boundary(
         grid.points[i_real], grid.points[i_cplx],
@@ -722,7 +703,8 @@ def classify_crossings(tracks: list[LevelTrack],
     second-order exceptional points once the gain is turned on; same-index
     crossings are stable. Near-degeneracies without a sign change of the
     tracked gap are flagged ``ambiguous``. All sign changes are refined
-    together, their probes solved in shared stacks.
+    together, their probes solved in shared stacks; one whose refined gap
+    stays above ``ambiguous_gap`` is a jump of the tracks, not a crossing.
     """
     grid = tracks[0].grid
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
@@ -757,7 +739,8 @@ def classify_crossings(tracks: list[LevelTrack],
                     out.append(CrossingRecord(float(pts[p]), (a, b), (ia, ib),
                                               "ambiguous", float(absd[p])))
     for (levels, indices, kind), (loc, gap) in zip(labels, _lockstep(grid, refinements)):
-        out.append(CrossingRecord(float(loc), levels, indices, kind, float(gap)))
+        if gap <= ambiguous_gap:  # a larger gap is a jump of the tracks, not a crossing
+            out.append(CrossingRecord(float(loc), levels, indices, kind, float(gap)))
     out.sort(key=lambda c: (c.location, c.levels))
     return out
 

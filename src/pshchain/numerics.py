@@ -13,18 +13,15 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
   pairs. It is a pure solve:
   :mod:`pshchain.biortho` decides whether a point is defective, from the
   left vectors it builds for the rescaling.
-* :func:`eig_general` takes one general complex matrix, with left and
-  right eigenvectors, for general-purpose use and as the reference of the
-  block solve. It raises :class:`AtExceptionalPoint` when a level's
-  condition exceeds ``DEFECT_THRESHOLD``.
+* :func:`eig_general` takes one complex-symmetric matrix (M^T = M, as a
+  chain Hamiltonian is), for general-purpose use and as the reference of
+  the block solve. Its left vectors are the conjugated right ones. It
+  raises :class:`AtExceptionalPoint` when a level's condition exceeds
+  ``DEFECT_THRESHOLD``.
 
 :func:`linear_sum_assignment` is scipy's shortest-augmenting-path solver,
 ported to Python with scipy's tie rules, for matching levels between points.
-This module imports scipy only in the general solve of a matrix that is not
-complex-symmetric, for LAPACK's left and right eigenvectors; everything else
-here uses numpy alone, so that importing it costs no scipy import. scipy is
-the package's one optional dependency, its ``general`` extra; without it that
-solve raises ImportError.
+The package needs numpy alone.
 
 The problem sizes we target (dim <= 4096) make dense solvers the robust
 choice over iterative ones. Every matrix of a block stack is decomposed
@@ -87,7 +84,8 @@ class EigenSystem:
     ``biortho_residual`` is max |<L_n|R_m> - delta_nm|.
     The raw vectors of :func:`eig_general` are unit-norm and not scaled to
     <L_n|R_n> = 1, so there it is of order 1; it is small for the rescaled
-    sets of :func:`pshchain.biortho.spectrum_with_indices`.
+    sets of :func:`pshchain.biortho.spectrum_with_indices`. The raw ``left``
+    of :func:`eig_general` is ``right.conj()``.
     """
 
     eigenvalues: np.ndarray
@@ -100,13 +98,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-
-def _sorted(w: np.ndarray, *vectors: np.ndarray):
-    """Eigenvalues sorted by (Re, Im) along the last axis, with their vector columns."""
-    order = np.lexsort((w.imag, w.real), axis=-1)
-    return (np.take_along_axis(w, order, -1),
-            *(np.take_along_axis(v, order[..., None, :], -1) for v in vectors))
 
 
 def _eig(a: np.ndarray):
@@ -229,50 +220,43 @@ def eig_blocks(blocks) -> BlockStack:
 
 
 def eig_general(m) -> EigenSystem:
-    """Full eigendecomposition of a general complex matrix.
+    """Full eigendecomposition of a complex-symmetric matrix (M^T = M).
 
-    Eigenvalues are sorted by (Re, Im) so repeated runs produce identical
-    orderings. Residuals ||M R_n - lambda_n R_n|| and ||L_n^+ M - lambda_n L_n^+||
-    are verified against the constant ``DEFAULT_TOL * ||M||_F``. A
-    near-defective input (a level whose unit vectors have a condition
-    1/|<l_n|r_n>| above the constant ``DEFECT_THRESHOLD``) raises
-    :class:`AtExceptionalPoint` instead of returning garbage vectors, and
-    eigenvalues that do not converge raise ``ArithmeticError``. For an
-    exactly complex-symmetric matrix (M^T = M) the left eigenvectors are the
-    conjugated right ones, so only the right ones are computed; other
-    matrices take LAPACK's left and right solve.
+    Any other matrix raises ValueError before the solve. The left
+    eigenvectors are the conjugated right ones, so only the right ones are
+    computed, and their residuals ||M R_n - lambda_n R_n|| (those of the
+    left ones are their conjugates) are checked against the constant
+    ``DEFAULT_TOL * ||M||_F``. Eigenvalues are sorted by (Re, Im) so repeated
+    runs produce identical orderings. A near-defective input (a level whose
+    unit vectors have a condition 1/|<l_n|r_n>| above the constant
+    ``DEFECT_THRESHOLD``) raises :class:`AtExceptionalPoint` instead of
+    returning garbage vectors, and eigenvalues that do not converge raise
+    ``ArithmeticError``.
     """
     a = as_complex_matrix(m)
+    if not np.array_equal(a, a.T):
+        raise ValueError("eig_general takes a complex-symmetric matrix (M^T = M)")
     scale = _frobenius([a[None]])
     try:
-        if np.array_equal(a, a.T):
-            w, vr = np.linalg.eig(a)
-            vl = vr.conj()
-        else:
-            try:  # here, so that importing the package skips scipy
-                from scipy.linalg import eig
-            except ImportError as exc:
-                raise ImportError("eig_general needs scipy for a matrix that is not complex "
-                                  "symmetric: install the 'general' extra, "
-                                  "pip install 'pshchain[general]'") from exc
-            w, vl, vr = eig(a, left=True, right=True)
+        w, vr = np.linalg.eig(a)
     except np.linalg.LinAlgError:
         raise ArithmeticError("eigenvalues did not converge") from None
-    w, vr, vl = _sorted(w, vr, vl)
+    order = np.lexsort((w.imag, w.real))
+    # np.take keeps vr C-ordered, so the column sums of the rescaling keep their bits
+    w, vr = w[order], np.take(vr, order, axis=1)
 
-    overlap = vl.conj().T @ vr
+    overlap = vr.T @ vr  # <L_n|R_m> with |L_n> = conj(R_n)
     with np.errstate(divide="ignore"):
         cond = float(1.0 / np.abs(np.diagonal(overlap)).min())
     if cond > DEFECT_THRESHOLD:
         raise AtExceptionalPoint(cond)
-    residual = max(np.linalg.norm(a @ vr - vr * w, axis=0).max(),
-                   np.linalg.norm(a.conj().T @ vl - vl * w.conj(), axis=0).max())
+    residual = np.linalg.norm(a @ vr - vr * w, axis=0).max()
     error, = _errors(np.array([residual]), DEFAULT_TOL * np.maximum(scale, 1e-300),
                      np.zeros(1, dtype=bool))
     if error is not None:
         raise error
-    return EigenSystem(eigenvalues=w, right=vr, left=vl, scale=float(scale[0]), cond_right=cond,
-                       biortho_residual=float(np.max(np.abs(overlap - np.eye(len(w))))))
+    return EigenSystem(w, vr, vr.conj(), float(scale[0]), cond,
+                       float(np.max(np.abs(overlap - np.eye(len(w))))))
 
 
 def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
 
+def psym_2x2(a, w, c=0.0):
+    """Complex-symmetric pseudo-Hermitian block for diag(1, -1): c +- sqrt(a^2 - w^2)."""
+    return np.array([[c + a, 1j * w], [1j * w, c - a]], dtype=complex)
+
+
 def kron_chain(factors):
     """Ordered tensor product; the first factor acts on site 1, the most significant."""
     return reduce(np.kron, factors)

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 
 from conftest import (hermitian_reference_indices, match_level_sets, mirror_chains,
-                      solve_chain)
+                      psym_2x2, solve_chain)
 from pshchain import (AtExceptionalPoint, ChainSpec, IndexIllDefined,
                       NormalizedPoint, build_hamiltonian, build_parity,
                       ep_indicator, full_spectrum, spectrum_with_indices, z2_index)
@@ -12,15 +12,6 @@ from pshchain import biortho, numerics
 from pshchain.model import sector_bases
 
 ZETA2 = np.diag([1.0, -1.0]).astype(complex)
-
-
-def psh_2x2(a, w):
-    return np.array([[a, w], [-np.conj(w), -a]], dtype=complex)
-
-
-def psym_2x2(a, w, c=0.0):
-    """Complex-symmetric pseudo-Hermitian block for diag(1, -1): c +- sqrt(a^2 - w^2)."""
-    return np.array([[c + a, 1j * w], [1j * w, c - a]], dtype=complex)
 
 
 def chain_spectrum(n, j_tilde, gamma_tilde, **kw):
@@ -57,13 +48,13 @@ class TestEpIndicator:
             assert np.isclose(ep_indicator(vecs[:, k], np.eye(4)), 1.0)
 
     def test_zero_at_defective_point(self):
-        # eigenvector of the 2x2 at its exceptional point: (1, -1)
-        assert ep_indicator(np.array([1.0, -1.0]), ZETA2) < 1e-15
+        # eigenvector of psym_2x2(1, 1) at its exceptional point: (1, i)
+        assert ep_indicator(np.array([1.0, 1j]), ZETA2) < 1e-15
 
     def test_decreases_toward_coalescence(self):
         vals = []
         for a in (1.5, 1.1, 1.01, 1.001):
-            sp = spectrum_with_indices(psh_2x2(a, 1.0), ZETA2)
+            sp = spectrum_with_indices(psym_2x2(a, 1.0), ZETA2)
             vals.append(sp.levels[1].ep_indicator)
         assert all(x > y for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 0.05
@@ -86,7 +77,7 @@ class TestEpIndicator:
 
 class TestSpectrumWithIndices:
     def test_two_level_toy(self):
-        sp = spectrum_with_indices(psh_2x2(2.0, 1.0), ZETA2)
+        sp = spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2)
         assert np.allclose(sp.eigenvalues, [-np.sqrt(3), np.sqrt(3)], atol=1e-13)
         assert sp.levels[0].z2_index == -1
         assert sp.levels[1].z2_index == 1
@@ -177,8 +168,9 @@ class TestSpectrumWithIndices:
         assert np.allclose(q, sp.z2, atol=1e-12)
 
     def test_at_exceptional_point_raises(self):
+        # decoupled spins at gt = 1: every site sits at its own EP2
         with pytest.raises(AtExceptionalPoint):
-            spectrum_with_indices(psh_2x2(1.0, 1.0), ZETA2)
+            chain_spectrum(4, 0.0, 1.0)
 
     def test_complex_symmetric_exceptional_point_raises(self):
         with pytest.raises(AtExceptionalPoint):
@@ -196,21 +188,6 @@ class TestSpectrumWithIndices:
             assert lv.conjugate_partner == (int(sp.partner[i]) if sp.partner[i] >= 0 else None)
             assert np.array_equal(lv.right, es.right[:, i])
             assert np.array_equal(lv.left, es.left[:, i])
-
-    def test_symmetric_input_skips_the_left_solve(self, monkeypatch):
-        calls = []
-        original = scipy.linalg.eig
-        monkeypatch.setattr(scipy.linalg, "eig",
-                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
-        spectrum_with_indices(psym_2x2(2.0, 1.0), ZETA2)
-        chain_spectrum(4, 0.3, 0.2)
-        assert calls == []
-        # psh_2x2 is not symmetric: LAPACK left+right route, left vectors of M
-        m = psh_2x2(2.0, 1.0 + 0.5j)
-        es = numerics.eig_general(m)
-        assert calls == [1]
-        assert np.allclose(es.left.conj().T @ m, es.eigenvalues[:, None] * es.left.conj().T)
-        assert not np.allclose(es.left, es.right.conj())
 
     def test_degenerate_cluster_resolved(self):
         # Ising limit: the mirror-related product states are exactly degenerate

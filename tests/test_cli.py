@@ -286,6 +286,25 @@ class TestFindEpCommand:
         assert rec.levels == (2, 3)
         assert abs(rec.location["gamma_tilde"] - 0.2653) < 1e-3
 
+    def test_pair_gets_every_ep2_of_the_pair_on_the_line(self, tmp_path):
+        # the pair (4, 6) turns complex at jt = -0.7164 and real again at -0.4838
+        line = ["find-ep", "--order", "2", "--n", "4", "--axis", "jt", "--fixed", "0.21",
+                "--start", "-1", "--stop", "1", "--points", "401"]
+        every, pair = tmp_path / "every.json", tmp_path / "pair.json"
+        assert main([*line, "--output", str(every)]) == 0
+        assert main([*line, "--pair", "4", "6", "--output", str(pair)]) == 0
+        want = [r for r in json.loads(every.read_text())["records"] if r["levels"] == [4, 6]]
+        assert len(want) == 2
+        assert json.loads(pair.read_text()) == {"records": want, "skipped": []}
+
+    def test_pair_without_ep2_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "pair.json"
+        code = main(["find-ep", "--order", "2", "--n", "2", "--axis", "gt",
+                     "--fixed", "0.707106781", "--start", "0", "--stop", "0.4",
+                     "--points", "21", "--pair", "1", "0", "--output", str(out)])
+        assert code == 2 and not out.exists()
+        assert "no EP2 of pair [0, 1] on the line" in capsys.readouterr().err
+
     def test_order_three_with_given_triple(self, tmp_path):
         out = tmp_path / "ep3.json"
         code = main(["find-ep", "--order", "3", "--n", "4",

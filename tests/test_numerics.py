@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ID2, PAULI_X, PAULI_Z, kron_chain
+from conftest import ID2, PAULI_X, PAULI_Z, kron_chain, psym_2x2
 from pshchain import (DEFAULT_TOL, AtExceptionalPoint, ChainSpec, NormalizedPoint,
                       build_hamiltonian, build_parity, eig_general, spectrum_with_indices)
 from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
@@ -18,11 +18,6 @@ from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignmen
 ROOT = Path(__file__).resolve().parents[1]
 RT3 = np.sqrt(3.0)
 METRIC_2X2 = np.diag([1.0, -1.0])
-
-
-def psh_2x2(a=2.0, w=1.0):
-    # pseudo-Hermitian with respect to diag(1, -1); eigenvalues +-sqrt(a^2-|w|^2)
-    return np.array([[a, w], [-np.conj(w), -a]], dtype=complex)
 
 
 def overlaps(es):
@@ -53,31 +48,30 @@ class TestEigGeneral:
 
     def test_jordan_block_raises(self):
         with pytest.raises(AtExceptionalPoint):
-            eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eig_general(JORDAN)
 
     def test_near_defective_carries_condition(self):
         # the refusal reports a condition estimate above the fixed threshold;
         # close to (but not at) the defective point the solve still succeeds
         with pytest.raises(AtExceptionalPoint) as exc:
-            eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eig_general(JORDAN)
         assert exc.value.cond > DEFECT_THRESHOLD
-        eig_general(psh_2x2(a=1.0 + 1e-12, w=1.0))
+        eig_general(psym_2x2(a=1.0 + 1e-12, w=1.0))
 
     def test_psh_2x2_eigenvalues(self):
-        sys = eig_general(psh_2x2())
+        sys = eig_general(psym_2x2(2.0, 1.0))
         assert np.allclose(sys.eigenvalues, [-RT3, RT3], atol=1e-14)
 
     def test_sorted_by_real_then_imag(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        w = eig_general(m).eigenvalues
+        w = eig_general(m + m.T).eigenvalues
         assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(8))
 
     def test_hermitian_eigenvalues_real(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        h = a + a.conj().T
-        sys = eig_general(h)
+        a = rng.normal(size=(16, 16))
+        sys = eig_general(a + a.T)  # real symmetric: Hermitian and complex symmetric
         assert np.max(np.abs(sys.eigenvalues.imag)) <= DEFAULT_TOL * sys.scale
 
     def test_rejects_nonfinite(self):
@@ -90,16 +84,29 @@ class TestEigGeneral:
         sys = eig_general(np.diag([3.0 * size, 4j * size]))
         assert sys.scale == pytest.approx(5.0 * size, rel=1e-15)
 
+    @pytest.mark.parametrize("solve", [eig_general, lambda m: spectrum_with_indices(m, np.eye(2))],
+                             ids=["eig_general", "spectrum_with_indices"])
+    def test_rejects_a_non_symmetric_matrix(self, solve, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(np.linalg, "eig", no_solve)
+        with pytest.raises(ValueError, match="complex-symmetric"):
+            solve(np.array([[1.0, 2.0], [0.5, -1.0]]))
+
     def test_without_scipy_only_a_non_symmetric_matrix_fails(self):
-        # scipy is the 'general' extra: a complex-symmetric matrix takes numpy's
-        # solve, any other raises an ImportError that names the extra
+        # the package needs numpy alone: a complex-symmetric matrix solves, any
+        # other raises ValueError
         proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY],
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["symmetric: 2 levels",
-                                                "ImportError: pshchain[general]"]
+                                                "ValueError: complex-symmetric"]
 
+
+#: A 2x2 Jordan block that is complex symmetric: both eigenvalues 0, one eigenvector.
+JORDAN = np.array([[1.0, 1j], [1j, -1.0]])
 
 #: eig_general in a fresh interpreter that cannot import scipy.
 WITHOUT_SCIPY = """
@@ -111,8 +118,8 @@ from pshchain import eig_general
 print("symmetric:", len(eig_general(np.array([[1.0, 2j], [2j, -1.0]])).eigenvalues), "levels")
 try:
     eig_general(np.array([[1.0, 2.0], [0.5, -1.0]]))
-except ImportError as exc:
-    print("ImportError:", "pshchain[general]" if "pip install 'pshchain[general]'" in str(exc) else exc)
+except ValueError as exc:
+    print("ValueError:", "complex-symmetric" if "complex-symmetric" in str(exc) else exc)
 """
 
 
@@ -190,13 +197,13 @@ class TestBiorthonormalize:
     """Biorthonormal sets returned by ``spectrum_with_indices``."""
 
     def test_psh_2x2_cross_overlap(self):
-        es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
+        es = spectrum_with_indices(psym_2x2(2.0, 1.0), METRIC_2X2).eigensystem
         overlap = overlaps(es)
         assert abs(overlap[0, 1]) < 1e-12
         assert abs(overlap[1, 0]) < 1e-12
         assert np.allclose(np.diag(overlap), 1.0, atol=1e-12)
-        # analytic right eigenvector of +sqrt(3): (1, sqrt(3)-2)
-        v = np.array([1.0, RT3 - 2.0])
+        # analytic right eigenvector of +sqrt(3): (1, i (2 - sqrt(3)))
+        v = np.array([1.0, 1j * (2.0 - RT3)])
         col = es.right[:, 1]
         assert np.allclose(col / col[0], v / v[0], atol=1e-12)
 
@@ -209,7 +216,7 @@ class TestBiorthonormalize:
             assert np.allclose(es.left, es.right, atol=1e-10)
 
     def test_gauge_rescaling_preserves_overlaps(self):
-        es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
+        es = spectrum_with_indices(psym_2x2(2.0, 1.0), METRIC_2X2).eigensystem
         w = 0.3 - 1.7j
         rescaled = (es.left / np.conj(w)).conj().T @ (es.right * w)
         assert np.allclose(rescaled, overlaps(es), atol=1e-13)
@@ -225,8 +232,8 @@ class TestBiorthonormalize:
             assert err <= 10 * DEFAULT_TOL * es.scale
 
     def test_eigenvalue_order_preserved(self):
-        raw = eig_general(psh_2x2())
-        es = spectrum_with_indices(psh_2x2(), METRIC_2X2).eigensystem
+        raw = eig_general(psym_2x2(2.0, 1.0))
+        es = spectrum_with_indices(psym_2x2(2.0, 1.0), METRIC_2X2).eigensystem
         assert np.array_equal(raw.eigenvalues, es.eigenvalues)
 
 

@@ -182,6 +182,12 @@ class TestCouplingMirror:
 
     @settings(max_examples=90, deadline=None)
     @given(spec=normal_chains)
+    # all 64 levels cluster within 10 CLUSTER_SCALE ||H||_F, where the gain is as
+    # large as the field: the levels near -1 miss their mirrors by 5.6e-11, above
+    # the per-level bound (1.8e-11 at cond_right 1.0), and the dense eigvals of H
+    # miss them by 5.7e-11 too
+    @example(spec=ChainSpec(n=6, delta=1e-10, j=1.0,
+                            gamma_profile=(0.0, 1e-10, 0.0, -0.0, -1e-10, -0.0)))
     def test_spectrum_at_minus_j(self, spec):
         try:
             sp, mirrored = solve_chain(spec), solve_chain(replace(spec, j=-spec.j))
@@ -194,9 +200,14 @@ class TestCouplingMirror:
         flipped = replace(sp, eigensystem=replace(sp.eigensystem,
                                                   eigenvalues=-sp.eigenvalues[::-1]))
         cols, dist = matched(mirrored, flipped)
-        assert np.max(dist) <= max(bound(sp, h), bound(mirrored, h))
+        # as against the full matrix: an isolated level within the Bauer-Fike
+        # bound, the levels of a degenerate cluster within its resolution
+        tol = 10 * CLUSTER_SCALE * frobenius(h)
         z2 = sp.z2[::-1]
-        for members in clusters(mirrored.eigenvalues, 10 * CLUSTER_SCALE * frobenius(h)):
+        for members in clusters(mirrored.eigenvalues, tol):
+            if members.size == 1:
+                assert dist[members[0]] <= max(bound(sp, h), bound(mirrored, h))
+            assert np.max(dist[members]) <= tol
             assert sorted(mirrored.z2[members]) == sorted(z2[cols[members]])
 
 
@@ -247,9 +258,9 @@ def _full_metric(z, r):
 
 def merged_by_scatter(blocks, n, reality_tol=None, indicator_floor=INDICATOR_FLOOR):
     """The oracle of ``sector_spectra``: every norm taken with ``np.linalg.norm``,
-    each block's left vectors passed in explicitly, and both blocks' levels
-    merged by scattering each block into its columns (``np.empty`` plus
-    ``put_along_axis``), as the engine merged them before it gathered."""
+    and both blocks' levels merged by scattering each block into its columns
+    (``np.empty`` plus ``put_along_axis``), as the engine merged them before
+    it gathered."""
     with patch.object(numerics, "column_norms", _numpy_norms), \
             patch.object(biortho, "column_norms", _numpy_norms), \
             patch.object(biortho, "_metric", _full_metric):
@@ -263,10 +274,9 @@ def merged_by_scatter(blocks, n, reality_tol=None, indicator_floor=INDICATOR_FLO
         rtol = biortho._reality_tol(np.concatenate(values, axis=1), reality_tol)
         parts, failed = [], {}
         for basis, a, w, x, partner in zip(bases, blocks, values, st_.right, st_.partner):
-            x = sub(x)
-            ex = basis.eta[:, None] * x
-            part, bad = biortho._rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w, x,
-                                         ex.conj(), scale, rtol, indicator_floor, sub(partner))
+            part, bad = biortho._rescale(sub(np.asarray(a, dtype=np.float64)), basis.eta, w,
+                                         sub(x), basis.eta, scale, rtol, indicator_floor,
+                                         sub(partner))
             parts.append(part)
             failed = bad | failed
 
