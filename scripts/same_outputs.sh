@@ -5,10 +5,12 @@
 #
 # REF's files are exported into a temporary directory. Both trees run the
 # seed-0 CLI calls of the three benchmark workloads (perfbench/run.py), the
-# ep3_n4 call with 1 and with 2 workers, an EP3 search over an asymmetric
-# coupling window (which solves every probe and every candidate, without the
-# coupling mirror), the ep3_n4 search over the window (-0.981, 0.999), whose
-# (3,4,7) and (8,11,12) records pair, one N=6 gain sweep through many EP2s,
+# verify_n4 call with 2 workers too (verify_n4_w2, whose gain lines run on the
+# worker pool), the ep3_n4 call with 1 and with 2 workers, an EP3 search
+# over an asymmetric coupling window (which solves every probe and every
+# candidate, without the coupling mirror), the ep3_n4 search over the window
+# (-0.981, 0.999), whose (3,4,7) and (8,11,12) records pair, one N=6 gain
+# sweep through many EP2s,
 # four `spectrum` calls, the gain-free crossing classification at N=4 (which
 # refines every sign change of a pair's gap), one `find-ep --pair` search
 # (which keeps the sweep's EP2 records of one pair), an N=4 gain sweep at a high
@@ -105,6 +107,7 @@ export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 ep3="find-ep --order 3 --n 4 --j-start -0.99 --j-stop 0.99 --g-start 0.35 --g-stop 0.45"
 calls=(
     "verify_n4|verify --n 4 --points 801 --gammas 0.05,0.21,0.40125,0.48375 --workers 1"
+    "verify_n4_w2|verify --n 4 --points 801 --gammas 0.05,0.21,0.40125,0.48375 --workers 2"
     "ep3_n4_w1|$ep3 --points 67 --workers 1"
     "ep3_n4_w2|$ep3 --points 67 --workers 2"
     "ep3_n4_asym|find-ep --order 3 --n 4 --j-start -0.9 --j-stop -0.6 --g-start 0.35 --g-stop 0.45 --points 11"

@@ -27,7 +27,7 @@ import numpy as np
 from .biortho import INDICATOR_FLOOR, IndexIllDefined, sector_spectra
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
-                     NoEPInBracket, SweepGrid, check_levels, classify_crossings,
+                     NoEPInBracket, SweepGrid, _imap, check_levels, classify_crossings,
                      find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
                      rises_on_axis, sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, check_chain_length, sector_blocks
@@ -112,7 +112,9 @@ class RunConfig:
     output_format: str = _entry("output.format", "--format",
                                 ("spectrum", "oracle", "crossings"), default="csv",
                                 choices=("csv", "json"), help="output format")
-    workers: int = _entry("workers", "--workers", default=1, help="parallel grid workers")
+    workers: int = _entry("workers", "--workers", default=1,
+                          help="processes for verify's gain lines and the EP3 probes "
+                               "and candidates")
 
     def __post_init__(self):
         if self.command and self.command not in COMMANDS:
@@ -400,7 +402,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output_path is None:
         raise UsageError("output.path is required for sweep")
     _records_path(cfg.output_path)  # checked before the sweep, so a refused path costs no solve
-    tracks = sweep(_grid_from_config(cfg), workers=cfg.workers)
+    tracks = sweep(_grid_from_config(cfg))
     records, skipped = locate_ep2_records(tracks, tol=cfg.tol("bisect_tol", BISECT_TOL))
     emit_figure_data(tracks, records, cfg.output_path, skipped=skipped)
     return _rule_exit(records)
@@ -410,7 +412,7 @@ def _cmd_crossings(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, default_axis=AXIS_COUPLING, default_fixed=0.0)
     if grid.axis != AXIS_COUPLING or grid.fixed_value != 0.0:
         raise UsageError("crossings runs on the gain-free coupling axis only")
-    recs = classify_crossings(sweep(grid, workers=cfg.workers),
+    recs = classify_crossings(sweep(grid),
                               ambiguous_gap=cfg.tol("ambiguous_gap", AMBIGUOUS_GAP))
     _table_output(cfg, "crossings", ("location", "level_a", "level_b", "index_a", "index_b",
                                      "kind", "gap"),
@@ -423,7 +425,7 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
         raise UsageError("output.path is required for find-ep")
     if cfg.order in (None, 2):
         grid = _grid_from_config(cfg, default_points=401)
-        records, skipped = locate_ep2_records(sweep(grid, workers=cfg.workers),
+        records, skipped = locate_ep2_records(sweep(grid),
                                               tol=cfg.tol("bisect_tol", BISECT_TOL))
         if cfg.pair is not None:
             pair = sorted(cfg.pair)
@@ -463,13 +465,19 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
     return _rule_exit(records)
 
 
+def _ep2_line(task):
+    """The EP2 records and skipped entries of one ``(grid, tol)`` line of verify."""
+    grid, tol = task
+    return locate_ep2_records(sweep(grid), tol=tol)
+
+
 def _cmd_verify(cfg: RunConfig) -> int:
     gammas = cfg.gamma_values if cfg.gamma_values is not None else DEFAULT_GAMMAS
-    grids = [_span_grid(cfg, AXIS_COUPLING, g, "gamma_values") for g in gammas]
+    tol = cfg.tol("bisect_tol", BISECT_TOL)
+    tasks = [(_span_grid(cfg, AXIS_COUPLING, g, "gamma_values"), tol) for g in gammas]
     records, skipped = [], []
-    for grid in grids:
-        line_records, line_skipped = locate_ep2_records(
-            sweep(grid, workers=cfg.workers), tol=cfg.tol("bisect_tol", BISECT_TOL))
+    # one line per task, back in line order, so the bytes do not depend on the workers
+    for line_records, line_skipped in _imap(_ep2_line, tasks, cfg.workers):
         records += line_records
         skipped += line_skipped
     records.sort(key=EPRecord.sort_key)

@@ -152,14 +152,10 @@ def check_levels(levels, n: int, name: str) -> tuple[int, ...]:
     return levels
 
 
-def _stack_size(n: int) -> int:
-    """Points per stacked solve: at most ``_STACK_ELEMENTS`` matrix elements."""
-    return max(1, _STACK_ELEMENTS >> (2 * n))
-
-
 def _solve_values(line, values, nudges=_NUDGES):
     """Spectra at ``values + nudges[0]`` on ``line`` (a :class:`SweepGrid` or
-    :class:`_Line`) with its tolerances, in order, lazily, in stacks of ``_stack_size``.
+    :class:`_Line`) with its tolerances, in order, lazily, in stacks of at
+    most ``_STACK_ELEMENTS`` matrix elements.
 
     Each value is clamped to the axis range, and each stack is solved as its
     points' two real sector blocks (:func:`pshchain.model.normalized_blocks`,
@@ -168,15 +164,15 @@ def _solve_values(line, values, nudges=_NUDGES):
     exceptional point is solved again through this routine at the remaining
     offsets; the failure at the last is raised, other errors at once.
     """
-    size = _stack_size(line.n)
+    size = max(1, _STACK_ELEMENTS >> (2 * line.n))
     lo, hi = AXIS_RANGE[line.axis]
     values = np.asarray(values, dtype=np.float64)
     for start in range(0, len(values), size):
         chunk = values[start:start + size]
         location = _location(line, np.minimum(hi, np.maximum(lo, chunk + nudges[0])))
-        blocks = normalized_blocks(line.n, location[AXIS_COUPLING], location[AXIS_GAIN])
-        spectra = sector_spectra(blocks, line.n, reality_tol=line.reality_tol,
-                                 indicator_floor=line.indicator_floor)
+        spectra = sector_spectra(
+            normalized_blocks(line.n, location[AXIS_COUPLING], location[AXIS_GAIN]), line.n,
+            reality_tol=line.reality_tol, indicator_floor=line.indicator_floor)
         for v, sp in zip(chunk, spectra):
             if isinstance(sp, AtExceptionalPoint) and len(nudges) > 1:
                 sp = next(_solve_values(line, [v], nudges[1:]))
@@ -262,12 +258,9 @@ class LevelTrack:
         return bool(self.partner[point_index] == other.level_id)
 
 
-def _sweep_task(args) -> list[BiorthoSpectrum]:
-    return list(_solve_values(*args))
-
-
-def _imap(fn, tasks: list, workers: int, chunksize: int):
-    """``fn(task)`` for every task, lazily and in task order.
+def _imap(fn, tasks: list, workers: int):
+    """``fn(task)`` for every task, lazily and in task order: the one pool of
+    the package, which hands out one task at a time.
 
     Runs on a fork pool of ``min(workers, len(tasks))`` processes when that is
     more than one; otherwise in this process, one result held at a time.
@@ -281,7 +274,7 @@ def _imap(fn, tasks: list, workers: int, chunksize: int):
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context()
     with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(fn, tasks, chunksize=chunksize)
+        yield from pool.imap(fn, tasks)
 
 
 def _match(ref_left: np.ndarray, right: np.ndarray):
@@ -456,14 +449,13 @@ def _lockstep(line, refinements) -> list:
     return results
 
 
-def sweep(grid: SweepGrid, workers: int = 1) -> list[LevelTrack]:
-    """Track all 2^N levels across the grid.
+def sweep(grid: SweepGrid) -> list[LevelTrack]:
+    """Track all 2^N levels across the grid, in this process.
 
-    Grid points are solved in fixed stacks, which are independent (and may
-    run in ``workers`` processes); the overlap matching is a sequential
-    reduction in grid order, so results are identical for any worker
-    count. Matched overlaps below ``OVERLAP_MIN`` are recorded as track
-    breaks and the sweep continues with the assignment it found.
+    Grid points are solved in the stacks of :func:`_solve_values` and matched
+    to the previous point's levels in grid order. Matched overlaps below
+    ``OVERLAP_MIN`` are recorded as track breaks and the sweep continues with
+    the assignment it found.
     """
     npts = len(grid.points)
     dim = 1 << grid.n
@@ -473,12 +465,7 @@ def sweep(grid: SweepGrid, workers: int = 1) -> list[LevelTrack]:
     ind, overlaps = np.empty((npts, dim)), np.empty((npts, dim))
     partner, columns = np.empty((npts, dim), dtype=np.int64), np.empty((npts, dim), dtype=np.int64)
 
-    # one task per stack, so the stacks do not depend on the worker count
-    size = _stack_size(grid.n)
-    tasks = [(grid, grid.points[i:i + size]) for i in range(0, npts, size)]
-    chunks = _imap(_sweep_task, tasks, workers, max(1, len(tasks) // (4 * workers)))
-    spectra = (sp for chunk in chunks for sp in chunk)
-    for p, (sp, cols, matched) in enumerate(_follow(spectra)):
+    for p, (sp, cols, matched) in enumerate(_follow(_solve_values(grid, grid.points))):
         values[p], z2[p], ind[p], partner[p] = sp.eigenvalues, sp.z2, sp.indicator, sp.partner
         columns[p], overlaps[p] = cols, matched
     rows = np.arange(npts)[:, None]
@@ -1186,7 +1173,7 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     ladder = tuple(np.linspace(0.0, g_hi, EP3_CANDIDATE_STEPS + 1))
     grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
              for j in j_vals[:(probes + 1) // 2 if mirrored else probes]]
-    results = list(_imap(_candidate_probe, grids, workers, 1))
+    results = list(_imap(_candidate_probe, grids, workers))
     if mirrored:  # the probes with j > 0: the mirrors of the solved ones
         top = (1 << n) - 1
         results += [{top - k: (g, top - p) for k, (g, p) in r.items()}
@@ -1249,7 +1236,7 @@ def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
 
     def refine(todo):
         tasks = [(n, candidates[k], gamma_window, kw) for k in todo]
-        for k, r in zip(todo, _imap(_ep3_task, tasks, workers, 1)):
+        for k, r in zip(todo, _imap(_ep3_task, tasks, workers)):
             results[k] = r
 
     results: list = [None] * len(candidates)

@@ -26,7 +26,7 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       reality_transitions, refine_ep3_candidates, solve_modes,
                       spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
-from pshchain.cli import UsageError, load_ep_records
+from pshchain.cli import UsageError, load_ep_records, main
 from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
                              _imap, _Line, _location, _match, _refine_crossing, _run,
                              _solve_values)
@@ -209,19 +209,16 @@ class TestRootFinder:
         assert probes[0] == 5e-4
 
 
-#: A 2-worker sweep of three stacks whose every solve fails at an exact EP.
-RAISING_SWEEP = """
-from pshchain import AtExceptionalPoint, SweepGrid, epscan, sweep
+#: verify on two workers, four gain lines whose every solve fails at an exact EP.
+RAISING_VERIFY = """
+import sys
+from pshchain import AtExceptionalPoint, cli, epscan
 
 def at_ep(blocks, n, **kw):
     return [AtExceptionalPoint(1e20) for _ in blocks[0]]
 
 epscan.sector_spectra = at_ep
-grid = SweepGrid(axis="j_tilde", fixed_value=0.2, points=tuple(k / 10 for k in range(-4, 5)), n=6)
-try:
-    sweep(grid, workers=2)
-except AtExceptionalPoint as exc:
-    print(type(exc).__name__, exc.cond, exc)
+sys.exit(cli.main(["verify", "--n", "4", "--workers", "2"]))
 """
 
 
@@ -285,20 +282,15 @@ class TestPool:
     def test_worker_exception_reaches_the_parent(self):
         # an exception the pool cannot rebuild kills its result handler and
         # the parent waits forever, so this runs under a timeout
-        proc = subprocess.run([sys.executable, "-c", RAISING_SWEEP],
+        proc = subprocess.run([sys.executable, "-c", RAISING_VERIFY],
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ("AtExceptionalPoint 1e+20 "
-                                       "defective eigensystem (condition 1.000e+20)")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "numeric failure: defective eigensystem (condition 1.000e+20)\n"
 
     def test_one_task_runs_in_this_process(self):
         # a lambda cannot be pickled, so it runs here or not at all
-        assert list(_imap(lambda _: os.getpid(), [0], 4, 1)) == [os.getpid()]
-        grid = coupling_grid(4, 0.21, points=41, start=-0.8, stop=0.8)  # one stack
-        for a, b in zip(sweep(grid, workers=1), sweep(grid, workers=4)):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.columns, b.columns)
+        assert list(_imap(lambda _: os.getpid(), [0], 4)) == [os.getpid()]
 
 
 class TestRealityBoundary:
@@ -491,16 +483,6 @@ class TestSweep:
                 assert got.dtype == rows.dtype and np.array_equal(got, rows[t]), name
             assert track.breaks == np.flatnonzero(want["overlaps"][t] < OVERLAP_MIN).tolist()
 
-    def test_workers_bitwise_identical(self):
-        grid = coupling_grid(4, 0.21, points=101, start=-0.8, stop=0.8)
-        t1 = sweep(grid, workers=1)
-        t2 = sweep(grid, workers=2)
-        for a, b in zip(t1, t2):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.z2, b.z2)
-            assert np.array_equal(a.indicator, b.indicator)
-            assert np.array_equal(a.partner, b.partner)
-
     def test_grid_points_resolve_identically_alone(self):
         # refinement re-solves grid points one at a time and reads them at
         # the columns the stacked sweep recorded
@@ -651,17 +633,17 @@ class TestGridTolerances:
         assert classify_crossings(tracks)
         assert seen and set(seen) == {tuple(TOLS.values())}
 
-    def test_tolerances_survive_the_worker_pool(self):
-        # four stacks on two workers; these tolerances change the indices
-        tols = {"reality_tol": 1e-3, "indicator_floor": 0.3}
-        grid = SweepGrid(axis=AXIS_GAIN, fixed_value=-0.84184,
-                         points=tuple(np.linspace(0.0, 0.5, 201)), n=4, **tols)
-        t1, t2 = sweep(grid, workers=1), sweep(grid, workers=2)
-        default = sweep(SweepGrid(grid.axis, grid.fixed_value, grid.points, grid.n))
-        assert any(not np.array_equal(a.z2, d.z2) for a, d in zip(t1, default))
-        for a, b in zip(t1, t2):
-            for name in ("eigenvalues", "z2", "indicator", "partner", "columns", "overlaps"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
+    def test_tolerances_survive_the_worker_pool(self, tmp_path):
+        # two gain lines on two workers; these tolerances change the records
+        tols = ["--tol", "reality_tol=1e-3", "--tol", "indicator_floor=0.3"]
+        outs = []
+        for name, args in (("w1", [*tols, "--workers", "1"]), ("w2", [*tols, "--workers", "2"]),
+                           ("default", ["--workers", "2"])):
+            out = tmp_path / f"{name}.json"
+            assert main(["verify", "--n", "4", "--points", "101", "--gammas", "0.21,0.40125",
+                         *args, "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] != outs[2]
 
 
 class TestFindEp2:
