@@ -82,6 +82,16 @@
 # elsewhere within the tolerance: the record keeps its levels and indices and
 # the skipped list stays empty; the location moves by 4.8e-9 and
 # bracket_width is 5.0e-9. Every other file is the same.
+# Against a5268cb and older commits, verify_n4.out and verify_n4_w2.out (the
+# same call on 2 workers, the same bytes) differ on purpose: every degenerate
+# cluster, complex ones too, now replaces raw vectors too close to parallel
+# by an orthonormal basis of its eigenspace, as real clusters did, and is
+# defective where H - lambda has fewer small singular values than levels.
+# One EP2 refinement probe meets such a complex pair (Gram condition 5.0e12)
+# and is now solved again at the first nudge, so 1 of the 80 records, of
+# levels (10, 11) at gamma_tilde = 0.05, moves by 5.23e-9 within its
+# tolerance, with the same levels and indices. Skipped entries and
+# violations are the same, and every other file is the same.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). For two EP record JSON files
 # that differ, one more line says whether the record count, levels, indices

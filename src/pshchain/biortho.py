@@ -54,7 +54,7 @@ from .numerics import (CLUSTER_SCALE, DEFECT_THRESHOLD, AtExceptionalPoint, Eige
 INDICATOR_FLOOR = 1e-6
 #: Default reality tolerance as a fraction of the spectral radius.
 REALITY_SCALE = 1e-8
-#: Condition number of a real cluster's Gram matrix above which its raw
+#: Condition number of a cluster's Gram matrix above which its raw
 #: eigenvectors, nearly parallel, no longer pin down the cluster's eigenspace.
 GRAM_COND_MAX = 1e10
 
@@ -213,9 +213,24 @@ def _clusters(close: np.ndarray) -> list[np.ndarray]:
     return [g for g in (np.flatnonzero(label == k) for k in levels[label == levels]) if g.size > 1]
 
 
-def _block_cluster(z: np.ndarray, rc: np.ndarray, lc: np.ndarray):
-    """Generic biorthonormalization of a degenerate cluster; no indices. The
-    cluster is defective if L^+ R has a condition above ``DEFECT_THRESHOLD``."""
+def _eigenspace(a: np.ndarray, rc: np.ndarray):
+    """A cluster's raw vectors ``rc`` and their Gram matrix or, above a condition of
+    ``GRAM_COND_MAX``, the eigenspace's orthonormal basis and the identity: the right
+    singular vectors of H - lambda with the smallest singular values. Fewer of those
+    than levels below ``CLUSTER_SCALE`` times the largest: the cluster is defective."""
+    gram = rc.conj().T @ rc
+    if np.linalg.cond(gram) > GRAM_COND_MAX:
+        _, sh, vh = np.linalg.svd(a - np.vdot(rc[:, 0], a @ rc[:, 0]) * np.eye(len(a)))
+        if sh[-rc.shape[1]] > CLUSTER_SCALE * sh[0]:
+            raise AtExceptionalPoint(np.linalg.cond(rc))
+        return vh[-rc.shape[1]:].conj().T, np.eye(rc.shape[1])
+    return rc, gram
+
+
+def _block_cluster(z: np.ndarray, rc: np.ndarray, m: np.ndarray):
+    """Generic biorthonormalization of a degenerate cluster, left vectors conj(m R);
+    no indices. It is defective if L^+ R has a condition above ``DEFECT_THRESHOLD``."""
+    lc = _apply(m, rc).conj()
     rc = rc / np.linalg.norm(rc, axis=0)
     overlap = lc.conj().T @ rc
     cond = np.linalg.cond(overlap)
@@ -235,8 +250,8 @@ def _pencil_eigh(a: np.ndarray, b: np.ndarray):
     return values, li.conj().T @ z
 
 
-def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
-                  resolution: float):
+def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, gram: np.ndarray,
+                  floor: float, resolution: float):
     """Index-rescaled basis of a cluster of real levels (a genuine crossing).
 
     Diagonalizing zeta restricted to the cluster separates the index signs.
@@ -246,22 +261,9 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, floor: float,
     ``resolution``, the subspace is rotated onto its eigenvectors (in
     ascending energy), so that nearly degenerate levels of one index come
     out separately rather than as a mixture. An exactly degenerate subspace
-    keeps its basis. Raw vectors too close to parallel (Gram condition above
-    ``GRAM_COND_MAX``) are replaced by an orthonormal basis of the
-    eigenspace: the right singular vectors of H - lambda with the smallest
-    singular values; if fewer of those than levels are below ``CLUSTER_SCALE``
-    times the largest, the cluster is defective. Returns None when zeta is
-    singular on the cluster.
+    keeps its basis, of Gram matrix ``gram`` (:func:`_eigenspace`). Returns
+    None when zeta is singular on the cluster.
     """
-    gram = rc.conj().T @ rc
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] * GRAM_COND_MAX < sv[0]:
-        lam = np.vdot(rc[:, 0], a @ rc[:, 0])
-        _, sh, vh = np.linalg.svd(a - lam * np.eye(a.shape[0]))
-        if sh[-rc.shape[1]] > CLUSTER_SCALE * sh[0]:
-            raise AtExceptionalPoint(np.linalg.cond(rc))
-        rc = vh[-rc.shape[1]:].conj().T
-        gram = np.eye(rc.shape[1])
     q = rc.conj().T @ _apply(z, rc)
     qvals, y = _pencil_eigh(0.5 * (q + q.conj().T), 0.5 * (gram + gram.conj().T))
     if np.min(np.abs(qvals)) < floor:
@@ -363,13 +365,13 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
             continue
         try:
             for cols in _clusters(close[i]) if clustered[i].any() else ():
-                rc = raw_r[i][:, cols]
+                rc, gram = _eigenspace(a[i], raw_r[i][:, cols])
                 # the rounding level of the eigenvalues: d * eps * ||H||_F
                 resolution = values.shape[1] * np.finfo(float).eps * scale[i]
-                done = (_real_cluster(a[i], z, rc, floor, resolution)
+                done = (_real_cluster(a[i], z, rc, gram, floor, resolution)
                         if is_real[i, cols].all() else None)
                 if done is None:
-                    done = _block_cluster(z, rc, raw_l[i][:, cols])
+                    done = _block_cluster(z, rc, m)
                 right[i][:, cols], left[i][:, cols], z2[i, cols], indicator[i, cols], vals = done
                 if vals is not None:
                     values[i, cols] = vals

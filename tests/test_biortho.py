@@ -281,14 +281,15 @@ class TestClusterDefects:
         rc = np.linalg.eig(a)[1].astype(complex)
         eta = sector_bases(4)[0].eta
         with pytest.raises(AtExceptionalPoint) as exc:
-            biortho._real_cluster(a, eta, rc, biortho.INDICATOR_FLOOR, 1e-14)
+            biortho._eigenspace(a, rc)
         assert exc.value.cond > numerics.DEFECT_THRESHOLD
 
     def test_ill_conditioned_block_cluster_raises(self):
-        # L^+ R = diag(1, 1e-14): invertible, and of condition 1e14
-        lc = np.diag([1.0, 1e-14]).astype(complex)
+        # left vectors conj(m R) with L^+ R = diag(1, 1e-14): invertible, and of
+        # condition 1e14
+        m = np.array([1.0, 1e-14])
         with pytest.raises(AtExceptionalPoint) as exc:
-            biortho._block_cluster(np.array([1.0, -1.0]), np.eye(2, dtype=complex), lc)
+            biortho._block_cluster(np.array([1.0, -1.0]), np.eye(2, dtype=complex), m)
         assert exc.value.cond == pytest.approx(1e14)
 
 

@@ -115,6 +115,10 @@ class TestAgainstFullMatrix:
     @settings(max_examples=150, deadline=None)
     @given(spec=normal_chains)
     @example(spec=CLUSTER_CHAIN)
+    # a 16-level cluster near +2i whose raw vectors are nearly parallel (Gram
+    # condition 7.4e11) on the general path
+    @example(spec=ChainSpec(n=6, delta=1e-10, j=0.0,
+                            gamma_profile=(1e-10, 0.0, 1.0, -1.0, -0.0, -1e-10)))
     def test_sector_engine_matches_the_full_solve(self, spec):
         h = build_hamiltonian(spec)
         try:
