@@ -11,10 +11,9 @@ from .oracle import (FermionMode, OracleState, almost_zero_energy, full_spectrum
 from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePairing,
                      CrossingRecord, EPRecord, LevelTrack, NoEP3InBox,
                      NoEPInBracket, SweepGrid, classify_crossings, find_ep3,
-                     find_ep3_candidates, locate_ep2_records,
-                     locate_reality_boundary, predict_gamma_cr, project_two_level,
-                     reality_transitions, refine_ep3_candidates, sweep,
-                     triple_pairing, verify_selection_rule)
+                     find_ep3_candidates, locate_ep2_records, predict_gamma_cr,
+                     project_two_level, reality_transitions, refine_ep3_candidates,
+                     sweep, triple_pairing, verify_selection_rule)
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "AXIS_COUPLING", "AXIS_GAIN", "AccidentallyZeroElement", "CrossingRecord",
     "EPRecord", "LevelTrack", "NoEP3InBox", "NoEPInBracket",
     "SweepGrid", "TriplePairing", "classify_crossings", "find_ep3",
-    "find_ep3_candidates", "locate_ep2_records", "locate_reality_boundary",
-    "predict_gamma_cr", "project_two_level", "reality_transitions",
-    "refine_ep3_candidates", "sweep", "triple_pairing", "verify_selection_rule",
+    "find_ep3_candidates", "locate_ep2_records", "predict_gamma_cr",
+    "project_two_level", "reality_transitions", "refine_ep3_candidates", "sweep",
+    "triple_pairing", "verify_selection_rule",
 ]

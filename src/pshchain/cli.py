@@ -273,12 +273,6 @@ def _records_json(records, skipped) -> dict:
     return {"records": [r.to_dict() for r in records], "skipped": list(skipped)}
 
 
-def load_ep_records(path) -> list[EPRecord]:
-    """Read back the exceptional-point records of an emitted JSON file."""
-    data = json.loads(Path(path).read_text())
-    return [EPRecord.from_dict(d) for d in data["records"]]
-
-
 def _records_path(path) -> Path:
     """The record JSON beside a sweep's CSV ``path``: same stem, ``.json`` suffix.
     Raises ValueError where that is ``path`` itself."""

@@ -417,22 +417,15 @@ def _tracked(sp: BiorthoSpectrum, cols, p_in: float, p_out: float, tol: float, i
     return p_in, p_out, last_in, last_out
 
 
-def _run(refinement, solve):
-    """Result of one refinement generator, each probe ``p`` answered with ``solve(p)``."""
-    try:
-        p = next(refinement)
-        while True:
-            p = refinement.send(solve(p))
-    except StopIteration as stop:
-        return stop.value
+def _lockstep(solve, refinements) -> list:
+    """Run refinement generators together: the one driver of every refinement.
 
-
-def _lockstep(line, refinements) -> list:
-    """Run refinement generators together, each round's probes solved in stacks.
-
-    Returns each one's result, or the :class:`NoEPInBracket` or
-    :class:`~pshchain.biortho.IndexIllDefined` it raised without its traceback,
-    whose frames would keep a round's stacks alive in a cycle.
+    Each round, ``solve`` maps the refinements' probe values to their spectra,
+    in order: ``partial(_solve_values, line)`` in stacks, ``partial(map,
+    point_solver)`` one at a time. Returns each one's result, or the
+    :class:`NoEPInBracket` or :class:`~pshchain.biortho.IndexIllDefined` it
+    raised without its traceback, whose frames would keep a round's stacks
+    alive in a cycle; other errors are raised.
     """
     results = [None] * len(refinements)
     answers = dict.fromkeys(range(len(refinements)))
@@ -445,7 +438,7 @@ def _lockstep(line, refinements) -> list:
                 results[k] = stop.value
             except (NoEPInBracket, IndexIllDefined) as exc:
                 results[k] = exc.with_traceback(None)
-        answers = dict(zip(probes, _solve_values(line, list(probes.values()))))
+        answers = dict(zip(probes, solve(list(probes.values()))))
     return results
 
 
@@ -538,31 +531,22 @@ def _squared_gap(sp: BiorthoSpectrum, cols) -> float:
     return math.copysign(float(abs(a - b)) ** 2, -1.0 if _mutual(sp, cols) else 1.0)
 
 
-def locate_reality_boundary(solve, p_real: float, p_complex: float,
-                            pair, tol: float = BISECT_TOL) -> dict:
-    """Locate the parameter where a tracked pair switches real <-> complex.
+def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
+    """Locate the parameter where a tracked pair switches real <-> complex: a
+    refinement (see :func:`_tracked`) from ``p_real``, where ``pair`` holds the
+    two levels' columns, to ``p_complex``.
 
-    ``solve`` maps a parameter value to a :class:`BiorthoSpectrum`; ``pair``
-    gives the two level labels at ``p_real``. The boundary is the root of the
-    pair's squared gap D = (a - b)^2, positive while the pair is real and
-    -4 Im(a)^2 once it is a conjugate pair (:func:`_squared_gap`): the first
-    probe is the secant root of D at the two ends, the next ones
-    Chandrupatla's steps, and a midpoint wherever those do not apply
-    (:func:`_bisect`). Whether the pair is each other's conjugate partner
-    decides each probe's side, the magnitude of D only where to probe. The
-    pair is re-identified at every probe by overlap against the current
-    real-side vectors. Returns the boundary ``location`` (the final
+    The boundary is the root of the pair's squared gap D (:func:`_squared_gap`),
+    negative once the pair is each other's conjugate partner: that link decides
+    each probe's side, and D, known at both ends, only where :func:`_bisect`
+    probes. The pair is re-identified at every probe by overlap against the
+    last real-side probe. Returns the boundary ``location`` (the final
     bracket's midpoint), the bracket's ``width``, the pair's gap there
     (``residual``), and the pair's Z2 indices and indicators at the last
     real-side probe (``real_side_z2``, ``real_side_indicator``). Raises
     :class:`NoEPInBracket` when the bracket shows no transition or the
     converged boundary is not a real-to-complex one.
     """
-    return _run(_reality_boundary(p_real, p_complex, pair, tol), solve)
-
-
-def _reality_boundary(p_real: float, p_complex: float, pair, tol: float):
-    """:func:`locate_reality_boundary` as a refinement (see :func:`_tracked`)."""
     real = (yield p_real), list(pair)
     if _mutual(*real):
         raise NoEPInBracket("pair is already complex on the declared real side")
@@ -639,7 +623,7 @@ def locate_ep2_records(tracks: list[LevelTrack], tol: float = BISECT_TOL):
     """
     grid = tracks[0].grid
     events = reality_transitions(tracks)
-    results = _lockstep(grid, [
+    results = _lockstep(partial(_solve_values, grid), [
         _ep2(tracks[a], tracks[b], *((p + 1, p) if side == "lo" else (p, p + 1)), tol)
         for a, b, p, side in events])
     skipped = [{"levels": [a, b], "bracket": [grid.points[p], grid.points[p + 1]],
@@ -663,8 +647,9 @@ class CrossingRecord:
 
 def _refine_crossing(solve, p_lo: float, p_hi: float, pair, d_lo: float,
                      tol: float) -> tuple[float, float]:
-    """Bisect the sign change of the tracked gap d; returns (location, |d| at the last probe)."""
-    return _run(_crossing(p_lo, p_hi, pair, d_lo, tol), solve)
+    """Bisect the sign change of the tracked gap d, each probe solved alone by
+    ``solve`` (``value -> spectrum``); returns (location, |d| at the last probe)."""
+    return _lockstep(partial(map, solve), [_crossing(p_lo, p_hi, pair, d_lo, tol)])[0]
 
 
 def _crossing(p_lo: float, p_hi: float, pair, d_lo: float, tol: float):
@@ -725,7 +710,8 @@ def classify_crossings(tracks: list[LevelTrack],
                     ia, ib = int(tracks[a].z2[p]), int(tracks[b].z2[p])
                     out.append(CrossingRecord(float(pts[p]), (a, b), (ia, ib),
                                               "ambiguous", float(absd[p])))
-    for (levels, indices, kind), (loc, gap) in zip(labels, _lockstep(grid, refinements)):
+    refined = _lockstep(partial(_solve_values, grid), refinements)
+    for (levels, indices, kind), (loc, gap) in zip(labels, refined):
         if gap <= ambiguous_gap:  # a larger gap is a jump of the tracks, not a crossing
             out.append(CrossingRecord(float(loc), levels, indices, kind, float(gap)))
     out.sort(key=lambda c: (c.location, c.levels))
@@ -927,7 +913,7 @@ def _find_wedge(line: _Line, state, centre: float, h: float, reach: int, triple,
     tol = max(j_tol, _EDGE_FRACTION * (hi - lo + 2) * h)
     ends = [(lo, lo - 1), (hi, hi + 1)]
     inner = [(i, o) for i, o in ends if o in states]
-    refined = dict(zip(inner, _lockstep(line, [_triple_reality_boundary(
+    refined = dict(zip(inner, _lockstep(partial(_solve_values, line), [_triple_reality_boundary(
         states[i][0], states[i][1][tri], centre + i * h, centre + o * h, tol) for i, o in inner])))
     (j_left, kind_left), (j_right, kind_right) = [
         refined.get(end, (centre + end[0] * h, "edge")) for end in ends]

@@ -37,18 +37,14 @@ _ENUMERATION_LIMIT = 14
 class FermionMode:
     """One quasiparticle mode, labeled by increasing energy.
 
-    ``k`` is real (stored with zero imaginary part) for band modes and
-    complex for the almost-zero mode in the ordered regime.
+    ``k`` is real (stored with zero imaginary part) for band modes, and
+    ``k.imag`` is nonzero for the almost-zero mode in the ordered regime.
     """
 
     i: int
     k: complex
     energy: float
     delta: int
-
-    @property
-    def is_complex(self) -> bool:
-        return self.k.imag != 0.0
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pshchain import (biortho, build_hamiltonian, build_parity, cli, epscan, full_spectrum,
-                      model, numerics, spectrum_with_indices)
+from pshchain import (EPRecord, biortho, build_hamiltonian, build_parity, cli, epscan,
+                      full_spectrum, model, numerics, spectrum_with_indices)
 from pshchain.biortho import sector_spectra
-from pshchain.cli import (RunConfig, UsageError, _config_from_args, build_parser,
-                          load_ep_records, main)
+from pshchain.cli import RunConfig, UsageError, _config_from_args, build_parser, main
 from pshchain.model import NormalizedPoint, sector_blocks
 from pshchain.numerics import linear_sum_assignment
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def read_records(path) -> list:
+    """The EP records of a written JSON file."""
+    return [EPRecord.from_dict(d) for d in json.loads(Path(path).read_text())["records"]]
+
 
 # Every config field: (argv that sets it by flag, the value it sets, another
 # valid value). A field missing here fails the schema tests below.
@@ -200,7 +205,7 @@ class TestSweepCommand:
         assert code == 0
         rows = read_csv(out)
         assert len(rows) == 41 * 4
-        records = load_ep_records(tmp_path / "sweep.json")
+        records = read_records(tmp_path / "sweep.json")
         assert len(records) == 1
         assert records[0].order == 2
         assert sorted(records[0].indices) == [-1, 1]
@@ -221,7 +226,7 @@ class TestSweepCommand:
                      "--stop", "0.5", "--points", "101", "--tol", "indicator_floor=0.05",
                      "--output", str(out)])
         doc = json.loads((tmp_path / "floor.json").read_text())
-        records = load_ep_records(tmp_path / "floor.json")
+        records = read_records(tmp_path / "floor.json")
         assert code == cli._rule_exit(records) == 0
         assert len(read_csv(out)) == 101 * 16
         assert len(records) == 3
@@ -272,7 +277,7 @@ class TestFindEpCommand:
                      "--fixed", "0.707106781", "--start", "0", "--stop", "0.4",
                      "--points", "41", "--output", str(out)])
         assert code == 0
-        records = load_ep_records(out)
+        records = read_records(out)
         assert len(records) == 1
         assert abs(records[0].location["gamma_tilde"] - 0.2653) < 1e-3
 
@@ -282,7 +287,7 @@ class TestFindEpCommand:
                      "--fixed", "0.707106781", "--start", "0", "--stop", "0.4",
                      "--points", "21", "--pair", "2", "3", "--output", str(out)])
         assert code == 0
-        (rec,) = load_ep_records(out)
+        (rec,) = read_records(out)
         assert rec.levels == (2, 3)
         assert abs(rec.location["gamma_tilde"] - 0.2653) < 1e-3
 
@@ -313,7 +318,7 @@ class TestFindEpCommand:
                      "--triple", "3", "4", "7",
                      "--tol", "ep3_gamma_tol=1e-5", "--output", str(out)])
         assert code == 0
-        (rec,) = load_ep_records(out)
+        (rec,) = read_records(out)
         assert rec.order == 3
         s = rec.indices[0]
         assert rec.indices == (s, -s, s)
@@ -335,7 +340,7 @@ class TestFindEpCommand:
                      "--j-start", "-0.981", "--j-stop", "0.999",
                      "--g-start", "0.35", "--g-stop", "0.45",
                      "--points", "67", "--output", str(out)]) == 0
-        low, high = load_ep_records(out)
+        low, high = read_records(out)
         assert (low.levels, high.levels) == ((3, 4, 7), (8, 11, 12))
         assert abs(low.location["j_tilde"] + high.location["j_tilde"]) <= 1e-3
         assert abs(low.location["gamma_tilde"] - high.location["gamma_tilde"]) <= 1e-5

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,13 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       NoEPInBracket, NormalizedPoint, SweepGrid, build_hamiltonian,
                       build_parity, classify_crossings, find_ep3,
                       find_ep3_candidates, gain_generator, locate_ep2_records,
-                      locate_reality_boundary, predict_gamma_cr, project_two_level,
-                      reality_transitions, refine_ep3_candidates, solve_modes,
-                      spectrum_with_indices, sweep, triple_pairing, verify_selection_rule)
+                      predict_gamma_cr, project_two_level, reality_transitions,
+                      refine_ep3_candidates, solve_modes, spectrum_with_indices, sweep,
+                      triple_pairing, verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR
-from pshchain.cli import UsageError, load_ep_records, main
+from pshchain.cli import UsageError, main
 from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
-                             _imap, _Line, _location, _match, _refine_crossing, _run,
+                             _imap, _Line, _location, _lockstep, _match, _refine_crossing,
                              _solve_values)
 from pshchain.model import normalized_blocks, sector_blocks
 
@@ -55,12 +56,25 @@ def toy_solver(gap, w, zeta=ZETA2):
     return solve
 
 
+def one_at_a_time(refinement, solve):
+    """The result of ``refinement`` run by ``_lockstep``, each probe solved alone
+    by ``solve`` (``value -> answer``)."""
+    return _lockstep(partial(map, solve), [refinement])[0]
+
+
 def refine_alone(tracks, event, tol=BISECT_TOL):
     """One transition ``(a, b, p, side)`` of :func:`reality_transitions`, refined
-    alone from its real end to its complex end."""
+    alone from its real end to its complex end, one probe at a time: its
+    record, or the NoEPInBracket or IndexIllDefined it raised."""
     a, b, p, side = event
     ends = (p + 1, p) if side == "lo" else (p, p + 1)
-    return _run(epscan._ep2(tracks[a], tracks[b], *ends, tol), tracks[0].grid.solver())
+    return one_at_a_time(epscan._ep2(tracks[a], tracks[b], *ends, tol), tracks[0].grid.solver())
+
+
+def reality_boundary(solve, p_real, p_complex, pair, tol=BISECT_TOL):
+    """The EP2 refinement of ``pair`` from ``p_real`` to ``p_complex``, each probe
+    solved alone by ``solve``: its result, or the NoEPInBracket it raised."""
+    return one_at_a_time(epscan._reality_boundary(p_real, p_complex, pair, tol), solve)
 
 
 def swap_metric(dim, a, b):
@@ -97,7 +111,7 @@ class TestBisect:
 
         p_in, p_out = (hi, lo) if upper_inside else (lo, hi)
         # each probe is answered with itself, so ``inside`` sees the midpoint
-        p_in, p_out = _run(_bisect(inside, p_in, p_out, tol, max_iter), lambda p: p)
+        p_in, p_out = one_at_a_time(_bisect(inside, p_in, p_out, tol, max_iter), lambda p: p)
         a, b = sorted((p_in, p_out))
         assert a < t <= b
         assert len(probes) <= max_iter
@@ -107,7 +121,7 @@ class TestBisect:
             assert b - a <= tol or np.nextafter(a, b) == b
 
     def test_zero_tolerance_ends_at_adjacent_floats(self):
-        lo, hi = _run(_bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0), lambda p: p)
+        lo, hi = one_at_a_time(_bisect(lambda p: p < 0.3, 0.0, 1.0, 0.0), lambda p: p)
         assert lo < 0.3 <= hi and np.nextafter(lo, hi) == hi
 
 
@@ -129,7 +143,7 @@ def probed(loop, answer, *args, **kw):
     """The probes of ``loop(side, *args, **kw)`` whose ``side`` answers
     ``answer(p)`` at probe p, and its result."""
     probes = []
-    ends = _run(loop(lambda p: probes.append(p) or answer(p), *args, **kw), lambda p: p)
+    ends = one_at_a_time(loop(lambda p: probes.append(p) or answer(p), *args, **kw), lambda p: p)
     return probes, ends
 
 
@@ -295,8 +309,7 @@ class TestPool:
 
 class TestRealityBoundary:
     def test_two_level_critical_gain(self):
-        res = locate_reality_boundary(toy_solver(0.2, 1.0), 0.05, 0.2, (0, 1),
-                                      tol=1e-10)
+        res = reality_boundary(toy_solver(0.2, 1.0), 0.05, 0.2, (0, 1), tol=1e-10)
         assert abs(res["location"] - 0.1) <= 1e-10
         assert res["width"] <= 1e-10
         assert set(res["real_side_z2"]) == {-1, 1}
@@ -308,8 +321,9 @@ class TestRealityBoundary:
             h = np.array([[0.1, p], [p, -0.1]], dtype=complex)
             return spectrum_with_indices(h, np.eye(2, dtype=complex))
 
-        with pytest.raises(NoEPInBracket):
-            locate_reality_boundary(solve, 0.05, 0.4, (0, 1), tol=1e-10)
+        res = reality_boundary(solve, 0.05, 0.4, (0, 1), tol=1e-10)
+        assert isinstance(res, NoEPInBracket)
+        assert str(res) == "pair is not complex-conjugate on the complex side"
 
     def test_zero_tolerance_ends(self):
         # with tol=0 the probes close in on the exceptional point itself; the
@@ -322,13 +336,14 @@ class TestRealityBoundary:
             return solve(p)
 
         with pytest.raises(AtExceptionalPoint):
-            locate_reality_boundary(counted, 0.05, 0.2, (0, 1), tol=0)
+            reality_boundary(counted, 0.05, 0.2, (0, 1), tol=0)
         assert probes[-1] == 0.1
         assert len(probes) < 200
 
     def test_wrong_orientation_detected(self):
-        with pytest.raises(NoEPInBracket):
-            locate_reality_boundary(toy_solver(0.2, 1.0), 0.2, 0.3, (0, 1))
+        res = reality_boundary(toy_solver(0.2, 1.0), 0.2, 0.3, (0, 1))
+        assert isinstance(res, NoEPInBracket)
+        assert str(res) == "pair is already complex on the declared real side"
 
     def test_partner_exchange_raises(self):
         # column 2 (1+1j) is complex throughout; at p = 0.5 its conjugate partner
@@ -339,8 +354,9 @@ class TestRealityBoundary:
                 return spectrum_with_indices(np.diag([1 + 1j, 0.5, 1 - 1j]), swap_metric(3, 0, 2))
             return spectrum_with_indices(np.diag([1 + 1j, 1 - 1j, 0.5]), swap_metric(3, 0, 1))
 
-        with pytest.raises(NoEPInBracket, match=r"without a reality boundary \(partner exchange\)"):
-            locate_reality_boundary(solve, 0.1, 0.9, (2, 0), tol=1e-6)
+        res = reality_boundary(solve, 0.1, 0.9, (2, 0), tol=1e-6)
+        assert isinstance(res, NoEPInBracket)
+        assert str(res) == "pairing changes without a reality boundary (partner exchange)"
 
 
 class TestEp2RootFinder:
@@ -664,7 +680,7 @@ class TestFindEp2:
         solve = toy_solver(0.2, 1.0)
         inds = []
         for tol in (1e-2, 1e-4, 1e-6, 1e-8):
-            res = locate_reality_boundary(solve, 0.05, 0.2, (0, 1), tol=tol)
+            res = reality_boundary(solve, 0.05, 0.2, (0, 1), tol=tol)
             assert all(i > 0 for i in res["real_side_indicator"])
             inds.append(max(res["real_side_indicator"]))
         assert all(a >= b for a, b in zip(inds, inds[1:]))
@@ -777,13 +793,17 @@ class TestLockstep:
     def test_records_match_one_transition_at_a_time(self, high_gain_tracks):
         tracks = high_gain_tracks
         grid = tracks[0].grid
+        # locate_ep2_records solves its probes in stacks, partial(_solve_values,
+        # grid); refine_alone solves each probe alone, partial(map, grid.solver())
         records, skipped = [], []
         for a, b, p, side in reality_transitions(tracks):
-            try:
-                records.append(refine_alone(tracks, (a, b, p, side)))
-            except NoEPInBracket as exc:
+            res = refine_alone(tracks, (a, b, p, side))
+            if isinstance(res, EPRecord):
+                records.append(res)
+            else:
+                assert isinstance(res, NoEPInBracket)
                 skipped.append({"levels": [a, b], "bracket": [grid.points[p], grid.points[p + 1]],
-                                "complex_side": side, "reason": str(exc)})
+                                "complex_side": side, "reason": str(res)})
         records.sort(key=EPRecord.sort_key)
         assert records and skipped
         assert locate_ep2_records(tracks) == (records, skipped)
@@ -1076,7 +1096,7 @@ class TestFindEp3:
             return spectrum_with_indices(np.diag([0, 1 + 1j, 1 - 1j]), swap_metric(3, 1, 2))
 
         edge = epscan._triple_reality_boundary(solve(0.0), np.arange(3), 0.0, 1.0, 1e-3)
-        assert _run(edge, solve) == (0.99951171875, "mid-up")
+        assert one_at_a_time(edge, solve) == (0.99951171875, "mid-up")
         assert solved[-1] == 1.0
 
     def test_wedge_edges_start_from_their_samples(self, monkeypatch):
@@ -1163,7 +1183,7 @@ class TestFindEp3:
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        (rec,) = load_ep_records(out)
+        (rec,) = [EPRecord.from_dict(d) for d in json.loads(out.read_text())["records"]]
         g = rec.location[AXIS_GAIN]
         assert 0 < rec.bracket_width <= 2 * np.spacing(g)
 

@@ -39,13 +39,13 @@ class TestSolveModes:
 
     def test_complex_branch_above_threshold(self):
         modes = solve_modes(2, 3.0, 1.0)
-        assert modes[0].is_complex
+        assert modes[0].k.imag
         assert modes[0].k.real == 0.0  # ferromagnet: k0 = i*kappa
         # kappa solves sinh(3x) = 3 sinh(2x)
         kappa = modes[0].k.imag
         assert abs(math.sinh(3 * kappa) - 3.0 * math.sinh(2 * kappa)) < 1e-10
         anti = solve_modes(2, -3.0, 1.0)
-        assert anti[0].is_complex
+        assert anti[0].k.imag
         assert np.isclose(anti[0].k.real, math.pi)
         assert np.isclose(anti[0].energy, modes[0].energy)
 
@@ -80,7 +80,7 @@ class TestSolveModes:
         j, delta = normalized_couplings(ratio)
         for m in solve_modes(n, j, delta):
             k = m.k
-            if m.is_complex:
+            if m.k.imag:
                 val = (np.sin(k) / np.sin(n * k)).real
             else:
                 val = math.sin(k.real) / math.sin(n * k.real)
@@ -97,7 +97,7 @@ class TestSolveModes:
         n = 4
         lo = solve_modes(n, 1.25 - 1e-7, 1.0)
         hi = solve_modes(n, 1.25 + 1e-7, 1.0)
-        assert not lo[0].is_complex and hi[0].is_complex
+        assert not lo[0].k.imag and hi[0].k.imag
         assert abs(lo[0].energy - hi[0].energy) < 1e-5
 
     def test_invalid_inputs(self):
