@@ -375,8 +375,8 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
                 right[i][:, cols], left[i][:, cols], z2[i, cols], indicator[i, cols], vals = done
                 if vals is not None:
                     values[i, cols] = vals
-        except AtExceptionalPoint as exc:
-            failed[i] = exc
+        except AtExceptionalPoint as exc:  # its traceback would hold this frame in a cycle
+            failed[i] = exc.with_traceback(None)
 
     overlap = left.conj().swapaxes(1, 2) @ right
     overlap -= np.eye(values.shape[1])

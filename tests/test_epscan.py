@@ -26,7 +26,7 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       predict_gamma_cr, project_two_level, reality_transitions,
                       refine_ep3_candidates, solve_modes, spectrum_with_indices, sweep,
                       triple_pairing, verify_selection_rule)
-from pshchain.biortho import INDICATOR_FLOOR
+from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
 from pshchain.cli import UsageError, main
 from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
                              _imap, _Line, _location, _lockstep, _match, _refine_crossing,
@@ -820,6 +820,23 @@ class TestLockstep:
             gc.enable()
         assert skipped
         assert garbage == 0
+
+    def test_failed_point_keeps_no_traceback(self):
+        # this point fails in a degenerate cluster's eigenspace step; a stored
+        # traceback would hold the solve's frame, and the stack's arrays with
+        # it, in a cycle until the garbage collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            failed = sector_spectra(normalized_blocks(4, np.array([-0.9009566594357457, 0.0]),
+                                                      np.array([0.05, 0.05])), 4)[0]
+            assert isinstance(failed, AtExceptionalPoint)
+            kept_traceback = failed.__traceback__ is not None
+            del failed
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert (kept_traceback, garbage) == (False, 0)
 
     def test_one_stack_per_round(self, monkeypatch):
         tracks = sweep(coupling_grid(4, 0.40125, points=801))
