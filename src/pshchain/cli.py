@@ -27,8 +27,8 @@ import numpy as np
 from .biortho import INDICATOR_FLOOR, IndexIllDefined, sector_spectra
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
-                     NoEPInBracket, SweepGrid, _imap, check_levels, classify_crossings,
-                     find_ep3_candidates, locate_ep2_records, refine_ep3_candidates,
+                     NoEPInBracket, SweepGrid, _ep3_search, _Pool, check_levels,
+                     classify_crossings, locate_ep2_records, refine_ep3_candidates,
                      rises_on_axis, sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, check_chain_length, sector_blocks
 from .numerics import AtExceptionalPoint
@@ -37,7 +37,7 @@ from .oracle import full_spectrum
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
 # these names, which this module shares with epscan.
 from .biortho import spectrum_with_indices  # noqa: F401
-from .epscan import find_ep3  # noqa: F401
+from .epscan import find_ep3, find_ep3_candidates  # noqa: F401
 from .model import build_hamiltonian, build_parity  # noqa: F401
 
 TOLERANCE_NAMES = frozenset({
@@ -113,8 +113,10 @@ class RunConfig:
                                 ("spectrum", "oracle", "crossings"), default="csv",
                                 choices=("csv", "json"), help="output format")
     workers: int = _entry("workers", "--workers", default=1,
-                          help="processes for verify's gain lines and the EP3 probes "
-                               "and candidates")
+                          help="processes of the one pool of verify's gain lines, or of "
+                               "find-ep --order 3's probes and refinements; each "
+                               "candidate's refinement starts once its bracket's probes "
+                               "are in")
 
     def __post_init__(self):
         if self.command and self.command not in COMMANDS:
@@ -436,18 +438,18 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
         _check_on_axis(AXIS_COUPLING, ("j_start", "j_stop"), j_box)
         _check_on_axis(AXIS_GAIN, ("g_start", "g_stop"), g_box)
         probes = _points(cfg, 33)
-        kw = cfg.solve_tols()
+        tols = cfg.solve_tols()
+        refine = {"j_tol": cfg.tol("bisect_tol", EP3_J_TOL),
+                  "g_tol": cfg.tol("ep3_gamma_tol", EP3_GAMMA_TOL)}
         if cfg.triple is not None:
             candidates = [{"triple": cfg.triple, "j_bracket": j_box}]
+            results = refine_ep3_candidates(cfg.n, candidates, g_box, workers=cfg.workers,
+                                            **refine, **tols)
         else:
-            candidates = find_ep3_candidates(cfg.n, j_box, g_box, probes=probes,
-                                             workers=cfg.workers, **kw)
+            candidates, results = _ep3_search(cfg.n, j_box, g_box, probes, cfg.workers,
+                                              tols, refine)
             if not candidates:
                 raise NoEP3InBox(f"no candidates in {j_box} x {g_box}")
-        results = refine_ep3_candidates(cfg.n, candidates, g_box, workers=cfg.workers,
-                                        j_tol=cfg.tol("bisect_tol", EP3_J_TOL),
-                                        g_tol=cfg.tol("ep3_gamma_tol", EP3_GAMMA_TOL),
-                                        **kw)
         records = [r for r in results if isinstance(r, EPRecord)]
         skipped = [{"triple": list(cand["triple"]), "j_bracket": list(cand["j_bracket"]),
                     "reason": str(r)}
@@ -470,8 +472,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     tol = cfg.tol("bisect_tol", BISECT_TOL)
     tasks = [(_span_grid(cfg, AXIS_COUPLING, g, "gamma_values"), tol) for g in gammas]
     records, skipped = [], []
+    with _Pool(cfg.workers, len(tasks)) as pool:
+        lines = pool.map(_ep2_line, tasks)
     # one line per task, back in line order, so the bytes do not depend on the workers
-    for line_records, line_skipped in _imap(_ep2_line, tasks, cfg.workers):
+    for line_records, line_skipped in lines:
         records += line_records
         skipped += line_skipped
     records.sort(key=EPRecord.sort_key)

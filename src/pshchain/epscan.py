@@ -258,23 +258,63 @@ class LevelTrack:
         return bool(self.partner[point_index] == other.level_id)
 
 
-def _imap(fn, tasks: list, workers: int):
-    """``fn(task)`` for every task, lazily and in task order: the one pool of
-    the package, which hands out one task at a time.
+class _Pool:
+    """The one pool of the package: :meth:`submit` hands out a task, and
+    :meth:`next` returns the ``(tag, result)`` of a finished one, in the order
+    they finish, or raises the error of the task that failed.
 
-    Runs on a fork pool of ``min(workers, len(tasks))`` processes when that is
-    more than one; otherwise in this process, one result held at a time.
+    The tasks run in the order they were handed out, on a fork pool of
+    ``min(workers, tasks)`` processes when that is more than one, ``tasks``
+    being the number it starts with; otherwise each runs in this process as it
+    is handed out. Leaving the ``with`` block stops the pool.
     """
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(fn, tasks)
+
+    def __init__(self, workers: int, tasks: int):
+        import queue  # here, like multiprocessing.pool: importing the package skips it
+
+        self.pending = 0
+        self._done = queue.SimpleQueue()
+        self._pool = None
+        if min(workers, tasks) > 1:
+            try:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX fallback
+                ctx = multiprocessing.get_context()
+            self._pool = ctx.Pool(processes=min(workers, tasks))
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+
+    def submit(self, fn, arg, tag) -> None:
+        """Hand out ``fn(arg)``; :meth:`next` returns its result with ``tag``."""
+        self.pending += 1
+        if self._pool is None:
+            self._done.put((tag, fn(arg), None))
+        else:  # the callbacks run on the pool's result thread
+            self._pool.apply_async(fn, (arg,), callback=lambda r: self._done.put((tag, r, None)),
+                                   error_callback=lambda e: self._done.put((tag, None, e)))
+
+    def next(self) -> tuple:
+        """``(tag, result)`` of the next task to finish; a failed task's error is raised."""
+        tag, result, error = self._done.get()
+        self.pending -= 1
+        if error is not None:
+            raise error
+        return tag, result
+
+    def map(self, fn, tasks: list) -> list:
+        """``fn(task)`` for every task, in task order."""
+        results = [None] * len(tasks)
+        for k, task in enumerate(tasks):
+            self.submit(fn, task, k)
+        for _ in tasks:
+            k, result = self.next()
+            results[k] = result
+        return results
 
 
 def _match(ref_left: np.ndarray, right: np.ndarray):
@@ -1124,68 +1164,27 @@ def _mirror_record(record: EPRecord, n: int) -> EPRecord:
                     residual=record.residual, bracket_width=record.bracket_width)
 
 
-def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
-                        workers: int = 1, reality_tol=None,
-                        indicator_floor: float = INDICATOR_FLOOR) -> list[dict]:
-    """Coarse scan for levels that switch first-merge partners with the coupling.
-
-    A third-order point announces itself by a shared (middle) level whose
-    first merge happens with one neighbor on one side of the collision
-    coupling and with another neighbor on the other side. Candidates are
-    kept when the first-merge gains of both flanking probes reach at most
-    ``gamma_window[1]`` and not less than one window-width below
-    ``gamma_window[0]`` (the boundary gain sinks steeply away from the
-    collision, so the coarse probes routinely undershoot the window).
-    Each candidate carries a (lower, middle, upper) triple and a coupling
-    bracket, ready for :func:`find_ep3`.
-
-    A window symmetric about j = 0 gets an exactly symmetric probe grid: the
-    probes with j <= 0 are solved and the others are their coupling mirrors,
-    so the candidates are those of a scan that solves every probe of that
-    grid. Any other window solves every probe.
-    Windows that are not two finite rising values on their axes, and fewer
-    than two probes, raise ValueError.
-    """
-    j_lo, j_hi = _window(AXIS_COUPLING, j_window, "j_window")
-    g_lo, g_hi = _window(AXIS_GAIN, gamma_window, "gamma_window")
-    if isinstance(probes, bool) or not isinstance(probes, (int, np.integer)) or probes < 2:
-        raise ValueError(f"probes must be an integer >= 2, got {probes!r}")
-    g_floor = g_lo - (g_hi - g_lo)
-    j_vals = np.linspace(j_lo, j_hi, probes)
-    mirrored = j_lo == -j_hi
-    if mirrored:  # exactly symmetric, which linspace is not
-        lower = j_vals[:probes // 2]
-        j_vals = np.concatenate([lower, [0.0] * (probes % 2), -lower[::-1]])
-    ladder = tuple(np.linspace(0.0, g_hi, EP3_CANDIDATE_STEPS + 1))
-    grids = [SweepGrid(AXIS_GAIN, float(j), ladder, n, reality_tol, indicator_floor)
-             for j in j_vals[:(probes + 1) // 2 if mirrored else probes]]
-    results = list(_imap(_candidate_probe, grids, workers))
-    if mirrored:  # the probes with j > 0: the mirrors of the solved ones
-        top = (1 << n) - 1
-        results += [{top - k: (g, top - p) for k, (g, p) in r.items()}
-                    for r in reversed(results[:probes // 2])]
-
-    candidates = []
-    for i in range(len(results) - 1):
-        left, right = results[i], results[i + 1]
-        for mid in sorted(set(left) & set(right)):
-            g_a, part_a = left[mid]
-            g_b, part_b = right[mid]
-            if part_a == part_b or mid in (part_a, part_b):
-                continue
-            if not (g_floor <= g_a <= g_hi and g_floor <= g_b <= g_hi):
-                continue
-            lo_part, up_part = sorted((part_a, part_b))
-            candidates.append({"triple": (lo_part, mid, up_part),
-                               "j_bracket": (float(j_vals[i]), float(j_vals[i + 1]))})
-    candidates.sort(key=lambda c: (c["triple"], c["j_bracket"]))
+def _bracket_candidates(left: dict, right: dict, j_bracket, g_floor: float,
+                        g_hi: float) -> list[dict]:
+    """The candidates of one coupling bracket, from the first merges of its two
+    probes (see :func:`find_ep3_candidates`), in triple order."""
+    triples = []
+    for mid in sorted(set(left) & set(right)):
+        g_a, part_a = left[mid]
+        g_b, part_b = right[mid]
+        if part_a == part_b or mid in (part_a, part_b):
+            continue
+        if not (g_floor <= g_a <= g_hi and g_floor <= g_b <= g_hi):
+            continue
+        lo_part, up_part = sorted((part_a, part_b))
+        triples.append((lo_part, mid, up_part))
     # near a collision the tracks of all three levels can switch partners
     # within one rung; two middles of one level set in one bracket name one
     # collision, so the first in order stands for both
     merged: dict = {}
-    for c in candidates:
-        merged.setdefault((frozenset(c["triple"]), c["j_bracket"]), c)
-    return list(merged.values())
+    for triple in sorted(triples):
+        merged.setdefault(frozenset(triple), triple)
+    return [{"triple": t, "j_bracket": j_bracket} for t in merged.values()]
 
 
 def _ep3_task(args) -> EPRecord | NoEP3InBox:
@@ -1202,6 +1201,140 @@ def _candidate_key(candidate: dict) -> tuple:
             tuple(int(k) for k in candidate["triple"]))
 
 
+class _Refinements:
+    """:func:`find_ep3` of EP3 candidates, handed to a :class:`_Pool` group by group.
+
+    A candidate's twin is its coupling mirror. Of twins in one group, only the
+    one with the lower key is refined, and the other's entry is the mirror of
+    its record; where it raised NoEP3InBox, the other is refined as soon as
+    that is in, so that its message is its own. ``results`` maps a candidate's
+    key to its :class:`EPRecord` or :class:`NoEP3InBox`.
+    """
+
+    def __init__(self, n: int, gamma_window, kw: dict):
+        self.n, self._gamma_window, self._kw = n, gamma_window, kw
+        self.results: dict = {}
+        self._waiting: dict = {}  # key of a refined candidate -> its twin
+
+    def _refine(self, candidate: dict, pool: _Pool) -> None:
+        pool.submit(_ep3_task, (self.n, candidate, self._gamma_window, self._kw),
+                    _candidate_key(candidate))
+
+    def add(self, group, pool: _Pool) -> None:
+        """Refine ``group``'s candidates; it holds the twin of each that has one."""
+        by_key = {_candidate_key(c): c for c in group}
+        for key, candidate in by_key.items():
+            twin = _candidate_key(_mirror_candidate(candidate, self.n))
+            if twin in by_key and twin < key:
+                self._waiting[twin] = candidate
+            else:
+                self._refine(candidate, pool)
+
+    def done(self, key: tuple, result, pool: _Pool) -> None:
+        """Enter the result of ``key``'s refinement, and settle its waiting twin."""
+        self.results[key] = result
+        twin = self._waiting.pop(key, None)
+        if twin is None:
+            return
+        if isinstance(result, EPRecord):
+            self.results[_candidate_key(twin)] = _mirror_record(result, self.n)
+        else:
+            self._refine(twin, pool)
+
+
+def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict,
+                refine: dict | None) -> tuple:
+    """The candidates of :func:`find_ep3_candidates`, and, unless ``refine`` is
+    None, their entries of :func:`refine_ep3_candidates`, in candidate order.
+
+    ``tols`` (``reality_tol`` and ``indicator_floor``) goes to every solve, and
+    ``refine`` to every :func:`find_ep3` besides.
+
+    The probes and the refinements share one :class:`_Pool`. Each probe's
+    result is taken as it comes in; once both probes of a bracket are in, and
+    those of its mirror bracket, which holds the twins of its candidates, their
+    candidates go to refinement at once.
+    """
+    j_lo, j_hi = _window(AXIS_COUPLING, j_window, "j_window")
+    g_lo, g_hi = _window(AXIS_GAIN, gamma_window, "gamma_window")
+    if isinstance(probes, bool) or not isinstance(probes, (int, np.integer)) or probes < 2:
+        raise ValueError(f"probes must be an integer >= 2, got {probes!r}")
+    g_floor = g_lo - (g_hi - g_lo)
+    j_vals = np.linspace(j_lo, j_hi, probes)
+    mirrored = j_lo == -j_hi
+    if mirrored:  # exactly symmetric, which linspace is not
+        lower = j_vals[:probes // 2]
+        j_vals = np.concatenate([lower, [0.0] * (probes % 2), -lower[::-1]])
+    j_vals = [float(j) for j in j_vals]
+    ladder = tuple(np.linspace(0.0, g_hi, EP3_CANDIDATE_STEPS + 1))
+    grids = [SweepGrid(AXIS_GAIN, j, ladder, n, **tols)
+             for j in j_vals[:(probes + 1) // 2 if mirrored else probes]]
+    brackets = list(zip(j_vals, j_vals[1:]))
+    index = {bracket: b for b, bracket in enumerate(brackets)}
+    mirror = [index.get((0.0 - hi, 0.0 - lo)) for lo, hi in brackets]
+    refinements = None if refine is None else _Refinements(n, gamma_window, refine | tols)
+    top = (1 << n) - 1
+    first: list = [None] * probes  # first merges per probe
+    found: dict = {}  # candidates per bracket
+    with _Pool(workers, len(grids)) as pool:
+        for i, grid in enumerate(grids):
+            pool.submit(_candidate_probe, grid, i)
+        while pool.pending:
+            tag, result = pool.next()
+            if isinstance(tag, tuple):  # a refinement, tagged with its candidate's key
+                refinements.done(tag, result, pool)
+                continue
+            first[tag] = result
+            ends = [tag]
+            if mirrored and tag < probes // 2:  # and its mirror, the probe at -j
+                ends.append(probes - 1 - tag)
+                first[ends[1]] = {top - k: (g, top - p) for k, (g, p) in result.items()}
+            for b in sorted({e - 1 for e in ends} | set(ends)):
+                if b in found or not 0 <= b < probes - 1 or None in first[b:b + 2]:
+                    continue
+                found[b] = _bracket_candidates(first[b], first[b + 1], brackets[b],
+                                               g_floor, g_hi)
+                # refined with those of the mirror bracket, which holds their twins
+                group = {b, mirror[b]} - {None}
+                if refinements is not None and group <= found.keys():
+                    refinements.add([c for g in sorted(group) for c in found[g]], pool)
+    candidates = sorted((c for cands in found.values() for c in cands),
+                        key=lambda c: (c["triple"], c["j_bracket"]))
+    if refinements is None:
+        return candidates, None
+    return candidates, [refinements.results[_candidate_key(c)] for c in candidates]
+
+
+def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
+                        workers: int = 1, reality_tol=None,
+                        indicator_floor: float = INDICATOR_FLOOR) -> list[dict]:
+    """Coarse scan for levels that switch first-merge partners with the coupling.
+
+    A third-order point announces itself by a shared (middle) level whose
+    first merge happens with one neighbor on one side of the collision
+    coupling and with another neighbor on the other side. Candidates are
+    kept when the first-merge gains of both flanking probes reach at most
+    ``gamma_window[1]`` and not less than one window-width below
+    ``gamma_window[0]`` (the boundary gain sinks steeply away from the
+    collision, so the coarse probes routinely undershoot the window).
+    Each candidate carries a (lower, middle, upper) triple and a coupling
+    bracket, ready for :func:`find_ep3`; they come sorted by triple, then
+    bracket.
+
+    A window symmetric about j = 0 gets an exactly symmetric probe grid: the
+    probes with j <= 0 are solved and the others are their coupling mirrors,
+    so the candidates are those of a scan that solves every probe of that
+    grid. Any other window solves every probe. The probes run on one pool of
+    ``workers`` processes. ``find-ep --order 3`` runs this scan on the same
+    pool as the refinements of its candidates, each of which starts as soon
+    as the probes of its bracket are in.
+    Windows that are not two finite rising values on their axes, and fewer
+    than two probes, raise ValueError.
+    """
+    tols = {"reality_tol": reality_tol, "indicator_floor": indicator_floor}
+    return _ep3_search(n, j_window, gamma_window, probes, workers, tols, None)[0]
+
+
 def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
                           **kw) -> list:
     """:func:`find_ep3` of every candidate of :func:`find_ep3_candidates`.
@@ -1210,28 +1343,19 @@ def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
     :class:`NoEP3InBox` it raised; any other error is raised. Of a candidate
     and its coupling mirror, both in the list, only the one with the lower
     coupling bracket is refined, and the other's record is the mirror of its
-    record; where it raised NoEP3InBox, the other is refined too, so that its
-    message is its own. Each candidate is refined whole in one of ``workers``
-    processes, so the entries are the same for any worker count. ``kw`` goes
-    to :func:`find_ep3`.
+    record; where it raised NoEP3InBox, the other is refined too, as soon as
+    that failure is in, so that its message is its own. All refinements share
+    one pool of ``workers`` processes, and each candidate is refined whole in
+    one of them, so the entries are the same for any worker count. ``kw`` goes
+    to :func:`find_ep3`. ``find-ep --order 3`` refines the candidates of its
+    scan the same way, on the scan's pool, while the scan goes on.
     """
-    keys = [_candidate_key(c) for c in candidates]
-    where = {key: k for k, key in enumerate(keys)}
-    twin = [where.get(_candidate_key(_mirror_candidate(c, n)), k)
-            for k, c in enumerate(candidates)]
-
-    def refine(todo):
-        tasks = [(n, candidates[k], gamma_window, kw) for k in todo]
-        for k, r in zip(todo, _imap(_ep3_task, tasks, workers)):
-            results[k] = r
-
-    results: list = [None] * len(candidates)
-    refine([k for k, t in enumerate(twin) if keys[k] <= keys[t]])
-    for k, t in enumerate(twin):
-        if results[k] is None and isinstance(results[t], EPRecord):
-            results[k] = _mirror_record(results[t], n)
-    refine([k for k, r in enumerate(results) if r is None])
-    return results
+    refinements = _Refinements(n, gamma_window, kw)
+    with _Pool(workers, len(candidates)) as pool:
+        refinements.add(candidates, pool)
+        while pool.pending:
+            refinements.done(*pool.next(), pool)
+    return [refinements.results[_candidate_key(c)] for c in candidates]
 
 
 def verify_selection_rule(records) -> list[dict]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -680,33 +681,55 @@ class TestDeterminism:
         assert len(doc["records"]) + len(doc["skipped"]) == 3 and doc["skipped"]
 
 
-#: find-ep at order 3 on two workers, each candidate's refinement failing.
+#: find-ep at order 3 on two workers: each refinement fails, and the j = 0
+#: probe, the last of the scan, sleeps, so a refinement fails in one worker
+#: while the other is still on that probe.
 FAILING_REFINEMENT = """
 import sys
+import time
 from pshchain import AtExceptionalPoint, cli, epscan
 
 def at_ep(n, j_bracket, gamma_bracket, triple, **kw):
     raise AtExceptionalPoint(1e20)
 
+probe = epscan._candidate_probe
+
+def slow_at_zero(grid):
+    if grid.fixed_value == 0.0:
+        time.sleep(600)
+    return probe(grid)
+
 epscan.find_ep3 = at_ep
-cli.find_ep3_candidates = lambda *args, **kw: [
-    {"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)},
-    {"triple": (3, 4, 7), "j_bracket": (0.75, 0.78)}]
+epscan._candidate_probe = slow_at_zero
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 class TestWorkerFailure:
     def test_refinement_error_exits_2(self, tmp_path):
-        # the error comes back from a worker; the parent must not hang on it
+        # the error comes back from a worker; the parent must neither hang on it
+        # nor wait for the probe still running, and must leave no worker behind
         argv = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.99", "--j-stop",
                 "0.99", "--g-start", "0.35", "--g-stop", "0.45", "--workers", "2",
                 "--output", str(tmp_path / "ep3.json")]
-        proc = subprocess.run([sys.executable, "-c", FAILING_REFINEMENT, *argv],
-                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "numeric failure: defective eigensystem (condition 1.000e+20)\n"
+        proc = subprocess.Popen([sys.executable, "-c", FAILING_REFINEMENT, *argv],
+                                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            try:  # the run's session is its own process group: is any of it left?
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                left = False
+            else:
+                left = True
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert not left, "a process of the run outlived it"
+        assert proc.returncode == 2, stderr
+        assert stderr == "numeric failure: defective eigensystem (condition 1.000e+20)\n"
 
 
 #: A fresh process that imports the package, sweeps an N=4 line through EP2s and

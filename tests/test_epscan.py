@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import multiprocessing.pool
 import os
 import pickle
 import re
@@ -29,7 +30,7 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
 from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
 from pshchain.cli import UsageError, main
 from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
-                             _imap, _Line, _location, _lockstep, _match, _refine_crossing,
+                             _Line, _location, _lockstep, _match, _Pool, _refine_crossing,
                              _solve_values)
 from pshchain.model import normalized_blocks, sector_blocks
 
@@ -304,7 +305,8 @@ class TestPool:
 
     def test_one_task_runs_in_this_process(self):
         # a lambda cannot be pickled, so it runs here or not at all
-        assert list(_imap(lambda _: os.getpid(), [0], 4)) == [os.getpid()]
+        with _Pool(4, 1) as pool:
+            assert pool.map(lambda _: os.getpid(), [0]) == [os.getpid()]
 
 
 class TestRealityBoundary:
@@ -1341,6 +1343,38 @@ class TestEp3Mirror:
         assert [r if isinstance(r, EPRecord) else (type(r), str(r)) for r in runs[0]] == \
             [r if isinstance(r, EPRecord) else (type(r), str(r)) for r in runs[1]]
         assert runs[0][0] == record
+
+
+
+#: find-ep at order 3 over the ep3_n4 benchmark window.
+EP3_N4 = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.99", "--j-stop", "0.99",
+          "--g-start", "0.35", "--g-stop", "0.45", "--points", "67"]
+
+
+class TestEp3Search:
+    """find-ep --order 3 scans and refines on one pool, each candidate as soon
+    as its bracket's probes are in."""
+
+    def test_one_pool_per_search(self, monkeypatch, tmp_path):
+        pools = []
+        init = multiprocessing.pool.Pool.__init__
+
+        def counting(self, *args, **kw):
+            pools.append(self)
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+        assert main([*EP3_N4, "--workers", "2", "--output", str(tmp_path / "ep3.json")]) == 0
+        assert len(pools) == 1
+
+    def test_serial_search_refines_the_same_candidates(self, monkeypatch, tmp_path):
+        # the three lower-key candidates, then the mirror twins of the two that fail
+        calls = _count_calls(monkeypatch, "find_ep3")
+        assert main([*EP3_N4, "--workers", "1", "--output", str(tmp_path / "ep3.json")]) == 0
+        assert sorted((triple, j_bracket) for _, j_bracket, _, triple in calls) == [
+            ((3, 4, 7), (-0.78, -0.75)), ((3, 6, 4), (0.6, 0.63)),
+            ((5, 7, 6), (0.69, 0.72)), ((9, 8, 10), (-0.72, -0.69)),
+            ((11, 9, 12), (-0.63, -0.6))]
 
 
 def test_ep_records_roundtrip():
