@@ -1345,7 +1345,6 @@ class TestEp3Mirror:
         assert runs[0][0] == record
 
 
-
 #: find-ep at order 3 over the ep3_n4 benchmark window.
 EP3_N4 = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.99", "--j-stop", "0.99",
           "--g-start", "0.35", "--g-stop", "0.45", "--points", "67"]
