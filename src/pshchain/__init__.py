@@ -12,8 +12,8 @@ from .epscan import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, TriplePa
                      CrossingRecord, EPRecord, LevelTrack, NoEP3InBox,
                      NoEPInBracket, SweepGrid, classify_crossings, find_ep3,
                      find_ep3_candidates, locate_ep2_records, predict_gamma_cr,
-                     project_two_level, reality_transitions, refine_ep3_candidates,
-                     sweep, triple_pairing, verify_selection_rule)
+                     project_two_level, reality_transitions, sweep, triple_pairing,
+                     verify_selection_rule)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "EPRecord", "LevelTrack", "NoEP3InBox", "NoEPInBracket",
     "SweepGrid", "TriplePairing", "classify_crossings", "find_ep3",
     "find_ep3_candidates", "locate_ep2_records", "predict_gamma_cr",
-    "project_two_level", "reality_transitions", "refine_ep3_candidates", "sweep",
+    "project_two_level", "reality_transitions", "sweep",
     "triple_pairing", "verify_selection_rule",
 ]

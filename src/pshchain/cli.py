@@ -28,8 +28,8 @@ from .biortho import INDICATOR_FLOOR, IndexIllDefined, sector_spectra
 from .epscan import (AMBIGUOUS_GAP, AXIS_COUPLING, AXIS_GAIN, AXIS_RANGE, BISECT_TOL,
                      EP3_GAMMA_TOL, EP3_J_TOL, AccidentallyZeroElement, EPRecord, NoEP3InBox,
                      NoEPInBracket, SweepGrid, _ep3_search, _Pool, check_levels,
-                     classify_crossings, locate_ep2_records, refine_ep3_candidates,
-                     rises_on_axis, sweep, verify_selection_rule)
+                     classify_crossings, find_ep3, locate_ep2_records, rises_on_axis,
+                     sweep, verify_selection_rule)
 from .model import ChainSpec, NormalizedPoint, check_chain_length, sector_blocks
 from .numerics import AtExceptionalPoint
 from .oracle import full_spectrum
@@ -37,7 +37,7 @@ from .oracle import full_spectrum
 # Not called here: the benchmark's span tracer (perfbench/spans.py) patches
 # these names, which this module shares with epscan.
 from .biortho import spectrum_with_indices  # noqa: F401
-from .epscan import find_ep3, find_ep3_candidates  # noqa: F401
+from .epscan import find_ep3_candidates  # noqa: F401
 from .model import build_hamiltonian, build_parity  # noqa: F401
 
 TOLERANCE_NAMES = frozenset({
@@ -441,22 +441,20 @@ def _cmd_find_ep(cfg: RunConfig) -> int:
         tols = cfg.solve_tols()
         refine = {"j_tol": cfg.tol("bisect_tol", EP3_J_TOL),
                   "g_tol": cfg.tol("ep3_gamma_tol", EP3_GAMMA_TOL)}
-        if cfg.triple is not None:
-            candidates = [{"triple": cfg.triple, "j_bracket": j_box}]
-            results = refine_ep3_candidates(cfg.n, candidates, g_box, workers=cfg.workers,
-                                            **refine, **tols)
+        if cfg.triple is not None:  # no scan: the triple is refined here
+            records, skipped = [find_ep3(cfg.n, j_box, g_box, cfg.triple, **refine, **tols)], []
         else:
             candidates, results = _ep3_search(cfg.n, j_box, g_box, probes, cfg.workers,
                                               tols, refine)
             if not candidates:
                 raise NoEP3InBox(f"no candidates in {j_box} x {g_box}")
-        records = [r for r in results if isinstance(r, EPRecord)]
-        skipped = [{"triple": list(cand["triple"]), "j_bracket": list(cand["j_bracket"]),
-                    "reason": str(r)}
-                   for cand, r in zip(candidates, results) if isinstance(r, NoEP3InBox)]
-        if not records:
-            raise NoEP3InBox(f"no collision refined inside {j_box} x {g_box}")
-        records.sort(key=EPRecord.sort_key)
+            records = [r for r in results if isinstance(r, EPRecord)]
+            skipped = [{"triple": list(cand["triple"]), "j_bracket": list(cand["j_bracket"]),
+                        "reason": str(r)}
+                       for cand, r in zip(candidates, results) if isinstance(r, NoEP3InBox)]
+            if not records:
+                raise NoEP3InBox(f"no collision refined inside {j_box} x {g_box}")
+            records.sort(key=EPRecord.sort_key)
     _write_text(cfg.output_path, _json_text(_records_json(records, skipped)))
     return _rule_exit(records)
 

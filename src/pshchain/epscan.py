@@ -1152,11 +1152,6 @@ def _mirror_levels(levels, n: int) -> tuple[int, ...]:
     return tuple(top - k for k in reversed(levels))
 
 
-def _mirror_candidate(candidate: dict, n: int) -> dict:
-    a, b = candidate["j_bracket"]
-    return {"triple": _mirror_levels(candidate["triple"], n), "j_bracket": (0.0 - b, 0.0 - a)}
-
-
 def _mirror_record(record: EPRecord, n: int) -> EPRecord:
     location = record.location | {AXIS_COUPLING: 0.0 - record.location[AXIS_COUPLING]}
     return EPRecord(order=record.order, location=location,
@@ -1196,64 +1191,24 @@ def _ep3_task(args) -> EPRecord | NoEP3InBox:
         return exc.with_traceback(None)
 
 
-def _candidate_key(candidate: dict) -> tuple:
-    return (tuple(float(j) for j in candidate["j_bracket"]),
-            tuple(int(k) for k in candidate["triple"]))
-
-
-class _Refinements:
-    """:func:`find_ep3` of EP3 candidates, handed to a :class:`_Pool` group by group.
-
-    A candidate's twin is its coupling mirror. Of twins in one group, only the
-    one with the lower key is refined, and the other's entry is the mirror of
-    its record; where it raised NoEP3InBox, the other is refined as soon as
-    that is in, so that its message is its own. ``results`` maps a candidate's
-    key to its :class:`EPRecord` or :class:`NoEP3InBox`.
-    """
-
-    def __init__(self, n: int, gamma_window, kw: dict):
-        self.n, self._gamma_window, self._kw = n, gamma_window, kw
-        self.results: dict = {}
-        self._waiting: dict = {}  # key of a refined candidate -> its twin
-
-    def _refine(self, candidate: dict, pool: _Pool) -> None:
-        pool.submit(_ep3_task, (self.n, candidate, self._gamma_window, self._kw),
-                    _candidate_key(candidate))
-
-    def add(self, group, pool: _Pool) -> None:
-        """Refine ``group``'s candidates; it holds the twin of each that has one."""
-        by_key = {_candidate_key(c): c for c in group}
-        for key, candidate in by_key.items():
-            twin = _candidate_key(_mirror_candidate(candidate, self.n))
-            if twin in by_key and twin < key:
-                self._waiting[twin] = candidate
-            else:
-                self._refine(candidate, pool)
-
-    def done(self, key: tuple, result, pool: _Pool) -> None:
-        """Enter the result of ``key``'s refinement, and settle its waiting twin."""
-        self.results[key] = result
-        twin = self._waiting.pop(key, None)
-        if twin is None:
-            return
-        if isinstance(result, EPRecord):
-            self.results[_candidate_key(twin)] = _mirror_record(result, self.n)
-        else:
-            self._refine(twin, pool)
-
-
 def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict,
                 refine: dict | None) -> tuple:
     """The candidates of :func:`find_ep3_candidates`, and, unless ``refine`` is
-    None, their entries of :func:`refine_ep3_candidates`, in candidate order.
+    None, each one's :func:`find_ep3` record or the NoEP3InBox it raised, in
+    candidate order; any other error is raised.
 
     ``tols`` (``reality_tol`` and ``indicator_floor``) goes to every solve, and
     ``refine`` to every :func:`find_ep3` besides.
 
     The probes and the refinements share one :class:`_Pool`. Each probe's
     result is taken as it comes in; once both probes of a bracket are in, and
-    those of its mirror bracket, which holds the twins of its candidates, their
-    candidates go to refinement at once.
+    those of its mirror bracket, which holds the twins (coupling mirrors) of
+    its candidates, their candidates go to refinement at once. Of two twins,
+    only the one with the lower ``(j_bracket, triple)`` key is refined, and the
+    other's entry is the mirror of its record; where it raised NoEP3InBox, the
+    other is refined as soon as that is in, so that its message is its own.
+    Each candidate is refined whole in one worker, so the entries are the same
+    for any worker count.
     """
     j_lo, j_hi = _window(AXIS_COUPLING, j_window, "j_window")
     g_lo, g_hi = _window(AXIS_GAIN, gamma_window, "gamma_window")
@@ -1272,17 +1227,27 @@ def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict
     brackets = list(zip(j_vals, j_vals[1:]))
     index = {bracket: b for b, bracket in enumerate(brackets)}
     mirror = [index.get((0.0 - hi, 0.0 - lo)) for lo, hi in brackets]
-    refinements = None if refine is None else _Refinements(n, gamma_window, refine | tols)
     top = (1 << n) - 1
     first: list = [None] * probes  # first merges per probe
     found: dict = {}  # candidates per bracket
+    results: dict = {}  # (j_bracket, triple) -> EPRecord or NoEP3InBox
+    waiting: dict = {}  # key of a refined candidate -> its twin's key
     with _Pool(workers, len(grids)) as pool:
+        def submit(key: tuple) -> None:
+            candidate = {"j_bracket": key[0], "triple": key[1]}
+            pool.submit(_ep3_task, (n, candidate, gamma_window, refine | tols), key)
+
         for i, grid in enumerate(grids):
             pool.submit(_candidate_probe, grid, i)
         while pool.pending:
             tag, result = pool.next()
             if isinstance(tag, tuple):  # a refinement, tagged with its candidate's key
-                refinements.done(tag, result, pool)
+                results[tag] = result
+                twin = waiting.pop(tag, None)
+                if twin is not None and isinstance(result, EPRecord):
+                    results[twin] = _mirror_record(result, n)
+                elif twin is not None:
+                    submit(twin)
                 continue
             first[tag] = result
             ends = [tag]
@@ -1296,13 +1261,21 @@ def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict
                                                g_floor, g_hi)
                 # refined with those of the mirror bracket, which holds their twins
                 group = {b, mirror[b]} - {None}
-                if refinements is not None and group <= found.keys():
-                    refinements.add([c for g in sorted(group) for c in found[g]], pool)
+                if refine is None or not group <= found.keys():
+                    continue
+                keys = [(c["j_bracket"], c["triple"]) for g in sorted(group) for c in found[g]]
+                for key in keys:
+                    (lo, hi), triple = key
+                    twin = ((0.0 - hi, 0.0 - lo), _mirror_levels(triple, n))
+                    if twin in keys and twin < key:
+                        waiting[twin] = key
+                    else:
+                        submit(key)
     candidates = sorted((c for cands in found.values() for c in cands),
                         key=lambda c: (c["triple"], c["j_bracket"]))
-    if refinements is None:
+    if refine is None:
         return candidates, None
-    return candidates, [refinements.results[_candidate_key(c)] for c in candidates]
+    return candidates, [results[(c["j_bracket"], c["triple"])] for c in candidates]
 
 
 def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
@@ -1333,29 +1306,6 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     """
     tols = {"reality_tol": reality_tol, "indicator_floor": indicator_floor}
     return _ep3_search(n, j_window, gamma_window, probes, workers, tols, None)[0]
-
-
-def refine_ep3_candidates(n: int, candidates, gamma_window, workers: int = 1,
-                          **kw) -> list:
-    """:func:`find_ep3` of every candidate of :func:`find_ep3_candidates`.
-
-    Entry ``k`` is candidate ``k``'s :class:`EPRecord`, or the
-    :class:`NoEP3InBox` it raised; any other error is raised. Of a candidate
-    and its coupling mirror, both in the list, only the one with the lower
-    coupling bracket is refined, and the other's record is the mirror of its
-    record; where it raised NoEP3InBox, the other is refined too, as soon as
-    that failure is in, so that its message is its own. All refinements share
-    one pool of ``workers`` processes, and each candidate is refined whole in
-    one of them, so the entries are the same for any worker count. ``kw`` goes
-    to :func:`find_ep3`. ``find-ep --order 3`` refines the candidates of its
-    scan the same way, on the scan's pool, while the scan goes on.
-    """
-    refinements = _Refinements(n, gamma_window, kw)
-    with _Pool(workers, len(candidates)) as pool:
-        refinements.add(candidates, pool)
-        while pool.pending:
-            refinements.done(*pool.next(), pool)
-    return [refinements.results[_candidate_key(c)] for c in candidates]
 
 
 def verify_selection_rule(records) -> list[dict]:

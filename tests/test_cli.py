@@ -324,13 +324,17 @@ class TestFindEpCommand:
         s = rec.indices[0]
         assert rec.indices == (s, -s, s)
 
-    def test_box_without_collision(self, tmp_path):
+    def test_box_without_collision(self, tmp_path, capsys):
         out = tmp_path / "none.json"
         code = main(["find-ep", "--order", "3", "--n", "4",
                      "--j-start", "-0.2", "--j-stop", "-0.1",
                      "--g-start", "0.35", "--g-stop", "0.45",
                      "--triple", "3", "4", "7", "--output", str(out)])
-        assert code == 2
+        assert code == 2 and not out.exists()
+        # the triple's own reason, not a generic one
+        with pytest.raises(epscan.NoEP3InBox) as direct:
+            epscan.find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7))
+        assert str(direct.value) in capsys.readouterr().err
 
     def test_moved_window_gives_paired_records(self, tmp_path):
         # the (3,4,7) search of this window and the mirrored (8,11,12) one
@@ -804,7 +808,7 @@ class TestTracerContract:
         assert layers["epscan.sweep.self_s"] > 0
 
     def test_traced_order_three_reports_its_refinement(self, tmp_path):
-        # the refinement task calls find_ep3 through the name the tracer patches
+        # a --triple run calls find_ep3 through the name the tracer patches
         result = tmp_path / "child.json"
         spec = {"result": str(result), "n": 4, "warm": [0.4, 0.5], "trace": True,
                 "argv": ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.78",

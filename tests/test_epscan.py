@@ -25,8 +25,8 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       build_parity, classify_crossings, find_ep3,
                       find_ep3_candidates, gain_generator, locate_ep2_records,
                       predict_gamma_cr, project_two_level, reality_transitions,
-                      refine_ep3_candidates, solve_modes, spectrum_with_indices, sweep,
-                      triple_pairing, verify_selection_rule)
+                      solve_modes, spectrum_with_indices, sweep, triple_pairing,
+                      verify_selection_rule)
 from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
 from pshchain.cli import UsageError, main
 from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
@@ -1184,10 +1184,10 @@ class TestFindEp3:
         assert abs(record.location[AXIS_COUPLING] - j_star) < 1e-6
         assert record.residual < 1e-6
 
-    def test_mirror_exact_at_a_shifted_gain_start(self):
+    @pytest.mark.parametrize("g", [0.35, 0.34819418444333977])
+    def test_mirror_exact_at_a_shifted_gain_start(self, g):
         # every window centre, width and probe of the search is odd under
         # j -> -j, so the coupling mirror of a search is the mirrored search
-        g = 0.34819418444333977
         direct = find_ep3(4, (0.75, 0.78), (g, 0.45), (8, 11, 12))
         mapped = epscan._mirror_record(find_ep3(4, (-0.78, -0.75), (g, 0.45), (3, 4, 7)), 4)
         assert json.dumps(mapped.to_dict()) == json.dumps(direct.to_dict())
@@ -1205,17 +1205,6 @@ class TestFindEp3:
         (rec,) = [EPRecord.from_dict(d) for d in json.loads(out.read_text())["records"]]
         g = rec.location[AXIS_GAIN]
         assert 0 < rec.bracket_width <= 2 * np.spacing(g)
-
-    def test_candidates_refine_alike_on_any_worker_count(self, record):
-        # one candidate per task: its record, or the NoEP3InBox it raised
-        cands = [{"triple": (3, 4, 7), "j_bracket": (-0.2, -0.1)},
-                 {"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)}]
-        with pytest.raises(NoEP3InBox) as direct:
-            find_ep3(4, (-0.2, -0.1), (0.35, 0.45), (3, 4, 7))
-        for workers in (1, 2):
-            empty, found = refine_ep3_candidates(4, cands, (0.35, 0.45), workers=workers)
-            assert type(empty) is NoEP3InBox and str(empty) == str(direct.value)
-            assert found == record
 
     def test_candidates_scan_finds_the_triple(self):
         cands = find_ep3_candidates(4, (-0.9, -0.6), (0.35, 0.45), probes=11)
@@ -1276,6 +1265,24 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_pools(monkeypatch):
+    """Collect every multiprocessing pool started (in this process)."""
+    pools = []
+    init = multiprocessing.pool.Pool.__init__
+
+    def counting(self, *args, **kw):
+        pools.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+    return pools
+
+
+#: find-ep at order 3 over the ep3_n4 benchmark window.
+EP3_N4 = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.99", "--j-stop", "0.99",
+          "--g-start", "0.35", "--g-stop", "0.45", "--points", "67"]
+
+
 class TestEp3Mirror:
     """H(-j) = -C conj(H(j)) C: the EP3 search solves one half of a symmetric
     window and maps the other with the level map k -> 2^n - 1 - k."""
@@ -1287,28 +1294,19 @@ class TestEp3Mirror:
         right = epscan._candidate_probe(SweepGrid(AXIS_GAIN, -j, ladder, 4))
         assert left and right == {15 - k: (g, 15 - p) for k, (g, p) in left.items()}
 
-    def test_mirrored_record_is_the_direct_one(self, record, monkeypatch):
-        direct = find_ep3(4, (0.75, 0.78), (0.35, 0.45), (8, 11, 12))
-        calls = _count_calls(monkeypatch, "find_ep3")
-        cands = [{"triple": (8, 11, 12), "j_bracket": (0.75, 0.78)},
-                 {"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)}]
-        mapped, found = refine_ep3_candidates(4, cands, (0.35, 0.45))
-        assert [c[1] for c in calls] == [(-0.78, -0.75)]  # only the j < 0 one is refined
-        assert found == record
-        assert mapped.to_dict() == direct.to_dict()
-        assert mapped.levels == _mirror_levels(record.levels, 4)
-        assert mapped.location[AXIS_COUPLING] == -record.location[AXIS_COUPLING]
-
-    def test_mirrored_failure_has_its_own_message(self, monkeypatch):
-        cands = [{"triple": (11, 9, 12), "j_bracket": (-0.63, -0.6)},
-                 {"triple": (3, 6, 4), "j_bracket": (0.6, 0.63)}]
-        calls = _count_calls(monkeypatch, "find_ep3")
-        results = refine_ep3_candidates(4, cands, (0.35, 0.45))
-        assert len(calls) == 2
-        for c, r in zip(cands, results):
+    def test_mirrored_failure_has_its_own_message(self, tmp_path):
+        # both twins of each failing pair are skipped, each with the reason
+        # that its own find_ep3 gives
+        out = tmp_path / "ep3.json"
+        assert main([*EP3_N4, "--workers", "1", "--output", str(out)]) == 0
+        skipped = json.loads(out.read_text())["skipped"]
+        pairs = {(tuple(s["triple"]), tuple(s["j_bracket"])) for s in skipped}
+        assert len(pairs) == 4
+        assert pairs == {(_mirror_levels(t, 4), (-b, -a)) for t, (a, b) in pairs}
+        for s in skipped:
             with pytest.raises(NoEP3InBox) as direct:
-                find_ep3(4, c["j_bracket"], (0.35, 0.45), c["triple"])
-            assert type(r) is NoEP3InBox and str(r) == str(direct.value)
+                find_ep3(4, tuple(s["j_bracket"]), (0.35, 0.45), tuple(s["triple"]))
+            assert s["reason"] == str(direct.value)
 
     @pytest.mark.parametrize("window, probes, solved", [
         ((-0.9, 0.8), 7, 7), ((-0.9, -0.6), 6, 6), ((-0.9, 0.9), 7, 4), ((-0.9, 0.9), 6, 3),
@@ -1334,37 +1332,24 @@ class TestEp3Mirror:
         assert cands == find_ep3_candidates(4, (-0.99, 0.99), (0.35, 0.45), probes=67,
                                             workers=2)
 
-    def test_refinement_alike_on_any_worker_count(self, record):
-        cands = [{"triple": (3, 4, 7), "j_bracket": (-0.78, -0.75)},
-                 {"triple": (3, 6, 4), "j_bracket": (0.6, 0.63)},
-                 {"triple": (8, 11, 12), "j_bracket": (0.75, 0.78)},
-                 {"triple": (11, 9, 12), "j_bracket": (-0.63, -0.6)}]
-        runs = [refine_ep3_candidates(4, cands, (0.35, 0.45), workers=w) for w in (1, 2)]
-        assert [r if isinstance(r, EPRecord) else (type(r), str(r)) for r in runs[0]] == \
-            [r if isinstance(r, EPRecord) else (type(r), str(r)) for r in runs[1]]
-        assert runs[0][0] == record
-
-
-#: find-ep at order 3 over the ep3_n4 benchmark window.
-EP3_N4 = ["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.99", "--j-stop", "0.99",
-          "--g-start", "0.35", "--g-stop", "0.45", "--points", "67"]
-
 
 class TestEp3Search:
     """find-ep --order 3 scans and refines on one pool, each candidate as soon
     as its bracket's probes are in."""
 
     def test_one_pool_per_search(self, monkeypatch, tmp_path):
-        pools = []
-        init = multiprocessing.pool.Pool.__init__
-
-        def counting(self, *args, **kw):
-            pools.append(self)
-            init(self, *args, **kw)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+        pools = _count_pools(monkeypatch)
         assert main([*EP3_N4, "--workers", "2", "--output", str(tmp_path / "ep3.json")]) == 0
         assert len(pools) == 1
+
+    def test_triple_run_starts_no_pool(self, monkeypatch, tmp_path):
+        # --triple scans nothing and refines its one triple in this process
+        pools = _count_pools(monkeypatch)
+        assert main(["find-ep", "--order", "3", "--n", "4", "--j-start", "-0.78",
+                     "--j-stop", "-0.75", "--g-start", "0.35", "--g-stop", "0.45",
+                     "--triple", "3", "4", "7", "--tol", "ep3_gamma_tol=1e-3",
+                     "--workers", "2", "--output", str(tmp_path / "ep3.json")]) == 0
+        assert pools == []
 
     def test_serial_search_refines_the_same_candidates(self, monkeypatch, tmp_path):
         # the three lower-key candidates, then the mirror twins of the two that fail
