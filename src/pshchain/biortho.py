@@ -294,7 +294,7 @@ class _Levels(NamedTuple):
     indicator: np.ndarray
     partner: np.ndarray
     residual: np.ndarray  # biorthogonality residual per point
-    cond: np.ndarray  # largest condition of a level, per point
+    cond: np.ndarray  # largest condition of an isolated level, per point
     sector: np.ndarray | None = None
 
 
@@ -328,10 +328,8 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     defect; any other level fails its point with :class:`AtExceptionalPoint`
     if its condition 1/|<l|r>| (unit vectors) exceeds ``DEFECT_THRESHOLD``.
     Returns the values, right and left vectors, indices, indicators,
-    partners, biorthogonality residual and largest level condition of every
-    point (for a cluster's levels ||L|| ||R|| once resolved, so a cluster
-    near a coalescence counts), and the exceptions of the points that
-    failed, by position.
+    partners, biorthogonality residual and largest such condition of every
+    point, and the exceptions of the points that failed, by position.
     """
     values = values.copy()
     is_real = np.abs(values.imag) <= rtol[:, None]
@@ -377,9 +375,6 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
                 right[i][:, cols], left[i][:, cols], z2[i, cols], indicator[i, cols], vals = done
                 if vals is not None:
                     values[i, cols] = vals
-                # a resolved level has <L|R> = 1, so its condition is ||L|| ||R||
-                cond[i] = max(cond[i], np.max(column_norms(left[i][:, cols])
-                                              * column_norms(right[i][:, cols])))
         except AtExceptionalPoint as exc:  # its traceback would hold this frame in a cycle
             failed[i] = exc.with_traceback(None)
 

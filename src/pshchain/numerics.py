@@ -80,8 +80,7 @@ class EigenSystem:
     ``left`` is the ket |L_n>, i.e. the left eigenvector enters expressions
     as ``left[:, n].conj().T``. ``cond_right`` is the largest condition
     1/|<l_n|r_n>| of a level's unit vectors (in the spectra of
-    :mod:`pshchain.biortho` also of each resolved level of a degenerate
-    cluster, where it is ||L_n|| ||R_n||).
+    :mod:`pshchain.biortho`, of a level in no degenerate cluster).
     ``biortho_residual`` is max |<L_n|R_m> - delta_nm|.
     The raw vectors of :func:`eig_general` are unit-norm and not scaled to
     <L_n|R_n> = 1, so there it is of order 1; it is small for the rescaled

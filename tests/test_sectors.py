@@ -160,18 +160,6 @@ class TestAgainstFullMatrix:
         assert ref.eigensystem.biortho_residual <= 1e-6
         assert solve_chain(CLUSTER_CHAIN).eigensystem.biortho_residual <= 1e-6
 
-    def test_near_coalescing_cluster_counts_in_the_condition(self):
-        # two complex levels 1.8e-9 apart, so one cluster, are near an EP2;
-        # each has condition 1.6e3, so the point is not well posed, though
-        # every isolated level of it is
-        d = 1.1920684741868336e-06
-        spec = ChainSpec(n=6, delta=d, j=1.0, gamma_profile=(0.0, d, 0.0, -0.0, -d, -0.0))
-        ref = spectrum_with_indices(build_hamiltonian(spec), build_parity(6))
-        for es in (ref.eigensystem, solve_chain(spec).eigensystem):
-            conds = np.linalg.norm(es.left, axis=0) * np.linalg.norm(es.right, axis=0)
-            assert es.cond_right > WELL_POSED
-            assert es.cond_right >= np.max(conds) * (1 - 1e-9)
-
     @settings(max_examples=60, deadline=None)
     @given(spec=normal_chains)
     def test_levels_lie_in_their_sector(self, spec):
