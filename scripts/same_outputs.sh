@@ -10,7 +10,10 @@
 # over an asymmetric coupling window (which solves every probe and every
 # candidate, without the coupling mirror), the ep3_n4 search over the window
 # (-0.981, 0.999), whose (3,4,7) and (8,11,12) records pair, one N=6 gain
-# sweep through many EP2s,
+# sweep through many EP2s, one coarse N=6 coupling sweep with gain (40
+# points on (-0.99, 0.99) at gamma_tilde = 0.3), where level matches are
+# least clear-cut and many fall back from the Q blocks to the 2^N-state
+# product,
 # four `spectrum` calls, the gain-free crossing classification at N=4 (which
 # refines every sign change of a pair's gap), one `find-ep --pair` search
 # (which keeps the sweep's EP2 records of one pair), an N=4 gain sweep at a high
@@ -92,6 +95,9 @@
 # levels (10, 11) at gamma_tilde = 0.05, moves by 5.23e-9 within its
 # tolerance, with the same levels and indices. Skipped entries and
 # violations are the same, and every other file is the same.
+# Against 0f62c33, every file is the same: levels are now matched inside their
+# Q blocks where rounding cannot change the columns, and on the 2^N-state
+# vectors elsewhere, so no track, record or output byte moves.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). For two EP record JSON files
 # that differ, one more line says whether the record count, levels, indices
@@ -124,6 +130,7 @@ calls=(
     "ep3_n4_moved|find-ep --order 3 --n 4 --j-start -0.981 --j-stop 0.999 --g-start 0.35 --g-stop 0.45 --points 67"
     "sweep_n8_h|sweep --n 8 --axis jt --fixed 0 --start -0.99 --stop 0.99 --points 40 --workers 1"
     "sweep_n6_gt|sweep --n 6 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 301"
+    "sweep_n6_jt|sweep --n 6 --axis jt --fixed 0.3 --start -0.99 --stop 0.99 --points 40"
     "spectrum_n4|spectrum --n 4 --jt 0.5 --gt 0.21"
     "spectrum_n4_profile|spectrum --n 4 --jt 0.5 --profile 0.3,-0.1,0.1,-0.3"
     "spectrum_n6_degenerate|spectrum --n 6 --jt 0 --gt 0 --format json"

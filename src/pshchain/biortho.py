@@ -35,17 +35,23 @@ exceptional point (:func:`_rescale`). A point's spectrum is the same, bit
 for bit, whichever stack it is part of. A real cluster's Hermitian-definite
 pencil is reduced by Cholesky, and the general path pairs conjugates with
 :func:`pshchain.numerics.linear_sum_assignment`.
+
+The engine keeps each stack's vectors in their Q blocks (:class:`SectorStack`),
+where level matching reads them. A spectrum's vectors in the 2^N basis states,
+``eigensystem.right``/``left`` and ``levels``, are built from its blocks on
+first use (:class:`SectorEigenSystem`), bit for bit as an eager merge would
+build them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import sector_bases
+from .model import SectorBasis, sector_bases
 from .numerics import (CLUSTER_SCALE, DEFECT_THRESHOLD, AtExceptionalPoint, EigenSystem,
                        as_complex_matrix, column_norms, eig_blocks, eig_general,
                        linear_sum_assignment)
@@ -126,6 +132,56 @@ class BiorthoSpectrum:
             )
             for i in range(self.dim)
         ]
+
+
+class SectorStack(NamedTuple):
+    """The rescaled vectors of a stack of points in their two Q blocks.
+
+    ``right[k]`` and ``left[k]`` hold block k's vectors over (point,
+    component, level), for the Q = +1 block (k = 0, d levels) and the Q = -1
+    block. A level's block column is its column in both blocks' levels
+    together, the d of the first block first: ``order`` holds the block
+    column of each merged (Re, Im) column, over (point, column), and
+    ``rank`` the merged column of each block column. ``left_norm`` holds the
+    norm of each level's left vector, over (point, block column), and
+    ``right_norm`` the largest norm of a right vector of each point.
+    """
+
+    bases: tuple[SectorBasis, SectorBasis]
+    right: tuple[np.ndarray, np.ndarray]
+    left: tuple[np.ndarray, np.ndarray]
+    order: np.ndarray
+    rank: np.ndarray
+    left_norm: np.ndarray
+    right_norm: np.ndarray
+
+    def states(self, name: str, point: int) -> np.ndarray:
+        """The ``right`` or ``left`` vectors of ``point`` in the 2^N basis
+        states, one merged column each."""
+        d = self.bases[0].eta.size
+        out = np.empty((self.order.shape[1],) * 2, dtype=np.complex128)
+        for basis, vectors, cols in zip(self.bases, getattr(self, name),
+                                        (self.rank[point, :d], self.rank[point, d:])):
+            out[:, cols] = basis.to_states(vectors[point])
+        return out
+
+
+@dataclass(frozen=True)
+class SectorEigenSystem(EigenSystem):
+    """The eigensystem of entry ``point`` of a :class:`SectorStack`: ``right``
+    and ``left`` are built in the 2^N basis states on first read, and kept."""
+
+    right: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: SectorStack = field(repr=False, compare=False)
+    point: int = field(repr=False, compare=False)
+
+    def __getattr__(self, name: str):  # called only while the field is unset
+        if name not in ("right", "left"):
+            raise AttributeError(name)
+        vectors = self.stack.states(name, self.point)
+        object.__setattr__(self, name, vectors)
+        return vectors
 
 
 def _apply(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -285,7 +341,8 @@ def _real_cluster(a: np.ndarray, z: np.ndarray, rc: np.ndarray, gram: np.ndarray
 
 class _Levels(NamedTuple):
     """Rescaled levels of a stack of points: arrays over (point, level), and
-    over (point, component, level) for the vectors."""
+    over (point, component, level) for the vectors (None for the merged
+    levels of :func:`sector_spectra`, whose vectors stay in their blocks)."""
 
     values: np.ndarray
     right: np.ndarray
@@ -384,14 +441,20 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     return _Levels(values, right, left, z2, indicator, partner, residual, cond), failed
 
 
-def _spectra(out, good, failed, levels: _Levels, scale, rtol) -> list:
-    """``out`` with each good point that did not fail replaced by its spectrum."""
-    points = zip(good, levels.values, levels.right, levels.left, scale.tolist(),
-                 levels.cond.tolist(), levels.residual.tolist(), levels.z2, levels.indicator,
-                 levels.partner, rtol.tolist(), levels.sector)
-    for i, (b, values, right, left, s, c, res, z2, ind, partner, tol, sector) in enumerate(points):
-        out[b] = failed[i] if i in failed else BiorthoSpectrum(
-            EigenSystem(values, right, left, s, c, res), z2, ind, partner, tol, sector)
+def _spectra(out, good, failed, levels: _Levels, scale, rtol, stack=None) -> list:
+    """``out`` with each good point that did not fail replaced by its spectrum:
+    with the vectors of ``levels``, or with those of ``stack``, a
+    :class:`SectorStack`, built on first use."""
+    points = zip(good, levels.values, scale.tolist(), levels.cond.tolist(),
+                 levels.residual.tolist(), levels.z2, levels.indicator, levels.partner,
+                 rtol.tolist(), levels.sector)
+    for i, (b, values, s, c, res, z2, ind, partner, tol, sector) in enumerate(points):
+        if i in failed:
+            out[b] = failed[i]
+            continue
+        es = (EigenSystem(values, levels.right[i], levels.left[i], s, c, res) if stack is None
+              else SectorEigenSystem(values, s, c, res, stack, i))
+        out[b] = BiorthoSpectrum(es, z2, ind, partner, tol, sector)
     return out
 
 
@@ -407,10 +470,12 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     sign(x^T eta x), and the left vector of a level is eta conj(x) (s eta x
     for an indexed level), so no P product and no left eigensolve is needed.
     Conjugate partners are LAPACK's exact pairs, and degenerate clusters are
-    resolved inside a block. The vectors then go back to the basis states, and
-    both blocks' levels merge in (Re, Im) order. Entry ``b`` is the spectrum of
-    matrix ``b`` or the exception it raised. A point's spectrum is the same,
-    bit for bit, whichever stack it is part of.
+    resolved inside a block. Both blocks' levels merge in (Re, Im) order; the
+    vectors stay in their blocks, in a :class:`SectorStack` that all the
+    stack's spectra share, and go to the basis states only when a spectrum's
+    are read. Entry ``b`` is the spectrum of matrix ``b`` or the exception it
+    raised. A point's spectrum is the same, bit for bit, whichever stack it
+    is part of.
     """
     bases = sector_bases(n)
     if [np.shape(a)[-1] for a in blocks] != [basis.eta.size for basis in bases]:
@@ -445,19 +510,19 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     def merged(a, b):
         return np.concatenate([a, b], axis=1)[rows, order]
 
-    def vectors(name):
-        # gathered as rows (level, state), then laid out as columns again
-        both = np.concatenate([basis.to_states(getattr(part, name)).swapaxes(1, 2)
-                               for basis, part in zip(bases, parts)], axis=1)
-        return np.ascontiguousarray(both[rows, order].swapaxes(1, 2))
-
     sector = np.repeat(np.array([basis.q for basis in bases], dtype=np.int8),
                        [plus.values.shape[1], minus.values.shape[1]])[order]
-    levels = _Levels(values[rows, order], vectors("right"), vectors("left"),
+    levels = _Levels(values[rows, order], None, None,
                      merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
                      rank[rows, partner[rows, order]], np.maximum(plus.residual, minus.residual),
                      np.maximum(plus.cond, minus.cond), sector)
-    return _spectra(out, good, failed, levels, scale, rtol)
+    with np.errstate(invalid="ignore", over="ignore"):  # a failed point's vectors may be inf
+        left_norm = np.concatenate([column_norms(plus.left), column_norms(minus.left)], axis=1)
+        right_norm = np.maximum(column_norms(plus.right).max(axis=1),
+                                column_norms(minus.right).max(axis=1))
+    stack = SectorStack(bases, (plus.right, minus.right), (plus.left, minus.left), order,
+                        rank[:, :-1], left_norm, right_norm)
+    return _spectra(out, good, failed, levels, scale, rtol, stack)
 
 
 def spectrum_with_indices(h, zeta) -> BiorthoSpectrum:

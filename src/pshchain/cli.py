@@ -514,7 +514,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

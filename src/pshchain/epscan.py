@@ -4,7 +4,10 @@ Sweeps move along one normalized coordinate (the coupling ``j_tilde`` or the
 gain ``gamma_tilde``) on the unit circle j^2 + delta^2 = 1. Levels are
 followed through the sweep by maximal biorthogonal overlap |<L(p)|R(p+dp)>|,
 which stays reliable through genuine crossings where plain energy ordering
-would swap labels.
+would swap labels. The overlaps are taken inside the Q blocks, where a level
+meets only the levels of its own block; a match made there stands where a
+rounding bound proves that the overlaps of the 2^N-state vectors pick the
+same levels, and is made on those vectors otherwise (:func:`_block_match`).
 
 Second-order exceptional points are boundaries between real and
 complex-conjugate eigenvalues of a tracked pair. Each is localized in the
@@ -27,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .biortho import INDICATOR_FLOOR, BiorthoSpectrum, IndexIllDefined, LevelRecord, sector_spectra
+from .biortho import (INDICATOR_FLOOR, BiorthoSpectrum, IndexIllDefined, LevelRecord,
+                      SectorEigenSystem, sector_spectra)
 from .model import (ChainSpec, check_chain_length, check_normalized, gain_diagonal,
                     normalized_blocks, sector_blocks)
 from .numerics import AtExceptionalPoint, linear_sum_assignment
@@ -65,6 +69,10 @@ _MAX_GROWTH = 8
 AMBIGUOUS_GAP = 1e-6
 #: Matched overlap below which a track break is recorded.
 OVERLAP_MIN = 0.5
+#: The overlap |<l|r>| of two block vectors, and that of their 2^N-state
+#: images, each lie within a quarter of this many 2^N eps ||l|| max||r|| of
+#: its exact value, max||r|| taken over the other point's right vectors.
+_OVERLAP_ROUNDING = 16.0
 #: Bisection tolerance of the crossing refinement in ``classify_crossings``.
 CROSSING_TOL = 1e-12
 #: Gain step of the ladder that identifies levels at a point of an EP3 search.
@@ -336,20 +344,100 @@ def _match(ref_left: np.ndarray, right: np.ndarray):
     return cols, best
 
 
+def _block_match(a, refs: slice, blocks, b, news: slice):
+    """Matches of the levels in block columns ``blocks`` of the points
+    ``refs`` of stack ``a`` into the points ``news`` of stack ``b``, one pair
+    of points per point of either slice, decided in the Q blocks
+    (:class:`~pshchain.biortho.SectorStack`).
+
+    A level overlaps only the levels of its own block, and takes the one of
+    largest |<L|R>|. Returns each level's merged column and overlap over
+    (pair, level), and per pair whether the 2^N-state product of
+    :func:`_match` takes the same columns (and records the same breaks):
+    each level's largest overlap beats the others (those of the other block
+    are zero here and rounding there) and ``OVERLAP_MIN`` by more than the
+    rounding of both products (``_OVERLAP_ROUNDING``), and the columns are
+    distinct (Shewchuk's filtered predicates, Discrete Comput. Geom. 18,
+    305, 1997).
+    """
+    d = a.right[0].shape[-1]
+    upper = blocks >= d
+    shape = (news.stop - news.start, len(blocks))
+    found, best, margin = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
+    for at, left, right, start in zip((np.flatnonzero(~upper), np.flatnonzero(upper)),
+                                      a.left, b.right, (0, d)):
+        if at.size:
+            overlap = np.abs(left[refs][:, :, blocks[at] - start].conj().swapaxes(1, 2)
+                             @ right[news])
+            ordered = np.sort(overlap, axis=-1)
+            best[:, at] = top = ordered[..., -1]
+            margin[:, at] = top - ordered[..., -2] if right.shape[-1] > 1 else top
+            found[:, at] = overlap.argmax(axis=-1) + start
+    cols = b.rank[news][np.arange(shape[0])[:, None], found]
+    bound = ((_OVERLAP_ROUNDING * a.order.shape[1] * np.finfo(float).eps)
+             * b.right_norm[news][:, None] * a.left_norm[refs][:, blocks])
+    ordered = np.sort(cols, axis=-1)
+    sure = ((np.minimum(margin, np.abs(best - OVERLAP_MIN)) > bound).all(axis=-1)
+            & (ordered[:, 1:] > ordered[:, :-1]).all(axis=-1))
+    return cols, best, sure
+
+
+def _match_levels(ref: BiorthoSpectrum, cols, new: BiorthoSpectrum):
+    """Columns of ``new`` matched to the levels ``cols`` of ``ref``, and their
+    overlaps: :func:`_match` of their vectors, decided in the Q blocks
+    (:func:`_block_match`) where rounding cannot change the columns."""
+    a, b = ref.eigensystem, new.eigensystem
+    if isinstance(a, SectorEigenSystem) and isinstance(b, SectorEigenSystem):
+        matched, overlaps, sure = _block_match(
+            a.stack, slice(a.point, a.point + 1), a.stack.order[a.point, cols],
+            b.stack, slice(b.point, b.point + 1))
+        if sure[0]:
+            return matched[0], overlaps[0]
+    return _match(a.left[:, cols], b.right)
+
+
+def _runs(spectra):
+    """``spectra`` in lists of consecutive points of one stack."""
+    run = []
+    for sp in spectra:
+        if run and sp.eigensystem.stack is not run[-1].eigensystem.stack:
+            yield run
+            run = []
+        run.append(sp)
+    if run:
+        yield run
+
+
 def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
     """Follow tracks through ``spectra``: yields (spectrum, track columns, overlaps).
 
     Each point's tracks are matched against the left vectors of the previous
     point, starting from spectrum ``sp`` with track columns ``cols``; without
-    ``sp`` the first point's columns are the tracks (overlaps 1).
+    ``sp`` the first point's columns are the tracks (overlaps 1). The points
+    of one stack are matched to each other's levels in one
+    :func:`_block_match`, and those whose match there is not sure by
+    :func:`_match`; the first point of a stack by :func:`_match_levels`. A
+    stack's points are read before the first of them is yielded.
     """
-    for new in spectra:
-        if sp is None:
-            cols, overlaps = np.arange(new.dim), np.ones(new.dim)
-        else:
-            cols, overlaps = _match(sp.eigensystem.left[:, cols], new.eigensystem.right)
-        sp = new
-        yield new, cols, overlaps
+    for run in _runs(spectra):
+        # the points of a run are consecutive in their stack
+        stack, first = run[0].eigensystem.stack, run[0].eigensystem.point
+        refs, news = slice(first, first + len(run) - 1), slice(first + 1, first + len(run))
+        matched, overlaps, sure = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
+        # each pair's match of every level, by the earlier point's merged column
+        matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
+                             for x in (matched, overlaps))
+        for k, new in enumerate(run):
+            if sp is None:
+                cols, overlap = np.arange(new.dim), np.ones(new.dim)
+            elif k == 0:
+                cols, overlap = _match_levels(sp, cols, new)
+            elif sure[k - 1]:
+                cols, overlap = matched[k - 1, cols], overlaps[k - 1, cols]
+            else:
+                cols, overlap = _match(sp.eigensystem.left[:, cols], new.eigensystem.right)
+            sp = new
+            yield new, cols, overlap
 
 
 def _signed(value) -> float:
@@ -426,8 +514,7 @@ def _interpolate(p_in, v_in, p_out, v_out, last, tol):
 
 def _matched(state, sp: BiorthoSpectrum):
     """Columns of ``sp`` matched to the levels of ``state``, a ``(spectrum, columns)``."""
-    ref, cols = state
-    return _match(ref.eigensystem.left[:, cols], sp.eigensystem.right)[0]
+    return _match_levels(*state, sp)[0]
 
 
 def _tracked(sp: BiorthoSpectrum, cols, p_in: float, p_out: float, tol: float, inside,
@@ -486,9 +573,9 @@ def sweep(grid: SweepGrid) -> list[LevelTrack]:
     """Track all 2^N levels across the grid, in this process.
 
     Grid points are solved in the stacks of :func:`_solve_values` and matched
-    to the previous point's levels in grid order. Matched overlaps below
-    ``OVERLAP_MIN`` are recorded as track breaks and the sweep continues with
-    the assignment it found.
+    to the previous point's levels in grid order (:func:`_follow`). Matched
+    overlaps below ``OVERLAP_MIN`` are recorded as track breaks and the sweep
+    continues with the assignment it found.
     """
     npts = len(grid.points)
     dim = 1 << grid.n
@@ -926,9 +1013,10 @@ def _find_wedge(line: _Line, state, centre: float, h: float, reach: int, triple,
                         if abs(centre + k * h) <= 1.0] for side in grow}
         parts = {side: ks for side, ks in parts.items() if ks}
         # both sides share one stacked solve, then each is followed from its own end
-        spectra = _solve_values(line, [centre + k * h for ks in parts.values() for k in ks])
+        spectra = list(_solve_values(line, [centre + k * h for ks in parts.values() for k in ks]))
         for side, ks in parts.items():
-            for k, (sp, cols, _) in zip(ks, _follow(spectra, *states[last[side]])):
+            mine, spectra = spectra[:len(ks)], spectra[len(ks):]
+            for k, (sp, cols, _) in zip(ks, _follow(mine, *states[last[side]])):
                 states[k] = sp, cols
             last[side] = ks[-1]
         ks = sorted(states)

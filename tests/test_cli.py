@@ -403,6 +403,17 @@ class TestExitCodes:
     def test_unknown_tolerance_flag(self):
         assert main(["spectrum", "--n", "4", "--jt", "0.5", "--tol", "nope=1"]) == 1
 
+    @pytest.mark.parametrize("argv, text", [
+        (["verify", "--gammas", "0.2,"], "argument --gammas: expected comma-separated "
+                                         "numbers, got '0.2,'"),
+        (["spectrum", "--jt", "0.5", "--profile", "0.3,x,0.1,-0.3"],
+         "argument --profile: expected comma-separated numbers, got '0.3,x,0.1,-0.3'"),
+    ])
+    def test_bad_number_list(self, argv, text, tmp_path, capsys):
+        # the message named the private parser function instead
+        assert main([*argv, "--n", "4", "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"usage error: {text}\n"
+
     @pytest.mark.parametrize("name", ["eig_tol", "element_floor", "defect_threshold",
                                       "overlap_min"])
     def test_unread_tolerance_names_rejected(self, name, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,8 +30,8 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
 from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
 from pshchain.cli import UsageError, main
 from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
-                             _Line, _location, _lockstep, _match, _Pool, _refine_crossing,
-                             _solve_values)
+                             _block_match, _follow, _Line, _location, _lockstep, _match,
+                             _match_levels, _Pool, _refine_crossing, _solve_values)
 from pshchain.model import normalized_blocks, sector_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -279,6 +279,75 @@ class TestMatch:
         # a tied maximum in row 0, though the first maxima are distinct
         cols, _ = _match(ref, np.array([[0.5, 0.5, 0.0], [0.0, 0.1, 1.0], [0.0, 0.9, 0.2]]))
         assert cols.tolist() == [0, 2, 1] and calls == [1, 1]
+
+
+#: Values on the coupling axis and on the gain axis where matches are least
+#: clear: the delta = 0 ends, the decoupled spins at j = 0 and the EP3s near
+#: (-/+0.75, 0.41).
+COUPLINGS = st.sampled_from([-1.0, 0.0, -0.75, 0.75]) | st.floats(-1.0, 1.0)
+GAINS = st.sampled_from([0.0, 0.41]) | st.floats(0.0, 0.6)
+
+
+@st.composite
+def neighbour_points(draw):
+    """Two nearby points of one line at N in {2, 4, 6}, solved in one stack, and
+    tracked levels of the first: all of them, or some, in a drawn order."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    axis = draw(st.sampled_from([AXIS_COUPLING, AXIS_GAIN]))
+    fixed, start = (draw(GAINS), draw(COUPLINGS)) if axis == AXIS_COUPLING else (
+        draw(COUPLINGS), draw(GAINS))
+    step = draw(st.sampled_from([1e-6, 2.5e-3, 0.03]))
+    start = min(start, AXIS_RANGE[axis][1] - step)
+    cols = draw(st.permutations(range(1 << n)))
+    cols = cols[:draw(st.integers(1, len(cols)))]
+    return _Line(axis, fixed, n, None, INDICATOR_FLOOR), (start, start + step), np.array(cols)
+
+
+class TestSectorMatch:
+    """The match in the Q blocks takes the columns of ``_match`` on the 2^N-state vectors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=neighbour_points())
+    # the delta = 0 start of verify's lines, the decoupled spins, and both EP3s
+    @example(case=(_Line(AXIS_COUPLING, 0.21, 4, None, INDICATOR_FLOOR), (-1.0, -0.9975),
+                   np.arange(16)))
+    @example(case=(_Line(AXIS_GAIN, 0.0, 4, None, INDICATOR_FLOOR), (0.41, 0.4125),
+                   np.arange(16)))
+    @example(case=(_Line(AXIS_COUPLING, 0.41374, 4, None, INDICATOR_FLOOR),
+                   (-0.7505, -0.748), np.array([3, 4, 7])))
+    @example(case=(_Line(AXIS_GAIN, 0.74785, 4, None, INDICATOR_FLOOR), (0.41, 0.4125),
+                   np.arange(16)))
+    def test_equals_the_match_on_basis_states(self, case):
+        line, values, cols = case
+        try:
+            first, second = _solve_values(line, values)
+        except AtExceptionalPoint:
+            assume(False)
+        want = _match(first.eigensystem.left[:, cols], second.eigensystem.right)[0]
+        assert np.array_equal(_match_levels(first, cols, second)[0], want)
+        # the stacked match of every level, where it stands without the 2^N-state one
+        a, b = first.eigensystem, second.eigensystem
+        block, _, sure = _block_match(a.stack, slice(a.point, a.point + 1), np.arange(first.dim),
+                                      b.stack, slice(b.point, b.point + 1))
+        if sure[0]:
+            merged = block[0, a.stack.order[a.point]]
+            assert np.array_equal(merged[cols], want)
+        followed = [c for _, c, _ in _follow([first, second])][1]
+        assert np.array_equal(followed, _match(a.left, b.right)[0])
+
+    def test_tied_levels_at_the_delta_zero_end_fall_back(self):
+        # levels 10 and 11 are degenerate at j = -1: both take the same block
+        # column, so the 2^N-state match decides
+        line = _Line(AXIS_COUPLING, 0.21, 4, None, INDICATOR_FLOOR)
+        first, second = _solve_values(line, [-1.0, -0.9975])
+        a, b = first.eigensystem, second.eigensystem
+        block, _, sure = _block_match(a.stack, slice(a.point, a.point + 1), np.arange(16),
+                                      b.stack, slice(b.point, b.point + 1))
+        merged = block[0, a.stack.order[a.point]]
+        assert not sure[0] and merged[10] == merged[11] == 13
+        want = _match(a.left, b.right)[0]
+        assert want[10:12].tolist() == [12, 13]
+        assert np.array_equal(_match_levels(first, np.arange(16), second)[0], want)
 
 
 class TestPool:

@@ -21,6 +21,7 @@ from pshchain import (AXIS_COUPLING, AtExceptionalPoint, ChainSpec,
                       locate_ep2_records, spectrum_with_indices, sweep)
 from pshchain import biortho, numerics
 from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
+from pshchain.epscan import _solve_values
 from pshchain.model import sector_bases, sector_blocks
 from pshchain.numerics import CLUSTER_SCALE, DEFECT_THRESHOLD, eig_blocks
 
@@ -426,6 +427,20 @@ class TestEigBlocks:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eig_blocks((np.full((1, 2, 2), np.nan),))
+
+
+@pytest.mark.parametrize("grid", [
+    *(SweepGrid(AXIS_COUPLING, gamma, tuple(np.linspace(-1.0, 1.0, 801)), 4)
+      for gamma in (0.05, 0.21, 0.40125, 0.48375)),
+    SweepGrid(AXIS_COUPLING, 0.3, tuple(np.linspace(-0.99, 0.99, 40)), 6),
+], ids=["n4-0.05", "n4-0.21", "n4-0.40125", "n4-0.48375", "n6-0.3"])
+def test_tracks_keep_their_sector(grid):
+    """Every track of the acceptance scan's gain lines, and of a coarse N=6 line
+    where matches are least clear, stays in one Q sector at every grid point."""
+    sectors = np.array([sp.sector for sp in _solve_values(grid, grid.points)])
+    for track in sweep(grid):
+        along = sectors[np.arange(len(grid.points)), track.columns]
+        assert np.all(along == along[0]), track.level_id
 
 
 def test_c04_records_join_levels_of_one_sector():
