@@ -28,7 +28,9 @@ definition, and the tests' reference for the engine.
 
 Both share one rescaling core, which treats all isolated levels of a stack
 together; levels closer than ``CLUSTER_SCALE * ||H||_F`` form a degenerate
-cluster, which is resolved one point at a time. On both paths a raw left
+cluster, which is resolved one point at a time, and so are levels without
+an index whose left and right vectors overlap by more than ``LINK_OVERLAP``
+when biorthonormalized one by one. On both paths a raw left
 vector is conj(m R) for a diagonal signature m (eta on a Q block, ones for
 a complex-symmetric matrix). The core is also the one test for an
 exceptional point (:func:`_rescale`). A point's spectrum is the same, bit
@@ -63,6 +65,11 @@ REALITY_SCALE = 1e-8
 #: Condition number of a cluster's Gram matrix above which its raw
 #: eigenvectors, nearly parallel, no longer pin down the cluster's eigenspace.
 GRAM_COND_MAX = 1e10
+#: Overlap |<L_a|R_b>| of two levels without an index above which they are
+#: biorthonormalized together. One by one, a level's left vector is exact only
+#: to rounding over its distance to the others, so two close levels that are not
+#: a cluster can overlap by far more than rounding.
+LINK_OVERLAP = 1e-10
 
 
 class IndexIllDefined(RuntimeError):
@@ -384,6 +391,9 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     resolved together, one point at a time, and check themselves for a
     defect; any other level fails its point with :class:`AtExceptionalPoint`
     if its condition 1/|<l|r>| (unit vectors) exceeds ``DEFECT_THRESHOLD``.
+    Levels without an index (complex ones, and those of a cluster that has
+    none) whose vectors overlap by more than ``LINK_OVERLAP`` are then
+    biorthonormalized together, with the clusters they belong to.
     Returns the values, right and left vectors, indices, indicators,
     partners, biorthogonality residual and largest such condition of every
     point, and the exceptions of the points that failed, by position.
@@ -438,6 +448,26 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     overlap = left.conj().swapaxes(1, 2) @ right
     overlap -= np.eye(values.shape[1])
     residual = np.max(np.abs(overlap), axis=(1, 2))
+    for i in np.flatnonzero(residual > LINK_OVERLAP):
+        if i in failed:
+            continue
+        # levels without an index, linked by an overlap above LINK_OVERLAP or by a
+        # cluster, are biorthonormalized together
+        free = z2[i] == 0
+        free = free[:, None] & free[None, :]
+        linked = np.abs(overlap[i]) > LINK_OVERLAP
+        linked = (linked | linked.T) & free & ~np.eye(len(free), dtype=bool)
+        groups = _clusters(linked | (close[i] & free) | np.eye(len(free), dtype=bool))
+        try:
+            for cols in (g for g in groups if linked[np.ix_(g, g)].any()):
+                right[i][:, cols], left[i][:, cols], _, indicator[i, cols], _ = \
+                    _block_cluster(z, right[i][:, cols], m)
+        except AtExceptionalPoint as exc:
+            failed[i] = exc.with_traceback(None)
+            continue
+        res = left[i].conj().T @ right[i]
+        res -= np.eye(values.shape[1])
+        residual[i] = np.max(np.abs(res))
     return _Levels(values, right, left, z2, indicator, partner, residual, cond), failed
 
 

@@ -39,6 +39,11 @@ normal_chains = mirror_chains(allow_subnormal=False)
 #: in (Re, Im) order, so clustering by sort-order neighbours misses it.
 CLUSTER_CHAIN = ChainSpec(n=6, delta=0.01, j=-0.7,
                           gamma_profile=(0.3, -0.3, 0.3, -0.3, 0.3, -0.3))
+#: A chain with two conjugate clusters near -0.75 +- 3e-8i, 6.0e-8 apart (above
+#: CLUSTER_SCALE ||H||_F = 4.5e-8), of levels with condition 4.9e3: resolved one
+#: by one, the two clusters overlapped by 1.0e-5 on the sector engine.
+LINKED_CHAIN = ChainSpec(n=6, delta=1e-08, j=0.25,
+                         gamma_profile=(1e-08, 1e-08, 0.0, -0.0, -1e-08, -1e-08))
 
 
 def basis_matrix(basis) -> np.ndarray:
@@ -120,6 +125,11 @@ class TestAgainstFullMatrix:
     # condition 7.4e11) on the general path
     @example(spec=ChainSpec(n=6, delta=1e-10, j=0.0,
                             gamma_profile=(1e-10, 0.0, 1.0, -1.0, -0.0, -1e-10)))
+    @example(spec=LINKED_CHAIN)
+    # two complex levels near 3, 7.7e-7 apart: 7.0e-6 on the full solve
+    @example(spec=ChainSpec(n=6, delta=1.1920684741868336e-06, j=1.0,
+                            gamma_profile=(0.0, 1.1920684741868336e-06, 0.0, -0.0,
+                                           -1.1920684741868336e-06, -0.0)))
     def test_sector_engine_matches_the_full_solve(self, spec):
         h = build_hamiltonian(spec)
         try:
@@ -160,6 +170,16 @@ class TestAgainstFullMatrix:
         ref = spectrum_with_indices(build_hamiltonian(CLUSTER_CHAIN), build_parity(6))
         assert ref.eigensystem.biortho_residual <= 1e-6
         assert solve_chain(CLUSTER_CHAIN).eigensystem.biortho_residual <= 1e-6
+
+    def test_linked_levels_are_biorthonormal(self):
+        # both solves biorthonormalize the two clusters together, and the mixed
+        # left vectors stay left eigenvectors to rounding
+        h = build_hamiltonian(LINKED_CHAIN)
+        for sp in (solve_chain(LINKED_CHAIN), spectrum_with_indices(h, build_parity(6))):
+            es = sp.eigensystem
+            assert es.biortho_residual <= 1e-10
+            lh = es.left.conj().T
+            assert np.max(np.abs(lh @ h - es.eigenvalues[:, None] * lh)) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(spec=normal_chains)
