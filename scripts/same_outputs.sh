@@ -23,87 +23,15 @@
 # gamma_tilde = 1 is an exact EP, solved again at a nudged value (exit 0), and
 # a `spectrum` call at the exact EP of decoupled spins (exit 2).
 #
-# Against ba0f014 and older commits, the four spectrum_*.out files differ on
-# purpose: `spectrum` solved the dense 2^N matrix there and solves its two Q
-# blocks on the sector engine now. Values move in their last bits, each
-# conjugate pair's rows now share their real part to the bit (lower
-# half-plane first), and the levels inside a degenerate cluster come in
-# another order. Matched values agree to 1e-12, and each degenerate cluster
-# carries the same indices.
-#
-# Against a commit from before the EP3 search used the coupling mirror (2c07e07
-# and older), ep3_n4_w1.out and ep3_n4_w2.out differ on purpose: the probe
-# grid of the symmetric window is now exactly symmetric, so the j > 0 skipped
-# entry's j_bracket and the window in its reason move by 1 ulp
-# (0.5999999999999999 -> 0.6). The records do not move.
-#
-# Against 33516d1 and older commits, five files differ on purpose: a block
-# of a gain-free point is symmetric, and is solved there by LAPACK's general
-# real solver and now by its symmetric one. Every other file, each EP record
-# JSON included, is the same.
-# - sweep_n8_h.out: 10065 of 10240 rows, at all 40 points. re_eps moves by at
-#   most 5.3e-14 and ep_indicator by 2.2e-16; every row keeps its z2_index.
-# - sweep_n6_gt.out (63 rows) and ep2_floor.out (14 rows): only the rows of
-#   the gamma_tilde = 0 point. re_eps moves by at most 6.2e-15 and
-#   ep_indicator by 2.2e-16.
-# - spectrum_n6_degenerate.out, the fully degenerate point jt = gt = 0:
-#   values move by at most 2.7e-15, imaginary parts of up to 4.9e-17 become
-#   0, and the levels inside a degenerate cluster come in another order.
-#   Each cluster carries the same indices.
-# - crossings_n4.out: tracks 10 and 11 swap labels, as track ids are set at
-#   the degenerate start jt = -1. Apart from that swap every crossing keeps
-#   its location, levels, indices and kind, and its gap moves by at most
-#   2.5e-15, except within 4.2e-9 of the degeneracy at jt = 0, where the
-#   list goes from 103 to 104 crossings.
-# Against 8e072ec and older commits, the EP3 record files differ on purpose:
-# find_ep3 now follows the closing wedge by its cusp law, and its records sit
-# on the collision instead of on a wedge the gain bisection lost. Standard
-# output, exit status and every skipped entry are the same.
-# - ep3_n4_w1.out and ep3_n4_w2.out: both records move from (-/+0.7485696,
-#   0.4124996) to (-/+0.7478532, 0.4137375), 7.16e-4 toward j = 0 and 1.238e-3
-#   up the gain. residual goes from 8.3e-5 to 8.5e-10, bracket_width from
-#   7.6e-7 to 9.9e-7.
-# - ep3_n4_asym.out: its (3,4,7) record moves the same way.
-# - ep3_n4_moved.out: the (3,4,7) record moves from (-0.7554342, 0.3999996),
-#   7.58e-3 and 1.374e-2 away, to the (3,4,7) record above, and now pairs with
-#   the (8,11,12) record, which moves as in ep3_n4_w1.out.
-# Against a7a979c and older commits, the four EP2 record files differ on
-# purpose: each EP2 is now the root of the pair's squared gap, found by
-# Chandrupatla's method instead of bisection, so its bracket ends elsewhere
-# within the tolerance. Every record keeps its levels and indices, every
-# skipped entry is the same, and the EP3 records, crossings, spectra and
-# sweep CSVs are the same.
-# - verify_n4.out: 80 records; locations move by at most 7.4e-9, and
-#   bracket_width is at most 7.0e-9.
-# - sweep_n6_gt.json: 38 records; at most 7.1e-9, widths at most 9.3e-9.
-# - ep2_floor.json: 3 records; at most 6.5e-9, widths at most 5.0e-9.
-# - ep2_pair.out: 1 record; 1.4e-10, width 5.0e-9.
-# Against 4f1efd4 and older commits, ep2_pair.out differs on purpose:
-# `find-ep --pair` now keeps the pair's records of the sweep's EP2 refinement,
-# which starts from the grid interval where the pair turns complex, instead
-# of refining from the two ends of the whole span. So its bracket ends
-# elsewhere within the tolerance: the record keeps its levels and indices and
-# the skipped list stays empty; the location moves by 4.8e-9 and
-# bracket_width is 5.0e-9. Every other file is the same.
-# Against a5268cb and older commits, verify_n4.out and verify_n4_w2.out (the
-# same call on 2 workers, the same bytes) differ on purpose: every degenerate
-# cluster, complex ones too, now replaces raw vectors too close to parallel
-# by an orthonormal basis of its eigenspace, as real clusters did, and is
-# defective where H - lambda has fewer small singular values than levels.
-# One EP2 refinement probe meets such a complex pair (Gram condition 5.0e12)
-# and is now solved again at the first nudge, so 1 of the 80 records, of
-# levels (10, 11) at gamma_tilde = 0.05, moves by 5.23e-9 within its
-# tolerance, with the same levels and indices. Skipped entries and
-# violations are the same, and every other file is the same.
-# Against 0f62c33, every file is the same: levels are now matched inside their
-# Q blocks where rounding cannot change the columns, and on the 2^N-state
-# vectors elsewhere, so no track, record or output byte moves.
+# Where a commit changed outputs on purpose, CHANGES.md says which files
+# differ against it, and by how much.
 # Every output file, standard output and exit status is compared with cmp
 # (standard error is not, as it may name paths). For two EP record JSON files
 # that differ, one more line says whether the record count, levels, indices
 # and skipped entries match, with the largest location shift and the largest
-# bracket_width in this tree. Exits 1 on any difference, 0 when all are
-# identical. BLAS runs on one thread.
+# bracket_width in this tree. A last line gives the size of both trees'
+# package, `cat src/pshchain/*.py | wc -l`. Exits 1 on any difference, 0 when
+# all are identical. BLAS runs on one thread.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -212,4 +140,5 @@ for f in "$work"/out_new/*; do
         status=1
     fi
 done
+echo "package lines: $(cat "$work"/ref/src/pshchain/*.py | wc -l) -> $(cat "$root"/src/pshchain/*.py | wc -l)"
 exit $status

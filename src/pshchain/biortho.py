@@ -27,10 +27,10 @@ as the dense chain Hamiltonian is) and any zeta: the paper's general-zeta
 definition, and the tests' reference for the engine.
 
 Both share one rescaling core, which treats all isolated levels of a stack
-together; levels closer than ``CLUSTER_SCALE * ||H||_F`` form a degenerate
-cluster, which is resolved one point at a time, and so are levels without
-an index whose left and right vectors overlap by more than ``LINK_OVERLAP``
-when biorthonormalized one by one. On both paths a raw left
+together, then repairs each point that needs it in one pass: its degenerate
+clusters (levels closer than ``CLUSTER_SCALE * ||H||_F``), and its levels
+without an index whose left and right vectors, biorthonormalized one by one,
+overlap by more than ``LINK_OVERLAP``. On both paths a raw left
 vector is conj(m R) for a diagonal signature m (eta on a Q block, ones for
 a complex-symmetric matrix). The core is also the one test for an
 exceptional point (:func:`_rescale`). A point's spectrum is the same, bit
@@ -387,13 +387,14 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     partner column, both members of a pair linked, and is kept for the
     levels that are not real. Real levels with a resolvable
     <R|zeta|R> get |R>/sqrt|<R|zeta|R>| and |L> = s zeta |R>; the others unit
-    |R> and |L> scaled to <L|R> = 1. Levels closer than ``CLUSTER_SCALE * scale`` are
-    resolved together, one point at a time, and check themselves for a
-    defect; any other level fails its point with :class:`AtExceptionalPoint`
-    if its condition 1/|<l|r>| (unit vectors) exceeds ``DEFECT_THRESHOLD``.
-    Levels without an index (complex ones, and those of a cluster that has
-    none) whose vectors overlap by more than ``LINK_OVERLAP`` are then
-    biorthonormalized together, with the clusters they belong to.
+    |R> and |L> scaled to <L|R> = 1. One pass then repairs each point with a
+    defect, a cluster or a residual above ``LINK_OVERLAP``, in turn: an
+    isolated level whose condition 1/|<l|r>| (unit vectors) exceeds
+    ``DEFECT_THRESHOLD`` fails the point with :class:`AtExceptionalPoint`;
+    levels closer than ``CLUSTER_SCALE * scale`` are resolved together and
+    check themselves for a defect; levels without an index (complex ones, and
+    those of a cluster that has none) whose vectors still overlap by more
+    than ``LINK_OVERLAP`` are biorthonormalized together, with their clusters.
     Returns the values, right and left vectors, indices, indicators,
     partners, biorthogonality residual and largest such condition of every
     point, and the exceptions of the points that failed, by position.
@@ -425,12 +426,17 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     z2 = np.where(indexed, sign, 0).astype(np.int8)
     partner = np.where(is_real, -1, partner)
 
+    eye = np.eye(values.shape[1], dtype=bool)
+    overlap = left.conj().swapaxes(1, 2) @ right
+    overlap -= eye
+    residual = np.max(np.abs(overlap), axis=(1, 2))
     failed = {}
-    for i in np.flatnonzero((cond > DEFECT_THRESHOLD) | clustered.any(axis=1)):
-        if cond[i] > DEFECT_THRESHOLD:
-            failed[i] = AtExceptionalPoint(cond[i])
-            continue
+    # cluster repair leaves the residual of a point without a cluster as it is
+    for i in np.flatnonzero((cond > DEFECT_THRESHOLD) | clustered.any(axis=1)
+                            | (residual > LINK_OVERLAP)):
         try:
+            if cond[i] > DEFECT_THRESHOLD:
+                raise AtExceptionalPoint(cond[i])
             for cols in _clusters(close[i]) if clustered[i].any() else ():
                 rc, gram = _eigenspace(a[i], raw_r[i][:, cols])
                 # the rounding level of the eigenvalues: d * eps * ||H||_F
@@ -442,32 +448,21 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
                 right[i][:, cols], left[i][:, cols], z2[i, cols], indicator[i, cols], vals = done
                 if vals is not None:
                     values[i, cols] = vals
+            # levels without an index, linked by an overlap above LINK_OVERLAP or by a
+            # cluster, are biorthonormalized together
+            res = np.abs(left[i].conj().T @ right[i] - eye)
+            free = z2[i] == 0
+            free = free[:, None] & free[None, :]
+            linked = (np.maximum(res, res.T) > LINK_OVERLAP) & free & ~eye
+            if linked.any():
+                for cols in _clusters(linked | (close[i] & free) | eye):
+                    if linked[np.ix_(cols, cols)].any():
+                        right[i][:, cols], left[i][:, cols], _, indicator[i, cols], _ = \
+                            _block_cluster(z, right[i][:, cols], m)
+                res = np.abs(left[i].conj().T @ right[i] - eye)
+            residual[i] = np.max(res)
         except AtExceptionalPoint as exc:  # its traceback would hold this frame in a cycle
             failed[i] = exc.with_traceback(None)
-
-    overlap = left.conj().swapaxes(1, 2) @ right
-    overlap -= np.eye(values.shape[1])
-    residual = np.max(np.abs(overlap), axis=(1, 2))
-    for i in np.flatnonzero(residual > LINK_OVERLAP):
-        if i in failed:
-            continue
-        # levels without an index, linked by an overlap above LINK_OVERLAP or by a
-        # cluster, are biorthonormalized together
-        free = z2[i] == 0
-        free = free[:, None] & free[None, :]
-        linked = np.abs(overlap[i]) > LINK_OVERLAP
-        linked = (linked | linked.T) & free & ~np.eye(len(free), dtype=bool)
-        groups = _clusters(linked | (close[i] & free) | np.eye(len(free), dtype=bool))
-        try:
-            for cols in (g for g in groups if linked[np.ix_(g, g)].any()):
-                right[i][:, cols], left[i][:, cols], _, indicator[i, cols], _ = \
-                    _block_cluster(z, right[i][:, cols], m)
-        except AtExceptionalPoint as exc:
-            failed[i] = exc.with_traceback(None)
-            continue
-        res = left[i].conj().T @ right[i]
-        res -= np.eye(values.shape[1])
-        residual[i] = np.max(np.abs(res))
     return _Levels(values, right, left, z2, indicator, partner, residual, cond), failed
 
 

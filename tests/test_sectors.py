@@ -44,6 +44,11 @@ CLUSTER_CHAIN = ChainSpec(n=6, delta=0.01, j=-0.7,
 #: by one, the two clusters overlapped by 1.0e-5 on the sector engine.
 LINKED_CHAIN = ChainSpec(n=6, delta=1e-08, j=0.25,
                          gamma_profile=(1e-08, 1e-08, 0.0, -0.0, -1e-08, -1e-08))
+#: Two complex levels near -3, 7.7e-7 apart (not a cluster): biorthonormalized one
+#: by one, their <L|R> was 7.0e-6 on the full solve.
+CLOSE_PAIR_CHAIN = ChainSpec(n=6, delta=1.1920684741868336e-06, j=1.0,
+                             gamma_profile=(0.0, 1.1920684741868336e-06, 0.0, -0.0,
+                                            -1.1920684741868336e-06, -0.0))
 
 
 def basis_matrix(basis) -> np.ndarray:
@@ -126,10 +131,7 @@ class TestAgainstFullMatrix:
     @example(spec=ChainSpec(n=6, delta=1e-10, j=0.0,
                             gamma_profile=(1e-10, 0.0, 1.0, -1.0, -0.0, -1e-10)))
     @example(spec=LINKED_CHAIN)
-    # two complex levels near 3, 7.7e-7 apart: 7.0e-6 on the full solve
-    @example(spec=ChainSpec(n=6, delta=1.1920684741868336e-06, j=1.0,
-                            gamma_profile=(0.0, 1.1920684741868336e-06, 0.0, -0.0,
-                                           -1.1920684741868336e-06, -0.0)))
+    @example(spec=CLOSE_PAIR_CHAIN)
     def test_sector_engine_matches_the_full_solve(self, spec):
         h = build_hamiltonian(spec)
         try:
@@ -405,6 +407,36 @@ class TestMergeOracle:
         for b in (0, 2):
             assert same_bits(got[b].eigensystem.right, want[b].eigensystem.right)
             assert same_bits(got[b].partner, want[b].partner)
+
+
+def residual_of(left, right) -> float:
+    """max |L^+ R - I| over the columns of one set of vectors."""
+    return float(np.max(np.abs(left.conj().T @ right - np.eye(right.shape[1]))))
+
+
+class TestBiorthoResidual:
+    """``biortho_residual`` is the residual of the vectors a solve returns, after
+    every cluster and linked group of levels is repaired."""
+
+    def test_sector_residual_is_that_of_the_returned_blocks(self):
+        # a split conjugate cluster, linked clusters, a close complex pair, a
+        # plain point, an exact EP and a point whose levels all cluster
+        specs = [CLUSTER_CHAIN, LINKED_CHAIN, CLOSE_PAIR_CHAIN,
+                 *(NormalizedPoint(*p).chain(6) for p in ((0.5, 0.21), (0.0, 1.0), (0.0, 0.0)))]
+        blocks = tuple(np.concatenate(b) for b in zip(*(sector_blocks(s) for s in specs)))
+        stacked = sector_spectra(blocks, 6)
+        for b, got in enumerate(stacked):
+            assert_same_point(got, sector_spectra(tuple(a[b:b + 1] for a in blocks), 6)[0])
+        assert isinstance(stacked[4], AtExceptionalPoint)
+        for sp in stacked[:4] + stacked[5:]:
+            es = sp.eigensystem
+            want = max(residual_of(es.stack.left[k][es.point], es.stack.right[k][es.point])
+                       for k in range(2))
+            assert es.biortho_residual == want
+
+    def test_full_residual_is_that_of_the_returned_vectors(self):
+        es = spectrum_with_indices(build_hamiltonian(LINKED_CHAIN), build_parity(6)).eigensystem
+        assert es.biortho_residual == residual_of(es.left, es.right)
 
 
 class TestEigBlocks:
