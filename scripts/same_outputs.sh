@@ -12,8 +12,7 @@
 # (-0.981, 0.999), whose (3,4,7) and (8,11,12) records pair, one N=6 gain
 # sweep through many EP2s, one coarse N=6 coupling sweep with gain (40
 # points on (-0.99, 0.99) at gamma_tilde = 0.3), where level matches are
-# least clear-cut and many fall back from the Q blocks to the 2^N-state
-# product,
+# least clear-cut and most conjugate pairs form or split between two points,
 # four `spectrum` calls, the gain-free crossing classification at N=4 (which
 # refines every sign change of a pair's gap), one `find-ep --pair` search
 # (which keeps the sweep's EP2 records of one pair), an N=4 gain sweep at a high
@@ -29,7 +28,10 @@
 # (standard error is not, as it may name paths). For two EP record JSON files
 # that differ, one more line says whether the record count, levels, indices
 # and skipped entries match, with the largest location shift and the largest
-# bracket_width in this tree. A last line gives the size of both trees'
+# bracket_width in this tree, and whether the files are the same up to level
+# ids: the same records as (location, sorted indices, residual, bracket_width)
+# and the same skipped entries without the levels they name, each as a
+# multiset. A last line gives the size of both trees'
 # package, `cat src/pshchain/*.py | wc -l`. Exits 1 on any difference, 0 when
 # all are identical. BLAS runs on one thread.
 set -euo pipefail
@@ -103,6 +105,14 @@ def same(value):
     return "same" if value(old) == value(new) else "differ"
 
 
+def up_to_ids(d):
+    # the records and skipped entries as multisets, without their level ids
+    return (sorted((sorted(r["location"].items()), sorted(r["indices"]), r["residual"],
+                    r["bracket_width"]) for r in d["records"]),
+            sorted(json.dumps({k: v for k, v in s.items() if k not in ("levels", "triple")},
+                              sort_keys=True) for s in d.get("skipped") or []))
+
+
 shift = "n/a"
 if len(ro) == len(rn):
     shift = f"{max((abs(a['location'][k] - b['location'][k]) for a, b in zip(ro, rn) for k in a['location']), default=0.0):.3g}"
@@ -110,7 +120,8 @@ print(f"  records {len(ro)} -> {len(rn)}, "
       f"levels {same(lambda d: [r['levels'] for r in d['records']])}, "
       f"indices {same(lambda d: [r['indices'] for r in d['records']])}, "
       f"skipped {same(lambda d: d.get('skipped'))}; largest location shift {shift}, "
-      f"largest bracket_width {max((r['bracket_width'] for r in rn), default=0.0):.3g}")
+      f"largest bracket_width {max((r['bracket_width'] for r in rn), default=0.0):.3g}; "
+      f"{'same' if up_to_ids(old) == up_to_ids(new) else 'not the same'} up to level ids")
 PY
 }
 

@@ -40,9 +40,9 @@ pencil is reduced by Cholesky, and the general path pairs conjugates with
 
 The engine keeps each stack's vectors in their Q blocks (:class:`SectorStack`),
 where level matching reads them. A spectrum's vectors in the 2^N basis states,
-``eigensystem.right``/``left`` and ``levels``, are built from its blocks on
-first use (:class:`SectorEigenSystem`), bit for bit as an eager merge would
-build them.
+``eigensystem.right``/``left`` and ``levels``, are built from its blocks only
+for their readers, on first use (:class:`SectorEigenSystem`), bit for bit as an
+eager merge would build them.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ class SectorStack(NamedTuple):
     block. A level's block column is its column in both blocks' levels
     together, the d of the first block first: ``order`` holds the block
     column of each merged (Re, Im) column, over (point, column), and
-    ``rank`` the merged column of each block column. ``left_norm`` holds the
-    norm of each level's left vector, over (point, block column), and
-    ``right_norm`` the largest norm of a right vector of each point.
+    ``rank`` the merged column of each block column. ``sign`` holds each
+    level's :func:`level_sign`, over (point, block column).
     """
 
     bases: tuple[SectorBasis, SectorBasis]
@@ -159,8 +158,7 @@ class SectorStack(NamedTuple):
     left: tuple[np.ndarray, np.ndarray]
     order: np.ndarray
     rank: np.ndarray
-    left_norm: np.ndarray
-    right_norm: np.ndarray
+    sign: np.ndarray
 
     def states(self, name: str, point: int) -> np.ndarray:
         """The ``right`` or ``left`` vectors of ``point`` in the 2^N basis
@@ -189,6 +187,12 @@ class SectorEigenSystem(EigenSystem):
         vectors = self.stack.states(name, self.point)
         object.__setattr__(self, name, vectors)
         return vectors
+
+
+def level_sign(z2: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each level's Z2 index, or the sign of Im E where it has none: level
+    matching breaks ties by it."""
+    return np.where(z2 != 0, z2, np.sign(values.imag))
 
 
 def _apply(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -537,16 +541,13 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
 
     sector = np.repeat(np.array([basis.q for basis in bases], dtype=np.int8),
                        [plus.values.shape[1], minus.values.shape[1]])[order]
+    z2 = np.concatenate([plus.z2, minus.z2], axis=1)
     levels = _Levels(values[rows, order], None, None,
-                     merged(plus.z2, minus.z2), merged(plus.indicator, minus.indicator),
+                     z2[rows, order], merged(plus.indicator, minus.indicator),
                      rank[rows, partner[rows, order]], np.maximum(plus.residual, minus.residual),
                      np.maximum(plus.cond, minus.cond), sector)
-    with np.errstate(invalid="ignore", over="ignore"):  # a failed point's vectors may be inf
-        left_norm = np.concatenate([column_norms(plus.left), column_norms(minus.left)], axis=1)
-        right_norm = np.maximum(column_norms(plus.right).max(axis=1),
-                                column_norms(minus.right).max(axis=1))
     stack = SectorStack(bases, (plus.right, minus.right), (plus.left, minus.left), order,
-                        rank[:, :-1], left_norm, right_norm)
+                        rank[:, :-1], level_sign(z2, values))
     return _spectra(out, good, failed, levels, scale, rtol, stack)
 
 

@@ -5,9 +5,10 @@ gain ``gamma_tilde``) on the unit circle j^2 + delta^2 = 1. Levels are
 followed through the sweep by maximal biorthogonal overlap |<L(p)|R(p+dp)>|,
 which stays reliable through genuine crossings where plain energy ordering
 would swap labels. The overlaps are taken inside the Q blocks, where a level
-meets only the levels of its own block; a match made there stands where a
-rounding bound proves that the overlaps of the 2^N-state vectors pick the
-same levels, and is made on those vectors otherwise (:func:`_block_match`).
+meets only the levels of its own block (:func:`_block_match`). A real left
+vector overlaps both members of a conjugate pair exactly equally, so such
+ties go by the Z2 index: index +1 continues as the member with Im E > 0, and
+that member as index +1 (:func:`_assign`).
 
 Second-order exceptional points are boundaries between real and
 complex-conjugate eigenvalues of a tracked pair. Each is localized in the
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .biortho import (INDICATOR_FLOOR, BiorthoSpectrum, IndexIllDefined, LevelRecord,
-                      SectorEigenSystem, sector_spectra)
+                      SectorEigenSystem, level_sign, sector_spectra)
 from .model import (ChainSpec, check_chain_length, check_normalized, gain_diagonal,
                     normalized_blocks, sector_blocks)
 from .numerics import AtExceptionalPoint, linear_sum_assignment
@@ -69,10 +70,9 @@ _MAX_GROWTH = 8
 AMBIGUOUS_GAP = 1e-6
 #: Matched overlap below which a track break is recorded.
 OVERLAP_MIN = 0.5
-#: The overlap |<l|r>| of two block vectors, and that of their 2^N-state
-#: images, each lie within a quarter of this many 2^N eps ||l|| max||r|| of
-#: its exact value, max||r|| taken over the other point's right vectors.
-_OVERLAP_ROUNDING = 16.0
+#: What a level and a candidate of the same sign score above their overlap in
+#: a match: it decides exact ties, and none between overlaps further apart.
+_SIGN_TIE = 1e-12
 #: Bisection tolerance of the crossing refinement in ``classify_crossings``.
 CROSSING_TOL = 1e-12
 #: Gain step of the ladder that identifies levels at a point of an EP3 search.
@@ -325,23 +325,22 @@ class _Pool:
         return results
 
 
-def _match(ref_left: np.ndarray, right: np.ndarray):
-    """Column of ``right`` matched to each reference left vector, and its overlap.
+def _assign(overlap, ref_sign, new_sign):
+    """Column matched to each row of every matrix of ``overlap``, over (matrix,
+    row, column), and its overlap.
 
-    The one-to-one assignment maximizes the summed |<L_ref|R>|. Where every
-    row has a unique largest overlap and those columns are distinct, that
-    argmax is the only maximizing assignment, since the sum of the row maxima
-    bounds every other, and it is returned without solving one.
+    A row scores its overlap with a column, ``_SIGN_TIE`` more where the row's
+    sign in ``ref_sign`` and the column's in ``new_sign`` are equal and not 0.
+    Each row takes its best score: where those columns are distinct, they are
+    an assignment of largest summed score, since that sum bounds every other.
+    Where two rows of a matrix take one column, such an assignment is solved.
     """
-    overlap = np.abs(ref_left.conj().T @ right)
-    rows = np.arange(overlap.shape[0])
-    cols = overlap.argmax(axis=1)
-    best = overlap[rows, cols]
-    if (np.count_nonzero(overlap == best[:, None]) != rows.size
-            or len(set(cols.tolist())) < rows.size):
-        rows, cols = linear_sum_assignment(-overlap)  # rows come back in order
-        best = overlap[rows, cols]
-    return cols, best
+    score = overlap + _SIGN_TIE * (ref_sign[..., :, None] * new_sign[..., None, :] > 0)
+    found = score.argmax(axis=-1)
+    ordered = np.sort(found, axis=-1)
+    for k in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=-1)):
+        found[k] = linear_sum_assignment(-score[k])[1]  # rows come back in order
+    return found, np.take_along_axis(overlap, found[..., None], axis=-1)[..., 0]
 
 
 def _block_match(a, refs: slice, blocks, b, news: slice):
@@ -350,50 +349,42 @@ def _block_match(a, refs: slice, blocks, b, news: slice):
     of points per point of either slice, decided in the Q blocks
     (:class:`~pshchain.biortho.SectorStack`).
 
-    A level overlaps only the levels of its own block, and takes the one of
-    largest |<L|R>|. Returns each level's merged column and overlap over
-    (pair, level), and per pair whether the 2^N-state product of
-    :func:`_match` takes the same columns (and records the same breaks):
-    each level's largest overlap beats the others (those of the other block
-    are zero here and rounding there) and ``OVERLAP_MIN`` by more than the
-    rounding of both products (``_OVERLAP_ROUNDING``), and the columns are
-    distinct (Shewchuk's filtered predicates, Discrete Comput. Geom. 18,
-    305, 1997).
+    A level overlaps only the levels of its own block. Each block's levels
+    are matched by :func:`_assign` on |<L|R>| and their ``sign``
+    (:func:`~pshchain.biortho.level_sign`), in block-column order whatever
+    the order of ``blocks``, so that order breaks no tie. Returns each
+    level's merged column and overlap over (pair, level).
     """
     d = a.right[0].shape[-1]
-    upper = blocks >= d
+    by_column = np.argsort(blocks)
+    upper = blocks[by_column] >= d
     shape = (news.stop - news.start, len(blocks))
-    found, best, margin = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
-    for at, left, right, start in zip((np.flatnonzero(~upper), np.flatnonzero(upper)),
+    found, best = np.empty(shape, dtype=np.int64), np.empty(shape)
+    for at, left, right, start in zip((by_column[~upper], by_column[upper]),
                                       a.left, b.right, (0, d)):
         if at.size:
-            overlap = np.abs(left[refs][:, :, blocks[at] - start].conj().swapaxes(1, 2)
-                             @ right[news])
-            ordered = np.sort(overlap, axis=-1)
-            best[:, at] = top = ordered[..., -1]
-            margin[:, at] = top - ordered[..., -2] if right.shape[-1] > 1 else top
-            found[:, at] = overlap.argmax(axis=-1) + start
-    cols = b.rank[news][np.arange(shape[0])[:, None], found]
-    bound = ((_OVERLAP_ROUNDING * a.order.shape[1] * np.finfo(float).eps)
-             * b.right_norm[news][:, None] * a.left_norm[refs][:, blocks])
-    ordered = np.sort(cols, axis=-1)
-    sure = ((np.minimum(margin, np.abs(best - OVERLAP_MIN)) > bound).all(axis=-1)
-            & (ordered[:, 1:] > ordered[:, :-1]).all(axis=-1))
-    return cols, best, sure
+            rows = blocks[at]
+            overlap = np.abs(left[refs][:, :, rows - start].conj().swapaxes(1, 2) @ right[news])
+            found[:, at], best[:, at] = _assign(
+                overlap, a.sign[refs][:, rows], b.sign[news][:, start:start + right.shape[-1]])
+            found[:, at] += start
+    return b.rank[news][np.arange(shape[0])[:, None], found], best
 
 
 def _match_levels(ref: BiorthoSpectrum, cols, new: BiorthoSpectrum):
     """Columns of ``new`` matched to the levels ``cols`` of ``ref``, and their
-    overlaps: :func:`_match` of their vectors, decided in the Q blocks
-    (:func:`_block_match`) where rounding cannot change the columns."""
+    overlaps: in the Q blocks (:func:`_block_match`), or by :func:`_assign`
+    on the vectors of a general matrix."""
     a, b = ref.eigensystem, new.eigensystem
-    if isinstance(a, SectorEigenSystem) and isinstance(b, SectorEigenSystem):
-        matched, overlaps, sure = _block_match(
-            a.stack, slice(a.point, a.point + 1), a.stack.order[a.point, cols],
-            b.stack, slice(b.point, b.point + 1))
-        if sure[0]:
-            return matched[0], overlaps[0]
-    return _match(a.left[:, cols], b.right)
+    if isinstance(a, SectorEigenSystem):
+        matched, overlaps = _block_match(a.stack, slice(a.point, a.point + 1),
+                                         a.stack.order[a.point, cols], b.stack,
+                                         slice(b.point, b.point + 1))
+    else:
+        matched, overlaps = _assign(np.abs(a.left[:, cols].conj().T @ b.right)[None],
+                                    level_sign(ref.z2, ref.eigenvalues)[cols][None],
+                                    level_sign(new.z2, new.eigenvalues)[None])
+    return matched[0], overlaps[0]
 
 
 def _runs(spectra):
@@ -415,15 +406,14 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
     point, starting from spectrum ``sp`` with track columns ``cols``; without
     ``sp`` the first point's columns are the tracks (overlaps 1). The points
     of one stack are matched to each other's levels in one
-    :func:`_block_match`, and those whose match there is not sure by
-    :func:`_match`; the first point of a stack by :func:`_match_levels`. A
-    stack's points are read before the first of them is yielded.
+    :func:`_block_match`, the first point of a stack by :func:`_match_levels`.
+    A stack's points are read before the first of them is yielded.
     """
     for run in _runs(spectra):
         # the points of a run are consecutive in their stack
         stack, first = run[0].eigensystem.stack, run[0].eigensystem.point
         refs, news = slice(first, first + len(run) - 1), slice(first + 1, first + len(run))
-        matched, overlaps, sure = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
+        matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
         # each pair's match of every level, by the earlier point's merged column
         matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
                              for x in (matched, overlaps))
@@ -432,10 +422,8 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
                 cols, overlap = np.arange(new.dim), np.ones(new.dim)
             elif k == 0:
                 cols, overlap = _match_levels(sp, cols, new)
-            elif sure[k - 1]:
-                cols, overlap = matched[k - 1, cols], overlaps[k - 1, cols]
             else:
-                cols, overlap = _match(sp.eigensystem.left[:, cols], new.eigensystem.right)
+                cols, overlap = matched[k - 1, cols], overlaps[k - 1, cols]
             sp = new
             yield new, cols, overlap
 

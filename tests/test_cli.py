@@ -293,13 +293,13 @@ class TestFindEpCommand:
         assert abs(rec.location["gamma_tilde"] - 0.2653) < 1e-3
 
     def test_pair_gets_every_ep2_of_the_pair_on_the_line(self, tmp_path):
-        # the pair (4, 6) turns complex at jt = -0.7164 and real again at -0.4838
+        # the pair (2, 4) turns complex at jt = -0.7164 and real again at -0.4838
         line = ["find-ep", "--order", "2", "--n", "4", "--axis", "jt", "--fixed", "0.21",
                 "--start", "-1", "--stop", "1", "--points", "401"]
         every, pair = tmp_path / "every.json", tmp_path / "pair.json"
         assert main([*line, "--output", str(every)]) == 0
-        assert main([*line, "--pair", "4", "6", "--output", str(pair)]) == 0
-        want = [r for r in json.loads(every.read_text())["records"] if r["levels"] == [4, 6]]
+        assert main([*line, "--pair", "2", "4", "--output", str(pair)]) == 0
+        want = [r for r in json.loads(every.read_text())["records"] if r["levels"] == [2, 4]]
         assert len(want) == 2
         assert json.loads(pair.read_text()) == {"records": want, "skipped": []}
 

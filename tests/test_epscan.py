@@ -27,11 +27,11 @@ from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExcep
                       predict_gamma_cr, project_two_level, reality_transitions,
                       solve_modes, spectrum_with_indices, sweep, triple_pairing,
                       verify_selection_rule)
-from pshchain.biortho import INDICATOR_FLOOR, sector_spectra
+from pshchain.biortho import INDICATOR_FLOOR, SectorStack, sector_spectra
 from pshchain.cli import UsageError, main
-from pshchain.epscan import (_NUDGES, AXIS_RANGE, BISECT_TOL, CROSSING_TOL, OVERLAP_MIN, _bisect,
-                             _block_match, _follow, _Line, _location, _lockstep, _match,
-                             _match_levels, _Pool, _refine_crossing, _solve_values)
+from pshchain.epscan import (_NUDGES, _SIGN_TIE, AXIS_RANGE, BISECT_TOL, CROSSING_TOL,
+                             OVERLAP_MIN, _assign, _bisect, _follow, _Line, _location,
+                             _lockstep, _match_levels, _Pool, _refine_crossing, _solve_values)
 from pshchain.model import normalized_blocks, sector_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -240,9 +240,10 @@ sys.exit(cli.main(["verify", "--n", "4", "--workers", "2"]))
 @st.composite
 def overlap_matrices(draw):
     """A (d, d) matrix whose first ``rows`` rows are the overlaps of ``rows``
-    tracks with d levels: small integers, with tied maxima and argmax
-    collisions, or a partial permutation plus noise, where the argmax is the
-    assignment."""
+    tracks with d levels, and the signs of the d levels on either side: small
+    integers, with tied maxima and argmax collisions, or a partial permutation
+    plus noise, where the argmax is the assignment. The signs are all 0 (no
+    tie-break) or drawn from -1, 0 and +1."""
     d = draw(st.integers(1, 10))
     rows = draw(st.integers(1, d))
     if draw(st.booleans()):
@@ -251,34 +252,74 @@ def overlap_matrices(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         m = 0.3 * rng.random((d, d))
         m[np.arange(d), rng.permutation(d)] += 1.0
-    return m, rows
+    signs = arrays(np.int8, d, elements=st.integers(-1, 1))
+    ref_sign, new_sign = (draw(signs), draw(signs)) if draw(st.booleans()) else (
+        np.zeros(d, np.int8), np.zeros(d, np.int8))
+    return m, rows, ref_sign, new_sign
+
+
+def assign(m, ref_sign, new_sign):
+    """:func:`_assign` of one matrix: its columns and overlaps."""
+    cols, best = _assign(m[None], ref_sign[None], new_sign[None])
+    return cols[0], best[0]
 
 
 class TestMatch:
     @settings(max_examples=500, deadline=None)
     @given(case=overlap_matrices())
     def test_equals_the_full_assignment(self, case):
-        m, rows = case
-        cols, best = _match(np.eye(m.shape[0])[:, :rows], m)
-        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(-m[:rows])
-        assert np.array_equal(cols, ref_cols[np.argsort(ref_rows)])
+        m, rows, ref_sign, new_sign = case
+        cols, best = assign(m[:rows], ref_sign[:rows], new_sign)
+        score = m[:rows] + _SIGN_TIE * (np.outer(ref_sign[:rows], new_sign) > 0)
+        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(-score)
+        assert len(set(cols.tolist())) == rows
         assert np.array_equal(best, m[np.arange(rows), cols])
+        # a best assignment of the scores, whose tie-breaks are larger than rounding
+        assert math.isclose(score[np.arange(rows), cols].sum(), score[ref_rows, ref_cols].sum(),
+                            rel_tol=0.0, abs_tol=1e-14)
+        if np.unique(score).size == score.size:  # no exact ties: the one best
+            assert np.array_equal(cols, ref_cols[np.argsort(ref_rows)])
 
-    def test_solves_the_assignment_only_where_the_argmax_is_ambiguous(self, monkeypatch):
+    def test_solves_the_assignment_only_where_two_rows_share_a_column(self, monkeypatch):
         calls = []
         solve = epscan.linear_sum_assignment
         monkeypatch.setattr(epscan, "linear_sum_assignment",
                             lambda cost: calls.append(1) or solve(cost))
-        ref = np.eye(3)
+        none = np.zeros(3)
         # unique row maxima in distinct columns
-        cols, _ = _match(ref, np.array([[0.1, 0.9, 0.0], [0.8, 0.2, 0.1], [0.0, 0.3, 0.7]]))
+        cols, _ = assign(np.array([[0.1, 0.9, 0.0], [0.8, 0.2, 0.1], [0.0, 0.3, 0.7]]), none, none)
         assert cols.tolist() == [1, 0, 2] and calls == []
         # two rows' maxima in column 0
-        cols, _ = _match(ref, np.array([[0.9, 0.8, 0.0], [0.95, 0.1, 0.0], [0.0, 0.0, 1.0]]))
+        cols, _ = assign(np.array([[0.9, 0.8, 0.0], [0.95, 0.1, 0.0], [0.0, 0.0, 1.0]]), none, none)
         assert cols.tolist() == [1, 0, 2] and calls == [1]
-        # a tied maximum in row 0, though the first maxima are distinct
-        cols, _ = _match(ref, np.array([[0.5, 0.5, 0.0], [0.0, 0.1, 1.0], [0.0, 0.9, 0.2]]))
-        assert cols.tolist() == [0, 2, 1] and calls == [1, 1]
+        # a tied maximum in row 0, whose first maxima are distinct: no solve
+        cols, _ = assign(np.array([[0.5, 0.5, 0.0], [0.0, 0.1, 1.0], [0.0, 0.9, 0.2]]), none, none)
+        assert cols.tolist() == [0, 2, 1] and calls == [1]
+        # a stack of two matrices, of which only the second has a collision
+        m = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [1.0, 0.1]]])
+        cols, best = _assign(m, np.zeros((2, 2)), np.zeros((2, 2)))
+        assert cols.tolist() == [[0, 1], [1, 0]] and best.tolist() == [[1.0, 1.0], [0.5, 1.0]]
+        assert calls == [1, 1]
+
+    def test_a_tie_gives_index_plus_one_the_upper_member(self):
+        # real levels of index +1 and -1 meet and go on as a conjugate pair,
+        # whose members, Im E < 0 first, they overlap exactly equally
+        tie = np.full((2, 2), 0.5)
+        cols, _ = assign(tie, np.array([1, -1]), np.array([-1.0, 1.0]))
+        assert cols.tolist() == [1, 0]
+        cols, _ = assign(tie, np.array([-1, 1]), np.array([-1.0, 1.0]))
+        assert cols.tolist() == [0, 1]
+
+    def test_a_tie_gives_the_upper_member_index_plus_one(self):
+        # the way back: the pair, Im E > 0 first, splits into indices -1 and +1
+        tie = np.full((2, 2), 0.5)
+        cols, _ = assign(tie, np.array([1.0, -1.0]), np.array([-1, 1]))
+        assert cols.tolist() == [1, 0]
+
+    def test_the_sign_decides_no_overlap_that_differs(self):
+        m = np.array([[0.5, 0.5 + 1e-9], [0.5 + 1e-9, 0.5]])
+        cols, _ = assign(m, np.array([1, -1]), np.array([1, -1]))
+        assert cols.tolist() == [1, 0]
 
 
 #: Values on the coupling axis and on the gain axis where matches are least
@@ -304,7 +345,8 @@ def neighbour_points(draw):
 
 
 class TestSectorMatch:
-    """The match in the Q blocks takes the columns of ``_match`` on the 2^N-state vectors."""
+    """The match in the Q blocks is a best assignment of the 2^N-state overlaps,
+    each level matched inside its own Q sector."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=neighbour_points())
@@ -317,37 +359,31 @@ class TestSectorMatch:
                    (-0.7505, -0.748), np.array([3, 4, 7])))
     @example(case=(_Line(AXIS_GAIN, 0.74785, 4, None, INDICATOR_FLOOR), (0.41, 0.4125),
                    np.arange(16)))
-    def test_equals_the_match_on_basis_states(self, case):
+    def test_is_a_best_assignment_in_the_q_sectors(self, case):
         line, values, cols = case
         try:
             first, second = _solve_values(line, values)
         except AtExceptionalPoint:
             assume(False)
-        want = _match(first.eigensystem.left[:, cols], second.eigensystem.right)[0]
-        assert np.array_equal(_match_levels(first, cols, second)[0], want)
-        # the stacked match of every level, where it stands without the 2^N-state one
-        a, b = first.eigensystem, second.eigensystem
-        block, _, sure = _block_match(a.stack, slice(a.point, a.point + 1), np.arange(first.dim),
-                                      b.stack, slice(b.point, b.point + 1))
-        if sure[0]:
-            merged = block[0, a.stack.order[a.point]]
-            assert np.array_equal(merged[cols], want)
+        matched, overlaps = _match_levels(first, cols, second)
+        assert len(set(matched.tolist())) == len(cols)
+        assert np.array_equal(second.sector[matched], first.sector[cols])
+        left, right = first.eigensystem.left[:, cols], second.eigensystem.right
+        dense = np.abs(left.conj().T @ right)
+        assert np.allclose(overlaps, dense[np.arange(len(cols)), matched], rtol=1e-12, atol=1e-12)
+        rows, best = scipy.optimize.linear_sum_assignment(-dense)
+        scale = np.linalg.norm(left, axis=0).max() * np.linalg.norm(right, axis=0).max()
+        assert abs(overlaps.sum() - dense[rows, best].sum()) <= 1e-10 * scale
+        # a sweep's stacked match of every level is the match of the pair alone
         followed = [c for _, c, _ in _follow([first, second])][1]
-        assert np.array_equal(followed, _match(a.left, b.right)[0])
+        assert np.array_equal(followed, _match_levels(first, np.arange(first.dim), second)[0])
 
-    def test_tied_levels_at_the_delta_zero_end_fall_back(self):
-        # levels 10 and 11 are degenerate at j = -1: both take the same block
-        # column, so the 2^N-state match decides
+    def test_tied_levels_at_the_delta_zero_end_take_distinct_columns(self):
+        # levels 10 and 11 are degenerate at j = -1: both overlap column 13
+        # best, and the assignment gives them 12 and 13
         line = _Line(AXIS_COUPLING, 0.21, 4, None, INDICATOR_FLOOR)
         first, second = _solve_values(line, [-1.0, -0.9975])
-        a, b = first.eigensystem, second.eigensystem
-        block, _, sure = _block_match(a.stack, slice(a.point, a.point + 1), np.arange(16),
-                                      b.stack, slice(b.point, b.point + 1))
-        merged = block[0, a.stack.order[a.point]]
-        assert not sure[0] and merged[10] == merged[11] == 13
-        want = _match(a.left, b.right)[0]
-        assert want[10:12].tolist() == [12, 13]
-        assert np.array_equal(_match_levels(first, np.arange(16), second)[0], want)
+        assert _match_levels(first, np.arange(16), second)[0][10:12].tolist() == [12, 13]
 
 
 class TestPool:
@@ -519,6 +555,33 @@ class TestSweep:
             for p, q in enumerate(track.partner.tolist()):
                 if q >= 0:
                     assert q != t and tracks[q].partner[p] == t
+
+    @pytest.mark.parametrize("grid", [
+        *(coupling_grid(4, g, points=801) for g in (0.05, 0.21, 0.40125, 0.48375)),
+        gain_grid(6, 0.3, 0.5, 301)], ids=["verify 0.05", "verify 0.21", "verify 0.40125",
+                                           "verify 0.48375", "n6 gain"])
+    def test_index_plus_one_goes_on_as_the_upper_member(self, grid):
+        # where levels of opposite index meet in an EP2, the track of index +1
+        # holds the pair's member with Im E > 0, on either side of the line
+        tracks = sweep(grid)
+        checked = 0
+        for a, b, p, side in reality_transitions(tracks):
+            real, cplx = (p + 1, p) if side == "lo" else (p, p + 1)
+            za, zb = tracks[a].z2[real], tracks[b].z2[real]
+            if za * zb < 0:
+                plus = tracks[a if za > 0 else b]
+                assert plus.eigenvalues[cplx].imag > 0, (a, b, p, side)
+                checked += 1
+        assert checked > 0
+
+    def test_tracking_builds_no_basis_state_vectors(self, monkeypatch):
+        # the coarse N=6 line with gain, whose pairs form and split between points
+        def states(*args):
+            raise AssertionError("a 2^N-state vector was built")
+
+        monkeypatch.setattr(SectorStack, "states", states)
+        records, _ = locate_ep2_records(sweep(coupling_grid(6, 0.3, 40, -0.99, 0.99)))
+        assert len(records) == 87
 
     def test_track_count_conserved_and_columns_partition(self):
         tracks = sweep(gain_grid(2, 1 / np.sqrt(2), 1.2, 61))
