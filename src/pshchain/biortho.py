@@ -18,16 +18,19 @@ x) and its left vector s eta x; any simple level's left vector is eta
 conj(x) / conj(x^T eta x), with no P product and no left eigensolve.
 Conjugate partners are LAPACK's exact pairs, and the paper's selection rule
 is the Krein-collision rule: only levels of opposite signature in one block
-can meet in an EP2. Every command solves through it. The blocks of a
-gain-free point, where the indices are defined, are symmetric, and
-:func:`pshchain.numerics.eig_blocks` solves each such matrix with LAPACK's
-symmetric solve: all its levels are real, with orthonormal vectors.
+can meet in an EP2. Every command solves through it. Only the gain couples
+a block's p = +1 and p = -1 columns, so at a gain-free point, where the paper
+defines the indices, each block splits into its two P blocks, which
+:func:`pshchain.numerics.eig_blocks` solves apart with LAPACK's symmetric
+solve. Each level is then real, with its vector in one P block: its index is
+that block's p by construction, and it needs no repair.
 :func:`spectrum_with_indices` serves one complex-symmetric matrix (H^T = H,
 as the dense chain Hamiltonian is) and any zeta: the paper's general-zeta
 definition, and the tests' reference for the engine.
 
-Both share one rescaling core, which treats all isolated levels of a stack
-together, then repairs each point that needs it in one pass: its degenerate
+Both share one rescaling core, which takes a gain-free block's levels as
+they are and treats all other isolated levels of a stack together, then
+repairs each point with gain that needs it in one pass: its degenerate
 clusters (levels closer than ``CLUSTER_SCALE * ||H||_F``), and its levels
 without an index whose left and right vectors, biorthonormalized one by one,
 overlap by more than ``LINK_OVERLAP``. On both paths a raw left
@@ -399,10 +402,26 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     check themselves for a defect; levels without an index (complex ones, and
     those of a cluster that has none) whose vectors still overlap by more
     than ``LINK_OVERLAP`` are biorthonormalized together, with their clusters.
+    A symmetric block with no entry between eta's +1 and -1 columns (a
+    gain-free Q block, eta's +1 first) takes none of these steps: its levels
+    keep their values and are indexed by construction (:func:`_split_levels`).
     Returns the values, right and left vectors, indices, indicators,
     partners, biorthogonality residual and largest such condition of every
     point, and the exceptions of the points that failed, by position.
     """
+    split = (np.all(a == a.swapaxes(1, 2), axis=(1, 2))
+             & ~np.any(a[:, z > 0][:, :, z < 0], axis=(1, 2)) if z.ndim == 1
+             else np.zeros(len(a), dtype=bool))
+    if split.any():  # the gain-free blocks skip what follows, the others take it
+        rest = np.flatnonzero(~split)
+        levels, failed = _split_levels(values[split], raw_r[split], z), {}
+        if rest.size:
+            other, bad = _rescale(a[rest], z, values[rest], raw_r[rest], m, scale[rest],
+                                  rtol[rest], floor, partner[rest])
+            order = np.argsort(np.concatenate([np.flatnonzero(split), rest]))
+            levels = _Levels(*(np.concatenate(x)[order] for x in zip(levels[:-1], other[:-1])))
+            failed = {int(rest[i]): exc for i, exc in bad.items()}
+        return levels, failed
     values = values.copy()
     is_real = np.abs(values.imag) <= rtol[:, None]
     close = (np.abs(values[:, :, None] - values[:, None, :])
@@ -470,6 +489,19 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     return _Levels(values, right, left, z2, indicator, partner, residual, cond), failed
 
 
+def _split_levels(values, raw_r, eta) -> _Levels:
+    """Levels of gain-free Q blocks, solved in their P blocks: each orthonormal
+    real |R> lies in one, where eta = p, so its index is s = p and its left
+    vector s eta |R> = |R>, the same array. The indicator, condition (1 /
+    indicator) and residual max |R^T R - I| are taken in real arithmetic."""
+    x = np.ascontiguousarray(raw_r.real)
+    _, c, indicator = _metric(eta, x)
+    residual = np.max(np.abs(x.swapaxes(1, 2) @ x - np.eye(x.shape[2])), axis=(1, 2))
+    return _Levels(values, raw_r, raw_r, np.where(c > 0, 1, -1).astype(np.int8), indicator,
+                   np.full(values.shape, -1), residual,
+                   np.max(1.0 / indicator, axis=1, initial=1.0))
+
+
 def _spectra(out, good, failed, levels: _Levels, scale, rtol, stack=None) -> list:
     """``out`` with each good point that did not fail replaced by its spectrum:
     with the vectors of ``levels``, or with those of ``stack``, a
@@ -498,13 +530,13 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
     signature eta of the block, a real level's index is its Krein signature
     sign(x^T eta x), and the left vector of a level is eta conj(x) (s eta x
     for an indexed level), so no P product and no left eigensolve is needed.
-    Conjugate partners are LAPACK's exact pairs, and degenerate clusters are
-    resolved inside a block. Both blocks' levels merge in (Re, Im) order; the
-    vectors stay in their blocks, in a :class:`SectorStack` that all the
-    stack's spectra share, and go to the basis states only when a spectrum's
-    are read. Entry ``b`` is the spectrum of matrix ``b`` or the exception it
-    raised. A point's spectrum is the same, bit for bit, whichever stack it
-    is part of.
+    Conjugate partners are LAPACK's exact pairs, and degenerate clusters of a
+    block with gain are resolved inside it. Both blocks' levels merge in (Re,
+    Im) order; the vectors stay in their blocks, in a :class:`SectorStack`
+    that all the stack's spectra share, and go to the basis states only when a
+    spectrum's are read. Entry ``b`` is the spectrum of matrix ``b`` or the
+    exception it raised. A point's spectrum is the same, bit for bit,
+    whichever stack it is part of.
     """
     bases = sector_bases(n)
     if [np.shape(a)[-1] for a in blocks] != [basis.eta.size for basis in bases]:

@@ -8,9 +8,9 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
 
 * :func:`eig_blocks` is the solve engine's: real block-diagonal matrices,
   solved block by block, right vectors only. A block equal to its transpose
-  (a gain-free chain's) takes LAPACK's symmetric solve, every other block
-  LAPACK's real solve, whose complex eigenvalues come as exact conjugate
-  pairs. It is a pure solve:
+  (a gain-free chain's) takes LAPACK's symmetric solve on each of its P
+  blocks, every other block LAPACK's real solve, whose complex eigenvalues
+  come as exact conjugate pairs. It is a pure solve:
   :mod:`pshchain.biortho` decides whether a point is defective, from the
   left vectors it builds for the rescaling.
 * :func:`eig_general` takes one complex-symmetric matrix (M^T = M, as a
@@ -102,17 +102,33 @@ class EigenSystem:
 
 def _eig(a: np.ndarray):
     """:func:`_solve` of the stack ``a``: each matrix equal to its transpose by
-    ``np.linalg.eigh``, every other by ``np.linalg.eig``."""
+    :func:`_eigh_blocks`, every other by ``np.linalg.eig``."""
     symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
-    count = np.count_nonzero(symmetric)
-    if count in (0, len(a)):  # one LAPACK call for the whole stack
-        return _solve(np.linalg.eigh if count else np.linalg.eig, a)
+    if not symmetric.any():  # one LAPACK call for the whole stack
+        return _solve(np.linalg.eig, a)
     w = np.empty(a.shape[:2], np.complex128)
     v = np.empty(a.shape, np.complex128)
     failed = np.empty(len(a), dtype=bool)
-    for mask, solve in ((symmetric, np.linalg.eigh), (~symmetric, np.linalg.eig)):
-        w[mask], v[mask], failed[mask] = _solve(solve, a[mask])
+    w[~symmetric], v[~symmetric], failed[~symmetric] = _solve(np.linalg.eig, a[~symmetric])
+    for b in np.flatnonzero(symmetric).tolist():
+        w[b], v[b], failed[b] = _eigh_blocks(a[b])
     return w, v, failed
+
+
+def _eigh_blocks(m: np.ndarray):
+    """``np.linalg.eigh`` of the symmetric ``m`` on each of its smallest diagonal
+    blocks of consecutive columns (the P blocks of a gain-free Q block): values
+    in ascending order, the earlier block first on ties, vectors with zeros off
+    their block, and whether a block failed."""
+    cols, nonzero = np.arange(len(m)), m[:, ::-1] != 0
+    last = np.where(nonzero.any(axis=1), len(m) - 1 - np.argmax(nonzero, axis=1), cols)
+    ends = np.flatnonzero(np.maximum.accumulate(np.maximum(last, cols)) == cols) + 1
+    w, v, failed = np.empty(len(m), np.complex128), np.zeros(m.shape, np.complex128), False
+    for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        w[lo:hi], v[lo:hi, lo:hi], bad = _solve(np.linalg.eigh, m[None, lo:hi, lo:hi])
+        failed |= bool(bad[0])
+    order = np.argsort(w.real, kind="stable")
+    return w[order], v[:, order], failed
 
 
 def _solve(solve, a: np.ndarray):
@@ -189,8 +205,9 @@ def eig_blocks(blocks) -> BlockStack:
 
     ``blocks`` holds one real (count, d_k, d_k) stack per block. Each matrix
     of a stack that equals its transpose exactly is solved by LAPACK's
-    symmetric solve (``np.linalg.eigh``): real eigenvalues in ascending order
-    with orthonormal real vectors. Every other matrix is solved by LAPACK's
+    symmetric solve on each of its diagonal blocks (:func:`_eigh_blocks`):
+    real eigenvalues in ascending order with orthonormal real vectors, each
+    zero outside its block. Every other matrix is solved by LAPACK's
     real solve (``np.linalg.eig``), which returns real eigenvalues with zero
     imaginary part and complex ones as exact conjugate pairs, in adjacent
     columns with Im > 0 first. The choice is made per matrix, so that a

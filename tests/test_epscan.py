@@ -871,7 +871,11 @@ class TestClassifyCrossings:
         # on 5 points some tracked gaps change sign by a jump of the tracks, and
         # refine to gaps of 1.9e-6 up to 5.77; real crossings refine to 4.1e-12
         recs = classify_crossings(sweep(coupling_grid(4, 0.0, points=5)))
-        assert len(recs) == 105
+        # at the ends and inside the line; near the decoupled point j = 0 the
+        # count depends on which degenerate values tie there to the bit
+        ends = sum(abs(c.location) > 1 - 1e-6 for c in recs)
+        centre = sum(abs(c.location) < 1e-6 for c in recs)
+        assert (ends, centre, len(recs) - ends - centre) == (72, 26, 6)
         assert all(c.gap <= 1e-11 for c in recs if c.kind != "ambiguous")
 
     def test_requires_gain_free_coupling_sweep(self):

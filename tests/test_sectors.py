@@ -3,6 +3,7 @@
 The full-matrix path (``spectrum_with_indices``) is the reference throughout.
 """
 
+import math
 from collections import Counter
 from dataclasses import replace
 from unittest.mock import patch
@@ -414,6 +415,13 @@ def residual_of(left, right) -> float:
     return float(np.max(np.abs(left.conj().T @ right - np.eye(right.shape[1]))))
 
 
+def real_residual(right) -> float:
+    """max |X^T X - I| for the real vectors X of a gain-free block, whose left
+    vectors are X again, in real arithmetic."""
+    x = np.ascontiguousarray(right.real)
+    return float(np.max(np.abs(x.T @ x - np.eye(x.shape[1]))))
+
+
 class TestBiorthoResidual:
     """``biortho_residual`` is the residual of the vectors a solve returns, after
     every cluster and linked group of levels is repaired."""
@@ -428,15 +436,89 @@ class TestBiorthoResidual:
         for b, got in enumerate(stacked):
             assert_same_point(got, sector_spectra(tuple(a[b:b + 1] for a in blocks), 6)[0])
         assert isinstance(stacked[4], AtExceptionalPoint)
-        for sp in stacked[:4] + stacked[5:]:
+        for sp in stacked[:4]:
             es = sp.eigensystem
             want = max(residual_of(es.stack.left[k][es.point], es.stack.right[k][es.point])
                        for k in range(2))
             assert es.biortho_residual == want
+        # the gain-free point's vectors are real, each its own left vector, and
+        # its residual is taken in real arithmetic
+        es = stacked[5].eigensystem
+        for k in range(2):
+            left, right = es.stack.left[k][es.point], es.stack.right[k][es.point]
+            assert not right.imag.any() and np.array_equal(left, right)
+        assert es.biortho_residual == max(real_residual(es.stack.right[k][es.point])
+                                          for k in range(2))
 
     def test_full_residual_is_that_of_the_returned_vectors(self):
         es = spectrum_with_indices(build_hamiltonian(LINKED_CHAIN), build_parity(6)).eigensystem
         assert es.biortho_residual == residual_of(es.left, es.right)
+
+
+def _gain_free_point_examples(test):
+    for n in (2, 4, 6, 8):
+        for j_tilde in (-1.0, 0.0, 1.0):
+            test = example(n=n, j_tilde=j_tilde)(test)
+    return test
+
+
+class TestGainFreeBlocks:
+    """A gain-free point is solved in its four (Q, P) blocks: each level's index
+    is its P block's p by construction, and no cluster is repaired."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6, 8]), j_tilde=st.floats(-1.0, 1.0))
+    @_gain_free_point_examples
+    def test_index_by_construction(self, n, j_tilde):
+        sp = solve_chain(NormalizedPoint(j_tilde, 0.0).chain(n))
+        es = sp.eigensystem
+        start = 0
+        for basis, right, left in zip(es.stack.bases, es.stack.right, es.stack.left):
+            d = basis.eta.size
+            for c, merged in enumerate(es.stack.rank[es.point, start:start + d]):
+                x, y = right[es.point][:, c], left[es.point][:, c]
+                p = basis.eta[np.argmax(np.abs(x))]
+                assert not np.any(x[basis.eta != p])  # exact zeros off its P block
+                assert sp.z2[merged] == p
+                assert np.array_equal(y, p * (basis.eta * x))  # |L> = s eta |R>
+                assert same_bits(y, x)  # which is |R>, as eta = p on its P block
+            start += d
+
+    def test_gain_free_sweep_repairs_no_cluster(self, monkeypatch):
+        calls = Counter()
+        for name in ("_eigenspace", "_real_cluster", "_pencil_eigh", "_block_cluster"):
+            def counted(*args, _name=name, _fn=getattr(biortho, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(biortho, name, counted)
+        # the ends and the decoupled point j = 0, where every level is in a cluster
+        for n in (4, 6):
+            sweep(SweepGrid(AXIS_COUPLING, 0.0, tuple(np.linspace(-1.0, 1.0, 21)), n))
+        assert not calls
+        # a point with gain still repairs its clusters: the Ising end's
+        # mirror-degenerate levels
+        solve_chain(NormalizedPoint(1.0, 0.3).chain(4))
+        assert calls["_eigenspace"] > 0 and calls["_real_cluster"] > 0
+
+
+class TestDecoupledSpins:
+    """At j = 0 the spins decouple: the levels are (N - 2k) sqrt(1 - gamma^2),
+    each C(N, k) times, real for gamma < 1."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_levels_and_their_indices(self, n):
+        counts = {}
+        for gamma in (0.0, 0.3, 0.9):
+            sp = solve_chain(NormalizedPoint(0.0, gamma).chain(n))
+            root = math.sqrt(1.0 - gamma * gamma)
+            want = np.repeat([(n - 2 * k) * root for k in range(n, -1, -1)],
+                             [math.comb(n, k) for k in range(n, -1, -1)])
+            assert np.max(np.abs(sp.eigenvalues - want)) <= 1e-10 * sp.eigensystem.scale
+            assert np.all(sp.z2 != 0)
+            k = np.rint((n - sp.eigenvalues.real / root) / 2).astype(int)
+            counts[gamma] = Counter(zip(k.tolist(), sp.z2.tolist(), sp.sector.tolist()))
+        # the gain moves no level between multiplets, indices or sectors
+        assert counts[0.3] == counts[0.0] and counts[0.9] == counts[0.0]
 
 
 class TestEigBlocks:
@@ -462,6 +544,19 @@ class TestEigBlocks:
                         assert w[b, q] == np.conj(w[b, i])
                         assert np.array_equal(st_.right[k][b][:, q],
                                               st_.right[k][b][:, i].conj())
+
+    def test_symmetric_matrix_is_solved_in_its_diagonal_blocks(self):
+        # blocks of columns (0, 1), (2,) and (3, 4): the zero row 2 is a block
+        # of its own, and the first and the last block share the value 1
+        m = np.zeros((1, 5, 5))
+        m[0, :2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        m[0, 3:, 3:] = [[2.0, 1.0], [1.0, 2.0]]
+        st_ = eig_blocks((m,))
+        w, v = st_.eigenvalues[0][0], st_.right[0][0]
+        assert np.allclose(w, [-1.0, 0.0, 1.0, 1.0, 3.0], rtol=0, atol=1e-15)
+        # each vector has exact zeros off its block; the earlier block first on the tie
+        assert [tuple(np.flatnonzero(v[:, c])) for c in range(5)] == \
+            [(0, 1), (2,), (0, 1), (3, 4), (3, 4)]
 
     def test_defective_block_is_reported_per_matrix(self):
         # the solve judges no defect; the rescaling reports it for its matrix alone
