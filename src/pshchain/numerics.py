@@ -10,7 +10,8 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
   solved block by block, right vectors only. A block equal to its transpose
   (a gain-free chain's) takes LAPACK's symmetric solve on each of its P
   blocks, every other block LAPACK's real solve, whose complex eigenvalues
-  come as exact conjugate pairs. It is a pure solve:
+  come as exact conjugate pairs (a block that solve fails on is solved again
+  on each of its irreducible diagonal blocks). It is a pure solve:
   :mod:`pshchain.biortho` decides whether a point is defective, from the
   left vectors it builds for the rescaling.
 * :func:`eig_general` takes one complex-symmetric matrix (M^T = M, as a
@@ -102,16 +103,50 @@ class EigenSystem:
 
 def _eig(a: np.ndarray):
     """:func:`_solve` of the stack ``a``: each matrix equal to its transpose by
-    :func:`_eigh_blocks`, every other by ``np.linalg.eig``."""
+    :func:`_eigh_blocks`, every other by ``np.linalg.eig``, and one that fails
+    that again by :func:`_eig_components`."""
     symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
     if not symmetric.any():  # one LAPACK call for the whole stack
-        return _solve(np.linalg.eig, a)
-    w = np.empty(a.shape[:2], np.complex128)
-    v = np.empty(a.shape, np.complex128)
-    failed = np.empty(len(a), dtype=bool)
-    w[~symmetric], v[~symmetric], failed[~symmetric] = _solve(np.linalg.eig, a[~symmetric])
-    for b in np.flatnonzero(symmetric).tolist():
-        w[b], v[b], failed[b] = _eigh_blocks(a[b])
+        w, v, failed = _solve(np.linalg.eig, a)
+    else:
+        w = np.empty(a.shape[:2], np.complex128)
+        v = np.empty(a.shape, np.complex128)
+        failed = np.empty(len(a), dtype=bool)
+        w[~symmetric], v[~symmetric], failed[~symmetric] = _solve(np.linalg.eig, a[~symmetric])
+        for b in np.flatnonzero(symmetric).tolist():
+            w[b], v[b], failed[b] = _eigh_blocks(a[b])
+    for b in np.flatnonzero(failed & ~symmetric).tolist():
+        w[b], v[b], failed[b] = _eig_components(a[b])
+    return w, v, failed
+
+
+def _eig_components(m: np.ndarray):
+    """``np.linalg.eig`` of ``m`` on each of its irreducible diagonal blocks: the
+    sets of columns linked by nonzero entries, in the order of their first
+    column. Values come block after block, a block's in LAPACK's order, so a
+    conjugate pair stays in adjacent columns; vectors are zero off their block.
+
+    LAPACK's real solve can fail on a reducible matrix whose small blocks it
+    solves at once (a chain at delta = 0 with a coupling of 1e-92 beside a gain
+    of order one), so a matrix that fails whole is solved again this way.
+    """
+    link = (m != 0) | (m.T != 0)
+    label = np.full(len(m), -1)
+    for start in range(len(m)):
+        frontier = [start] if label[start] < 0 else []
+        while frontier:
+            label[frontier] = start
+            frontier = np.flatnonzero(link[frontier].any(axis=0) & (label < 0)).tolist()
+    if label.max() == 0:  # irreducible: nothing smaller to solve, it fails as in _solve
+        return np.zeros(len(m), np.complex128), np.eye(len(m), dtype=np.complex128), True
+    w, v, failed = np.empty(len(m), np.complex128), np.zeros(m.shape, np.complex128), False
+    lo = 0
+    for start in np.unique(label).tolist():
+        cols = np.flatnonzero(label == start)
+        hi = lo + len(cols)
+        wc, vc, bad = _solve(np.linalg.eig, m[None][:, cols[:, None], cols])
+        w[lo:hi], v[cols, lo:hi], failed = wc[0], vc[0], failed | bool(bad[0])
+        lo = hi
     return w, v, failed
 
 
@@ -210,7 +245,9 @@ def eig_blocks(blocks) -> BlockStack:
     zero outside its block. Every other matrix is solved by LAPACK's
     real solve (``np.linalg.eig``), which returns real eigenvalues with zero
     imaginary part and complex ones as exact conjugate pairs, in adjacent
-    columns with Im > 0 first. The choice is made per matrix, so that a
+    columns with Im > 0 first; a matrix it fails on is solved again on each
+    of its irreducible diagonal blocks (:func:`_eig_components`), with a
+    block's vectors zero off it. The choice is made per matrix, so that a
     matrix gets the same bits in any stack. The residuals of the whole
     matrix are checked against ``DEFAULT_TOL * ||M||_F``. Left vectors are
     not computed, and neither is any measure of defectiveness: a Jordan block

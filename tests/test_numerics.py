@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import ID2, PAULI_X, PAULI_Z, kron_chain, psym_2x2
 from pshchain import (DEFAULT_TOL, AtExceptionalPoint, ChainSpec, NormalizedPoint,
                       build_hamiltonian, build_parity, eig_general, spectrum_with_indices)
+from pshchain.model import sector_blocks
 from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -191,6 +192,57 @@ class TestNonConvergingStack:
                 if b in symmetric:
                     assert np.all(st.eigenvalues[k][b].imag == 0)
                     assert np.all(st.partner[k][b] == -1)
+
+
+#: A chain whose Q = -1 block LAPACK's real solve fails to converge on whole:
+#: at delta = 0 it is a permuted direct sum of 2 x 2 gain pairs and 1 x 1
+#: entries of order 1e-91.
+REDUCIBLE = ChainSpec(n=6, delta=0.0, j=2.9474291815676314e-92,
+                      gamma_profile=(0.0, 0.5455419868031871, 0.5455419868031871,
+                                     -0.5455419868031871, -0.5455419868031871, -0.0))
+
+
+class TestIrreducibleBlocks:
+    """A matrix that LAPACK's real solve fails on whole is solved again on each
+    of its irreducible diagonal blocks."""
+
+    def test_reducible_chain_block_solves(self):
+        blocks = sector_blocks(REDUCIBLE)
+        st = eig_blocks(blocks)
+        assert st.errors == [None]
+        values = np.concatenate([w[0] for w in st.eigenvalues])
+        # at delta = 0 the chain is diagonal in the spin basis
+        exact = np.diagonal(build_hamiltonian(REDUCIBLE))
+        dist = np.abs(values[:, None] - exact[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-14
+        for w, p in zip(st.eigenvalues, st.partner):
+            q = p[0][p[0] >= 0]
+            assert np.array_equal(w[0][q], w[0][p[0] >= 0].conj())
+
+    def test_failed_matrix_is_solved_on_its_blocks(self, monkeypatch):
+        # a 5 x 5 matrix linking columns {0, 2, 4} and {1, 3}, on which the
+        # whole solve is made to fail
+        m = np.zeros((5, 5))
+        m[np.ix_([0, 2, 4], [0, 2, 4])] = [[1.0, 2.0, 0.0], [-2.0, 1.0, 3.0], [0.0, 1.0, -1.0]]
+        m[np.ix_([1, 3], [1, 3])] = [[0.5, -4.0], [1.0, 0.5]]
+        lapack_eig = np.linalg.eig
+
+        def eig(a):
+            if a.shape[-1] == 5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return lapack_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        st = eig_blocks([m[None]])
+        assert st.errors == [None]
+        w, v, p = st.eigenvalues[0][0], st.right[0][0], st.partner[0][0]
+        for cols, span in (([0, 2, 4], slice(0, 3)), ([1, 3], slice(3, 5))):
+            wc, vc = lapack_eig(m[np.ix_(cols, cols)])
+            assert np.array_equal(w[span], wc.astype(complex))
+            assert np.array_equal(v[np.ix_(cols, range(5)[span])], vc.astype(complex))
+            assert not np.any(np.delete(v[:, span], cols, axis=0))
+        assert np.all(w[p[p >= 0]] == w[p >= 0].conj())
 
 
 class TestBiorthonormalize:

@@ -186,6 +186,11 @@ class TestAgainstFullMatrix:
 
     @settings(max_examples=60, deadline=None)
     @given(spec=normal_chains)
+    # LAPACK's real solve fails on this chain's whole Q = -1 block, which is a
+    # permuted direct sum of 2 x 2 and 1 x 1 blocks at delta = 0
+    @example(spec=ChainSpec(n=6, delta=0.0, j=2.9474291815676314e-92,
+                            gamma_profile=(0.0, 0.5455419868031871, 0.5455419868031871,
+                                           -0.5455419868031871, -0.5455419868031871, -0.0)))
     def test_levels_lie_in_their_sector(self, spec):
         try:
             sp = solve_chain(spec)
