@@ -27,6 +27,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -1205,7 +1206,12 @@ def find_ep3(n: int, j_bracket, gamma_bracket, triple, j_tol: float = EP3_J_TOL,
 
 
 def _candidate_probe(grid: SweepGrid) -> dict:
-    """First merge partner and gain for every level along one gain ``grid``."""
+    """First merge partner and gain for every level along one gain ``grid``;
+    a ladder at j = 0 that stays below g = 1 is answered without a solve."""
+    # at j = 0 the spins decouple and every level is (N - 2k) sqrt(1 - g^2),
+    # real for g < 1: no level has a reality transition, so none merges
+    if grid.fixed_value == 0.0 and grid.points[-1] < 1.0:
+        return {}
     tracks = sweep(grid)
     first: dict[int, tuple[float, int]] = {}
     for a, b, p, side in reality_transitions(tracks):
@@ -1276,10 +1282,12 @@ def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict
     ``tols`` (``reality_tol`` and ``indicator_floor``) goes to every solve, and
     ``refine`` to every :func:`find_ep3` besides.
 
-    The probes and the refinements share one :class:`_Pool`. Each probe's
-    result is taken as it comes in; once both probes of a bracket are in, and
-    those of its mirror bracket, which holds the twins (coupling mirrors) of
-    its candidates, their candidates go to refinement at once. Of two twins,
+    The probes and the refinements share one :class:`_Pool`. It gets a probe
+    per worker at first, then the next each time one is in, after the
+    refinements that one frees, so a refinement waits only behind the probes
+    already running. Once both probes of a bracket are in, and those of its
+    mirror bracket, which holds the twins (coupling mirrors) of its
+    candidates, their candidates go to refinement at once. Of two twins,
     only the one with the lower ``(j_bracket, triple)`` key is refined, and the
     other's entry is the mirror of its record; where it raised NoEP3InBox, the
     other is refined as soon as that is in, so that its message is its own.
@@ -1313,7 +1321,8 @@ def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict
             candidate = {"j_bracket": key[0], "triple": key[1]}
             pool.submit(_ep3_task, (n, candidate, gamma_window, refine | tols), key)
 
-        for i, grid in enumerate(grids):
+        queued = iter(enumerate(grids))  # one more goes out per probe in, so pending stays > 0
+        for i, grid in islice(queued, max(workers, 1)):
             pool.submit(_candidate_probe, grid, i)
         while pool.pending:
             tag, result = pool.next()
@@ -1347,6 +1356,8 @@ def _ep3_search(n: int, j_window, gamma_window, probes, workers: int, tols: dict
                         waiting[twin] = key
                     else:
                         submit(key)
+            for i, grid in islice(queued, 1):
+                pool.submit(_candidate_probe, grid, i)
     candidates = sorted((c for cands in found.values() for c in cands),
                         key=lambda c: (c["triple"], c["j_bracket"]))
     if refine is None:
@@ -1371,12 +1382,14 @@ def find_ep3_candidates(n: int, j_window, gamma_window, probes: int = 33,
     bracket.
 
     A window symmetric about j = 0 gets an exactly symmetric probe grid: the
-    probes with j <= 0 are solved and the others are their coupling mirrors,
+    probes with j <= 0 are run and the others are their coupling mirrors,
     so the candidates are those of a scan that solves every probe of that
-    grid. Any other window solves every probe. The probes run on one pool of
-    ``workers`` processes. ``find-ep --order 3`` runs this scan on the same
-    pool as the refinements of its candidates, each of which starts as soon
-    as the probes of its bracket are in.
+    grid. Any other window runs every probe. Of either grid, a probe at j = 0
+    whose ladder stays below g = 1 has no merge and is not solved. The probes
+    run on one pool of ``workers`` processes, handed out as workers free up.
+    ``find-ep --order 3`` runs this scan on the same pool as the refinements
+    of its candidates, each of which goes ahead of the probes not yet handed
+    out as soon as the probes of its bracket are in.
     Windows that are not two finite rising values on their axes, and fewer
     than two probes, raise ValueError.
     """

@@ -696,8 +696,8 @@ class TestDeterminism:
         assert len(doc["records"]) + len(doc["skipped"]) == 3 and doc["skipped"]
 
 
-#: find-ep at order 3 on two workers: each refinement fails, and the j = 0
-#: probe, the last of the scan, sleeps, so a refinement fails in one worker
+#: find-ep at order 3 on two workers: each refinement fails, and the j = -0.99
+#: probe, the first of the scan, sleeps, so a refinement fails in one worker
 #: while the other is still on that probe.
 FAILING_REFINEMENT = """
 import sys
@@ -709,13 +709,13 @@ def at_ep(n, j_bracket, gamma_bracket, triple, **kw):
 
 probe = epscan._candidate_probe
 
-def slow_at_zero(grid):
-    if grid.fixed_value == 0.0:
+def slow_first(grid):
+    if grid.fixed_value == -0.99:
         time.sleep(600)
     return probe(grid)
 
 epscan.find_ep3 = at_ep
-epscan._candidate_probe = slow_at_zero
+epscan._candidate_probe = slow_first
 sys.exit(cli.main(sys.argv[1:]))
 """
 

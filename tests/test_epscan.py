@@ -1469,6 +1469,49 @@ class TestEp3Mirror:
                                             workers=2)
 
 
+class TestDecoupledProbe:
+    """At j = 0 the spins decouple and every level is (N - 2k) sqrt(1 - g^2), so
+    a gain ladder below g = 1 has no reality transition: the EP3 scan answers
+    that probe without a solve."""
+
+    @staticmethod
+    def _grid(n, g_top, j=0.0):
+        ladder = tuple(np.linspace(0.0, g_top, epscan.EP3_CANDIDATE_STEPS + 1))
+        return SweepGrid(AXIS_GAIN, j, ladder, n)
+
+    @pytest.mark.parametrize("g_top", [0.45, 0.95])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_probe_is_empty_as_the_solve_is(self, n, g_top):
+        grid = self._grid(n, g_top)
+        assert epscan._candidate_probe(grid) == {}
+        assert reality_transitions(sweep(grid)) == []
+
+    # only the j = 0 ladder below 1 is not solved; the 4th point of
+    # linspace(-0.9, 0.3, 5) is -1.1e-16, not 0
+    @pytest.mark.parametrize("n, g_top, j, sweeps", [
+        (4, 0.45, 0.0, 0), (2, 1.0, 0.0, 1), (4, 1.2, 0.0, 1),
+        (4, 0.45, float(np.linspace(-0.9, 0.3, 5)[3]), 1),
+    ])
+    def test_probe_solves_unless_decoupled(self, monkeypatch, n, g_top, j, sweeps):
+        calls = _count_calls(monkeypatch, "sweep")
+        epscan._candidate_probe(self._grid(n, g_top, j))
+        assert len(calls) == sweeps
+
+    @pytest.mark.parametrize("window, probes, expected", [
+        ((-0.5, 0.25), 4, []),
+        ((-0.81, 0.0), 10, [{"triple": (8, 9, 11), "j_bracket": (-0.7200000000000001, -0.63)},
+                            {"triple": (11, 9, 12), "j_bracket": (-0.63, -0.54)}]),
+    ])
+    def test_window_with_a_zero_probe(self, monkeypatch, window, probes, expected):
+        # not mirrored, with an exact 0.0 probe: the candidates of a scan that
+        # solves it, from every probe's sweep but that one
+        calls = _count_calls(monkeypatch, "sweep")
+        assert find_ep3_candidates(4, window, (0.35, 0.45), probes=probes) == expected
+        solved = [j for j in np.linspace(*window, probes).tolist() if j != 0.0]
+        assert len(solved) == probes - 1
+        assert [grid.fixed_value for (grid,) in calls] == solved
+
+
 class TestEp3Search:
     """find-ep --order 3 scans and refines on one pool, each candidate as soon
     as its bracket's probes are in."""
@@ -1486,6 +1529,38 @@ class TestEp3Search:
                      "--triple", "3", "4", "7", "--tol", "ep3_gamma_tol=1e-3",
                      "--workers", "2", "--output", str(tmp_path / "ep3.json")]) == 0
         assert pools == []
+
+    def test_probes_go_out_as_workers_free_up(self, monkeypatch, tmp_path):
+        # a probe per worker, then one per probe returned, so a refinement waits
+        # only behind the probes already running; the bytes do not show it
+        events = []
+        submit, take = _Pool.submit, _Pool.next
+
+        def recording_submit(pool, fn, arg, tag):
+            events.append(("out", tag))
+            submit(pool, fn, arg, tag)
+
+        def recording_next(pool):
+            tag, result = take(pool)
+            events.append(("in", tag))
+            return tag, result
+
+        monkeypatch.setattr(_Pool, "submit", recording_submit)
+        monkeypatch.setattr(_Pool, "next", recording_next)
+        outs = []
+        for workers in (1, 2):
+            events.clear()
+            out = tmp_path / f"ep3-{workers}.json"
+            assert main([*EP3_N4, "--workers", str(workers), "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+            probes = [(kind, tag) for kind, tag in events if isinstance(tag, int)]
+            running = np.cumsum([1 if kind == "out" else -1 for kind, _ in probes])
+            assert running.max() == workers and running[-1] == 0
+            assert sorted(tag for kind, tag in probes if kind == "out") == list(range(34))
+            sent = [tag for kind, tag in events if kind == "out"]
+            first_refinement = next(k for k, tag in enumerate(sent) if isinstance(tag, tuple))
+            assert first_refinement < sent.index(33)
+        assert outs[0] == outs[1]
 
     def test_serial_search_refines_the_same_candidates(self, monkeypatch, tmp_path):
         # the three lower-key candidates, then the mirror twins of the two that fail
