@@ -22,8 +22,10 @@ can meet in an EP2. Every command solves through it. Only the gain couples
 a block's p = +1 and p = -1 columns, so at a gain-free point, where the paper
 defines the indices, each block splits into its two P blocks, which
 :func:`pshchain.numerics.eig_blocks` solves apart with LAPACK's symmetric
-solve. Each level is then real, with its vector in one P block: its index is
-that block's p by construction, and it needs no repair.
+solve, as it solves every symmetric matrix on its irreducible diagonal blocks
+(:func:`pshchain.numerics.connected_sets` of its nonzero pattern). Each level
+is then real, with its vector in one P block: its index is that block's p by
+construction, and it needs no repair.
 :func:`spectrum_with_indices` serves one complex-symmetric matrix (H^T = H,
 as the dense chain Hamiltonian is) and any zeta: the paper's general-zeta
 definition, and the tests' reference for the engine.
@@ -58,8 +60,8 @@ import numpy as np
 
 from .model import SectorBasis, sector_bases
 from .numerics import (CLUSTER_SCALE, DEFECT_THRESHOLD, AtExceptionalPoint, EigenSystem,
-                       as_complex_matrix, column_norms, eig_blocks, eig_general,
-                       linear_sum_assignment)
+                       as_complex_matrix, column_norms, connected_sets, eig_blocks,
+                       eig_general, linear_sum_assignment)
 
 #: Indicator value below which the Z2 index is reported undefined.
 INDICATOR_FLOOR = 1e-6
@@ -270,19 +272,6 @@ def _pair_conjugates(values: np.ndarray, is_real: np.ndarray, pair_tol: float) -
     return partner
 
 
-def _clusters(close: np.ndarray) -> list[np.ndarray]:
-    """Groups of two or more levels chained by ``close``, a symmetric boolean
-    matrix with a true diagonal; each group in ascending order."""
-    label = levels = np.arange(close.shape[0])
-    while True:  # every level takes the smallest label among its neighbours
-        new = np.min(np.where(close, label, close.shape[0]), axis=1)
-        if np.array_equal(new, label):
-            break
-        label = new
-    # a group's label is its smallest level (np.unique would import numpy.ma)
-    return [g for g in (np.flatnonzero(label == k) for k in levels[label == levels]) if g.size > 1]
-
-
 def _eigenspace(a: np.ndarray, rc: np.ndarray):
     """A cluster's raw vectors ``rc`` and their Gram matrix or, above a condition of
     ``GRAM_COND_MAX``, the eigenspace's orthonormal basis and the identity: the right
@@ -398,10 +387,12 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     defect, a cluster or a residual above ``LINK_OVERLAP``, in turn: an
     isolated level whose condition 1/|<l|r>| (unit vectors) exceeds
     ``DEFECT_THRESHOLD`` fails the point with :class:`AtExceptionalPoint`;
-    levels closer than ``CLUSTER_SCALE * scale`` are resolved together and
-    check themselves for a defect; levels without an index (complex ones, and
-    those of a cluster that has none) whose vectors still overlap by more
-    than ``LINK_OVERLAP`` are biorthonormalized together, with their clusters.
+    levels closer than ``CLUSTER_SCALE * scale``, directly or through others,
+    are resolved together and check themselves for a defect; levels without
+    an index (complex ones, and those of a cluster that has none) whose
+    vectors still overlap by more than ``LINK_OVERLAP`` are biorthonormalized
+    together, with their clusters. Both groupings are the connected sets of
+    a relation (:func:`pshchain.numerics.connected_sets`).
     A symmetric block with no entry between eta's +1 and -1 columns (a
     gain-free Q block, eta's +1 first) takes none of these steps: its levels
     keep their values and are indexed by construction (:func:`_split_levels`).
@@ -460,7 +451,9 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
         try:
             if cond[i] > DEFECT_THRESHOLD:
                 raise AtExceptionalPoint(cond[i])
-            for cols in _clusters(close[i]) if clustered[i].any() else ():
+            for cols in connected_sets(close[i]) if clustered[i].any() else ():
+                if cols.size == 1:  # an isolated level
+                    continue
                 rc, gram = _eigenspace(a[i], raw_r[i][:, cols])
                 # the rounding level of the eigenvalues: d * eps * ||H||_F
                 resolution = values.shape[1] * np.finfo(float).eps * scale[i]
@@ -478,7 +471,7 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
             free = free[:, None] & free[None, :]
             linked = (np.maximum(res, res.T) > LINK_OVERLAP) & free & ~eye
             if linked.any():
-                for cols in _clusters(linked | (close[i] & free) | eye):
+                for cols in connected_sets(linked | (close[i] & free)):
                     if linked[np.ix_(cols, cols)].any():
                         right[i][:, cols], left[i][:, cols], _, indicator[i, cols], _ = \
                             _block_cluster(z, right[i][:, cols], m)

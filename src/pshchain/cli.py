@@ -354,12 +354,9 @@ def _span_grid(cfg: RunConfig, axis: str, fixed: float, fixed_name: str,
 def _grid_from_config(cfg: RunConfig, default_axis=None, default_fixed=None,
                       default_points=801) -> SweepGrid:
     axis = cfg.axis or default_axis
-    if axis in ("jt", "j"):
-        axis = AXIS_COUPLING
-    if axis in ("gt", "g"):
-        axis = AXIS_GAIN
+    axis = {"jt": AXIS_COUPLING, "gt": AXIS_GAIN}.get(axis, axis)
     if axis not in AXIS_RANGE:
-        raise UsageError(f"grid.axis must be '{AXIS_COUPLING}' or '{AXIS_GAIN}'")
+        raise UsageError(f"grid.axis must be 'jt', 'gt', '{AXIS_COUPLING}' or '{AXIS_GAIN}'")
     fixed = cfg.fixed_value if cfg.fixed_value is not None else default_fixed
     if fixed is None:
         raise UsageError("grid.fixed_value is required for this command")

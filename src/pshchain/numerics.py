@@ -8,12 +8,13 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
 
 * :func:`eig_blocks` is the solve engine's: real block-diagonal matrices,
   solved block by block, right vectors only. A block equal to its transpose
-  (a gain-free chain's) takes LAPACK's symmetric solve on each of its P
-  blocks, every other block LAPACK's real solve, whose complex eigenvalues
-  come as exact conjugate pairs (a block that solve fails on is solved again
-  on each of its irreducible diagonal blocks). It is a pure solve:
-  :mod:`pshchain.biortho` decides whether a point is defective, from the
-  left vectors it builds for the rescaling.
+  (a gain-free chain's) takes LAPACK's symmetric solve, every other block
+  LAPACK's real solve, whose complex eigenvalues come as exact conjugate
+  pairs. The symmetric solve, and a real solve that failed, act on each
+  irreducible diagonal block (:func:`_blockwise`; a gain-free block's are
+  its P blocks). It is a pure solve: :mod:`pshchain.biortho` decides
+  whether a point is defective, from the left vectors it builds for the
+  rescaling.
 * :func:`eig_general` takes one complex-symmetric matrix (M^T = M, as a
   chain Hamiltonian is), for general-purpose use and as the reference of
   the block solve. Its left vectors are the conjugated right ones. It
@@ -103,67 +104,63 @@ class EigenSystem:
 
 def _eig(a: np.ndarray):
     """:func:`_solve` of the stack ``a``: each matrix equal to its transpose by
-    :func:`_eigh_blocks`, every other by ``np.linalg.eig``, and one that fails
-    that again by :func:`_eig_components`."""
+    ``np.linalg.eigh`` on its irreducible blocks (:func:`_blockwise`), values
+    in ascending order, the earlier block first on ties; every other by
+    ``np.linalg.eig``, and one that fails that again on its irreducible blocks."""
     symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
     if not symmetric.any():  # one LAPACK call for the whole stack
         w, v, failed = _solve(np.linalg.eig, a)
     else:
         w = np.empty(a.shape[:2], np.complex128)
         v = np.empty(a.shape, np.complex128)
-        failed = np.empty(len(a), dtype=bool)
+        failed = symmetric.copy()  # the loop below solves the symmetric ones
         w[~symmetric], v[~symmetric], failed[~symmetric] = _solve(np.linalg.eig, a[~symmetric])
-        for b in np.flatnonzero(symmetric).tolist():
-            w[b], v[b], failed[b] = _eigh_blocks(a[b])
-    for b in np.flatnonzero(failed & ~symmetric).tolist():
-        w[b], v[b], failed[b] = _eig_components(a[b])
+    for b in np.flatnonzero(failed).tolist():
+        solve = np.linalg.eigh if symmetric[b] else np.linalg.eig
+        w[b], v[b], failed[b] = _blockwise(solve, a[b])
+        if symmetric[b]:
+            order = np.argsort(w[b].real, kind="stable")
+            w[b], v[b] = w[b][order], v[b][:, order]
     return w, v, failed
 
 
-def _eig_components(m: np.ndarray):
-    """``np.linalg.eig`` of ``m`` on each of its irreducible diagonal blocks: the
-    sets of columns linked by nonzero entries, in the order of their first
-    column. Values come block after block, a block's in LAPACK's order, so a
-    conjugate pair stays in adjacent columns; vectors are zero off their block.
+def connected_sets(link: np.ndarray) -> list[np.ndarray]:
+    """The connected sets of the symmetric boolean matrix ``link``: indices
+    linked by true entries, directly or through others. Each set is in
+    ascending order, and the sets come in the order of their smallest index;
+    its diagonal does not matter."""
+    rows, cols = np.nonzero(link)
+    label = np.arange(len(link))
+    while True:  # each index takes its neighbours' smallest label, then that label's label
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):  # each set is labelled by its smallest index
+            break
+        label = new
+    return [np.flatnonzero(label == k) for k in np.flatnonzero(label == np.arange(len(link)))]
+
+
+def _blockwise(solve, m: np.ndarray):
+    """``solve`` (``np.linalg.eig`` or ``eigh``) of ``m`` on each of its
+    irreducible diagonal blocks: the :func:`connected_sets` of the columns
+    linked by nonzero entries. Values come block after block, a block's in
+    LAPACK's order, so a conjugate pair stays in adjacent columns; vectors are
+    zero off their block; and whether a block failed.
 
     LAPACK's real solve can fail on a reducible matrix whose small blocks it
     solves at once (a chain at delta = 0 with a coupling of 1e-92 beside a gain
-    of order one), so a matrix that fails whole is solved again this way.
+    of order one), so a matrix that fails whole is solved again this way; an
+    irreducible one fails again.
     """
-    link = (m != 0) | (m.T != 0)
-    label = np.full(len(m), -1)
-    for start in range(len(m)):
-        frontier = [start] if label[start] < 0 else []
-        while frontier:
-            label[frontier] = start
-            frontier = np.flatnonzero(link[frontier].any(axis=0) & (label < 0)).tolist()
-    if label.max() == 0:  # irreducible: nothing smaller to solve, it fails as in _solve
-        return np.zeros(len(m), np.complex128), np.eye(len(m), dtype=np.complex128), True
     w, v, failed = np.empty(len(m), np.complex128), np.zeros(m.shape, np.complex128), False
     lo = 0
-    for start in np.unique(label).tolist():
-        cols = np.flatnonzero(label == start)
+    for cols in connected_sets((m != 0) | (m.T != 0)):
         hi = lo + len(cols)
-        wc, vc, bad = _solve(np.linalg.eig, m[None][:, cols[:, None], cols])
+        wc, vc, bad = _solve(solve, m[None][:, cols[:, None], cols])
         w[lo:hi], v[cols, lo:hi], failed = wc[0], vc[0], failed | bool(bad[0])
         lo = hi
     return w, v, failed
-
-
-def _eigh_blocks(m: np.ndarray):
-    """``np.linalg.eigh`` of the symmetric ``m`` on each of its smallest diagonal
-    blocks of consecutive columns (the P blocks of a gain-free Q block): values
-    in ascending order, the earlier block first on ties, vectors with zeros off
-    their block, and whether a block failed."""
-    cols, nonzero = np.arange(len(m)), m[:, ::-1] != 0
-    last = np.where(nonzero.any(axis=1), len(m) - 1 - np.argmax(nonzero, axis=1), cols)
-    ends = np.flatnonzero(np.maximum.accumulate(np.maximum(last, cols)) == cols) + 1
-    w, v, failed = np.empty(len(m), np.complex128), np.zeros(m.shape, np.complex128), False
-    for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist()):
-        w[lo:hi], v[lo:hi, lo:hi], bad = _solve(np.linalg.eigh, m[None, lo:hi, lo:hi])
-        failed |= bool(bad[0])
-    order = np.argsort(w.real, kind="stable")
-    return w[order], v[:, order], failed
 
 
 def _solve(solve, a: np.ndarray):
@@ -240,14 +237,15 @@ def eig_blocks(blocks) -> BlockStack:
 
     ``blocks`` holds one real (count, d_k, d_k) stack per block. Each matrix
     of a stack that equals its transpose exactly is solved by LAPACK's
-    symmetric solve on each of its diagonal blocks (:func:`_eigh_blocks`):
-    real eigenvalues in ascending order with orthonormal real vectors, each
-    zero outside its block. Every other matrix is solved by LAPACK's
-    real solve (``np.linalg.eig``), which returns real eigenvalues with zero
-    imaginary part and complex ones as exact conjugate pairs, in adjacent
-    columns with Im > 0 first; a matrix it fails on is solved again on each
-    of its irreducible diagonal blocks (:func:`_eig_components`), with a
-    block's vectors zero off it. The choice is made per matrix, so that a
+    symmetric solve on each of its irreducible diagonal blocks (the sets of
+    columns linked by nonzero entries, :func:`_blockwise`): real eigenvalues
+    in ascending order, the earlier block first on ties, with orthonormal
+    real vectors, each zero outside its block. Every other matrix is solved
+    by LAPACK's real solve (``np.linalg.eig``), which returns real
+    eigenvalues with zero imaginary part and complex ones as exact conjugate
+    pairs, in adjacent columns with Im > 0 first; a matrix it fails on is
+    solved again on each of its irreducible diagonal blocks, the same way,
+    block after block. The choice is made per matrix, so that a
     matrix gets the same bits in any stack. The residuals of the whole
     matrix are checked against ``DEFAULT_TOL * ||M||_F``. Left vectors are
     not computed, and neither is any measure of defectiveness: a Jordan block

@@ -454,6 +454,17 @@ class TestExitCodes:
                      "--fixed", "0.5", "--output", str(tmp_path / "o.csv")]) == 1
         assert f"usage error: {path} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["j", "g"])
+    def test_unknown_axis_in_config_rejected(self, axis, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"axis": axis}}))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--n", "2", "--fixed", "0.5",
+                     "--output", str(out)]) == 1
+        assert ("usage error: grid.axis must be 'jt', 'gt', 'j_tilde' or 'gamma_tilde'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, path", [
         (["--n", "2", "--pair", "2", "9"], "pair"),
         (["--n", "2", "--pair", "-1", "2"], "pair"),

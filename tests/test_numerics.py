@@ -13,8 +13,9 @@ from hypothesis.extra.numpy import arrays
 from conftest import ID2, PAULI_X, PAULI_Z, kron_chain, psym_2x2
 from pshchain import (DEFAULT_TOL, AtExceptionalPoint, ChainSpec, NormalizedPoint,
                       build_hamiltonian, build_parity, eig_general, spectrum_with_indices)
-from pshchain.model import sector_blocks
-from pshchain.numerics import DEFECT_THRESHOLD, eig_blocks, linear_sum_assignment
+from pshchain.model import normalized_blocks, sector_bases, sector_blocks
+from pshchain.numerics import (DEFECT_THRESHOLD, connected_sets, eig_blocks,
+                               linear_sum_assignment)
 
 ROOT = Path(__file__).resolve().parents[1]
 RT3 = np.sqrt(3.0)
@@ -243,6 +244,79 @@ class TestIrreducibleBlocks:
             assert np.array_equal(v[np.ix_(cols, range(5)[span])], vc.astype(complex))
             assert not np.any(np.delete(v[:, span], cols, axis=0))
         assert np.all(w[p[p >= 0]] == w[p >= 0].conj())
+
+
+@st.composite
+def symmetric_links(draw):
+    """A symmetric boolean matrix of size 0 to 12, its diagonal drawn too
+    (``connected_sets`` does not depend on it)."""
+    d = draw(st.integers(0, 12))
+    m = draw(arrays(np.bool_, (d, d)))
+    return m | m.T
+
+
+class TestConnectedSets:
+    """``connected_sets`` partitions the indices by a symmetric boolean matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(link=symmetric_links())
+    def test_equals_transitive_closure(self, link):
+        d = len(link)
+        reach = link | np.eye(d, dtype=bool)
+        for _ in range(d):  # paths of up to 2^d steps
+            reach = reach | (reach @ reach)
+        sets = connected_sets(link)
+        assert sorted(i for s in sets for i in s.tolist()) == list(range(d))
+        for s in sets:
+            assert s.tolist() == sorted(s.tolist())
+            assert np.flatnonzero(reach[s[0]]).tolist() == s.tolist()
+        assert [s[0] for s in sets] == sorted(s[0] for s in sets)
+
+
+class TestSymmetricBlocks:
+    """A matrix equal to its transpose is solved by ``eigh`` on each of its
+    irreducible diagonal blocks, values ascending over all blocks."""
+
+    @staticmethod
+    def _check_blocks(w, v, m, sets):
+        assert np.all(w.imag == 0) and np.all(np.diff(w.real) >= 0)
+        for cols in sets:
+            wc, vc = np.linalg.eigh(m[np.ix_(cols, cols)])
+            span = np.flatnonzero(np.any(v[cols] != 0, axis=0))
+            assert len(span) == len(cols)
+            assert np.array_equal(w[span], wc.astype(complex))
+            assert np.array_equal(v[np.ix_(cols, span)], vc.astype(complex))
+            assert not np.any(np.delete(v[:, span], cols, axis=0))
+
+    def test_interleaved_blocks_are_solved_apart(self, monkeypatch):
+        # the pattern of TestIrreducibleBlocks's 5 x 5 matrix, symmetrized:
+        # columns {0, 2, 4} and {1, 3} are linked, no two of them consecutive
+        m = np.zeros((5, 5))
+        m[np.ix_([0, 2, 4], [0, 2, 4])] = [[1.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.0, -1.0]]
+        m[np.ix_([1, 3], [1, 3])] = [[0.5, -4.0], [-4.0, 0.5]]
+        lapack_eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or lapack_eigh(a))
+        st = eig_blocks([m[None]])
+        assert st.errors == [None]
+        assert shapes == [(1, 3, 3), (1, 2, 2)]
+        monkeypatch.undo()
+        self._check_blocks(st.eigenvalues[0][0], st.right[0][0], m, [[0, 2, 4], [1, 3]])
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_gain_free_blocks_are_their_p_blocks(self, n):
+        # a gain-free Q block is solved on its two P blocks, eta's +1 columns
+        # and its -1 columns; at |j_tilde| = 1 (delta = 0) it is diagonal, and
+        # each column is a block of its own
+        jt = np.array([-1.0, -0.99, -0.5, 0.0, 0.3, 1.0])
+        blocks = normalized_blocks(n, jt, np.zeros(jt.size))
+        st = eig_blocks(blocks)
+        assert st.errors == [None] * jt.size
+        for basis, a, w, v in zip(sector_bases(n), blocks, st.eigenvalues, st.right):
+            p_blocks = [np.flatnonzero(basis.eta == p) for p in (1, -1)]
+            for b in range(jt.size):
+                sets = ([[k] for k in range(len(a[b]))] if abs(jt[b]) == 1.0
+                        else [cols for cols in p_blocks if cols.size])
+                self._check_blocks(w[b], v[b], a[b], sets)
 
 
 class TestBiorthonormalize:
