@@ -298,10 +298,15 @@ def emit_figure_data(tracks, records, path, skipped=()) -> None:
     # each track's arrays read once, as Python numbers, which format as numpy's do
     cols = [(tr.level_id, tr.eigenvalues.real.tolist(), tr.eigenvalues.imag.tolist(),
              tr.z2.tolist(), tr.indicator.tolist()) for tr in tracks]
-    rows = [(value, level, re[p], im[p], z2[p], indicator[p])
-            for p, value in enumerate(grid.points) for level, re, im, z2, indicator in cols]
-    header = ("grid_value", "level_id", "re_eps", "im_eps", "z2_index", "ep_indicator")
-    _write_text(str(path), _csv_text(header, rows))
+    # one line per (point, track), with _csv_text's formats: its cells' types are known
+    line = "{},{},{:.17g},{:.17g},{},{:.17g}".format
+    lines = ["grid_value,level_id,re_eps,im_eps,z2_index,ep_indicator"]
+    for p, value in enumerate(grid.points):
+        value = f"{value:.17g}"
+        lines += [line(value, level, re[p], im[p], z2[p], indicator[p])
+                  for level, re, im, z2, indicator in cols]
+    lines.append("")
+    _write_text(str(path), "\n".join(lines))
     _write_text(str(sibling), _json_text(_records_json(records, skipped)))
 
 

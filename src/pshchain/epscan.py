@@ -5,7 +5,8 @@ gain ``gamma_tilde``) on the unit circle j^2 + delta^2 = 1. Levels are
 followed through the sweep by maximal biorthogonal overlap |<L(p)|R(p+dp)>|,
 which stays reliable through genuine crossings where plain energy ordering
 would swap labels. The overlaps are taken inside the Q blocks, where a level
-meets only the levels of its own block (:func:`_block_match`). A real left
+meets only the levels of its own block (:func:`_block_match`), and between
+two gain-free points inside the P blocks too (:func:`_overlaps`). A real left
 vector overlaps both members of a conjugate pair exactly equally, so such
 ties go by the Z2 index: index +1 continues as the member with Im E > 0, and
 that member as index +1 (:func:`_assign`).
@@ -344,30 +345,71 @@ def _assign(overlap, ref_sign, new_sign):
     return found, np.take_along_axis(overlap, found[..., None], axis=-1)[..., 0]
 
 
+def _overlaps(left, right, kind, left_sign, eta):
+    """|<L|R>| of the left vectors ``left`` and the right vectors ``right`` of
+    each pair of points, over (pair, left, right), by the ``kind`` of the pair
+    (:class:`~pshchain.biortho.SectorStack`): a complex product (0), a real
+    product (1), or a real product on each P block (2, :func:`_split_overlaps`).
+    Pairs of one kind share each product."""
+    kinds = set(kind.tolist())
+    if len(kinds) == 1:
+        return _OVERLAPS[kinds.pop()](left, right, left_sign, eta)
+    out = np.empty((len(left), left.shape[2], right.shape[2]))
+    for k in kinds:
+        at = kind == k
+        out[at] = _OVERLAPS[k](left[at], right[at], left_sign[at], eta)
+    return out
+
+
+def _split_overlaps(left, right, left_sign, eta):
+    """:func:`_overlaps` of gain-free pairs: a left vector of sign s
+    (``left_sign``) lies in the P = s block, the components where ``eta`` = s
+    (eta's +1 first), on which the right vectors of the other sign are 0."""
+    out = np.empty((len(left), left.shape[2], right.shape[2]))
+    plus = np.count_nonzero(eta > 0)
+    for i in range(len(left)):
+        r = np.ascontiguousarray(right[i].real)
+        for s, comps in ((1, slice(plus)), (-1, slice(plus, None))):
+            cols = np.flatnonzero(left_sign[i] == s)
+            out[i, cols] = np.abs(left[i].real[comps, cols].T @ r[comps])
+    return out
+
+
+_OVERLAPS = (
+    lambda left, right, *_: np.abs(left.conj().swapaxes(1, 2) @ right),
+    # the real parts, copied into contiguous arrays
+    lambda left, right, *_: np.abs(np.ascontiguousarray(left.real).swapaxes(1, 2)
+                                   @ np.ascontiguousarray(right.real)),
+    _split_overlaps,
+)
+
+
 def _block_match(a, refs: slice, blocks, b, news: slice):
     """Matches of the levels in block columns ``blocks`` of the points
     ``refs`` of stack ``a`` into the points ``news`` of stack ``b``, one pair
     of points per point of either slice, decided in the Q blocks
     (:class:`~pshchain.biortho.SectorStack`).
 
-    A level overlaps only the levels of its own block. Each block's levels
-    are matched by :func:`_assign` on |<L|R>| and their ``sign``
-    (:func:`~pshchain.biortho.level_sign`), in block-column order whatever
-    the order of ``blocks``, so that order breaks no tie. Returns each
-    level's merged column and overlap over (pair, level).
+    A level overlaps only the levels of its own block (:func:`_overlaps`).
+    Each block's levels are matched by :func:`_assign` on |<L|R>| and their
+    ``sign`` (:func:`~pshchain.biortho.level_sign`), in block-column order
+    whatever the order of ``blocks``, so that order breaks no tie. Returns
+    each level's merged column and overlap over (pair, level).
     """
     d = a.right[0].shape[-1]
     by_column = np.argsort(blocks)
     upper = blocks[by_column] >= d
     shape = (news.stop - news.start, len(blocks))
     found, best = np.empty(shape, dtype=np.int64), np.empty(shape)
-    for at, left, right, start in zip((by_column[~upper], by_column[upper]),
-                                      a.left, b.right, (0, d)):
+    for k, (at, start) in enumerate(zip((by_column[~upper], by_column[upper]), (0, d))):
         if at.size:
             rows = blocks[at]
-            overlap = np.abs(left[refs][:, :, rows - start].conj().swapaxes(1, 2) @ right[news])
-            found[:, at], best[:, at] = _assign(
-                overlap, a.sign[refs][:, rows], b.sign[news][:, start:start + right.shape[-1]])
+            ref_sign = a.sign[refs][:, rows]
+            new_sign = b.sign[news][:, start:start + b.right[k].shape[-1]]
+            overlap = _overlaps(a.left[k][refs][:, :, rows - start], b.right[k][news],
+                                np.minimum(a.kind[k][refs], b.kind[k][news]), ref_sign,
+                                a.bases[k].eta)
+            found[:, at], best[:, at] = _assign(overlap, ref_sign, new_sign)
             found[:, at] += start
     return b.rank[news][np.arange(shape[0])[:, None], found], best
 
@@ -414,10 +456,11 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
         # the points of a run are consecutive in their stack
         stack, first = run[0].eigensystem.stack, run[0].eigensystem.point
         refs, news = slice(first, first + len(run) - 1), slice(first + 1, first + len(run))
-        matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
-        # each pair's match of every level, by the earlier point's merged column
-        matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
-                             for x in (matched, overlaps))
+        if len(run) > 1:
+            matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
+            # each pair's match of every level, by the earlier point's merged column
+            matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
+                                 for x in (matched, overlaps))
         for k, new in enumerate(run):
             if sp is None:
                 cols, overlap = np.arange(new.dim), np.ones(new.dim)

@@ -12,7 +12,8 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
   LAPACK's real solve, whose complex eigenvalues come as exact conjugate
   pairs. The symmetric solve, and a real solve that failed, act on each
   irreducible diagonal block (:func:`_blockwise`; a gain-free block's are
-  its P blocks). It is a pure solve: :mod:`pshchain.biortho` decides
+  its P blocks), and check their residuals there, the symmetric solve's in
+  real arithmetic. It is a pure solve: :mod:`pshchain.biortho` decides
   whether a point is defective, from the left vectors it builds for the
   rescaling.
 * :func:`eig_general` takes one complex-symmetric matrix (M^T = M, as a
@@ -103,25 +104,51 @@ class EigenSystem:
 
 
 def _eig(a: np.ndarray):
-    """:func:`_solve` of the stack ``a``: each matrix equal to its transpose by
+    """:func:`_solve` of the stack ``a``, and each matrix's largest residual
+    :func:`_residual`: each matrix equal to its transpose by
     ``np.linalg.eigh`` on its irreducible blocks (:func:`_blockwise`), values
     in ascending order, the earlier block first on ties; every other by
-    ``np.linalg.eig``, and one that fails that again on its irreducible blocks."""
+    ``np.linalg.eig`` (:func:`_general`), and one that fails that again on
+    its irreducible blocks."""
     symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
-    if not symmetric.any():  # one LAPACK call for the whole stack
-        w, v, failed = _solve(np.linalg.eig, a)
-    else:
+    if symmetric.any():
         w = np.empty(a.shape[:2], np.complex128)
         v = np.empty(a.shape, np.complex128)
         failed = symmetric.copy()  # the loop below solves the symmetric ones
-        w[~symmetric], v[~symmetric], failed[~symmetric] = _solve(np.linalg.eig, a[~symmetric])
+        residual = np.zeros(len(a))
+        general = ~symmetric
+        if general.any():
+            w[general], v[general], failed[general], residual[general] = _general(a[general])
+    else:  # one LAPACK call for the whole stack
+        w, v, failed, residual = _general(a)
     for b in np.flatnonzero(failed).tolist():
         solve = np.linalg.eigh if symmetric[b] else np.linalg.eig
-        w[b], v[b], failed[b] = _blockwise(solve, a[b])
+        w[b], v[b], failed[b], residual[b] = _blockwise(solve, a[b])
         if symmetric[b]:
             order = np.argsort(w[b].real, kind="stable")
             w[b], v[b] = w[b][order], v[b][:, order]
-    return w, v, failed
+    return w, v, failed, residual
+
+
+def _general(a: np.ndarray):
+    """:func:`_solve` of the stack ``a`` by ``np.linalg.eig``, and each
+    matrix's :func:`_residual`. The arrays are complex even where all of the
+    stack's values are real, so a matrix's residual is taken alike in any stack."""
+    w, v, failed = _solve(np.linalg.eig, a)
+    w, v = w.astype(np.complex128, copy=False), v.astype(np.complex128, copy=False)
+    return w, v, failed, _residual(a, w, v)
+
+
+def _residual(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Largest residual norm ||A x - lambda x|| of the columns of each matrix of
+    the real stack ``a``, for the eigenvalues ``w`` and vectors ``v``: in real
+    arithmetic for real ones, as LAPACK's symmetric solve returns them."""
+    if np.iscomplexobj(v):
+        r = (a @ v.view(np.float64)).view(np.complex128)  # real times complex
+    else:
+        r = a @ v
+    r -= v * w[:, None, :]
+    return column_norms(r).max(axis=1)
 
 
 def connected_sets(link: np.ndarray) -> list[np.ndarray]:
@@ -146,7 +173,9 @@ def _blockwise(solve, m: np.ndarray):
     irreducible diagonal blocks: the :func:`connected_sets` of the columns
     linked by nonzero entries. Values come block after block, a block's in
     LAPACK's order, so a conjugate pair stays in adjacent columns; vectors are
-    zero off their block; and whether a block failed.
+    zero off their block; whether a block failed; and the largest
+    :func:`_residual` of a block, each taken on its own block (it is exactly
+    zero off it).
 
     LAPACK's real solve can fail on a reducible matrix whose small blocks it
     solves at once (a chain at delta = 0 with a coupling of 1e-92 beside a gain
@@ -154,18 +183,22 @@ def _blockwise(solve, m: np.ndarray):
     irreducible one fails again.
     """
     w, v, failed = np.empty(len(m), np.complex128), np.zeros(m.shape, np.complex128), False
-    lo = 0
+    residual, lo = 0.0, 0
     for cols in connected_sets((m != 0) | (m.T != 0)):
         hi = lo + len(cols)
-        wc, vc, bad = _solve(solve, m[None][:, cols[:, None], cols])
+        block = m[None][:, cols[:, None], cols]
+        wc, vc, bad = _solve(solve, block)
         w[lo:hi], v[cols, lo:hi], failed = wc[0], vc[0], failed | bool(bad[0])
+        residual = max(residual, float(_residual(block, wc, vc)[0]))
         lo = hi
-    return w, v, failed
+    return w, v, failed, residual
 
 
 def _solve(solve, a: np.ndarray):
     """``solve`` (``np.linalg.eig`` or ``eigh``) of every matrix in the stack
-    ``a``, as complex arrays, and the mask of those that did not converge.
+    ``a``, as LAPACK returns them (real arrays from ``eigh``, complex ones from
+    ``eig`` unless every eigenvalue of the stack is real), and the mask of
+    those that did not converge.
 
     One such matrix fails a stacked call, so that stack is solved again matrix
     by matrix: the others keep their values, bit for bit, and a failed matrix
@@ -173,12 +206,10 @@ def _solve(solve, a: np.ndarray):
     """
     try:
         w, v = solve(a)
-        return (w.astype(np.complex128, copy=False), v.astype(np.complex128, copy=False),
-                np.zeros(len(a), dtype=bool))
+        return w, v, np.zeros(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         if len(a) == 1:
-            eye = np.eye(a.shape[1], dtype=np.complex128)[None]
-            return np.zeros(a.shape[:2], np.complex128), eye, np.ones(1, dtype=bool)
+            return np.zeros(a.shape[:2]), np.eye(a.shape[1])[None], np.ones(1, dtype=bool)
     w, v, failed = zip(*(_solve(solve, a[b:b + 1]) for b in range(len(a))))
     return np.concatenate(w), np.concatenate(v), np.concatenate(failed)
 
@@ -246,8 +277,10 @@ def eig_blocks(blocks) -> BlockStack:
     pairs, in adjacent columns with Im > 0 first; a matrix it fails on is
     solved again on each of its irreducible diagonal blocks, the same way,
     block after block. The choice is made per matrix, so that a
-    matrix gets the same bits in any stack. The residuals of the whole
-    matrix are checked against ``DEFAULT_TOL * ||M||_F``. Left vectors are
+    matrix gets the same bits in any stack. The residuals of each matrix are
+    checked against ``DEFAULT_TOL * ||M||_F``, taken on the blocks it was
+    solved on, and in real arithmetic for the real vectors of the symmetric
+    solve (:func:`_residual`). Left vectors are
     not computed, and neither is any measure of defectiveness: a Jordan block
     solves without an error.
     """
@@ -257,14 +290,12 @@ def eig_blocks(blocks) -> BlockStack:
     res = np.zeros(scale.shape)
     failed = np.zeros(scale.shape, dtype=bool)
     for a in blocks:
-        w, v, bad = _eig(a)
+        w, v, bad, r = _eig(a)
         failed |= bad
         im = w.imag
         cols = np.arange(w.shape[1])
         partners.append(np.where(im > 0, cols + 1, np.where(im < 0, cols - 1, -1)))
-        r = (a @ v.view(np.float64)).view(np.complex128)  # real times complex
-        r -= v * w[:, None, :]
-        np.maximum(res, column_norms(r).max(axis=1), out=res)
+        np.maximum(res, r, out=res)
         values.append(w)
         vectors.append(v)
     errors = _errors(res, DEFAULT_TOL * np.maximum(scale, 1e-300), failed)

@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_same_spectrum, same_blocks, solve_chain
+from conftest import assert_same_spectrum, build_sector_blocks, same_blocks, solve_chain
 from pshchain import epscan
 from pshchain import (AXIS_COUPLING, AXIS_GAIN, AccidentallyZeroElement, AtExceptionalPoint,
                       ChainSpec, EPRecord, IndexIllDefined, NoEP3InBox,
@@ -384,6 +385,115 @@ class TestSectorMatch:
         line = _Line(AXIS_COUPLING, 0.21, 4, None, INDICATOR_FLOOR)
         first, second = _solve_values(line, [-1.0, -0.9975])
         assert _match_levels(first, np.arange(16), second)[0][10:12].tolist() == [12, 13]
+
+
+def complex_overlaps(left, right, kind, left_sign, eta):
+    """|<L|R>| of every pair of points by one complex product, whatever its
+    kind: the reference of ``epscan._overlaps``."""
+    return np.abs(left.conj().swapaxes(1, 2) @ right)
+
+
+def stack_matches(spectra):
+    """``_block_match`` of every level of each point of one stack into the next."""
+    es = spectra[0].eigensystem
+    refs = slice(es.point, es.point + len(spectra) - 1)
+    return epscan._block_match(es.stack, refs, np.arange(es.dim), es.stack,
+                               slice(refs.start + 1, refs.stop + 1))
+
+
+def count_kinds(monkeypatch) -> Counter:
+    """Count the pairs of points that each product of ``epscan._overlaps``
+    takes, by kind."""
+    counts = Counter()
+
+    def counting(kind, product):
+        def counted(left, *args):
+            counts[kind] += len(left)
+            return product(left, *args)
+        return counted
+
+    monkeypatch.setattr(epscan, "_OVERLAPS",
+                        tuple(counting(k, f) for k, f in enumerate(epscan._OVERLAPS)))
+    return counts
+
+
+def mixes_p_blocks(stack, k, point) -> bool:
+    """Whether a vector of Q block ``k`` at ``point`` has components in both P blocks."""
+    eta, x = stack.bases[k].eta, stack.right[k][point]
+    return bool(np.any(np.any(x[eta > 0] != 0, axis=0) & np.any(x[eta < 0] != 0, axis=0)))
+
+
+class TestOverlapKinds:
+    """Level overlaps are taken by a real product where both points' vectors
+    in a block are real, and by one real product per P block where both
+    blocks are gain-free (``SectorStack.kind``), read off the data. The
+    matches are those of one complex product, the overlaps within a few ulps."""
+
+    @staticmethod
+    def assert_matches_as_complex(spectra, monkeypatch):
+        found, best = stack_matches(spectra)
+        with monkeypatch.context() as mp:
+            mp.setattr(epscan, "_overlaps", complex_overlaps)
+            want_found, want_best = stack_matches(spectra)
+        assert np.array_equal(found, want_found)
+        assert np.max(np.abs(best - want_best)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [2, 6, 8])
+    def test_gain_free_pairs_take_a_product_per_p_block(self, n, monkeypatch):
+        # at N = 2 the Q = -1 block is one column of p = +1: its P = -1 product is empty
+        points = [NormalizedPoint(jt, 0.0) for jt in (-1.0, -0.4, -0.35, 0.0, 0.2)]
+        spectra = sector_spectra(build_sector_blocks(points, n), n)
+        stack = spectra[0].eigensystem.stack
+        assert all(k.tolist() == [2] * len(points) for k in stack.kind)
+        counts = count_kinds(monkeypatch)
+        self.assert_matches_as_complex(spectra, monkeypatch)
+        assert counts == {2: 2 * (len(points) - 1)}
+
+    def test_real_gain_point_takes_the_whole_real_product(self, monkeypatch):
+        # on verify's gamma_tilde = 0.05 line every level is real here, and the
+        # gain mixes the P blocks: the product is real, not restricted to them
+        points = [NormalizedPoint(jt, 0.05) for jt in (0.3, 0.3025)]
+        spectra = sector_spectra(build_sector_blocks(points, 4), 4)
+        stack = spectra[0].eigensystem.stack
+        assert all(not np.any(sp.eigenvalues.imag) for sp in spectra)
+        assert all(mixes_p_blocks(stack, k, b) for k in range(2) for b in range(2))
+        assert all(k.tolist() == [1, 1] for k in stack.kind)
+        counts = count_kinds(monkeypatch)
+        self.assert_matches_as_complex(spectra, monkeypatch)
+        assert counts == {1: 2}
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_mixed_stack(self, n, monkeypatch):
+        # a gain-free point, then the gain ladder at j_tilde = 0.3 from gamma_tilde = 0,
+        # into complex levels: the pairs of one stack take all three products
+        points = [NormalizedPoint(0.29, 0.0),
+                  *(NormalizedPoint(0.3, gt) for gt in (0.0, 0.05, 0.1, 0.3, 0.45))]
+        spectra = sector_spectra(build_sector_blocks(points, n), n)
+        kinds = [np.minimum(k[:-1], k[1:]).tolist() for k in spectra[0].eigensystem.stack.kind]
+        assert all(k[:2] == [2, 1] for k in kinds) and 0 in kinds[0]
+        counts = count_kinds(monkeypatch)
+        self.assert_matches_as_complex(spectra, monkeypatch)
+        assert counts == Counter(kinds[0] + kinds[1])
+
+    def test_gain_free_sweep_makes_no_complex_product(self, monkeypatch):
+        counts = count_kinds(monkeypatch)
+        tracks = sweep(coupling_grid(6, 0.0, points=11))
+        assert counts == {2: 2 * 10}
+        assert all(np.all(tr.z2 == tr.z2[0]) and tr.z2[0] != 0 for tr in tracks)
+
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "jt", "--fixed", "0", "--start", "-1", "--stop", "1", "--points", "9"],
+        # a gain sweep whose gamma_tilde = 1 point is an exact EP, solved nudged
+        ["--axis", "gt", "--fixed", "0", "--start", "0", "--stop", "2", "--points", "5"],
+    ])
+    def test_n2_sweeps_write_what_complex_products_write(self, argv, tmp_path, monkeypatch):
+        outputs = []
+        for overlaps in (epscan._overlaps, complex_overlaps):
+            monkeypatch.setattr(epscan, "_overlaps", overlaps)
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(["sweep", "--n", "2", *argv, "--output", str(out)]) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestPool:

@@ -318,6 +318,34 @@ class TestSymmetricBlocks:
                         else [cols for cols in p_blocks if cols.size])
                 self._check_blocks(w[b], v[b], a[b], sets)
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_residuals_of_symmetric_matrices_are_real(self, n, monkeypatch):
+        # a symmetric matrix's residual is taken in real arithmetic on each
+        # block it was solved on; the general solve gets only the other
+        # matrices, and is not called where there are none
+        from pshchain import numerics
+        residuals, stacks = [], []
+        lapack_eig, residual = np.linalg.eig, numerics._residual
+        monkeypatch.setattr(np.linalg, "eig", lambda a: stacks.append(len(a)) or lapack_eig(a))
+        monkeypatch.setattr(numerics, "_residual", lambda a, w, v: residuals.append(
+            (a.shape, v.dtype)) or residual(a, w, v))
+        jt = np.array([-1.0, -0.5, 0.3])
+        blocks = normalized_blocks(n, jt, np.zeros(jt.size))
+        eig_blocks(blocks)
+        assert stacks == []
+        assert [shape for shape, _ in residuals] == [
+            (1, c.size, c.size) for a in blocks for m in a for c in connected_sets(m != 0)]
+        assert {dtype for _, dtype in residuals} == {np.dtype(np.float64)}
+        # with gain at the second point: one general solve of it per Q block
+        # it makes non-symmetric (not N = 2's one-column Q = -1 block), with
+        # its residual in complex arithmetic, beside the others' real ones
+        residuals.clear()
+        blocks = normalized_blocks(n, jt, np.array([0.0, 0.3, 0.0]))
+        general = sum(not np.array_equal(a[1], a[1].T) for a in blocks)
+        eig_blocks(blocks)
+        assert general and stacks == [1] * general
+        assert [dtype for _, dtype in residuals].count(np.complex128) == general
+
 
 class TestBiorthonormalize:
     """Biorthonormal sets returned by ``spectrum_with_indices``."""
