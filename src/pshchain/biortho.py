@@ -155,11 +155,8 @@ class SectorStack(NamedTuple):
     together, the d of the first block first: ``order`` holds the block
     column of each merged (Re, Im) column, over (point, column), and
     ``rank`` the merged column of each block column. ``sign`` holds each
-    level's :func:`level_sign`, over (point, block column). ``kind[k]`` holds,
-    over points, what block k's vectors are: 0 where some are complex, 1
-    where all are real, and 2 where the block is gain-free, so each is real
-    and lies in the P block of its index, and levels of different index
-    overlap exactly 0.
+    level's :func:`level_sign`, over (point, block column). ``real[k]`` holds,
+    over points, whether all of block k's right and left vectors are real.
     """
 
     bases: tuple[SectorBasis, SectorBasis]
@@ -168,7 +165,7 @@ class SectorStack(NamedTuple):
     order: np.ndarray
     rank: np.ndarray
     sign: np.ndarray
-    kind: tuple[np.ndarray, np.ndarray]
+    real: tuple[np.ndarray, np.ndarray]
 
     def states(self, name: str, point: int) -> np.ndarray:
         """The ``right`` or ``left`` vectors of ``point`` in the 2^N basis
@@ -361,8 +358,6 @@ class _Levels(NamedTuple):
     residual: np.ndarray  # biorthogonality residual per point
     cond: np.ndarray  # largest condition of an isolated level, per point
     sector: np.ndarray | None = None
-    # per point: whether these are a gain-free block's levels (:func:`_split_levels`)
-    split: np.ndarray | None = None
 
 
 def _good_points(st):
@@ -404,9 +399,8 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
     gain-free Q block, eta's +1 first) takes none of these steps: its levels
     keep their values and are indexed by construction (:func:`_split_levels`).
     Returns the values, right and left vectors, indices, indicators,
-    partners, biorthogonality residual, largest such condition and
-    gain-free mark of every point, and the exceptions of the points that
-    failed, by position.
+    partners, biorthogonality residual and largest such condition of every
+    point, and the exceptions of the points that failed, by position.
     """
     split = (np.all(a == a.swapaxes(1, 2), axis=(1, 2))
              & ~np.any(a[:, z > 0][:, :, z < 0], axis=(1, 2)) if z.ndim == 1
@@ -418,8 +412,7 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
             other, bad = _rescale(a[rest], z, values[rest], raw_r[rest], m, scale[rest],
                                   rtol[rest], floor, partner[rest])
             order = np.argsort(np.concatenate([np.flatnonzero(split), rest]))
-            levels = _Levels(*(x if x is None else np.concatenate((x, y))[order]
-                               for x, y in zip(levels, other)))
+            levels = _Levels(*(np.concatenate(x)[order] for x in zip(levels[:-1], other[:-1])))
             failed = {int(rest[i]): exc for i, exc in bad.items()}
         return levels, failed
     values = values.copy()
@@ -488,36 +481,20 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
             residual[i] = np.max(res)
         except AtExceptionalPoint as exc:  # its traceback would hold this frame in a cycle
             failed[i] = exc.with_traceback(None)
-    return (_Levels(values, right, left, z2, indicator, partner, residual, cond,
-                    split=np.zeros(len(values), dtype=bool)), failed)
+    return _Levels(values, right, left, z2, indicator, partner, residual, cond), failed
 
 
 def _split_levels(values, raw_r, eta) -> _Levels:
     """Levels of gain-free Q blocks, solved in their P blocks: each orthonormal
     real |R> lies in one, where eta = p, so its index is s = p and its left
     vector s eta |R> = |R>, the same array. The indicator, condition (1 /
-    indicator) and residual max |R^T R - I| are taken in real arithmetic, the
-    residual on each P block: levels of different p share no nonzero
-    component, so they overlap exactly 0."""
+    indicator) and residual max |R^T R - I| are taken in real arithmetic."""
     x = np.ascontiguousarray(raw_r.real)
-    # <R|eta|R> as _metric takes it; with R zero off its P block, its modulus
-    # is ||R||^2 to the bit
-    c = np.add.reduce(eta[:, None] * x * x, axis=-2)
-    norm = np.sqrt(np.abs(c))
-    indicator = np.abs(c) / (norm * norm)
-    z2 = np.where(c > 0, 1, -1).astype(np.int8)
-    # each P block's levels, over (point, level, component): each point has
-    # as many levels of index p as its block has components of eta = p
-    levels = x.swapaxes(1, 2)
-    residual = np.zeros(len(x))
-    for p, comps in ((1, eta > 0), (-1, eta < 0)):
-        xp = levels[z2 == p].reshape(len(x), -1, len(eta))[:, :, comps]
-        gram = xp @ xp.swapaxes(1, 2)
-        gram -= np.eye(xp.shape[1])
-        np.maximum(residual, np.max(np.abs(gram), axis=(1, 2), initial=0.0), out=residual)
-    return _Levels(values, raw_r, raw_r, z2, indicator, np.full(values.shape, -1), residual,
-                   np.max(1.0 / indicator, axis=1, initial=1.0),
-                   split=np.ones(len(x), dtype=bool))
+    _, c, indicator = _metric(eta, x)
+    residual = np.max(np.abs(x.swapaxes(1, 2) @ x - np.eye(x.shape[2])), axis=(1, 2))
+    return _Levels(values, raw_r, raw_r, np.where(c > 0, 1, -1).astype(np.int8), indicator,
+                   np.full(values.shape, -1), residual,
+                   np.max(1.0 / indicator, axis=1, initial=1.0))
 
 
 def _spectra(out, good, failed, levels: _Levels, scale, rtol, stack=None) -> list:
@@ -596,11 +573,10 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
                      z2[rows, order], merged(plus.indicator, minus.indicator),
                      rank[rows, partner[rows, order]], np.maximum(plus.residual, minus.residual),
                      np.maximum(plus.cond, minus.cond), sector)
-    kind = tuple(np.where(p.split, 2, ~(np.any(p.right.imag, axis=(1, 2))
-                                        | np.any(p.left.imag, axis=(1, 2)))).astype(np.int8)
+    real = tuple(~(np.any(p.right.imag, axis=(1, 2)) | np.any(p.left.imag, axis=(1, 2)))
                  for p in parts)
     stack = SectorStack(bases, (plus.right, minus.right), (plus.left, minus.left), order,
-                        rank[:, :-1], level_sign(z2, values), kind)
+                        rank[:, :-1], level_sign(z2, values), real)
     return _spectra(out, good, failed, levels, scale, rtol, stack)
 
 

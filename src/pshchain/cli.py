@@ -253,11 +253,21 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text)
 
 
-def _csv_text(header, rows) -> str:
-    """CSV of typed cells: floats at 17 significant digits, other values as str."""
+_FLOAT = "{:.17g}"  # a float CSV cell: 17 significant digits
+
+
+def _csv_text(header, rows, types=None) -> str:
+    """CSV of typed cells: floats as ``_FLOAT``, other values as str. Given
+    the type of each column (``types``), every row is written with one format
+    string built from them, instead of by each cell's type."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    if types is None:
+        for row in rows:
+            lines.append(",".join(_FLOAT.format(v) if isinstance(v, float) else str(v)
+                                  for v in row))
+    else:
+        line = ",".join(_FLOAT if t is float else "{}" for t in types).format
+        lines += [line(*row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -298,15 +308,10 @@ def emit_figure_data(tracks, records, path, skipped=()) -> None:
     # each track's arrays read once, as Python numbers, which format as numpy's do
     cols = [(tr.level_id, tr.eigenvalues.real.tolist(), tr.eigenvalues.imag.tolist(),
              tr.z2.tolist(), tr.indicator.tolist()) for tr in tracks]
-    # one line per (point, track), with _csv_text's formats: its cells' types are known
-    line = "{},{},{:.17g},{:.17g},{},{:.17g}".format
-    lines = ["grid_value,level_id,re_eps,im_eps,z2_index,ep_indicator"]
-    for p, value in enumerate(grid.points):
-        value = f"{value:.17g}"
-        lines += [line(value, level, re[p], im[p], z2[p], indicator[p])
-                  for level, re, im, z2, indicator in cols]
-    lines.append("")
-    _write_text(str(path), "\n".join(lines))
+    rows = ((value, level, re[p], im[p], z2[p], indicator[p])
+            for p, value in enumerate(grid.points) for level, re, im, z2, indicator in cols)
+    header = ("grid_value", "level_id", "re_eps", "im_eps", "z2_index", "ep_indicator")
+    _write_text(str(path), _csv_text(header, rows, (float, int, float, float, int, float)))
     _write_text(str(sibling), _json_text(_records_json(records, skipped)))
 
 

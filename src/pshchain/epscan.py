@@ -5,8 +5,8 @@ gain ``gamma_tilde``) on the unit circle j^2 + delta^2 = 1. Levels are
 followed through the sweep by maximal biorthogonal overlap |<L(p)|R(p+dp)>|,
 which stays reliable through genuine crossings where plain energy ordering
 would swap labels. The overlaps are taken inside the Q blocks, where a level
-meets only the levels of its own block (:func:`_block_match`), and between
-two gain-free points inside the P blocks too (:func:`_overlaps`). A real left
+meets only the levels of its own block (:func:`_block_match`), by a real
+product where both points' vectors are real (:func:`_overlaps`). A real left
 vector overlaps both members of a conjugate pair exactly equally, so such
 ties go by the Z2 index: index +1 continues as the member with Im E > 0, and
 that member as index +1 (:func:`_assign`).
@@ -345,43 +345,27 @@ def _assign(overlap, ref_sign, new_sign):
     return found, np.take_along_axis(overlap, found[..., None], axis=-1)[..., 0]
 
 
-def _overlaps(left, right, kind, left_sign, eta):
+def _overlaps(left, right, real):
     """|<L|R>| of the left vectors ``left`` and the right vectors ``right`` of
-    each pair of points, over (pair, left, right), by the ``kind`` of the pair
-    (:class:`~pshchain.biortho.SectorStack`): a complex product (0), a real
-    product (1), or a real product on each P block (2, :func:`_split_overlaps`).
-    Pairs of one kind share each product."""
-    kinds = set(kind.tolist())
-    if len(kinds) == 1:
-        return _OVERLAPS[kinds.pop()](left, right, left_sign, eta)
+    each pair of points, over (pair, left, right): by a real product for the
+    pairs whose vectors are all ``real``, by a complex one for the others."""
+    if real.all():
+        return _real_overlaps(left, right)
+    if not real.any():
+        return _complex_overlaps(left, right)
     out = np.empty((len(left), left.shape[2], right.shape[2]))
-    for k in kinds:
-        at = kind == k
-        out[at] = _OVERLAPS[k](left[at], right[at], left_sign[at], eta)
+    out[real] = _real_overlaps(left[real], right[real])
+    out[~real] = _complex_overlaps(left[~real], right[~real])
     return out
 
 
-def _split_overlaps(left, right, left_sign, eta):
-    """:func:`_overlaps` of gain-free pairs: a left vector of sign s
-    (``left_sign``) lies in the P = s block, the components where ``eta`` = s
-    (eta's +1 first), on which the right vectors of the other sign are 0."""
-    out = np.empty((len(left), left.shape[2], right.shape[2]))
-    plus = np.count_nonzero(eta > 0)
-    for i in range(len(left)):
-        r = np.ascontiguousarray(right[i].real)
-        for s, comps in ((1, slice(plus)), (-1, slice(plus, None))):
-            cols = np.flatnonzero(left_sign[i] == s)
-            out[i, cols] = np.abs(left[i].real[comps, cols].T @ r[comps])
-    return out
+def _complex_overlaps(left, right):
+    return np.abs(left.conj().swapaxes(1, 2) @ right)
 
 
-_OVERLAPS = (
-    lambda left, right, *_: np.abs(left.conj().swapaxes(1, 2) @ right),
+def _real_overlaps(left, right):
     # the real parts, copied into contiguous arrays
-    lambda left, right, *_: np.abs(np.ascontiguousarray(left.real).swapaxes(1, 2)
-                                   @ np.ascontiguousarray(right.real)),
-    _split_overlaps,
-)
+    return np.abs(np.ascontiguousarray(left.real).swapaxes(1, 2) @ np.ascontiguousarray(right.real))
 
 
 def _block_match(a, refs: slice, blocks, b, news: slice):
@@ -401,15 +385,14 @@ def _block_match(a, refs: slice, blocks, b, news: slice):
     upper = blocks[by_column] >= d
     shape = (news.stop - news.start, len(blocks))
     found, best = np.empty(shape, dtype=np.int64), np.empty(shape)
-    for k, (at, start) in enumerate(zip((by_column[~upper], by_column[upper]), (0, d))):
+    for at, left, right, real, start in zip((by_column[~upper], by_column[upper]), a.left,
+                                            b.right, zip(a.real, b.real), (0, d)):
         if at.size:
             rows = blocks[at]
-            ref_sign = a.sign[refs][:, rows]
-            new_sign = b.sign[news][:, start:start + b.right[k].shape[-1]]
-            overlap = _overlaps(a.left[k][refs][:, :, rows - start], b.right[k][news],
-                                np.minimum(a.kind[k][refs], b.kind[k][news]), ref_sign,
-                                a.bases[k].eta)
-            found[:, at], best[:, at] = _assign(overlap, ref_sign, new_sign)
+            overlap = _overlaps(left[refs][:, :, rows - start], right[news],
+                                real[0][refs] & real[1][news])
+            found[:, at], best[:, at] = _assign(
+                overlap, a.sign[refs][:, rows], b.sign[news][:, start:start + right.shape[-1]])
             found[:, at] += start
     return b.rank[news][np.arange(shape[0])[:, None], found], best
 
@@ -456,11 +439,10 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
         # the points of a run are consecutive in their stack
         stack, first = run[0].eigensystem.stack, run[0].eigensystem.point
         refs, news = slice(first, first + len(run) - 1), slice(first + 1, first + len(run))
-        if len(run) > 1:
-            matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
-            # each pair's match of every level, by the earlier point's merged column
-            matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
-                                 for x in (matched, overlaps))
+        matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
+        # each pair's match of every level, by the earlier point's merged column
+        matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
+                             for x in (matched, overlaps))
         for k, new in enumerate(run):
             if sp is None:
                 cols, overlap = np.arange(new.dim), np.ones(new.dim)

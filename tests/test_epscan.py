@@ -387,9 +387,9 @@ class TestSectorMatch:
         assert _match_levels(first, np.arange(16), second)[0][10:12].tolist() == [12, 13]
 
 
-def complex_overlaps(left, right, kind, left_sign, eta):
-    """|<L|R>| of every pair of points by one complex product, whatever its
-    kind: the reference of ``epscan._overlaps``."""
+def complex_overlaps(left, right, real):
+    """|<L|R>| of every pair of points by one complex product, whether or not
+    its vectors are real: the reference of ``epscan._overlaps``."""
     return np.abs(left.conj().swapaxes(1, 2) @ right)
 
 
@@ -401,19 +401,21 @@ def stack_matches(spectra):
                                slice(refs.start + 1, refs.stop + 1))
 
 
-def count_kinds(monkeypatch) -> Counter:
-    """Count the pairs of points that each product of ``epscan._overlaps``
-    takes, by kind."""
+def count_products(monkeypatch) -> Counter:
+    """Count the pairs of points that the real and the complex product of
+    ``epscan._overlaps`` each take."""
     counts = Counter()
 
-    def counting(kind, product):
-        def counted(left, *args):
-            counts[kind] += len(left)
-            return product(left, *args)
+    def counting(name):
+        product = getattr(epscan, f"_{name}_overlaps")
+
+        def counted(left, right):
+            counts[name] += len(left)
+            return product(left, right)
         return counted
 
-    monkeypatch.setattr(epscan, "_OVERLAPS",
-                        tuple(counting(k, f) for k, f in enumerate(epscan._OVERLAPS)))
+    for name in ("real", "complex"):
+        monkeypatch.setattr(epscan, f"_{name}_overlaps", counting(name))
     return counts
 
 
@@ -425,9 +427,9 @@ def mixes_p_blocks(stack, k, point) -> bool:
 
 class TestOverlapKinds:
     """Level overlaps are taken by a real product where both points' vectors
-    in a block are real, and by one real product per P block where both
-    blocks are gain-free (``SectorStack.kind``), read off the data. The
-    matches are those of one complex product, the overlaps within a few ulps."""
+    in a block are real (``SectorStack.real``, read off the vectors), by a
+    complex one elsewhere. The matches are those of one complex product, the
+    overlaps within a few ulps."""
 
     @staticmethod
     def assert_matches_as_complex(spectra, monkeypatch):
@@ -439,46 +441,47 @@ class TestOverlapKinds:
         assert np.max(np.abs(best - want_best)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [2, 6, 8])
-    def test_gain_free_pairs_take_a_product_per_p_block(self, n, monkeypatch):
-        # at N = 2 the Q = -1 block is one column of p = +1: its P = -1 product is empty
+    def test_gain_free_pairs_take_the_real_product(self, n, monkeypatch):
+        # at N = 2 the Q = -1 block is one column of p = +1
         points = [NormalizedPoint(jt, 0.0) for jt in (-1.0, -0.4, -0.35, 0.0, 0.2)]
         spectra = sector_spectra(build_sector_blocks(points, n), n)
         stack = spectra[0].eigensystem.stack
-        assert all(k.tolist() == [2] * len(points) for k in stack.kind)
-        counts = count_kinds(monkeypatch)
+        assert all(r.all() for r in stack.real)
+        counts = count_products(monkeypatch)
         self.assert_matches_as_complex(spectra, monkeypatch)
-        assert counts == {2: 2 * (len(points) - 1)}
+        assert counts == {"real": 2 * (len(points) - 1)}
 
-    def test_real_gain_point_takes_the_whole_real_product(self, monkeypatch):
+    def test_real_gain_point_takes_the_real_product(self, monkeypatch):
         # on verify's gamma_tilde = 0.05 line every level is real here, and the
-        # gain mixes the P blocks: the product is real, not restricted to them
+        # gain mixes the P blocks: the real product does not rely on them
         points = [NormalizedPoint(jt, 0.05) for jt in (0.3, 0.3025)]
         spectra = sector_spectra(build_sector_blocks(points, 4), 4)
         stack = spectra[0].eigensystem.stack
         assert all(not np.any(sp.eigenvalues.imag) for sp in spectra)
         assert all(mixes_p_blocks(stack, k, b) for k in range(2) for b in range(2))
-        assert all(k.tolist() == [1, 1] for k in stack.kind)
-        counts = count_kinds(monkeypatch)
+        assert all(r.all() for r in stack.real)
+        counts = count_products(monkeypatch)
         self.assert_matches_as_complex(spectra, monkeypatch)
-        assert counts == {1: 2}
+        assert counts == {"real": 2}
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_mixed_stack(self, n, monkeypatch):
         # a gain-free point, then the gain ladder at j_tilde = 0.3 from gamma_tilde = 0,
-        # into complex levels: the pairs of one stack take all three products
+        # into complex levels: the pairs of one stack take both products
         points = [NormalizedPoint(0.29, 0.0),
                   *(NormalizedPoint(0.3, gt) for gt in (0.0, 0.05, 0.1, 0.3, 0.45))]
         spectra = sector_spectra(build_sector_blocks(points, n), n)
-        kinds = [np.minimum(k[:-1], k[1:]).tolist() for k in spectra[0].eigensystem.stack.kind]
-        assert all(k[:2] == [2, 1] for k in kinds) and 0 in kinds[0]
-        counts = count_kinds(monkeypatch)
+        real = [(r[:-1] & r[1:]).tolist() for r in spectra[0].eigensystem.stack.real]
+        assert all(r[:2] == [True, True] for r in real) and not all(real[0])
+        counts = count_products(monkeypatch)
         self.assert_matches_as_complex(spectra, monkeypatch)
-        assert counts == Counter(kinds[0] + kinds[1])
+        pairs = real[0] + real[1]
+        assert counts == {"real": pairs.count(True), "complex": pairs.count(False)}
 
     def test_gain_free_sweep_makes_no_complex_product(self, monkeypatch):
-        counts = count_kinds(monkeypatch)
+        counts = count_products(monkeypatch)
         tracks = sweep(coupling_grid(6, 0.0, points=11))
-        assert counts == {2: 2 * 10}
+        assert counts == {"real": 2 * 10}
         assert all(np.all(tr.z2 == tr.z2[0]) and tr.z2[0] != 0 for tr in tracks)
 
     @pytest.mark.parametrize("argv", [
