@@ -14,7 +14,9 @@
 # points on (-0.99, 0.99) at gamma_tilde = 0.3), where level matches are
 # least clear-cut and most conjugate pairs form or split between two points,
 # four `spectrum` calls, the gain-free crossing classification at N=4 (which
-# refines every sign change of a pair's gap), one `find-ep --pair` search
+# refines every sign change of a pair's gap), one N=6 `oracle` table of the
+# free-fermion states (its CSV written by column types, as the spectrum's and
+# the crossings'), one `find-ep --pair` search
 # (which keeps the sweep's EP2 records of one pair), an N=4 gain sweep at a high
 # indicator_floor (0.05), where one pair's real end has no well-defined index,
 # so its EP2 is written as a "no well-defined index" skipped entry, and two
@@ -66,6 +68,7 @@ calls=(
     "spectrum_n6_degenerate|spectrum --n 6 --jt 0 --gt 0 --format json"
     "spectrum_n6|spectrum --n 6 --jt -0.84184 --gt 0.3"
     "crossings_n4|crossings --n 4 --points 801"
+    "oracle_n6|oracle --n 6 --j 0.6 --delta 0.8"
     "ep2_pair|find-ep --order 2 --n 4 --axis gt --fixed -0.95 --start 0 --stop 0.004 --points 101 --pair 0 1"
     "ep2_floor|sweep --n 4 --axis gt --fixed 0.3 --start 0 --stop 0.5 --points 101 --tol indicator_floor=0.05"
     "ep_nudge_n2|sweep --n 2 --axis gt --fixed 0 --start 0 --stop 2 --points 5"

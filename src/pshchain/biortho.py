@@ -152,11 +152,11 @@ class SectorStack(NamedTuple):
     ``right[k]`` and ``left[k]`` hold block k's vectors over (point,
     component, level), for the Q = +1 block (k = 0, d levels) and the Q = -1
     block. A level's block column is its column in both blocks' levels
-    together, the d of the first block first: ``order`` holds the block
-    column of each merged (Re, Im) column, over (point, column), and
-    ``rank`` the merged column of each block column. ``sign`` holds each
-    level's :func:`level_sign`, over (point, block column). ``real[k]`` holds,
-    over points, whether all of block k's right and left vectors are real.
+    together, the d of the first block first: ``order`` holds the block column
+    of each merged (Re, Im) column, over (point, column), and ``rank`` the
+    merged column of each block column. ``sign`` holds each level's
+    :func:`level_sign`, over (point, block column). A block's vectors are a
+    real array where all the stack's points are gain-free.
     """
 
     bases: tuple[SectorBasis, SectorBasis]
@@ -165,7 +165,6 @@ class SectorStack(NamedTuple):
     order: np.ndarray
     rank: np.ndarray
     sign: np.ndarray
-    real: tuple[np.ndarray, np.ndarray]
 
     def states(self, name: str, point: int) -> np.ndarray:
         """The ``right`` or ``left`` vectors of ``point`` in the 2^N basis
@@ -416,6 +415,7 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
             failed = {int(rest[i]): exc for i, exc in bad.items()}
         return levels, failed
     values = values.copy()
+    raw_r = raw_r.astype(np.complex128, copy=False)  # complex in any stack, to the bit
     is_real = np.abs(values.imag) <= rtol[:, None]
     close = (np.abs(values[:, :, None] - values[:, None, :])
              <= (CLUSTER_SCALE * scale)[:, None, None])
@@ -487,8 +487,9 @@ def _rescale(a, z, values, raw_r, m, scale, rtol, floor, partner):
 def _split_levels(values, raw_r, eta) -> _Levels:
     """Levels of gain-free Q blocks, solved in their P blocks: each orthonormal
     real |R> lies in one, where eta = p, so its index is s = p and its left
-    vector s eta |R> = |R>, the same array. The indicator, condition (1 /
-    indicator) and residual max |R^T R - I| are taken in real arithmetic."""
+    vector s eta |R> = |R>, the same array (complex in a stack with gain). The
+    indicator, condition (1 / indicator) and residual max |R^T R - I| are
+    taken in real arithmetic."""
     x = np.ascontiguousarray(raw_r.real)
     _, c, indicator = _metric(eta, x)
     residual = np.max(np.abs(x.swapaxes(1, 2) @ x - np.eye(x.shape[2])), axis=(1, 2))
@@ -573,10 +574,8 @@ def sector_spectra(blocks, n: int, reality_tol: float | None = None,
                      z2[rows, order], merged(plus.indicator, minus.indicator),
                      rank[rows, partner[rows, order]], np.maximum(plus.residual, minus.residual),
                      np.maximum(plus.cond, minus.cond), sector)
-    real = tuple(~(np.any(p.right.imag, axis=(1, 2)) | np.any(p.left.imag, axis=(1, 2)))
-                 for p in parts)
     stack = SectorStack(bases, (plus.right, minus.right), (plus.left, minus.left), order,
-                        rank[:, :-1], level_sign(z2, values), real)
+                        rank[:, :-1], level_sign(z2, values))
     return _spectra(out, good, failed, levels, scale, rtol, stack)
 
 

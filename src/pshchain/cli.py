@@ -256,28 +256,21 @@ def _write_text(path: str | None, text: str):
 _FLOAT = "{:.17g}"  # a float CSV cell: 17 significant digits
 
 
-def _csv_text(header, rows, types=None) -> str:
-    """CSV of typed cells: floats as ``_FLOAT``, other values as str. Given
-    the type of each column (``types``), every row is written with one format
-    string built from them, instead of by each cell's type."""
-    lines = [",".join(header)]
-    if types is None:
-        for row in rows:
-            lines.append(",".join(_FLOAT.format(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-    else:
-        line = ",".join(_FLOAT if t is float else "{}" for t in types).format
-        lines += [line(*row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(header, types, rows) -> str:
+    """CSV of ``rows`` under ``header``, every row written with one format
+    string built from the type of each column (``types``): floats as
+    ``_FLOAT``, other values as str."""
+    line = ",".join(_FLOAT if t is float else "{}" for t in types).format
+    return "\n".join([",".join(header), *(line(*row) for row in rows)]) + "\n"
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _table_output(cfg: RunConfig, key: str, header, rows):
-    """Write rows as CSV, or as a JSON list of header-keyed objects under ``key``."""
-    _write_text(cfg.output_path, _csv_text(header, rows) if cfg.output_format == "csv"
+def _table_output(cfg: RunConfig, key: str, header, types, rows):
+    """Write rows as CSV of column ``types``, or as JSON header-keyed objects under ``key``."""
+    _write_text(cfg.output_path, _csv_text(header, types, rows) if cfg.output_format == "csv"
                 else _json_text({key: [dict(zip(header, row)) for row in rows]}))
 
 
@@ -311,7 +304,7 @@ def emit_figure_data(tracks, records, path, skipped=()) -> None:
     rows = ((value, level, re[p], im[p], z2[p], indicator[p])
             for p, value in enumerate(grid.points) for level, re, im, z2, indicator in cols)
     header = ("grid_value", "level_id", "re_eps", "im_eps", "z2_index", "ep_indicator")
-    _write_text(str(path), _csv_text(header, rows, (float, int, float, float, int, float)))
+    _write_text(str(path), _csv_text(header, (float, int, float, float, int, float), rows))
     _write_text(str(sibling), _json_text(_records_json(records, skipped)))
 
 
@@ -387,6 +380,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     if isinstance(sp, Exception):  # an exact EP exits 2
         raise sp
     _table_output(cfg, "levels", ("level_id", "re_eps", "im_eps", "z2_index", "ep_indicator"),
+                  (int, float, float, int, float),
                   [(lv.label, lv.eigenvalue.real, lv.eigenvalue.imag, lv.z2_index or 0,
                     lv.ep_indicator) for lv in sp.levels])
     return 0
@@ -397,6 +391,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         raise UsageError("chain.j and chain.delta are required for the oracle command")
     states = full_spectrum(cfg.n, cfg.j, cfg.delta)
     _table_output(cfg, "states", ("level_id", "energy", "parity", "excitations", "occupation"),
+                  (int, float, int, int, int),
                   [(i, s.energy, s.parity, s.r, s.occupation) for i, s in enumerate(states)])
     return 0
 
@@ -418,7 +413,7 @@ def _cmd_crossings(cfg: RunConfig) -> int:
     recs = classify_crossings(sweep(grid),
                               ambiguous_gap=cfg.tol("ambiguous_gap", AMBIGUOUS_GAP))
     _table_output(cfg, "crossings", ("location", "level_a", "level_b", "index_a", "index_b",
-                                     "kind", "gap"),
+                                     "kind", "gap"), (float, int, int, int, int, str, float),
                   [(c.location, *c.levels, *c.indices, c.kind, c.gap) for c in recs])
     return 0
 

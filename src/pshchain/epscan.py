@@ -5,8 +5,8 @@ gain ``gamma_tilde``) on the unit circle j^2 + delta^2 = 1. Levels are
 followed through the sweep by maximal biorthogonal overlap |<L(p)|R(p+dp)>|,
 which stays reliable through genuine crossings where plain energy ordering
 would swap labels. The overlaps are taken inside the Q blocks, where a level
-meets only the levels of its own block (:func:`_block_match`), by a real
-product where both points' vectors are real (:func:`_overlaps`). A real left
+meets only the levels of its own block (:func:`_block_match`), by one product
+(:func:`_overlaps`), real on a gain-free stack's real vectors. A real left
 vector overlaps both members of a conjugate pair exactly equally, so such
 ties go by the Z2 index: index +1 continues as the member with Im E > 0, and
 that member as index +1 (:func:`_assign`).
@@ -345,27 +345,11 @@ def _assign(overlap, ref_sign, new_sign):
     return found, np.take_along_axis(overlap, found[..., None], axis=-1)[..., 0]
 
 
-def _overlaps(left, right, real):
+def _overlaps(left, right):
     """|<L|R>| of the left vectors ``left`` and the right vectors ``right`` of
-    each pair of points, over (pair, left, right): by a real product for the
-    pairs whose vectors are all ``real``, by a complex one for the others."""
-    if real.all():
-        return _real_overlaps(left, right)
-    if not real.any():
-        return _complex_overlaps(left, right)
-    out = np.empty((len(left), left.shape[2], right.shape[2]))
-    out[real] = _real_overlaps(left[real], right[real])
-    out[~real] = _complex_overlaps(left[~real], right[~real])
-    return out
-
-
-def _complex_overlaps(left, right):
+    each pair of points, over (pair, left, right): one real product where
+    both are real arrays (``conj`` returns a real array as it is)."""
     return np.abs(left.conj().swapaxes(1, 2) @ right)
-
-
-def _real_overlaps(left, right):
-    # the real parts, copied into contiguous arrays
-    return np.abs(np.ascontiguousarray(left.real).swapaxes(1, 2) @ np.ascontiguousarray(right.real))
 
 
 def _block_match(a, refs: slice, blocks, b, news: slice):
@@ -385,12 +369,11 @@ def _block_match(a, refs: slice, blocks, b, news: slice):
     upper = blocks[by_column] >= d
     shape = (news.stop - news.start, len(blocks))
     found, best = np.empty(shape, dtype=np.int64), np.empty(shape)
-    for at, left, right, real, start in zip((by_column[~upper], by_column[upper]), a.left,
-                                            b.right, zip(a.real, b.real), (0, d)):
+    for at, left, right, start in zip((by_column[~upper], by_column[upper]), a.left, b.right,
+                                      (0, d)):
         if at.size:
             rows = blocks[at]
-            overlap = _overlaps(left[refs][:, :, rows - start], right[news],
-                                real[0][refs] & real[1][news])
+            overlap = _overlaps(left[refs][:, :, rows - start], right[news])
             found[:, at], best[:, at] = _assign(
                 overlap, a.sign[refs][:, rows], b.sign[news][:, start:start + right.shape[-1]])
             found[:, at] += start
@@ -407,7 +390,7 @@ def _match_levels(ref: BiorthoSpectrum, cols, new: BiorthoSpectrum):
                                          a.stack.order[a.point, cols], b.stack,
                                          slice(b.point, b.point + 1))
     else:
-        matched, overlaps = _assign(np.abs(a.left[:, cols].conj().T @ b.right)[None],
+        matched, overlaps = _assign(_overlaps(a.left[None, :, cols], b.right[None]),
                                     level_sign(ref.z2, ref.eigenvalues)[cols][None],
                                     level_sign(new.z2, new.eigenvalues)[None])
     return matched[0], overlaps[0]
@@ -436,13 +419,14 @@ def _follow(spectra, sp: BiorthoSpectrum | None = None, cols=None):
     A stack's points are read before the first of them is yielded.
     """
     for run in _runs(spectra):
-        # the points of a run are consecutive in their stack
-        stack, first = run[0].eigensystem.stack, run[0].eigensystem.point
-        refs, news = slice(first, first + len(run) - 1), slice(first + 1, first + len(run))
-        matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
-        # each pair's match of every level, by the earlier point's merged column
-        matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
-                             for x in (matched, overlaps))
+        if len(run) > 1:  # a run of one point has no pair to match
+            # the points of a run are consecutive in their stack
+            stack, first = run[0].eigensystem.stack, run[0].eigensystem.point
+            refs, news = slice(first, first + len(run) - 1), slice(first + 1, first + len(run))
+            matched, overlaps = _block_match(stack, refs, np.arange(run[0].dim), stack, news)
+            # each pair's match of every level, by the earlier point's merged column
+            matched, overlaps = (np.take_along_axis(x, stack.order[refs], axis=1)
+                                 for x in (matched, overlaps))
         for k, new in enumerate(run):
             if sp is None:
                 cols, overlap = np.arange(new.dim), np.ones(new.dim)

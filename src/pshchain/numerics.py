@@ -13,9 +13,9 @@ level's condition is 1/|<l|r>| for its unit left and right eigenvectors
   pairs. The symmetric solve, and a real solve that failed, act on each
   irreducible diagonal block (:func:`_blockwise`; a gain-free block's are
   its P blocks), and check their residuals there, the symmetric solve's in
-  real arithmetic. It is a pure solve: :mod:`pshchain.biortho` decides
-  whether a point is defective, from the left vectors it builds for the
-  rescaling.
+  real arithmetic, on the real vectors that a stack of symmetric matrices
+  keeps. It is a pure solve: :mod:`pshchain.biortho` decides whether a point
+  is defective, from the left vectors it builds for the rescaling.
 * :func:`eig_general` takes one complex-symmetric matrix (M^T = M, as a
   chain Hamiltonian is), for general-purpose use and as the reference of
   the block solve. Its left vectors are the conjugated right ones. It
@@ -109,11 +109,11 @@ def _eig(a: np.ndarray):
     ``np.linalg.eigh`` on its irreducible blocks (:func:`_blockwise`), values
     in ascending order, the earlier block first on ties; every other by
     ``np.linalg.eig`` (:func:`_general`), and one that fails that again on
-    its irreducible blocks."""
+    its irreducible blocks. The vectors are real if every matrix is symmetric."""
     symmetric = np.all(a == a.swapaxes(1, 2), axis=(1, 2))
     if symmetric.any():
         w = np.empty(a.shape[:2], np.complex128)
-        v = np.empty(a.shape, np.complex128)
+        v = np.empty(a.shape, np.float64 if symmetric.all() else np.complex128)
         failed = symmetric.copy()  # the loop below solves the symmetric ones
         residual = np.zeros(len(a))
         general = ~symmetric
@@ -172,17 +172,18 @@ def _blockwise(solve, m: np.ndarray):
     """``solve`` (``np.linalg.eig`` or ``eigh``) of ``m`` on each of its
     irreducible diagonal blocks: the :func:`connected_sets` of the columns
     linked by nonzero entries. Values come block after block, a block's in
-    LAPACK's order, so a conjugate pair stays in adjacent columns; vectors are
-    zero off their block; whether a block failed; and the largest
-    :func:`_residual` of a block, each taken on its own block (it is exactly
-    zero off it).
+    LAPACK's order, so a conjugate pair stays in adjacent columns; vectors
+    (real for ``eigh``) zero off their block; whether a block failed; and the
+    largest :func:`_residual` of a block, each taken on its own block (it is
+    exactly zero off it).
 
     LAPACK's real solve can fail on a reducible matrix whose small blocks it
     solves at once (a chain at delta = 0 with a coupling of 1e-92 beside a gain
     of order one), so a matrix that fails whole is solved again this way; an
     irreducible one fails again.
     """
-    w, v, failed = np.empty(len(m), np.complex128), np.zeros(m.shape, np.complex128), False
+    w, failed = np.empty(len(m), np.complex128), False
+    v = np.zeros(m.shape, np.float64 if solve is np.linalg.eigh else np.complex128)
     residual, lo = 0.0, 0
     for cols in connected_sets((m != 0) | (m.T != 0)):
         hi = lo + len(cols)
@@ -249,9 +250,10 @@ class BlockStack:
 
     Entry ``k`` of ``eigenvalues``, ``right`` and ``partner`` belongs to block
     ``k``, in LAPACK's order: (count, d_k) eigenvalues, (count, d_k, d_k) unit
-    right eigenvectors, and the column of each eigenvalue's exact conjugate
-    partner (-1 for a real eigenvalue). ``scale`` is the Frobenius norm of
-    each matrix, of all its blocks together. ``errors[b]`` is the
+    right eigenvectors (a real array where every matrix of stack ``k`` is
+    symmetric), and the column of each eigenvalue's exact conjugate partner
+    (-1 for a real eigenvalue). ``scale`` is the Frobenius norm of each
+    matrix, of all its blocks together. ``errors[b]`` is the
     ``ArithmeticError`` matrix ``b`` failed with or None (a defective matrix
     solves); the arrays of a failed entry carry no meaning.
     """
@@ -270,18 +272,18 @@ def eig_blocks(blocks) -> BlockStack:
     of a stack that equals its transpose exactly is solved by LAPACK's
     symmetric solve on each of its irreducible diagonal blocks (the sets of
     columns linked by nonzero entries, :func:`_blockwise`): real eigenvalues
-    in ascending order, the earlier block first on ties, with orthonormal
-    real vectors, each zero outside its block. Every other matrix is solved
-    by LAPACK's real solve (``np.linalg.eig``), which returns real
-    eigenvalues with zero imaginary part and complex ones as exact conjugate
-    pairs, in adjacent columns with Im > 0 first; a matrix it fails on is
-    solved again on each of its irreducible diagonal blocks, the same way,
-    block after block. The choice is made per matrix, so that a
-    matrix gets the same bits in any stack. The residuals of each matrix are
-    checked against ``DEFAULT_TOL * ||M||_F``, taken on the blocks it was
-    solved on, and in real arithmetic for the real vectors of the symmetric
-    solve (:func:`_residual`). Left vectors are
-    not computed, and neither is any measure of defectiveness: a Jordan block
+    in ascending order, the earlier block first on ties, with orthonormal real
+    vectors, each zero outside its block; a stack of such matrices alone keeps
+    them as a real array. Every other matrix is solved by LAPACK's real solve
+    (``np.linalg.eig``), which returns real eigenvalues with zero imaginary
+    part and complex ones as exact conjugate pairs, in adjacent columns with
+    Im > 0 first; a matrix it fails on is solved again on each of its
+    irreducible diagonal blocks, the same way, block after block. The choice
+    is made per matrix, so that a matrix gets the same bits in any stack. The
+    residuals of each matrix are checked against ``DEFAULT_TOL * ||M||_F``,
+    taken on the blocks it was solved on, and in real arithmetic for the real
+    vectors of the symmetric solve (:func:`_residual`). Left vectors are not
+    computed, and neither is any measure of defectiveness: a Jordan block
     solves without an error.
     """
     blocks = [_as_array(a, 3, np.float64) for a in blocks]

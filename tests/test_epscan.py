@@ -34,6 +34,7 @@ from pshchain.epscan import (_NUDGES, _SIGN_TIE, AXIS_RANGE, BISECT_TOL, CROSSIN
                              OVERLAP_MIN, _assign, _bisect, _follow, _Line, _location,
                              _lockstep, _match_levels, _Pool, _refine_crossing, _solve_values)
 from pshchain.model import normalized_blocks, sector_blocks
+from pshchain.numerics import eig_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -387,10 +388,10 @@ class TestSectorMatch:
         assert _match_levels(first, np.arange(16), second)[0][10:12].tolist() == [12, 13]
 
 
-def complex_overlaps(left, right, real):
+def complex_overlaps(left, right):
     """|<L|R>| of every pair of points by one complex product, whether or not
-    its vectors are real: the reference of ``epscan._overlaps``."""
-    return np.abs(left.conj().swapaxes(1, 2) @ right)
+    its vectors are real arrays: the reference of ``epscan._overlaps``."""
+    return np.abs(left.astype(complex).conj().swapaxes(1, 2) @ right.astype(complex))
 
 
 def stack_matches(spectra):
@@ -401,35 +402,22 @@ def stack_matches(spectra):
                                slice(refs.start + 1, refs.stop + 1))
 
 
-def count_products(monkeypatch) -> Counter:
-    """Count the pairs of points that the real and the complex product of
-    ``epscan._overlaps`` each take."""
-    counts = Counter()
-
-    def counting(name):
-        product = getattr(epscan, f"_{name}_overlaps")
-
-        def counted(left, right):
-            counts[name] += len(left)
-            return product(left, right)
-        return counted
-
-    for name in ("real", "complex"):
-        monkeypatch.setattr(epscan, f"_{name}_overlaps", counting(name))
-    return counts
-
-
-def mixes_p_blocks(stack, k, point) -> bool:
-    """Whether a vector of Q block ``k`` at ``point`` has components in both P blocks."""
-    eta, x = stack.bases[k].eta, stack.right[k][point]
-    return bool(np.any(np.any(x[eta > 0] != 0, axis=0) & np.any(x[eta < 0] != 0, axis=0)))
+def vector_dtypes(blocks, n) -> tuple[set, set, list]:
+    """The dtypes of ``eig_blocks``' right vectors of the Q blocks ``blocks``,
+    those of the rescaled right and left vectors in their spectra's
+    ``SectorStack``, and the spectra."""
+    spectra = sector_spectra(blocks, n)
+    stack = spectra[0].eigensystem.stack
+    return ({v.dtype for v in eig_blocks(blocks).right},
+            {x.dtype for x in (*stack.right, *stack.left)}, spectra)
 
 
 class TestOverlapKinds:
-    """Level overlaps are taken by a real product where both points' vectors
-    in a block are real (``SectorStack.real``, read off the vectors), by a
-    complex one elsewhere. The matches are those of one complex product, the
-    overlaps within a few ulps."""
+    """A stack's vectors keep LAPACK's dtype: real arrays in a Q block whose
+    points are all gain-free (each matrix its own transpose), complex ones
+    where a point has gain. The overlaps of two real arrays are one real
+    product; the matches are those of one complex product, the overlaps
+    within a few ulps."""
 
     @staticmethod
     def assert_matches_as_complex(spectra, monkeypatch):
@@ -444,45 +432,71 @@ class TestOverlapKinds:
     def test_gain_free_pairs_take_the_real_product(self, n, monkeypatch):
         # at N = 2 the Q = -1 block is one column of p = +1
         points = [NormalizedPoint(jt, 0.0) for jt in (-1.0, -0.4, -0.35, 0.0, 0.2)]
-        spectra = sector_spectra(build_sector_blocks(points, n), n)
-        stack = spectra[0].eigensystem.stack
-        assert all(r.all() for r in stack.real)
-        counts = count_products(monkeypatch)
+        solved, rescaled, spectra = vector_dtypes(build_sector_blocks(points, n), n)
+        assert solved == rescaled == {np.dtype(np.float64)}
         self.assert_matches_as_complex(spectra, monkeypatch)
-        assert counts == {"real": 2 * (len(points) - 1)}
 
-    def test_real_gain_point_takes_the_real_product(self, monkeypatch):
-        # on verify's gamma_tilde = 0.05 line every level is real here, and the
-        # gain mixes the P blocks: the real product does not rely on them
+    def test_real_gain_point_stays_complex(self, monkeypatch):
+        # on verify's gamma_tilde = 0.05 line every level is real here, but the
+        # gain makes both Q blocks non-symmetric: LAPACK's vectors are complex
         points = [NormalizedPoint(jt, 0.05) for jt in (0.3, 0.3025)]
-        spectra = sector_spectra(build_sector_blocks(points, 4), 4)
-        stack = spectra[0].eigensystem.stack
+        solved, rescaled, spectra = vector_dtypes(build_sector_blocks(points, 4), 4)
         assert all(not np.any(sp.eigenvalues.imag) for sp in spectra)
-        assert all(mixes_p_blocks(stack, k, b) for k in range(2) for b in range(2))
-        assert all(r.all() for r in stack.real)
-        counts = count_products(monkeypatch)
+        assert solved == rescaled == {np.dtype(np.complex128)}
         self.assert_matches_as_complex(spectra, monkeypatch)
-        assert counts == {"real": 2}
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_mixed_stack(self, n, monkeypatch):
         # a gain-free point, then the gain ladder at j_tilde = 0.3 from gamma_tilde = 0,
-        # into complex levels: the pairs of one stack take both products
+        # into complex levels: one point with gain makes its stack complex
         points = [NormalizedPoint(0.29, 0.0),
                   *(NormalizedPoint(0.3, gt) for gt in (0.0, 0.05, 0.1, 0.3, 0.45))]
-        spectra = sector_spectra(build_sector_blocks(points, n), n)
-        real = [(r[:-1] & r[1:]).tolist() for r in spectra[0].eigensystem.stack.real]
-        assert all(r[:2] == [True, True] for r in real) and not all(real[0])
-        counts = count_products(monkeypatch)
+        solved, rescaled, spectra = vector_dtypes(build_sector_blocks(points, n), n)
+        assert solved == rescaled == {np.dtype(np.complex128)}
         self.assert_matches_as_complex(spectra, monkeypatch)
-        pairs = real[0] + real[1]
-        assert counts == {"real": pairs.count(True), "complex": pairs.count(False)}
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_public_vectors_are_those_of_a_mixed_stack(self, n):
+        # a gain-free point solved alone (real block vectors) and beside a gain
+        # point (complex ones) has the same complex 2^N-state vectors, to the bit
+        point = NormalizedPoint(-0.35, 0.0)
+        alone, = sector_spectra(build_sector_blocks([point], n), n)
+        mixed = sector_spectra(build_sector_blocks([NormalizedPoint(0.3, 0.3), point], n), n)[1]
+        assert alone.eigensystem.stack.right[0].dtype == np.float64
+        assert mixed.eigensystem.stack.right[0].dtype == np.complex128
+        assert_same_spectrum(alone, mixed)
+        records = list(zip(alone.levels, mixed.levels))
+        for name in ("right", "left"):
+            for x, y in [(getattr(alone.eigensystem, name), getattr(mixed.eigensystem, name)),
+                         *((getattr(a, name), getattr(b, name)) for a, b in records)]:
+                assert x.dtype == y.dtype == np.complex128
+                assert x.tobytes() == y.tobytes()
 
     def test_gain_free_sweep_makes_no_complex_product(self, monkeypatch):
-        counts = count_products(monkeypatch)
+        kinds, overlaps = Counter(), epscan._overlaps
+
+        def counted(left, right):
+            kinds[left.dtype, right.dtype] += len(left)
+            return overlaps(left, right)
+
+        monkeypatch.setattr(epscan, "_overlaps", counted)
         tracks = sweep(coupling_grid(6, 0.0, points=11))
-        assert counts == {"real": 2 * 10}
+        assert kinds == {(np.dtype(np.float64),) * 2: 2 * 10}
         assert all(np.all(tr.z2 == tr.z2[0]) and tr.z2[0] != 0 for tr in tracks)
+
+    def test_one_point_stacks_take_one_match_each(self, monkeypatch):
+        # at N = 8 each point is a stack of its own: every pair of points is
+        # matched once, by _match_levels, and no run of one point is matched
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(epscan, name)
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        for name in ("_block_match", "_match_levels"):
+            monkeypatch.setattr(epscan, name, counted(name))
+        sweep(coupling_grid(8, 0.0, points=40, start=-0.99, stop=0.99))
+        assert calls == {"_block_match": 39, "_match_levels": 39}
 
     @pytest.mark.parametrize("argv", [
         ["--axis", "jt", "--fixed", "0", "--start", "-1", "--stop", "1", "--points", "9"],

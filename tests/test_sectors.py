@@ -263,6 +263,20 @@ class TestStackedSectorSpectra:
         for b, sp in zip(sub, stacked):
             assert_same_spectrum(sp, singles[b])
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_symmetric_blocks_linking_p_blocks(self, n):
+        # symmetric Q blocks with entries between eta's +1 and -1 columns, as no
+        # chain's are: alone they solve to real vectors, beside a gain point to
+        # complex ones, and the rescaling gives the same bits from both
+        rng = np.random.default_rng(n)
+        blocks = [a + a.swapaxes(1, 2) for a in (rng.normal(size=(1, b.eta.size, b.eta.size))
+                                                 for b in sector_bases(n))]
+        gain = build_sector_blocks([NormalizedPoint(0.3, 0.2)], n)
+        alone, = sector_spectra(blocks, n)
+        beside = sector_spectra([np.concatenate(x) for x in zip(gain, blocks)], n)[1]
+        assert_same_spectrum(alone, beside)
+        assert alone.eigensystem.biortho_residual == beside.eigensystem.biortho_residual
+
     def test_blocks_must_fit_the_chain(self):
         with pytest.raises(ValueError, match="Q blocks of a 4-site chain"):
             sector_spectra(build_sector_blocks([NormalizedPoint(0.3, 0.2)], 2), 4)
